@@ -68,8 +68,11 @@ class CoincidenceTable:
         return sum(self.counts.values())
 
 
-def _channel_index(labels: Sequence[str]) -> dict[str, int]:
-    return {lab: i for i, lab in enumerate(labels)}
+def _source(dist: OutcomeDistribution, trials: float,
+            counts: np.ndarray | None) -> np.ndarray:
+    """Pattern counts in distribution order: sampled ``counts``, or the
+    expected counts ``p * trials`` of an exact run."""
+    return counts if counts is not None else dist.probabilities * trials
 
 
 def coincidences_from_distribution(
@@ -77,31 +80,43 @@ def coincidences_from_distribution(
     write_channels: tuple[str, str],
     read_channels: tuple[str, str],
     trials: float = 1.0,
-    counts: Mapping[tuple[bool, ...], float] | None = None,
+    counts: np.ndarray | None = None,
 ) -> CoincidenceTable:
     """Tabulate n_kl from a joint pattern distribution (or sampled pattern
     counts): exactly one write-side click on detector k and exactly one
     read-side click on detector l."""
-    idx = _channel_index(dist.labels)
-    wi = [idx[c] for c in write_channels]
-    ri = [idx[c] for c in read_channels]
-    source = counts if counts is not None else {
-        pat: p * trials for pat, p in dist.probabilities.items()}
-    n = {(k, l): 0.0 for k in (1, 2) for l in (1, 2)}
-    w_singles = {1: 0.0, 2: 0.0}
-    r_singles = {1: 0.0, 2: 0.0}
-    for pat, c in source.items():
-        w = (pat[wi[0]], pat[wi[1]])
-        r = (pat[ri[0]], pat[ri[1]])
-        for k in (1, 2):
-            if w[k - 1]:
-                w_singles[k] += c
-            if r[k - 1]:
-                r_singles[k] += c
-        if sum(w) == 1 and sum(r) == 1:
-            n[(w.index(True) + 1, r.index(True) + 1)] += c
-    return CoincidenceTable(counts=n, write_singles=w_singles,
-                            read_singles=r_singles, trials=trials)
+    source = _source(dist, trials, counts)
+    w = [dist.clicked(c) for c in write_channels]
+    r = [dist.clicked(c) for c in read_channels]
+    w_only = [w[0] & ~w[1], w[1] & ~w[0]]
+    r_only = [r[0] & ~r[1], r[1] & ~r[0]]
+    n = {(k, l): float(source[w_only[k - 1] & r_only[l - 1]].sum())
+         for k in (1, 2) for l in (1, 2)}
+    return CoincidenceTable(
+        counts=n,
+        write_singles={k: float(source[w[k - 1]].sum()) for k in (1, 2)},
+        read_singles={k: float(source[r[k - 1]].sum()) for k in (1, 2)},
+        trials=trials)
+
+
+def overlap_table(dist: OutcomeDistribution, trials: float = 1.0,
+                  counts: np.ndarray | None = None) -> CoincidenceTable:
+    """Coincidence table of the write and read overlap windows."""
+    return coincidences_from_distribution(
+        dist, ("write-overlap:1", "write-overlap:2"), ("read-overlap:1", "read-overlap:2"),
+        trials=trials, counts=counts)
+
+
+def window_g2(dist: OutcomeDistribution, write_window: str, read_window: str,
+              trials: float = 1.0, counts: np.ndarray | None = None) -> AnalysisResult:
+    """Cross correlation between any click in a write window and any click
+    in a read window (both detectors of each window)."""
+    source = _source(dist, trials, counts)
+    w = dist.clicked(f"{write_window}:1") | dist.clicked(f"{write_window}:2")
+    r = dist.clicked(f"{read_window}:1") | dist.clicked(f"{read_window}:2")
+    # .item() keeps sampled totals exact Python ints
+    return g2_cross(source[w].sum().item(), source[r].sum().item(),
+                    source[w & r].sum().item(), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +308,6 @@ class CalibrationResult:
     setting_offsets: tuple[float, ...]   # epsilon vs phi_0 -/+ pi/4 and {0, pi/2}
     expected_S: float
     fit_residual_rms: float
-
-    def as_results(self) -> dict[str, AnalysisResult]:
-        digest = _digest("calib", self.phi_0, self.amplitude)
-        return {
-            "phi_0": AnalysisResult(self.phi_0, self.phi_0_sigma, "calibration/sin-fit", digest),
-            "amplitude": AnalysisResult(self.amplitude, self.amplitude_sigma,
-                                        "visibility/fit-amplitude", digest),
-        }
 
 
 def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationResult:

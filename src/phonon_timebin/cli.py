@@ -60,7 +60,7 @@ class _Manifest:
     def __init__(self, out_dir: Path, config: ExperimentConfig | None, args):
         self.out_dir = out_dir
         self.data = {
-            "command": " ".join(sys.argv[1:]),
+            "command": " ".join(args.argv),
             "config_digest": config_digest(config) if config else None,
             "seed": config.seed if config else None,
             "engine": config.engine.name if config else None,
@@ -134,47 +134,19 @@ WINDOW_PAIRS = {
 }
 
 
-def dist_prob_any(dist, idx):
-    return sum(p for pat, p in dist.probabilities.items() if any(pat[i] for i in idx))
-
-
-def dist_prob_both(dist, idx_a, idx_b):
-    return sum(p for pat, p in dist.probabilities.items()
-               if any(pat[i] for i in idx_a) and any(pat[i] for i in idx_b))
-
-
 def _g2_analysis(setting: protocol.SettingResult, trials: float) -> dict:
-    dist = setting.distribution
-    out: dict[str, analysis.AnalysisResult] = {}
-    for name, (w_win, r_win) in WINDOW_PAIRS.items():
-        wi = [i for i, lab in enumerate(dist.labels) if lab.startswith(w_win + ":")]
-        ri = [i for i, lab in enumerate(dist.labels) if lab.startswith(r_win + ":")]
-        if setting.counts is not None:
-            n_w = sum(c for pat, c in setting.counts.items() if any(pat[i] for i in wi))
-            n_r = sum(c for pat, c in setting.counts.items() if any(pat[i] for i in ri))
-            n_c = sum(c for pat, c in setting.counts.items()
-                      if any(pat[i] for i in wi) and any(pat[i] for i in ri))
-        else:
-            n_w = trials * dist_prob_any(dist, wi)
-            n_r = trials * dist_prob_any(dist, ri)
-            n_c = trials * dist_prob_both(dist, wi, ri)
-        out[f"g2_{name}"] = analysis.g2_cross(n_w, n_r, n_c, trials)
-    return out
+    return {f"g2_{name}": analysis.window_g2(setting.distribution, w_win, r_win,
+                                             trials, setting.counts)
+            for name, (w_win, r_win) in WINDOW_PAIRS.items()}
 
 
-def _entanglement_tables(result: protocol.ExperimentResult):
-    tables = []
-    for sr in result.settings:
-        trials = sr.trials if sr.counts is not None else 1.0
-        table = analysis.coincidences_from_distribution(
-            sr.distribution,
-            ("write-overlap:1", "write-overlap:2"),
-            ("read-overlap:1", "read-overlap:2"),
-            trials=trials,
-            counts=sr.counts,
-        )
-        tables.append((sr, table))
-    return tables
+def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0):
+    """The E pipeline of one phase setting: jitter-averaged distribution,
+    chunked counts when config.trials > 0, overlap coincidence table, E.
+    Returns (E, table)."""
+    sr = protocol.run_setting(config, phi_w, phi_r, setting_idx)
+    table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
+    return analysis.correlation_E(table), table
 
 
 def cmd_simulate(args) -> int:
@@ -196,7 +168,8 @@ def cmd_simulate(args) -> int:
         else:
             e_results = []
             settings_out = []
-            for sr, table in _entanglement_tables(run):
+            for sr in run.settings:
+                table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
                 entry = {"phi_w": sr.phi_w, "phi_r": sr.phi_r,
                          "coincidences": {f"n{k}{l}": table.counts[(k, l)]
                                           for k in (1, 2) for l in (1, 2)}}
@@ -265,10 +238,15 @@ def _write_counts(path: Path, run: protocol.ExperimentResult) -> None:
         for i, sr in enumerate(run.settings):
             labels = ",".join(sr.distribution.labels)
             fh.write(f"# setting {i}: channels {labels}\n")
-            source = sr.counts if sr.counts is not None else sr.distribution.probabilities
-            for pat in sorted(source):
-                bits = "".join("1" if b else "0" for b in pat)
-                fh.write(f"{i} {sr.phi_w:.9f} {sr.phi_r:.9f} {bits} {source[pat]}\n")
+            n = len(sr.distribution.labels)
+            # channel 0 is the leftmost bit; sampled runs list observed patterns only
+            if sr.counts is None:
+                source, codes = sr.distribution.probabilities, range(1 << n)
+            else:
+                source, codes = sr.counts, np.flatnonzero(sr.counts)
+            values = source.tolist()
+            for code in codes:
+                fh.write(f"{i} {sr.phi_w:.9f} {sr.phi_r:.9f} {code:0{n}b} {values[code]}\n")
 
 
 def _write_records(out: Path, manifest: _Manifest, run: protocol.ExperimentResult) -> None:
@@ -322,16 +300,7 @@ def cmd_sweep(args) -> int:
                          "pulses.scattering_probability": "scattering_probability"}[key]
                 data = yaml_roundtrip_scale(config, scale, float(v))
                 cfg, phi_w = data, config.phases.phi_w
-            dist = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
-            trials = float(cfg.trials or 1.0)
-            counts = None
-            if cfg.trials:
-                counts = protocol.sample_counts_chunked(dist, cfg.trials, cfg.seed,
-                                                         len(rows))
-            table = analysis.coincidences_from_distribution(
-                dist, ("write-overlap:1", "write-overlap:2"),
-                ("read-overlap:1", "read-overlap:2"), trials=trials, counts=counts)
-            e = analysis.correlation_E(table)
+            e, table = setting_E(cfg, phi_w, phi_r, len(rows))
             rows.append((phi_w, phi_r, e.value, e.sigma, table.total_coincidences))
     path = manifest.add(out / "sweep.csv")
     with open(path, "w") as fh:
@@ -365,16 +334,7 @@ def cmd_calibrate(args) -> int:
     rows = []
     for phi_r in (0.0, math.pi / 2.0):
         for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
-            dist = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
-            trials = float(config.trials or 1.0)
-            counts = None
-            if config.trials:
-                counts = protocol.sample_counts_chunked(
-                    dist, config.trials, config.seed, len(rows))
-            table = analysis.coincidences_from_distribution(
-                dist, ("write-overlap:1", "write-overlap:2"),
-                ("read-overlap:1", "read-overlap:2"), trials=trials, counts=counts)
-            e = analysis.correlation_E(table)
+            e, _ = setting_E(config, phi_w, phi_r, len(rows))
             points.append(analysis.SweepPoint(phi_w, phi_r, e.value, e.sigma))
             rows.append((phi_w, phi_r, e.value, e.sigma))
     sweep_path = manifest.add(out / "calibration_sweep.csv")
@@ -472,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -54,10 +54,6 @@ class PulseRole(str, Enum):
     def is_write(self) -> bool:
         return self in (PulseRole.WRITE_EARLY, PulseRole.WRITE_LATE)
 
-    @property
-    def is_late(self) -> bool:
-        return self in (PulseRole.WRITE_LATE, PulseRole.READ_LATE)
-
 
 PULSE_ORDER = (
     PulseRole.WRITE_EARLY,
@@ -153,11 +149,6 @@ class PulseSpec:
                 % (self.scattering_probability, self.perturbative_guard)
             )
 
-    @property
-    def detuning_sign(self) -> str:
-        """Blue-detuned drive for writes (pair creation), red for reads (swap)."""
-        return "blue" if self.role.is_write else "red"
-
 
 @dataclass(frozen=True)
 class PhaseSettings:
@@ -244,10 +235,6 @@ class NoiseModel:
             return 0.0
         return self.occupancy_after(PULSE_ORDER[idx - 1])
 
-    def detector_chain_efficiency(self, detector: int) -> float:
-        """Filter stack times SNSPD for detector 1 or 2 (1-based)."""
-        return self.filter_pulse_efficiency[detector - 1] * self.detector_efficiency[detector - 1]
-
 
 @dataclass(frozen=True)
 class EngineSpec:
@@ -312,54 +299,59 @@ class ExperimentConfig:
         return self.pulse(PulseRole.READ_EARLY).scattering_probability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact probabilities over threshold-detector click patterns.
 
     ``labels`` names the detector channels (window/detector pairs at the
-    protocol level, plain detector ids at the engine level); patterns are
-    boolean tuples in label order.
+    protocol level, plain detector ids at the engine level).
+    ``probabilities`` is one vector of length 2**len(labels) indexed by the
+    pattern code, in which channel 0 is the most significant bit: the
+    pattern's bit string (``counts.csv``) read as binary is its index.
+    Sampled counts are int vectors in the same order.
     """
 
     labels: tuple[str, ...]
-    probabilities: Mapping[tuple[bool, ...], float]
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        total = sum(self.probabilities.values())
+        p = np.asarray(self.probabilities, dtype=float)
+        if p.shape != (1 << len(self.labels),):
+            raise ValueError(f"{len(self.labels)} channels need 2**n pattern "
+                             f"probabilities, got shape {p.shape}")
+        total = float(p.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-8):
             raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "probabilities", p)
+
+    def clicked(self, channel: str) -> np.ndarray:
+        """Boolean mask over pattern codes: True where ``channel`` clicks."""
+        shift = len(self.labels) - 1 - self.labels.index(channel)
+        return (np.arange(len(self.probabilities)) >> shift) & 1 == 1
 
     def prob(self, **clicks: bool) -> float:
         """Marginal probability of the given click assignment, e.g. prob(d1=True)."""
-        idx = {lab: i for i, lab in enumerate(self.labels)}
-        sel = {idx[k]: v for k, v in clicks.items()}
-        return sum(p for pat, p in self.probabilities.items()
-                   if all(pat[i] == v for i, v in sel.items()))
+        sel = np.ones(len(self.probabilities), dtype=bool)
+        for channel, value in clicks.items():
+            sel &= self.clicked(channel) == value
+        return float(self.probabilities[sel].sum())
 
     def with_background(self, extra_click_prob: Sequence[float]) -> "OutcomeDistribution":
         """OR an independent Bernoulli click (dark counts, leakage) onto each channel."""
-        probs = dict(self.probabilities)
-        for i, beta in enumerate(extra_click_prob):
+        p = self.probabilities.copy()
+        for k, beta in enumerate(extra_click_prob):
             if beta <= 0.0:
                 continue
-            new: dict[tuple[bool, ...], float] = {}
-            for pat, p in probs.items():
-                if pat[i]:
-                    new[pat] = new.get(pat, 0.0) + p
-                else:
-                    hit = pat[:i] + (True,) + pat[i + 1:]
-                    new[pat] = new.get(pat, 0.0) + p * (1.0 - beta)
-                    new[hit] = new.get(hit, 0.0) + p * beta
-            probs = new
-        return OutcomeDistribution(self.labels, probs)
+            # axis 1 of the view is channel k: [:, 0] silent, [:, 1] clicked
+            v = p.reshape(1 << k, 2, -1)
+            v[:, 1] += beta * v[:, 0]
+            v[:, 0] *= 1.0 - beta
+        return OutcomeDistribution(self.labels, p)
 
-    def sample_counts(self, trials: int, rng: np.random.Generator) -> dict[tuple[bool, ...], int]:
-        pats = sorted(self.probabilities)
-        pvec = np.array([self.probabilities[p] for p in pats], dtype=float)
-        pvec = np.clip(pvec, 0.0, None)
+    def sample_counts(self, trials: int, rng: np.random.Generator) -> np.ndarray:
+        pvec = np.clip(self.probabilities, 0.0, None)
         pvec /= pvec.sum()
-        counts = rng.multinomial(trials, pvec)
-        return {pat: int(c) for pat, c in zip(pats, counts) if c}
+        return rng.multinomial(trials, pvec)
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +666,18 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
     """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``) by
     round-tripping through the dict form so all validation re-runs."""
     data = config_to_dict(config)
-    for dotted, value in overrides.items():
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node[part]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ConfigError(f"unknown override target {dotted!r}")
-        node[leaf] = yaml.safe_load(str(value)) if isinstance(value, str) else value
-    return config_from_dict(data)
+    try:
+        for dotted, value in overrides.items():
+            node = data
+            parts = dotted.split(".")
+            for part in parts[:-1]:
+                node = node[part]
+            leaf = parts[-1]
+            if leaf not in node:
+                raise ConfigError(f"unknown override target {dotted!r}")
+            node[leaf] = yaml.safe_load(str(value)) if isinstance(value, str) else value
+        return config_from_dict(data)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad override: {exc!r}") from exc

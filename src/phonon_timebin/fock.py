@@ -491,14 +491,16 @@ def apply_thermal_noise(state: FockState, mode: str, delta_n: float,
 # threshold detection
 
 
-def _click_masks(state: FockState, detector_map: Mapping[str, Sequence[str]]):
+def _click_codes(state: FockState, detector_map: Mapping[str, Sequence[str]]) -> np.ndarray:
+    """Click-pattern code of every basis state, detector 0 the most
+    significant bit (the OutcomeDistribution order)."""
     occs = state.basis.occs
-    detectors = list(detector_map)
-    masks = []
-    for det in detectors:
-        cols = [state.mode_index(m) for m in detector_map[det]]
-        masks.append(occs[:, cols].sum(axis=1) > 0)
-    return detectors, masks
+    n = len(detector_map)
+    codes = np.zeros(state.basis.dim, dtype=np.int64)
+    for k, modes in enumerate(detector_map.values()):
+        cols = [state.mode_index(m) for m in modes]
+        codes |= (occs[:, cols].sum(axis=1) > 0).astype(np.int64) << (n - 1 - k)
+    return codes
 
 
 def _with_efficiency(state: FockState, detector_map: Mapping[str, Sequence[str]],
@@ -532,44 +534,31 @@ def click_distribution(
                 kern = {d: k for d, k in enumerate(_loss_kernels(state.n_max, eta))}
                 for m in modes:
                     diag = _diag_shift_apply(diag, state.basis, state.mode_index(m), kern)
-    detectors, masks = _click_masks(state, detector_map)
-    codes = np.zeros(state.basis.dim, dtype=np.int64)
-    for b, mask in enumerate(masks):
-        codes |= mask.astype(np.int64) << b
-    sums = np.bincount(codes, weights=diag, minlength=1 << len(detectors))
-    probs: dict[tuple[bool, ...], float] = {}
-    for code, p in enumerate(sums):
-        pattern = tuple(bool(code >> b & 1) for b in range(len(detectors)))
-        probs[pattern] = float(p)
-    return OutcomeDistribution(tuple(detectors), probs)
+    sums = np.bincount(_click_codes(state, detector_map), weights=diag,
+                       minlength=1 << len(detector_map))
+    return OutcomeDistribution(tuple(detector_map), sums)
 
 
 def measure_threshold(
     state: FockState,
     detector_map: Mapping[str, Sequence[str]],
     efficiency: Mapping[str, float] | float | None = None,
-) -> list[tuple[tuple[bool, ...], float, FockState]]:
-    """Threshold-measure the mapped modes and return, per click pattern, its
-    probability and the conditioned state on the remaining modes."""
+) -> list[tuple[int, float, FockState]]:
+    """Threshold-measure the mapped modes and return, per click-pattern code
+    with nonzero probability, that probability and the conditioned state on
+    the remaining modes."""
     work = _with_efficiency(state, detector_map, efficiency)
-    detectors, masks = _click_masks(work, detector_map)
+    codes = _click_codes(work, detector_map)
     measured = sorted({m for modes in detector_map.values() for m in modes},
                       key=work.modes.index)
     keep = [m for m in work.modes if m not in measured]
-    codes = np.zeros(work.basis.dim, dtype=np.int64)
-    for b, mask in enumerate(masks):
-        codes |= mask.astype(np.int64) << b
+    probs = np.bincount(codes, weights=np.real(work.rho.diagonal()))
     branches = []
-    for code in np.unique(codes):
+    for code in np.flatnonzero(probs > 0.0):
         sel = np.flatnonzero(codes == code)
-        block = work.rho[np.ix_(sel, sel)]
-        p = float(np.real(block.diagonal().sum()))
-        pattern = tuple(bool(code >> b & 1) for b in range(len(detectors)))
-        if p <= 0.0:
-            continue
         sub = FockState(work.modes, work.basis, np.zeros_like(work.rho))
-        sub.rho[np.ix_(sel, sel)] = block
+        sub.rho[np.ix_(sel, sel)] = work.rho[np.ix_(sel, sel)]
         reduced = partial_trace(sub, keep)
-        reduced.rho /= p
-        branches.append((pattern, p, reduced))
+        reduced.rho /= probs[code]
+        branches.append((int(code), float(probs[code]), reduced))
     return branches

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock, gaussian, protocol
+from . import analysis, fock, gaussian, protocol
 from .core import (
     EngineSpec,
     ExperimentConfig,
@@ -180,8 +180,7 @@ def run_circuit_gaussian(desc: dict):
 def cross_engine_deviation(desc: dict, n_max: int = 5) -> float:
     df = run_circuit_fock(desc, n_max)
     dg = run_circuit_gaussian(desc)
-    return max(abs(p - df.probabilities.get(pat, 0.0))
-               for pat, p in dg.probabilities.items())
+    return float(np.abs(dg.probabilities - df.probabilities).max())
 
 
 def cross_engine_suite(n_circuits: int, seed: int, n_max: int = 5):
@@ -228,20 +227,9 @@ def ideal_limit_config(p: float = 1e-5, phi_off: float = 0.2,
 def herald_conditioned_fringe(config: ExperimentConfig, phi_w: float, phi_r: float):
     """Read-detector fringe per heralding detector, in the absolute
     convention E_k = [P(read 1 | herald k) - P(read 2 | herald k)] / sum."""
-    dist = protocol.exact_joint_distribution(config, phi_w, phi_r, engine="fock")
-    idx = {lab: i for i, lab in enumerate(dist.labels)}
-    out = []
-    for herald in (1, 2):
-        n = {}
-        for l in (1, 2):
-            n[l] = sum(
-                p for pat, p in dist.probabilities.items()
-                if pat[idx[f"write-overlap:{herald}"]]
-                and not pat[idx[f"write-overlap:{3 - herald}"]]
-                and pat[idx[f"read-overlap:{l}"]]
-                and not pat[idx[f"read-overlap:{3 - l}"]])
-        out.append((n[1] - n[2]) / (n[1] + n[2]))
-    return tuple(out)
+    n = analysis.overlap_table(
+        protocol.exact_joint_distribution(config, phi_w, phi_r, engine="fock")).counts
+    return tuple((n[(k, 1)] - n[(k, 2)]) / (n[(k, 1)] + n[(k, 2)]) for k in (1, 2))
 
 
 def fringe_suite(n_points: int = 24, flip_phase_sign: bool = False
@@ -264,13 +252,8 @@ def fringe_suite(n_points: int = 24, flip_phase_sign: bool = False
     # Phi = 0: coincidences only on the heralding detector
     phi_w0 = 2.0 * phi_off - 0.3
     dist = protocol.exact_joint_distribution(cfg, phi_w0, 0.3, engine="fock")
-    idx = {lab: i for i, lab in enumerate(dist.labels)}
-    cross = sum(p for pat, p in dist.probabilities.items()
-                if pat[idx["write-overlap:1"]] and not pat[idx["write-overlap:2"]]
-                and pat[idx["read-overlap:2"]] and not pat[idx["read-overlap:1"]])
-    herald = sum(p for pat, p in dist.probabilities.items()
-                 if pat[idx["write-overlap:1"]] and not pat[idx["write-overlap:2"]])
-    return worst_fringe, cross / herald, worst_flip
+    herald = dist.prob(**{"write-overlap:1": True, "write-overlap:2": False})
+    return worst_fringe, analysis.overlap_table(dist).counts[(1, 2)] / herald, worst_flip
 
 
 def tms_click_ratio(p: float = 0.002) -> float:

@@ -79,7 +79,6 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class InterferometerModel:
-    delay: float
     phi_off: float
     visibility: float
     splitting_asymmetry: float = 0.0
@@ -297,6 +296,15 @@ def apply_open_interferometer(circuit, which: str, early_mode: str, late_mode: s
     return groups
 
 
+def _interferometer(config: ExperimentConfig) -> InterferometerModel:
+    """The one MZI both stages pass through."""
+    return InterferometerModel(
+        phi_off=config.phases.phi_off,
+        visibility=config.noise.interferometer_visibility,
+        splitting_asymmetry=config.splitting_asymmetry,
+    )
+
+
 def run_write_stage(
     circuit,
     config: ExperimentConfig,
@@ -317,16 +325,10 @@ def run_write_stage(
     circuit.squeeze("o_wL", "m_L", p_wL, 0.0)
     circuit.loss("o_wE", noise.coupling_efficiency)
     circuit.loss("o_wL", noise.coupling_efficiency)
-    interferometer = InterferometerModel(
-        delay=config.waveguide.round_trip_time / 2.0,
-        phi_off=config.phases.phi_off,
-        visibility=noise.interferometer_visibility,
-        splitting_asymmetry=config.splitting_asymmetry,
-    )
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return apply_open_interferometer(circuit, "write", "o_wE", "o_wL", phi_w)
     return apply_interferometer(circuit, "write", "o_wE", "o_wL", phi_w,
-                                interferometer, jitter, keep_side_windows)
+                                _interferometer(config), jitter, keep_side_windows)
 
 
 def run_read_stage(
@@ -356,16 +358,10 @@ def run_read_stage(
     circuit.beam_splitter("o_rL", "m_L", 1.0 - p_rL)
     circuit.loss("o_rE", noise.coupling_efficiency)
     circuit.loss("o_rL", noise.coupling_efficiency)
-    interferometer = InterferometerModel(
-        delay=config.waveguide.round_trip_time / 2.0,
-        phi_off=config.phases.phi_off,
-        visibility=noise.interferometer_visibility,
-        splitting_asymmetry=config.splitting_asymmetry,
-    )
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return apply_open_interferometer(circuit, "read", "o_rE", "o_rL", phi_r)
     return apply_interferometer(circuit, "read", "o_rE", "o_rL", phi_r,
-                                interferometer, jitter, keep_side_windows)
+                                _interferometer(config), jitter, keep_side_windows)
 
 
 def _efficiency_map(groups: Mapping[str, list[str]], chain: DetectionChain) -> dict[str, float]:
@@ -436,21 +432,18 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     w_channels = [ch for ch in _analysis_channels(config.kind, False) if ch.startswith("write")]
     r_channels = [ch for ch in _analysis_channels(config.kind, False) if ch.startswith("read")]
     w_map = {ch: w_groups[ch] for ch in w_channels}
-    branches = circuit.measure(w_map, _efficiency_map(w_map, chain))
-    joint: dict[tuple[bool, ...], float] = {}
-    for w_pattern, w_prob, mech_state in branches:
+    # rows: write pattern codes, columns: read pattern codes; write channels
+    # come first in the labels, so the row-major ravel is the joint code
+    joint = np.zeros((1 << len(w_channels), 1 << len(r_channels)))
+    for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, chain)):
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
         r_groups = run_read_stage(read, config, phi_r, jitter_r)
         r_map = {ch: r_groups[ch] for ch in r_channels}
         r_dist = read.click_distribution(r_map, _efficiency_map(r_map, chain))
-        for r_pattern, r_prob in r_dist.probabilities.items():
-            pattern = w_pattern + r_pattern
-            joint[pattern] = joint.get(pattern, 0.0) + w_prob * r_prob
-    labels = tuple(w_channels) + tuple(r_channels)
-    total = sum(joint.values())
-    joint = {k: v / total for k, v in joint.items()}
-    return OutcomeDistribution(labels, joint)
+        joint[w_code] = w_prob * r_dist.probabilities
+    joint = joint.ravel()
+    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels), joint / joint.sum())
 
 
 def _jitter_scale(noise: NoiseModel) -> float:
@@ -473,16 +466,10 @@ def jitter_averaged_distribution(
         return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / math.sqrt(2.0 * math.pi)
-    mix: dict[tuple[bool, ...], float] = {}
-    labels = None
-    for xi, wi in zip(x, w):
-        dist = exact_joint_distribution(config, phi_w, phi_r,
-                                        jitter_w=sigma * xi, engine=engine)
-        labels = dist.labels
-        for pat, p in dist.probabilities.items():
-            mix[pat] = mix.get(pat, 0.0) + wi * p
-    total = sum(mix.values())
-    return OutcomeDistribution(labels, {k: v / total for k, v in mix.items()})
+    dists = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi, engine=engine)
+             for xi in x]
+    mix = sum(wi * dist.probabilities for wi, dist in zip(w, dists))
+    return OutcomeDistribution(dists[0].labels, mix / mix.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +481,7 @@ class SettingResult:
     phi_w: float
     phi_r: float
     distribution: OutcomeDistribution
-    counts: dict[tuple[bool, ...], int] | None = None
+    counts: np.ndarray | None = None   # sampled pattern counts, distribution order
     trials: int = 0
 
 
@@ -537,12 +524,7 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
         "assumed_dark_count_prob": config.noise.dark_count_prob,
     })
     for idx, (phi_w, phi_r) in enumerate(settings):
-        dist = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
-        sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)
-        if config.trials > 0:
-            sr.counts = sample_counts_chunked(dist, config.trials, config.seed, idx)
-            sr.trials = config.trials
-        result.settings.append(sr)
+        result.settings.append(run_setting(config, phi_w, phi_r, idx, engine))
         if config.record_trials > 0:
             result.records.extend(
                 _sample_records(config, phi_w, phi_r, engine, idx,
@@ -550,23 +532,34 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
     return result
 
 
+def run_setting(config: ExperimentConfig, phi_w: float, phi_r: float,
+                setting_idx: int = 0, engine: str | None = None) -> SettingResult:
+    """One phase setting: the jitter-averaged exact distribution plus, when
+    config.trials > 0, its counts from the (seed, setting_idx) substreams."""
+    dist = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+    sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)
+    if config.trials > 0:
+        sr.counts = sample_counts_chunked(dist, config.trials, config.seed, setting_idx)
+        sr.trials = config.trials
+    return sr
+
+
 SAMPLE_CHUNK = 10_000_000
 
 
 def sample_counts_chunked(dist: OutcomeDistribution, trials: int, seed: int,
-                           setting_idx: int) -> dict[tuple[bool, ...], int]:
+                           setting_idx: int) -> np.ndarray:
     """Aggregate multinomial sampling in fixed-size chunks, each drawn from an
     absolute (seed, setting, chunk) substream, so the result cannot depend on
     scheduling or worker count."""
-    out: dict[tuple[bool, ...], int] = {}
+    out = np.zeros(len(dist.probabilities), dtype=np.int64)
     chunk_idx = 0
     remaining = trials
     while remaining > 0:
         n = min(SAMPLE_CHUNK, remaining)
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(setting_idx, chunk_idx)))
-        for pat, c in dist.sample_counts(n, rng).items():
-            out[pat] = out.get(pat, 0) + c
+        out += dist.sample_counts(n, rng)
         remaining -= n
         chunk_idx += 1
     return out
@@ -575,7 +568,6 @@ def sample_counts_chunked(dist: OutcomeDistribution, trials: int, seed: int,
 def _sample_records(config, phi_w, phi_r, engine, setting_idx, n_trials) -> list[ClickRecord]:
     noise = config.noise
     records = []
-    sigma_w = fwhm_to_sigma(noise.write_phase_jitter_fwhm)
     cache: dict[float, OutcomeDistribution] = {}
     quantize = 64
     scale = _jitter_scale(noise)
@@ -594,10 +586,10 @@ def _sample_records(config, phi_w, phi_r, engine, setting_idx, n_trials) -> list
         if dist is None:
             dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key, engine=engine)
             cache[key] = dist
-        pats = sorted(dist.probabilities)
-        pvec = np.clip([dist.probabilities[p] for p in pats], 0, None)
-        pat = pats[trng.choice(len(pats), p=pvec / pvec.sum())]
-        clicks = tuple(ch for ch, c in zip(dist.labels, pat) if c)
+        pvec = np.clip(dist.probabilities, 0, None)
+        code = int(trng.choice(len(pvec), p=pvec / pvec.sum()))
+        n = len(dist.labels)
+        clicks = tuple(ch for k, ch in enumerate(dist.labels) if code >> (n - 1 - k) & 1)
         records.append(ClickRecord(trial=trial, clicks=clicks, jitter_w=jw, jitter_r=jr))
     return records
 

@@ -33,28 +33,6 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-WRITE_OVERLAP = ("write-overlap:1", "write-overlap:2")
-READ_OVERLAP = ("read-overlap:1", "read-overlap:2")
-
-
-def overlap_table(dist, trials=1.0, counts=None):
-    return analysis.coincidences_from_distribution(
-        dist, WRITE_OVERLAP, READ_OVERLAP, trials=trials, counts=counts)
-
-
-def window_g2(dist, w_window, r_window, trials=1.0, counts=None):
-    idx = {lab: i for i, lab in enumerate(dist.labels)}
-    wi = [idx[f"{w_window}:{d}"] for d in (1, 2)]
-    ri = [idx[f"{r_window}:{d}"] for d in (1, 2)]
-    source = counts if counts is not None else {
-        pat: p * trials for pat, p in dist.probabilities.items()}
-    n_w = sum(c for pat, c in source.items() if pat[wi[0]] or pat[wi[1]])
-    n_r = sum(c for pat, c in source.items() if pat[ri[0]] or pat[ri[1]])
-    n_c = sum(c for pat, c in source.items()
-              if (pat[wi[0]] or pat[wi[1]]) and (pat[ri[0]] or pat[ri[1]]))
-    return analysis.g2_cross(n_w, n_r, n_c, trials)
-
-
 def test_criterion_01_cross_engine_oracle():
     """200 randomized vocabulary circuits agree between Fock (N=5) and
     Gaussian on every threshold-click pattern within 1e-6, in under 5 min."""
@@ -130,10 +108,10 @@ def test_criterion_05_cross_correlation_windows():
              "LL": ("write-overlap", "read-overlap"),
              "EL": ("write-early-direct", "read-overlap"),
              "LE": ("write-overlap", "read-early-direct")}
-    exact = {k: window_g2(sr.distribution, w, r, trials=config.trials)
+    exact = {k: analysis.window_g2(sr.distribution, w, r, trials=config.trials)
              for k, (w, r) in pairs.items()}
-    sampled = {k: window_g2(sr.distribution, w, r, trials=config.trials,
-                            counts=sr.counts) for k, (w, r) in pairs.items()}
+    sampled = {k: analysis.window_g2(sr.distribution, w, r, trials=config.trials,
+                                     counts=sr.counts) for k, (w, r) in pairs.items()}
     ok = (6.8 <= exact["EE"].value <= 12.0
           and 3.4 <= exact["LL"].value <= 6.6
           and exact["EE"].value > exact["LL"].value
@@ -157,10 +135,7 @@ def _entanglement_visibility(trials):
     config = with_overrides(reference_config("timebin_entanglement"),
                             {"trials": trials})
     phi_max = config.phases.phi_0 - math.pi / 2.0  # Phi = 0: positive lobe
-    dist = protocol.jitter_averaged_distribution(config, phi_max, 0.0)
-    counts = protocol.sample_counts_chunked(dist, trials, config.seed, 0)
-    table = overlap_table(dist, trials=trials, counts=counts)
-    e = analysis.correlation_E(table)
+    e, _ = cli.setting_E(config, phi_max, 0.0)
     return analysis.AnalysisResult(abs(e.value), e.sigma, e.method, e.inputs_digest)
 
 
@@ -172,10 +147,10 @@ def test_criterion_06_entanglement_witness():
                             {"trials": 20_000_000_000})
     run = protocol.run_experiment(config)
     sr = run.settings[0]
-    gee = window_g2(sr.distribution, "write-early-direct", "read-early-direct",
-                    trials=config.trials, counts=sr.counts)
-    gll = window_g2(sr.distribution, "write-overlap", "read-overlap",
-                    trials=config.trials, counts=sr.counts)
+    gee = analysis.window_g2(sr.distribution, "write-early-direct", "read-early-direct",
+                             trials=config.trials, counts=sr.counts)
+    gll = analysis.window_g2(sr.distribution, "write-overlap", "read-overlap",
+                             trials=config.trials, counts=sr.counts)
     r_sim = analysis.witness_R(v, gee, gll)
     violated = r_sim.value + 3.0 * r_sim.sigma < 1.0
 
@@ -191,32 +166,24 @@ def test_criterion_06_entanglement_witness():
            f"measured-value check R = {r_paper.value:.3f} ± {r_paper.sigma:.3f}")
 
 
-def _e_at(config, phi_w, phi_r, trials=0, setting_idx=0):
-    dist = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
-    counts = None
-    if trials:
-        counts = protocol.sample_counts_chunked(dist, trials, config.seed, setting_idx)
-    return analysis.correlation_E(overlap_table(dist, trials=trials or 1.0,
-                                                counts=counts))
-
-
 def test_criterion_07_bell_violation():
     """Calibration workflow then the Bell run: S inside the measured window
     [2.16, 2.48], above 2 by >= 3 simulated SDs, and the noiseless control
     reaches 2 sqrt(2) to 1e-6."""
-    cal_config = reference_config("calibration")
+    cal_config = with_overrides(reference_config("calibration"), {"trials": 0})
     points = []
     for phi_r in (0.0, math.pi / 2.0):
         for phi_w in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
-            e = _e_at(cal_config, phi_w, phi_r)
+            e, _ = cli.setting_E(cal_config, phi_w, phi_r)
             points.append(analysis.SweepPoint(phi_w, phi_r, e.value, 0.02))
     cal = analysis.fit_sinusoid_and_choose_phases(points)
 
     bell = with_overrides(reference_config("bell_test"), {"trials": 40_000_000_000})
+    bell_exact = with_overrides(bell, {"trials": 0})
     exact_es, sampled_es = [], []
     for i, (phi_w, phi_r) in enumerate(cal.chsh_settings):
-        exact_es.append(_e_at(bell, phi_w, phi_r))
-        sampled_es.append(_e_at(bell, phi_w, phi_r, trials=bell.trials, setting_idx=i))
+        exact_es.append(cli.setting_E(bell_exact, phi_w, phi_r)[0])
+        sampled_es.append(cli.setting_E(bell, phi_w, phi_r, setting_idx=i)[0])
     s_exact = analysis.chsh_S(exact_es)
     s_sim = analysis.chsh_S(sampled_es)
 
@@ -224,7 +191,7 @@ def test_criterion_07_bell_violation():
     ctrl_es = []
     for phi_w, phi_r in control.phases.chsh_settings():
         dist = protocol.exact_joint_distribution(control, phi_w, phi_r, engine="fock")
-        ctrl_es.append(analysis.correlation_E(overlap_table(dist)))
+        ctrl_es.append(analysis.correlation_E(analysis.overlap_table(dist)))
     s_ctrl = analysis.chsh_S(ctrl_es).value
 
     ok = (2.16 <= s_exact.value <= 2.48
@@ -303,7 +270,7 @@ def test_criterion_10_determinism(tmp_path):
                             {"trials": 1_000_000_000, "record_trials": 64})
     a = protocol.run_experiment(config)
     b = protocol.run_experiment(config)
-    same = all(x.counts == y.counts for x, y in zip(a.settings, b.settings))
+    same = all(np.array_equal(x.counts, y.counts) for x, y in zip(a.settings, b.settings))
     same &= a.records == b.records
 
     cfg_path = tmp_path / "bell.yaml"

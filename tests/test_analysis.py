@@ -235,12 +235,11 @@ class TestCoincidenceExtraction:
     def test_from_distribution_exclusive_counting(self):
         from phonon_timebin.core import OutcomeDistribution
         labels = ("w:1", "w:2", "r:1", "r:2")
-        probs = {
-            (True, False, True, False): 0.3,   # n11
-            (True, False, False, True): 0.1,   # n12
-            (True, True, True, False): 0.05,   # double write click: excluded
-            (False, False, False, False): 0.55,
-        }
+        probs = np.zeros(16)
+        probs[0b1010] = 0.3    # n11
+        probs[0b1001] = 0.1    # n12
+        probs[0b1110] = 0.05   # double write click: excluded
+        probs[0b0000] = 0.55
         dist = OutcomeDistribution(labels, probs)
         t = A.coincidences_from_distribution(dist, ("w:1", "w:2"), ("r:1", "r:2"),
                                              trials=100)

@@ -101,6 +101,22 @@ class TestSimulate:
                          "--override", "phases.phi_off=0.3"])
         assert code == 0
 
+    @pytest.mark.parametrize("override", ["foo.bar=1",
+                                          "noise.interferometer_visibility=abc"])
+    def test_bad_override_is_config_error(self, tmp_path, override):
+        config = write_config(tmp_path, trials=0)
+        code = cli.main(["simulate", "--config", str(config), "--out",
+                         str(tmp_path / "bad"), "--override", override])
+        assert code == 2
+
+    def test_manifest_records_in_process_argv(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "mf"
+        argv = ["rate-budget", "--config", str(config), "--out", str(out)]
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == " ".join(argv)
+
 
 class TestSweep:
     def test_phase_sweep_columns(self, tmp_path):

@@ -14,8 +14,7 @@ class TestSharedVocabulary:
         gs = gaussian.apply_two_mode_squeeze(gs, "a", "b", 0.015, 0.4)
         df = fock.click_distribution(fs, {"d1": ["a"], "d2": ["b"]}, 0.8)
         dg = gaussian.click_probabilities(gs, {"d1": ["a"], "d2": ["b"]}, 0.8)
-        for pat, p in dg.probabilities.items():
-            assert df.probabilities[pat] == pytest.approx(p, abs=1e-8)
+        assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-8)
 
     def test_thermal_loss_chain(self):
         fs = fock.init_thermal(["a"], 5, 0.1)

@@ -109,7 +109,7 @@ class TestClicks:
         st = G.apply_beam_splitter(st, "a", "c", 0.7, 0.4)
         d = G.click_probabilities(st, {"d1": ["a"], "d2": ["b", "c"]},
                                   {"d1": 0.8, "d2": 0.6})
-        assert sum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_consistency(self):
         # marginal click probability equals the sum over full patterns

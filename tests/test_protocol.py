@@ -47,12 +47,6 @@ def make_config(kind=ExperimentKind.TIME_BIN_ENTANGLEMENT, p_w=0.002, p_r=0.007,
         trials=trials, seed=seed, engine=engine, record_trials=record_trials)
 
 
-def table_from(dist, counts=None, trials=1.0):
-    return analysis.coincidences_from_distribution(
-        dist, ("write-overlap:1", "write-overlap:2"),
-        ("read-overlap:1", "read-overlap:2"), trials=trials, counts=counts)
-
-
 class TestWriteStage:
     def test_write_click_probability(self):
         # ideal chain: each bin sends half its photon flux into the overlap
@@ -82,7 +76,7 @@ class TestWriteStage:
             w_map = {ch: groups[ch] for ch in
                      ("write-overlap:1", "write-overlap:2")}
             branches = circuit.measure(w_map, None)
-            heralded = {pat: st for pat, p, st in branches}[(True, False)]
+            heralded = {code: st for code, p, st in branches}[0b10]
             i = heralded.basis.index[(1, 0)]
             j = heralded.basis.index[(0, 1)]
             assert abs(heralded.rho[i, j]) == pytest.approx(v_int / 2.0, abs=2e-3)
@@ -152,7 +146,7 @@ class TestInterferometer:
     def test_single_photon_window_split(self):
         # one photon in the early bin: 1/4 per overlap detector, 1/2 in the
         # early-direct slot
-        iface = protocol.InterferometerModel(delay=63e-9, phi_off=0.0, visibility=1.0)
+        iface = protocol.InterferometerModel(phi_off=0.0, visibility=1.0)
         circuit = protocol._FockCircuit(n_max=2, total_cap=2)
         circuit.add_mode("early")
         circuit.add_mode("late")
@@ -174,8 +168,7 @@ class TestInterferometer:
         ref = protocol.exact_joint_distribution(cfg, 0.7, 0.2)
         for phi in (0.0, 1.1, 2.9):
             dist = protocol.exact_joint_distribution(cfg, phi, 0.2)
-            for pat, p in ref.probabilities.items():
-                assert dist.probabilities[pat] == pytest.approx(p, abs=1e-12)
+            assert dist.probabilities == pytest.approx(ref.probabilities, abs=1e-12)
 
     def test_phase_only_dependence_through_big_phi(self):
         # noiseless overlap statistics depend only on phi_w + phi_r - 2 phi_off
@@ -184,17 +177,15 @@ class TestInterferometer:
         for phi_w, phi_r, phi_off in combos:
             cfg = make_config(phi_off=phi_off)
             dists.append(protocol.exact_joint_distribution(cfg, phi_w, phi_r))
-        for pat, p in dists[0].probabilities.items():
-            assert dists[1].probabilities[pat] == pytest.approx(p, abs=1e-12)
-            assert dists[2].probabilities[pat] == pytest.approx(p, abs=1e-12)
+        for dist in dists[1:]:
+            assert dist.probabilities == pytest.approx(dists[0].probabilities, abs=1e-12)
 
 
 class TestDetect:
     def test_perfect_chain_vacuum_silent(self):
         cfg = make_config(p_w=0.0, p_r=0.0)
         dist = protocol.exact_joint_distribution(cfg, 0.0, 0.0)
-        quiet = tuple(False for _ in dist.labels)
-        assert dist.probabilities[quiet] == pytest.approx(1.0, abs=1e-12)
+        assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)  # all quiet
 
     def test_leakage_rate(self):
         # 2.6e-6 leakage per read pulse on detector 2: ~26 expected clicks
@@ -209,8 +200,7 @@ class TestDetect:
         noise = clean_noise(dark_count_prob=1.0)
         cfg = make_config(p_w=0.0, p_r=0.0, noise=noise)
         dist = protocol.exact_joint_distribution(cfg, 0.0, 0.0)
-        every = tuple(True for _ in dist.labels)
-        assert dist.probabilities[every] == pytest.approx(1.0, abs=1e-12)
+        assert dist.probabilities[-1] == pytest.approx(1.0, abs=1e-12)  # all click
 
 
 class TestRunExperiment:
@@ -218,13 +208,13 @@ class TestRunExperiment:
         cfg = make_config(phi_off=0.2)
         for phi in (0.4, 1.7, 3.0):
             dist = protocol.exact_joint_distribution(cfg, phi, 0.0)
-            e = analysis.correlation_E(table_from(dist)).value
+            e = analysis.correlation_E(analysis.overlap_table(dist)).value
             assert e == pytest.approx(math.cos(phi - 0.4), abs=2.5 * 0.002 + 1e-6)
 
     def test_no_writes_no_heralds(self):
         cfg = make_config(p_w=0.0)
         dist = protocol.exact_joint_distribution(cfg, 0.0, 0.0)
-        table = table_from(dist)
+        table = analysis.overlap_table(dist)
         assert table.total_coincidences == 0.0
         assert sum(table.write_singles.values()) == 0.0
 
@@ -255,19 +245,18 @@ class TestRunExperiment:
         cfg = make_config(trials=1_000_000, seed=42)
         run = protocol.run_experiment(cfg)
         sr = run.settings[0]
-        for pat, p in sr.distribution.probabilities.items():
-            n = sr.counts.get(pat, 0)
-            sigma = math.sqrt(max(cfg.trials * p * (1 - p), 1.0))
-            assert abs(n - cfg.trials * p) <= 5.0 * sigma
+        p = sr.distribution.probabilities
+        sigma = np.sqrt(np.maximum(cfg.trials * p * (1 - p), 1.0))
+        assert np.all(np.abs(sr.counts - cfg.trials * p) <= 5.0 * sigma)
 
     def test_determinism_per_seed(self):
         cfg = make_config(trials=100_000, seed=7, record_trials=50)
         a = protocol.run_experiment(cfg)
         b = protocol.run_experiment(cfg)
-        assert a.settings[0].counts == b.settings[0].counts
+        assert np.array_equal(a.settings[0].counts, b.settings[0].counts)
         assert a.records == b.records
         c = protocol.run_experiment(make_config(trials=100_000, seed=8))
-        assert c.settings[0].counts != a.settings[0].counts
+        assert not np.array_equal(c.settings[0].counts, a.settings[0].counts)
 
     def test_record_stream(self):
         noise = clean_noise(write_phase_jitter_fwhm=math.pi / 7,
@@ -303,8 +292,7 @@ class TestCrossEngineProtocol:
         dg = protocol.exact_joint_distribution(cfg, 0.7, 0.3, engine="gaussian")
         df = protocol.exact_joint_distribution(cfg, 0.7, 0.3, engine="fock")
         assert dg.labels == df.labels
-        for pat, p in dg.probabilities.items():
-            assert df.probabilities.get(pat, 0.0) == pytest.approx(p, abs=1e-6)
+        assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-6)
 
     def test_cross_correlation_engines_agree(self):
         noise = clean_noise(
@@ -316,8 +304,7 @@ class TestCrossEngineProtocol:
                           engine=EngineSpec("fock", truncation=4, total_cap=6))
         dg = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="gaussian")
         df = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="fock")
-        for pat, p in dg.probabilities.items():
-            assert df.probabilities.get(pat, 0.0) == pytest.approx(p, abs=1e-6)
+        assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-6)
 
 
 class TestJitterAveraging:
@@ -328,16 +315,14 @@ class TestJitterAveraging:
         avg = protocol.jitter_averaged_distribution(cfg, 0.9, 0.0)
         rng = np.random.default_rng(0)
         sigma = math.hypot((math.pi / 7) / 2.3548, (math.pi / 20) / 2.3548)
-        acc = {}
+        acc = np.zeros_like(avg.probabilities)
         n_mc = 400
         for _ in range(n_mc):
             d = protocol.exact_joint_distribution(cfg, 0.9, 0.0,
                                                   jitter_w=rng.normal(0, sigma))
-            for pat, p in d.probabilities.items():
-                acc[pat] = acc.get(pat, 0.0) + p / n_mc
-        e_avg = analysis.correlation_E(table_from(avg)).value
-        e_mc = analysis.correlation_E(
-            table_from(avg, counts={k: v for k, v in acc.items()})).value
+            acc += d.probabilities / n_mc
+        e_avg = analysis.correlation_E(analysis.overlap_table(avg)).value
+        e_mc = analysis.correlation_E(analysis.overlap_table(avg, counts=acc)).value
         assert e_avg == pytest.approx(e_mc, abs=5e-3)
 
     def test_jitter_shrinks_fringe(self):
@@ -345,9 +330,9 @@ class TestJitterAveraging:
         jit = make_config(noise=clean_noise(write_phase_jitter_fwhm=math.pi / 3),
                           phi_off=0.0)
         e0 = analysis.correlation_E(
-            table_from(protocol.jitter_averaged_distribution(base, 0.0, 0.0))).value
+            analysis.overlap_table(protocol.jitter_averaged_distribution(base, 0.0, 0.0))).value
         e1 = analysis.correlation_E(
-            table_from(protocol.jitter_averaged_distribution(jit, 0.0, 0.0))).value
+            analysis.overlap_table(protocol.jitter_averaged_distribution(jit, 0.0, 0.0))).value
         sigma = (math.pi / 3) / 2.3548
         assert e1 == pytest.approx(e0 * math.exp(-sigma**2 / 2.0), rel=2e-3)
 
@@ -364,24 +349,14 @@ class TestWitnessClassicalBound:
         best = 0.0
         for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False):
             dist = protocol.exact_joint_distribution(ent, phi, 0.0)
-            e = analysis.correlation_E(table_from(dist))
+            e = analysis.correlation_E(analysis.overlap_table(dist))
             best = max(best, abs(e.value))
         cc = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION,
                          noise=noise, T1=2.2e-6, retrieval=0.35)
         dist = protocol.exact_joint_distribution(cc, 0.0, 0.0)
-        lab = list(dist.labels)
-
-        def g2(w, r):
-            wi = [lab.index(f"{w}:{d}") for d in (1, 2)]
-            ri = [lab.index(f"{r}:{d}") for d in (1, 2)]
-            pw = sum(p for pat, p in dist.probabilities.items() if pat[wi[0]] or pat[wi[1]])
-            pr = sum(p for pat, p in dist.probabilities.items() if pat[ri[0]] or pat[ri[1]])
-            pc = sum(p for pat, p in dist.probabilities.items()
-                     if (pat[wi[0]] or pat[wi[1]]) and (pat[ri[0]] or pat[ri[1]]))
-            return pc / (pw * pr)
-
-        res = analysis.witness_R(best, g2("write-early-direct", "read-early-direct"),
-                                 g2("write-overlap", "read-overlap"))
+        gee = analysis.window_g2(dist, "write-early-direct", "read-early-direct").value
+        gll = analysis.window_g2(dist, "write-overlap", "read-overlap").value
+        res = analysis.witness_R(best, gee, gll)
         assert res.value >= 1.0
 
     def test_estimator_exact_matches_sampled_limit(self):
@@ -392,9 +367,9 @@ class TestWitnessClassicalBound:
         cfg = make_config(p_w=0.01, p_r=0.02, noise=noise, trials=1_000_000, seed=21)
         run = protocol.run_experiment(cfg)
         sr = run.settings[0]
-        exact = analysis.correlation_E(table_from(sr.distribution))
+        exact = analysis.correlation_E(analysis.overlap_table(sr.distribution))
         sampled = analysis.correlation_E(
-            table_from(sr.distribution, counts=sr.counts, trials=cfg.trials))
+            analysis.overlap_table(sr.distribution, counts=sr.counts, trials=cfg.trials))
         assert abs(sampled.value - exact.value) <= 3.0 * sampled.sigma
 
 
