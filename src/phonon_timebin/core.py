@@ -235,6 +235,18 @@ class NoiseModel:
             return 0.0
         return self.occupancy_after(PULSE_ORDER[idx - 1])
 
+    def channel_efficiency(self, detector: int) -> float:
+        """Filter-pulse times detector efficiency of detector 1 or 2."""
+        return (self.filter_pulse_efficiency[detector - 1]
+                * self.detector_efficiency[detector - 1])
+
+    def background_prob(self, channel: str) -> float:
+        """Dark-count plus pump-leakage click probability of a
+        "window:detector" channel."""
+        window, det = channel.rsplit(":", 1)
+        role = "write" if window.startswith("write") else "read"
+        return self.dark_count_prob + self.leakage_prob[role][int(det) - 1]
+
 
 @dataclass(frozen=True)
 class EngineSpec:
@@ -644,6 +656,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
     if c.engine.total_cap is not None:
         data["engine"]["total_cap"] = c.engine.total_cap
+    if c.pulses and c.pulses[0].perturbative_guard != DEFAULT_PERTURBATIVE_GUARD:
+        data["perturbative_guard"] = c.pulses[0].perturbative_guard
     if c.phase_sweep is not None:
         data["phases"]["settings"] = [
             [_angles_out(w), _angles_out(r)] for w, r in c.phase_sweep]

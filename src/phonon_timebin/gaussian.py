@@ -5,6 +5,11 @@ Conventions: hbar = 1, quadrature ordering (x1, p1, x2, p2, ...), vacuum
 covariance = I/2.  Means are identically zero here -- the vocabulary has no
 displacement -- and that is asserted, which keeps the vacuum-probability
 formula P0(S) = 1/sqrt(det(sigma_S + I/2)) displacement-free.
+
+A state may carry a leading batch axis: ``sigma`` of shape (B, 2N, 2N)
+holds B states over the same modes, and a gate given a (B,) array of
+phase angles turns a single state into a batch.  Every gate rewrites only
+the rows and columns of the modes it acts on.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ class GaussianEngineError(ValueError):
     pass
 
 
-def _rot(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+def _rot(phi) -> np.ndarray:
+    """Rotation by phi; a (B,) array of angles gives a (B, 2, 2) stack."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -60,24 +66,24 @@ class CovarianceState:
 
     def block(self, label: str) -> np.ndarray:
         k = 2 * self.mode_index(label)
-        return self.sigma[k:k + 2, k:k + 2]
+        return self.sigma[..., k:k + 2, k:k + 2]
 
-    def mean_occupation(self, label: str) -> float:
+    def mean_occupation(self, label: str):
+        """Mean quanta in ``label``: a float, or a (B,) array for a batch."""
         blk = self.block(label)
-        return 0.5 * (blk[0, 0] + blk[1, 1] - 1.0)
+        return 0.5 * (blk[..., 0, 0] + blk[..., 1, 1] - 1.0)
 
     def check_valid(self, tol: float = 1e-10) -> None:
-        if np.abs(self.sigma - self.sigma.T).max() > SYMMETRY_TOL:
-            raise GaussianEngineError("covariance not symmetric"
-                                      )
+        if np.abs(self.sigma - np.swapaxes(self.sigma, -1, -2)).max() > SYMMETRY_TOL:
+            raise GaussianEngineError("covariance not symmetric")
         omega = symplectic_form(len(self.modes))
         eig = np.linalg.eigvalsh(self.sigma + 0.5j * omega)
         if eig.min() < -tol:
             raise GaussianEngineError(f"uncertainty relation violated: {eig.min():g}")
 
-    def purity_det(self) -> float:
+    def purity_det(self):
         """det(2 sigma); equals 1 for pure states."""
-        return float(np.linalg.det(2.0 * self.sigma))
+        return np.linalg.det(2.0 * self.sigma)
 
 
 def vacuum_state(modes: Sequence[str]) -> CovarianceState:
@@ -97,63 +103,69 @@ def thermal_state(modes: Sequence[str], occupations: float | Mapping[str, float]
 
 
 def add_vacuum_mode(state: CovarianceState, label: str) -> CovarianceState:
-    n = len(state.modes)
-    sigma = 0.5 * np.eye(2 * (n + 1))
-    sigma[:2 * n, :2 * n] = state.sigma
+    n = 2 * len(state.modes)
+    sigma = np.zeros(state.sigma.shape[:-2] + (n + 2, n + 2))
+    sigma[..., :n, :n] = state.sigma
+    sigma[..., n, n] = sigma[..., n + 1, n + 1] = 0.5
     return CovarianceState(state.modes + (label,), sigma)
+
+
+def _quadratures(state: CovarianceState, labels: Sequence[str]) -> list[int]:
+    return [q for m in labels for q in (2 * state.mode_index(m), 2 * state.mode_index(m) + 1)]
 
 
 def drop_modes(state: CovarianceState, labels: Sequence[str]) -> CovarianceState:
     drop = {state.mode_index(m) for m in labels}
-    keep = [i for i in range(len(state.modes)) if i not in drop]
-    sel = np.concatenate([[2 * i, 2 * i + 1] for i in keep]) if keep else np.array([], int)
-    return CovarianceState([state.modes[i] for i in keep], state.sigma[np.ix_(sel, sel)])
+    keep = [m for i, m in enumerate(state.modes) if i not in drop]
+    sel = _quadratures(state, keep)
+    return CovarianceState(keep, state.sigma[..., sel, :][..., :, sel])
 
 
 # ---------------------------------------------------------------------------
 # symplectic operations
 
 
-def _embed(state: CovarianceState, labels: Sequence[str], small: np.ndarray) -> np.ndarray:
-    S = np.eye(2 * len(state.modes))
-    idx = np.concatenate([[2 * state.mode_index(m), 2 * state.mode_index(m) + 1]
-                          for m in labels])
-    S[np.ix_(idx, idx)] = small
-    return S
-
-
-def phase_symplectic(phi: float) -> np.ndarray:
+def phase_symplectic(phi) -> np.ndarray:
     # apply_phase multiplies |n> by e^{i n phi}, i.e. a -> a e^{i phi}
     return _rot(phi)
 
 
-def beam_splitter_symplectic(transmissivity: float, phase: float = 0.0) -> np.ndarray:
+def beam_splitter_symplectic(transmissivity: float, phase=0.0) -> np.ndarray:
     if not 0.0 <= transmissivity <= 1.0:
         raise GaussianEngineError("transmissivity must be in [0, 1]")
     theta = math.acos(min(1.0, math.sqrt(transmissivity)))
     c, s = math.cos(theta), math.sin(theta)
     R = _rot(phase)
-    S = np.zeros((4, 4))
-    S[:2, :2] = c * np.eye(2)
-    S[:2, 2:] = s * R
-    S[2:, :2] = -s * R.T
-    S[2:, 2:] = c * np.eye(2)
+    S = np.zeros(R.shape[:-2] + (4, 4))
+    S[..., :2, :2] = S[..., 2:, 2:] = c * np.eye(2)
+    S[..., :2, 2:] = s * R
+    S[..., 2:, :2] = -s * np.swapaxes(R, -1, -2)
     return S
 
 
-def squeeze_symplectic(p: float, phase: float = 0.0) -> np.ndarray:
+def squeeze_symplectic(p: float, phase=0.0) -> np.ndarray:
     if not 0.0 <= p < 1.0:
         raise GaussianEngineError("scattering probability must be in [0, 1)")
     r = math.atanh(math.sqrt(p))
     ch, sh = math.cosh(r), math.sinh(r)
-    c, s = math.cos(phase), math.sin(phase)
-    off = sh * np.array([[c, s], [s, -c]])
-    S = np.zeros((4, 4))
-    S[:2, :2] = ch * np.eye(2)
-    S[:2, 2:] = off
-    S[2:, :2] = off
-    S[2:, 2:] = ch * np.eye(2)
+    off = sh * _rot(phase) * [1.0, -1.0]  # [[c, s], [s, -c]]
+    S = np.zeros(off.shape[:-2] + (4, 4))
+    S[..., :2, :2] = S[..., 2:, 2:] = ch * np.eye(2)
+    S[..., :2, 2:] = S[..., 2:, :2] = off
     return S
+
+
+def _local_update(state: CovarianceState, idx: list[int], S: np.ndarray) -> CovarianceState:
+    """S_full sigma S_full^T for the S_full that acts as ``S`` on the
+    quadratures ``idx`` and as the identity elsewhere: only those rows and
+    columns change.  A stacked ``S`` broadcasts the state to its batch."""
+    sigma = state.sigma
+    batch = np.broadcast_shapes(sigma.shape[:-2], S.shape[:-2])
+    out = np.empty(batch + sigma.shape[-2:])
+    out[...] = sigma
+    out[..., idx, :] = S @ out[..., idx, :]
+    out[..., :, idx] = out[..., :, idx] @ np.swapaxes(S, -1, -2)
+    return CovarianceState(state.modes, out)
 
 
 def symplectic_apply(state: CovarianceState, op: str, labels: Sequence[str],
@@ -167,11 +179,10 @@ def symplectic_apply(state: CovarianceState, op: str, labels: Sequence[str],
         small = squeeze_symplectic(*params)
     else:
         raise GaussianEngineError(f"unknown op {op!r}")
-    S = _embed(state, labels, small)
-    return CovarianceState(state.modes, S @ state.sigma @ S.T)
+    return _local_update(state, _quadratures(state, labels), small)
 
 
-def apply_phase(state: CovarianceState, mode: str, phi: float) -> CovarianceState:
+def apply_phase(state: CovarianceState, mode: str, phi) -> CovarianceState:
     return symplectic_apply(state, "phase", [mode], phi)
 
 
@@ -194,12 +205,12 @@ def thermal_loss(state: CovarianceState, mode: str, survival: float,
     if n_env < 0:
         raise GaussianEngineError("n_env must be >= 0")
     k = 2 * state.mode_index(mode)
-    n = 2 * len(state.modes)
-    X = np.eye(n)
-    X[k, k] = X[k + 1, k + 1] = math.sqrt(survival)
-    sigma = X @ state.sigma @ X
-    sigma[k, k] += (1.0 - survival) * (n_env + 0.5)
-    sigma[k + 1, k + 1] += (1.0 - survival) * (n_env + 0.5)
+    eta = math.sqrt(survival)
+    sigma = state.sigma.copy()
+    sigma[..., k:k + 2, :] *= eta
+    sigma[..., :, k:k + 2] *= eta
+    sigma[..., k, k] += (1.0 - survival) * (n_env + 0.5)
+    sigma[..., k + 1, k + 1] += (1.0 - survival) * (n_env + 0.5)
     return CovarianceState(state.modes, sigma)
 
 
@@ -220,33 +231,36 @@ def apply_thermal_noise(state: CovarianceState, mode: str, delta_n: float,
 # threshold detection
 
 
-def vacuum_probability(state: CovarianceState, labels: Sequence[str]) -> float:
-    """P(no click on the given modes) = 1/sqrt(det(sigma_S + I/2))."""
+def vacuum_probability(state: CovarianceState, labels: Sequence[str]):
+    """P(no click on the given modes) = 1/sqrt(det(sigma_S + I/2)): a float,
+    or a (B,) array from one stacked Cholesky factorisation for a batch."""
     if np.abs(state.mean).max() > 0:
         raise GaussianEngineError("click formulas require zero-mean states")
+    batch = state.sigma.shape[:-2]
     if not labels:
-        return 1.0
-    sel = np.concatenate([[2 * state.mode_index(m), 2 * state.mode_index(m) + 1]
-                          for m in labels])
-    red = state.sigma[np.ix_(sel, sel)]
+        return np.ones(batch) if batch else 1.0
+    sel = _quadratures(state, labels)
+    red = state.sigma[..., sel, :][..., :, sel]
     try:
         chol = np.linalg.cholesky(red + 0.5 * np.eye(len(sel)))
     except np.linalg.LinAlgError:
         raise GaussianEngineError(
             "non-positive-definite sigma + I/2: invalid state") from None
-    return 1.0 / float(np.prod(np.diagonal(chol)))
+    p0 = 1.0 / np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+    return p0 if batch else float(p0)
 
 
 def click_probabilities(
     state: CovarianceState,
     detector_map: Mapping[str, Sequence[str]],
     efficiency: Mapping[str, float] | float | None = None,
-) -> OutcomeDistribution:
+) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Exact threshold-click pattern probabilities from the vacuum
     probabilities of all 2**n detector subsets, combined by a superset
     Moebius transform in O(n 2**n) (exponential in detector count, which is
     small).  A pattern total below -NEGATIVE_MASS_TOL raises; round-off
-    above it is zeroed."""
+    above it is zeroed.  A batched state gives one distribution per
+    element, and any invalid element raises."""
     work = state
     for det, modes in detector_map.items():
         eta = 1.0 if efficiency is None else (
@@ -254,25 +268,31 @@ def click_probabilities(
         if eta < 1.0:
             for m in modes:
                 work = thermal_loss(work, m, eta, 0.0)
-    detectors = list(detector_map)
+    detectors = tuple(detector_map)
     n = len(detectors)
-    # quiet[q] = P(no click on the detectors set in q, the rest unconstrained);
-    # detector 0 is the most significant bit, as in OutcomeDistribution
-    quiet = np.empty(1 << n)
+    batch = work.sigma.shape[:-2]
+    # quiet[..., q] = P(no click on the detectors set in q, the rest
+    # unconstrained); detector 0 is the most significant bit, as in
+    # OutcomeDistribution
+    quiet = np.empty(batch + (1 << n,))
     for q in range(1 << n):
         labels = [m for k, det in enumerate(detectors) if q >> (n - 1 - k) & 1
                   for m in detector_map[det]]
-        quiet[q] = vacuum_probability(work, labels)
+        quiet[..., q] = vacuum_probability(work, labels)
     # superset Moebius inversion: quiet[q] becomes P(exactly the set q is quiet)
     for k in range(n):
-        v = quiet.reshape(1 << k, 2, -1)
-        v[:, 0] -= v[:, 1]
-    probs = quiet[::-1]  # a click pattern's quiet set is its complement
+        v = quiet.reshape(batch + (1 << k, 2, -1))
+        v[..., 0, :] -= v[..., 1, :]
+    probs = quiet[..., ::-1]  # a click pattern's quiet set is its complement
     if probs.min() < -NEGATIVE_MASS_TOL:
         raise GaussianEngineError(
             f"negative click-pattern probability {probs.min():.3g}: invalid state")
     probs = np.maximum(probs, 0.0)
-    norm = probs.sum()
-    if abs(norm - 1.0) > 1e-9:
-        raise GaussianEngineError(f"pattern probabilities sum to {norm!r}")
-    return OutcomeDistribution(tuple(detectors), probs / norm)
+    norm = probs.sum(axis=-1, keepdims=True)
+    off = np.abs(norm - 1.0) > 1e-9
+    if off.any():
+        raise GaussianEngineError(f"pattern probabilities sum to {norm[off][0]!r}")
+    probs = probs / norm
+    if not batch:
+        return OutcomeDistribution(detectors, probs)
+    return [OutcomeDistribution(detectors, p) for p in probs.reshape(-1, 1 << n)]

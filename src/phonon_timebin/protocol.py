@@ -29,6 +29,7 @@ quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -83,47 +84,10 @@ class InterferometerModel:
     visibility: float
     splitting_asymmetry: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ProtocolError("visibility must be in [0, 1]")
-        if not 0.0 <= self.splitting_asymmetry <= 0.005:
-            raise ProtocolError("splitting asymmetry must be <= 0.5% relative")
-
     @property
     def bs2_transmissivity(self) -> float:
         # port-ratio difference equals splitting_asymmetry
         return 0.5 * (1.0 + self.splitting_asymmetry)
-
-
-@dataclass(frozen=True)
-class DetectionChain:
-    detector_efficiency: tuple[float, float]
-    filter_pulse_efficiency: tuple[float, float]
-    coupling_efficiency: float
-    dark_count_prob: float
-    leakage_prob: Mapping[str, tuple[float, float]]
-
-    @staticmethod
-    def from_noise(noise: NoiseModel) -> "DetectionChain":
-        return DetectionChain(
-            detector_efficiency=noise.detector_efficiency,
-            filter_pulse_efficiency=noise.filter_pulse_efficiency,
-            coupling_efficiency=noise.coupling_efficiency,
-            dark_count_prob=noise.dark_count_prob,
-            leakage_prob=dict(noise.leakage_prob),
-        )
-
-    def channel_efficiency(self, detector: int) -> float:
-        eta = (self.filter_pulse_efficiency[detector - 1]
-               * self.detector_efficiency[detector - 1])
-        if not 0.0 <= eta <= 1.0:
-            raise ProtocolError("composite efficiency out of [0, 1]")
-        return eta
-
-    def background_prob(self, channel: str) -> float:
-        window, det = channel.rsplit(":", 1)
-        role = "write" if window.startswith("write") else "read"
-        return self.dark_count_prob + self.leakage_prob[role][int(det) - 1]
 
 
 @dataclass(frozen=True)
@@ -345,9 +309,14 @@ def run_read_stage(
     for mech, read_role in (("m_E", PulseRole.READ_EARLY), ("m_L", PulseRole.READ_LATE)):
         circuit.loss(mech, survival)
         target = noise.occupancy_seen_by(read_role)
+        # no phase touches a mechanical mode, so every element of a batched
+        # state holds the same occupancy; anything else is a circuit fault
+        occupation = np.unique(circuit.mean_occupation(mech))
+        if occupation.size != 1:
+            raise ProtocolError(f"occupancy of {mech} differs across the batch")
         # the injection channel itself attenuates by (1 - epsilon) before
         # adding delta, so solve for the delta that lands on the target
-        delta = target - (1.0 - THERMAL_NOISE_EPSILON) * circuit.mean_occupation(mech)
+        delta = target - (1.0 - THERMAL_NOISE_EPSILON) * float(occupation[0])
         if delta > 1e-12:
             circuit.thermal_noise(mech, delta)
     p_rE = config.pulse(PulseRole.READ_EARLY).scattering_probability
@@ -364,15 +333,15 @@ def run_read_stage(
                                 _interferometer(config), jitter, keep_side_windows)
 
 
-def _efficiency_map(groups: Mapping[str, list[str]], chain: DetectionChain) -> dict[str, float]:
-    return {ch: chain.channel_efficiency(int(ch.rsplit(":", 1)[1])) for ch in groups}
+def _efficiency_map(groups: Mapping[str, list[str]], noise: NoiseModel) -> dict[str, float]:
+    return {ch: noise.channel_efficiency(int(ch.rsplit(":", 1)[1])) for ch in groups}
 
 
-def detect(distribution: OutcomeDistribution, chain: DetectionChain) -> OutcomeDistribution:
+def detect(distribution: OutcomeDistribution, noise: NoiseModel) -> OutcomeDistribution:
     """Fold dark counts and pump leakage into an efficiency-resolved click
     distribution as independent per-channel Bernoulli ORs."""
     return distribution.with_background(
-        [chain.background_prob(ch) for ch in distribution.labels])
+        [noise.background_prob(ch) for ch in distribution.labels])
 
 
 # ---------------------------------------------------------------------------
@@ -394,37 +363,41 @@ def exact_joint_distribution(
     config: ExperimentConfig,
     phi_w: float,
     phi_r: float,
-    jitter_w: float = 0.0,
-    jitter_r: float = 0.0,
+    jitter_w: float | np.ndarray = 0.0,
+    jitter_r: float | np.ndarray = 0.0,
     engine: str | None = None,
     keep_side_windows: bool = False,
     with_background: bool = True,
-) -> OutcomeDistribution:
+) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Joint click-pattern distribution over the analysis channels for one
-    phase setting and one jitter sample."""
+    phase setting and one jitter sample.  On the Gaussian engine the
+    jitters may be (B,) arrays: one batched circuit then gives a list of B
+    distributions, and scalar jitters are its batch-of-one case."""
     engine = engine or config.engine.name
-    chain = DetectionChain.from_noise(config.noise)
+    noise = config.noise
     if engine == "gaussian":
         circuit = _GaussianCircuit()
         groups = run_write_stage(circuit, config, phi_w, jitter_w, keep_side_windows)
         groups.update(run_read_stage(circuit, config, phi_r, jitter_r, keep_side_windows))
         order = _analysis_channels(config.kind, keep_side_windows)
         ordered = {ch: groups[ch] for ch in order}
-        dist = circuit.click_distribution(ordered, _efficiency_map(ordered, chain))
+        dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
     elif engine == "fock":
         dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
-    if with_background:
-        dist = detect(dist, chain)
-    return dist
+    if not with_background:
+        return dist
+    if isinstance(dist, list):
+        return [detect(d, noise) for d in dist]
+    return detect(dist, noise)
 
 
 def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> OutcomeDistribution:
     """Staged exact Fock pipeline: measure and trace the write photons first,
     then run the read stage on each conditioned mechanical state.  Keeps at
     most six live modes."""
-    chain = DetectionChain.from_noise(config.noise)
+    noise = config.noise
     n_max = config.engine.truncation if config.engine.name == "fock" else FOCK_PROTOCOL_NMAX
     cap = config.engine.total_cap or FOCK_PROTOCOL_CAP
     circuit = _FockCircuit(n_max, cap)
@@ -435,12 +408,12 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     # rows: write pattern codes, columns: read pattern codes; write channels
     # come first in the labels, so the row-major ravel is the joint code
     joint = np.zeros((1 << len(w_channels), 1 << len(r_channels)))
-    for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, chain)):
+    for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
         r_groups = run_read_stage(read, config, phi_r, jitter_r)
         r_map = {ch: r_groups[ch] for ch in r_channels}
-        r_dist = read.click_distribution(r_map, _efficiency_map(r_map, chain))
+        r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
         joint[w_code] = w_prob * r_dist.probabilities
     joint = joint.ravel()
     return OutcomeDistribution(tuple(w_channels) + tuple(r_channels), joint / joint.sum())
@@ -449,6 +422,15 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
 def _jitter_scale(noise: NoiseModel) -> float:
     return math.hypot(fwhm_to_sigma(noise.write_phase_jitter_fwhm),
                       fwhm_to_sigma(noise.read_phase_jitter_fwhm))
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for a standard normal."""
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
 
 
 def jitter_averaged_distribution(
@@ -460,14 +442,18 @@ def jitter_averaged_distribution(
 ) -> OutcomeDistribution:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
-    Gauss-Hermite rule is exact up to quadrature order."""
+    Gauss-Hermite rule is exact up to quadrature order.  The Gaussian engine
+    evaluates all nodes as one batched circuit."""
+    engine = engine or config.engine.name
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    dists = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi, engine=engine)
-             for xi in x]
+    x, w = _gauss_hermite(nodes)
+    if engine == "gaussian":
+        dists = exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * x, engine=engine)
+    else:
+        dists = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
+                                          engine=engine) for xi in x]
     mix = sum(wi * dist.probabilities for wi, dist in zip(w, dists))
     return OutcomeDistribution(dists[0].labels, mix / mix.sum())
 
@@ -602,11 +588,10 @@ def rate_budget(config: ExperimentConfig) -> dict:
     """Analytic expected event rates with every factor spelled out.  Detector
     efficiency and dark counts are declared assumptions."""
     noise = config.noise
-    chain = DetectionChain.from_noise(config.noise)
     p_w = config.p_w
     p_r = config.p_r
     rep_rate = 1.0 / config.repetition_period
-    det_avg = 0.5 * (chain.channel_efficiency(1) + chain.channel_efficiency(2))
+    det_avg = 0.5 * (noise.channel_efficiency(1) + noise.channel_efficiency(2))
     overlap_fraction = 0.5  # inherent time-bin MZI acceptance of the overlap slot
     herald_factors = {
         "write_scattering_both_bins": 2.0 * p_w,
@@ -640,7 +625,7 @@ def rate_budget(config: ExperimentConfig) -> dict:
         "heralds_per_hour": heralds_per_hour,
         "coincidences_per_hour": coincidences_per_hour,
         "assumptions": [
-            "detector efficiency %.2f/%.2f (not a measured value)" % chain.detector_efficiency,
-            "dark counts %.1e per window (not a measured value)" % chain.dark_count_prob,
+            "detector efficiency %.2f/%.2f (not a measured value)" % noise.detector_efficiency,
+            "dark counts %.1e per window (not a measured value)" % noise.dark_count_prob,
         ],
     }

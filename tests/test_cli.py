@@ -8,6 +8,8 @@ import yaml
 from phonon_timebin import cli
 from phonon_timebin.core import config_from_dict, save_config
 
+CONFIGS = Path(cli.__file__).parent / "configs"
+
 
 def write_config(tmp_path, **overrides):
     data = {
@@ -108,6 +110,23 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", str(config), "--out",
                          str(tmp_path / "bad"), "--override", override])
         assert code == 2
+
+    def test_splitting_asymmetry_bound_is_config_error(self, tmp_path):
+        config = write_config(tmp_path, trials=0)
+        code = cli.main(["simulate", "--config", str(config), "--out",
+                         str(tmp_path / "bad"), "--override", "splitting_asymmetry=0.006"])
+        assert code == 2
+
+    @pytest.mark.parametrize("name", ["bell_test", "cross_correlation"])
+    def test_exact_runs_report_zero_sigma(self, tmp_path, name):
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", str(CONFIGS / f"{name}.yaml"),
+                         "--out", str(out), "--override", "trials=0"]) == 0
+        results = yaml.safe_load((out / "results.yaml").read_text())
+        estimates = list(results["estimates"].values())
+        estimates += [s["E"] for s in results.get("settings", [])]
+        assert len(estimates) == (6 if name == "bell_test" else 4)
+        assert all(e["sigma"] == 0.0 for e in estimates)
 
     def test_manifest_records_in_process_argv(self, tmp_path):
         config = write_config(tmp_path)

@@ -142,6 +142,20 @@ class TestReadStage:
         assert flux == pytest.approx(0.007 * 0.066, rel=1e-9)
 
 
+    def test_batch_with_unequal_occupancy_raises(self):
+        # a phase between two passes of a balanced splitter moves thermal
+        # quanta in or out of m_E, differently in each batch element
+        cfg = make_config()
+        circuit = protocol._GaussianCircuit()
+        for mode in ("m_E", "m_L", "x"):
+            circuit.add_mode(mode, thermal=0.1 if mode == "m_E" else 0.0)
+        circuit.beam_splitter("m_E", "x", 0.5)
+        circuit.phase("x", np.array([0.0, 1.0]))
+        circuit.beam_splitter("m_E", "x", 0.5)
+        with pytest.raises(protocol.ProtocolError, match="differs across the batch"):
+            protocol.run_read_stage(circuit, cfg, 0.0)
+
+
 class TestInterferometer:
     def test_single_photon_window_split(self):
         # one photon in the early bin: 1/4 per overlap detector, 1/2 in the
