@@ -1,17 +1,15 @@
 """Estimators and fits: g2 correlations, CHSH quantities, the visibility
 witness, sideband-asymmetry thermometry, lifetime and phase-calibration
 fits.  Every estimator returns an AnalysisResult carrying a one-standard-
-deviation uncertainty, a method tag and a digest of its inputs.  Estimates
-built from an exact distribution rather than sampled counts carry sigma 0.
+deviation uncertainty, a method tag and a digest of its inputs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,15 +46,13 @@ class AnalysisResult:
 @dataclass(frozen=True)
 class CoincidenceTable:
     """Counts n_kl of trials where write detector k and read detector l each
-    clicked alone, plus the singles and the trial count.  Counts are
-    expected values (floats) when built from an exact distribution, which
-    ``exact`` marks: estimators on them have no counting error."""
+    clicked alone, plus the singles and the trial count.  Counts may be
+    expected values (floats) when built from an exact distribution."""
 
     counts: Mapping[tuple[int, int], float]
     write_singles: Mapping[int, float]
     read_singles: Mapping[int, float]
     trials: float
-    exact: bool = False
 
     def __post_init__(self):
         for v in list(self.counts.values()) + list(self.write_singles.values()) \
@@ -100,8 +96,7 @@ def coincidences_from_distribution(
         counts=n,
         write_singles={k: float(source[w[k - 1]].sum()) for k in (1, 2)},
         read_singles={k: float(source[r[k - 1]].sum()) for k in (1, 2)},
-        trials=trials,
-        exact=counts is None)
+        trials=trials)
 
 
 def overlap_table(dist: OutcomeDistribution, trials: float = 1.0,
@@ -115,17 +110,19 @@ def overlap_table(dist: OutcomeDistribution, trials: float = 1.0,
 def window_g2(dist: OutcomeDistribution, write_window: str, read_window: str,
               trials: float = 1.0, counts: np.ndarray | None = None) -> AnalysisResult:
     """Cross correlation between any click in a write window and any click
-    in a read window (both detectors of each window); sigma 0 without
-    sampled ``counts``."""
+    in a read window (both detectors of each window)."""
     source = _source(dist, trials, counts)
     w = dist.clicked(f"{write_window}:1") | dist.clicked(f"{write_window}:2")
     r = dist.clicked(f"{read_window}:1") | dist.clicked(f"{read_window}:2")
     # .item() keeps sampled totals exact Python ints
-    res = g2_cross(source[w].sum().item(), source[r].sum().item(),
-                   source[w & r].sum().item(), trials)
-    if counts is None:
-        res = dataclasses.replace(res, sigma=0.0, method="g2-cross/exact")
-    return res
+    return g2_cross(source[w].sum().item(), source[r].sum().item(),
+                    source[w & r].sum().item(), trials)
+
+
+def exact(res: AnalysisResult) -> AnalysisResult:
+    """``res`` as computed from the expected counts of an exact
+    distribution: the value stands, and there is no counting error."""
+    return replace(res, sigma=0.0, method=res.method.split("/")[0] + "/exact")
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +158,13 @@ def g2_cross(write_singles: float, read_singles: float, coincidences: float,
 
 def correlation_E(table: CoincidenceTable, bootstrap: int = 0,
                   rng: np.random.Generator | None = None) -> AnalysisResult:
-    """E = (n11 + n22 - n12 - n21) / total with multinomial error (none
-    for an exact table)."""
+    """E = (n11 + n22 - n12 - n21) / total with multinomial error."""
     n = table.counts
     total = table.total_coincidences
     digest = _digest("E", sorted((f"{k}", v) for k, v in n.items()))
     if total <= 0:
         raise AnalysisError("correlation_E: no coincidences")
     value = (n[(1, 1)] + n[(2, 2)] - n[(1, 2)] - n[(2, 1)]) / total
-    if table.exact:
-        return AnalysisResult(value, 0.0, "E/exact", digest)
     if bootstrap:
         rng = rng or np.random.default_rng(0)
         keys = sorted(n)

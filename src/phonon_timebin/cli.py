@@ -134,19 +134,31 @@ WINDOW_PAIRS = {
 }
 
 
+def _estimate(res: analysis.AnalysisResult, setting: protocol.SettingResult):
+    """An exact run (no sampled counts) has no counting error."""
+    return res if setting.counts is not None else analysis.exact(res)
+
+
 def _g2_analysis(setting: protocol.SettingResult, trials: float) -> dict:
-    return {f"g2_{name}": analysis.window_g2(setting.distribution, w_win, r_win,
-                                             trials, setting.counts)
+    return {f"g2_{name}": _estimate(analysis.window_g2(setting.distribution, w_win, r_win,
+                                                       trials, setting.counts), setting)
             for name, (w_win, r_win) in WINDOW_PAIRS.items()}
 
 
+def settings_E(config: ExperimentConfig, settings, first_idx: int = 0) -> list:
+    """The E pipeline of a scan of phase settings: jitter-averaged
+    distributions, chunked counts when config.trials > 0, overlap
+    coincidence tables, E.  Returns [(E, table)] in scan order."""
+    out = []
+    for sr in protocol.run_settings(config, settings, first_idx):
+        table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
+        out.append((_estimate(analysis.correlation_E(table), sr), table))
+    return out
+
+
 def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0):
-    """The E pipeline of one phase setting: jitter-averaged distribution,
-    chunked counts when config.trials > 0, overlap coincidence table, E.
-    Returns (E, table)."""
-    sr = protocol.run_setting(config, phi_w, phi_r, setting_idx)
-    table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
-    return analysis.correlation_E(table), table
+    """``settings_E`` of one setting.  Returns (E, table)."""
+    return settings_E(config, [(phi_w, phi_r)], setting_idx)[0]
 
 
 def cmd_simulate(args) -> int:
@@ -174,7 +186,7 @@ def cmd_simulate(args) -> int:
                          "coincidences": {f"n{k}{l}": table.counts[(k, l)]
                                           for k in (1, 2) for l in (1, 2)}}
                 try:
-                    e = analysis.correlation_E(table)
+                    e = _estimate(analysis.correlation_E(table), sr)
                     e_results.append(e)
                     entry["E"] = _result_entry("E", e)
                 except analysis.AnalysisError as exc:
@@ -330,13 +342,11 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     n_points = args.points
-    points = []
-    rows = []
-    for phi_r in (0.0, math.pi / 2.0):
-        for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
-            e, _ = setting_E(config, phi_w, phi_r, len(rows))
-            points.append(analysis.SweepPoint(phi_w, phi_r, e.value, e.sigma))
-            rows.append((phi_w, phi_r, e.value, e.sigma))
+    scan = [(phi_w, phi_r) for phi_r in (0.0, math.pi / 2.0)
+            for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)]
+    rows = [(phi_w, phi_r, e.value, e.sigma)
+            for (phi_w, phi_r), (e, _) in zip(scan, settings_E(config, scan))]
+    points = [analysis.SweepPoint(*row) for row in rows]
     sweep_path = manifest.add(out / "calibration_sweep.csv")
     with open(sweep_path, "w") as fh:
         fh.write("phi_w_rad,phi_r_rad,E,sigma_E\n")

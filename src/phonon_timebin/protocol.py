@@ -29,7 +29,6 @@ quadrature.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -361,8 +360,8 @@ def _analysis_channels(kind: ExperimentKind, keep_side_windows: bool) -> tuple[s
 
 def exact_joint_distribution(
     config: ExperimentConfig,
-    phi_w: float,
-    phi_r: float,
+    phi_w: float | np.ndarray,
+    phi_r: float | np.ndarray,
     jitter_w: float | np.ndarray = 0.0,
     jitter_r: float | np.ndarray = 0.0,
     engine: str | None = None,
@@ -370,11 +369,13 @@ def exact_joint_distribution(
     with_background: bool = True,
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Joint click-pattern distribution over the analysis channels for one
-    phase setting and one jitter sample.  On the Gaussian engine the
-    jitters may be (B,) arrays: one batched circuit then gives a list of B
-    distributions, and scalar jitters are its batch-of-one case."""
+    phase setting and one jitter sample.  On the Gaussian engine the phases
+    and jitters may be (B,) arrays: one batched circuit then gives a list of
+    B distributions, and scalars are its batch-of-one case."""
     engine = engine or config.engine.name
     noise = config.noise
+    if engine == "fock" and any(np.ndim(v) for v in (phi_w, phi_r, jitter_w, jitter_r)):
+        raise ProtocolError("the Fock engine takes one phase setting and one jitter sample")
     if engine == "gaussian":
         circuit = _GaussianCircuit()
         groups = run_write_stage(circuit, config, phi_w, jitter_w, keep_side_windows)
@@ -424,38 +425,34 @@ def _jitter_scale(noise: NoiseModel) -> float:
                       fwhm_to_sigma(noise.read_phase_jitter_fwhm))
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule for a standard normal."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    x.flags.writeable = w.flags.writeable = False  # shared by every caller
-    return x, w
+def _mix(weights, dists: Sequence[OutcomeDistribution]) -> OutcomeDistribution:
+    mix = sum(wi * dist.probabilities for wi, dist in zip(weights, dists))
+    return OutcomeDistribution(dists[0].labels, mix / mix.sum())
 
 
 def jitter_averaged_distribution(
     config: ExperimentConfig,
-    phi_w: float,
-    phi_r: float,
+    phi_w: float | np.ndarray,
+    phi_r: float | np.ndarray,
     engine: str | None = None,
     nodes: int = GH_NODES,
-) -> OutcomeDistribution:
+) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
-    Gauss-Hermite rule is exact up to quadrature order.  The Gaussian engine
-    evaluates all nodes as one batched circuit."""
-    engine = engine or config.engine.name
+    Gauss-Hermite rule is exact up to quadrature order.  On the Gaussian
+    engine the phases may be (S,) arrays of settings: each node is then one
+    circuit batched over the settings, and the result a list of S
+    distributions."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
-    x, w = _gauss_hermite(nodes)
-    if engine == "gaussian":
-        dists = exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * x, engine=engine)
-    else:
-        dists = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
-                                          engine=engine) for xi in x]
-    mix = sum(wi * dist.probabilities for wi, dist in zip(w, dists))
-    return OutcomeDistribution(dists[0].labels, mix / mix.sum())
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    per_node = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
+                                         engine=engine) for xi in x]
+    if isinstance(per_node[0], OutcomeDistribution):
+        return _mix(w, per_node)
+    return [_mix(w, per_setting) for per_setting in zip(*per_node)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +496,8 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
         raise ProtocolError("ThermalG2Tau runs through the waveguide-dynamics module")
     engine = engine or config.engine.name
     settings = _phase_settings(config)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
-    result = ExperimentResult(kind=config.kind, settings=[], metadata={
+    setting_results = run_settings(config, settings, engine=engine)
+    result = ExperimentResult(kind=config.kind, settings=setting_results, metadata={
         "engine": engine,
         "seed": config.seed,
         "trials_per_setting": config.trials,
@@ -509,25 +506,34 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
         "assumed_detector_efficiency": list(config.noise.detector_efficiency),
         "assumed_dark_count_prob": config.noise.dark_count_prob,
     })
-    for idx, (phi_w, phi_r) in enumerate(settings):
-        result.settings.append(run_setting(config, phi_w, phi_r, idx, engine))
-        if config.record_trials > 0:
+    if config.record_trials > 0:
+        for idx, (phi_w, phi_r) in enumerate(settings):
             result.records.extend(
                 _sample_records(config, phi_w, phi_r, engine, idx,
                                 min(config.record_trials, config.trials or config.record_trials)))
     return result
 
 
-def run_setting(config: ExperimentConfig, phi_w: float, phi_r: float,
-                setting_idx: int = 0, engine: str | None = None) -> SettingResult:
-    """One phase setting: the jitter-averaged exact distribution plus, when
-    config.trials > 0, its counts from the (seed, setting_idx) substreams."""
-    dist = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
-    sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)
-    if config.trials > 0:
-        sr.counts = sample_counts_chunked(dist, config.trials, config.seed, setting_idx)
-        sr.trials = config.trials
-    return sr
+def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float]],
+                 first_idx: int = 0, engine: str | None = None) -> list[SettingResult]:
+    """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
+    distributions (on the Gaussian engine every quadrature node is one
+    circuit batched over the scan) plus, when config.trials > 0, the counts
+    of setting i from the (seed, first_idx + i) substreams."""
+    engine = engine or config.engine.name
+    if engine == "gaussian":
+        phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
+        dists = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+    else:
+        dists = [jitter_averaged_distribution(config, w, r, engine=engine) for w, r in settings]
+    results = []
+    for idx, ((phi_w, phi_r), dist) in enumerate(zip(settings, dists), start=first_idx):
+        sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)
+        if config.trials > 0:
+            sr.counts = sample_counts_chunked(dist, config.trials, config.seed, idx)
+            sr.trials = config.trials
+        results.append(sr)
+    return results
 
 
 SAMPLE_CHUNK = 10_000_000

@@ -245,17 +245,23 @@ def reference_config(name):
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.sampled_from(["bell_test", "calibration"]), st.floats(0.0, 6.3), st.floats(0.0, 6.3))
-def test_batched_jitter_average_matches_per_node_sum(name, phi_w, phi_r):
+@given(st.sampled_from(["bell_test", "calibration"]),
+       st.lists(st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)), min_size=1, max_size=4))
+def test_batched_jitter_average_matches_per_node_sum(name, scan):
+    # one circuit per node, batched over the scan, against each setting's
+    # nodes run one at a time
     config = reference_config(name)
-    avg = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
+    phi_w, phi_r = (np.array(v) for v in zip(*scan))
+    averaged = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
+    assert len(averaged) == len(scan)
     sigma = math.hypot(fwhm_to_sigma(config.noise.write_phase_jitter_fwhm),
                        fwhm_to_sigma(config.noise.read_phase_jitter_fwhm))
     x, w = np.polynomial.hermite_e.hermegauss(protocol.GH_NODES)
-    mix = sum(wi * protocol.exact_joint_distribution(
-        config, phi_w, phi_r, jitter_w=sigma * xi).probabilities for xi, wi in zip(x, w))
-    assert avg.labels == protocol.ENTANGLEMENT_CHANNELS
-    assert avg.probabilities == pytest.approx(mix / mix.sum(), abs=1e-12)
+    for (pw, pr), avg in zip(scan, averaged):
+        mix = sum(wi * protocol.exact_joint_distribution(
+            config, pw, pr, jitter_w=sigma * xi).probabilities for xi, wi in zip(x, w))
+        assert avg.labels == protocol.ENTANGLEMENT_CHANNELS
+        assert avg.probabilities == pytest.approx(mix / mix.sum(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,6 @@ class TestReadStage:
                 + circuit.mean_occupation("o_rL") + circuit.mean_occupation("r:mis2"))
         assert flux == pytest.approx(0.007 * 0.066, rel=1e-9)
 
-
     def test_batch_with_unequal_occupancy_raises(self):
         # a phase between two passes of a balanced splitter moves thermal
         # quanta in or out of m_E, differently in each batch element
@@ -284,6 +283,23 @@ class TestRunExperiment:
                 window, det = ch.rsplit(":", 1)
                 assert det in ("1", "2")
                 assert window in ("write-overlap", "read-overlap")
+
+    def test_scan_matches_each_setting_alone(self):
+        noise = clean_noise(write_phase_jitter_fwhm=math.pi / 7)
+        cfg = make_config(noise=noise, trials=1_000_000, seed=11)
+        scan = [(0.3, 0.0), (1.2, 0.5), (2.9, 1.6)]
+        batched = protocol.run_settings(cfg, scan, first_idx=4)
+        for i, ((phi_w, phi_r), sr) in enumerate(zip(scan, batched)):
+            alone = protocol.run_settings(cfg, [(phi_w, phi_r)], first_idx=4 + i)[0]
+            assert (sr.phi_w, sr.phi_r) == (phi_w, phi_r)
+            assert sr.distribution.probabilities == pytest.approx(
+                alone.distribution.probabilities, abs=1e-12)
+            assert np.array_equal(sr.counts, alone.counts)
+
+    def test_fock_engine_takes_one_setting(self):
+        cfg = make_config(engine=EngineSpec("fock", truncation=2, total_cap=4))
+        with pytest.raises(protocol.ProtocolError, match="one phase setting"):
+            protocol.exact_joint_distribution(cfg, np.array([0.0, 1.0]), 0.0)
 
     def test_thermal_g2_kind_rejected(self):
         cfg = make_config()
