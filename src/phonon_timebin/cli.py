@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import analysis, protocol, waveguide
+from . import analysis, fock, protocol, waveguide
 from .core import (
     ConfigError,
     ExperimentConfig,
@@ -71,13 +71,30 @@ class _Manifest:
                 "not measured device values",
             ],
         }
+        self.truncation: list[tuple[float, float]] = []
 
     def add(self, path: Path) -> Path:
         self.data["artifacts"].append(str(path))
         return path
 
+    def note_truncation(self, distributions) -> None:
+        """Collect the Fock truncation figures of the run's distributions."""
+        self.truncation += [d.truncation for d in distributions if d.truncation is not None]
+
     def write(self) -> Path:
         self.data["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        if self.truncation:
+            # worst over every Fock state the run detected; a flagged run
+            # still succeeds, its numbers carry the warning
+            weight, deficit = (float(v) for v in np.max(self.truncation, axis=0))
+            flagged = weight > fock.TRUNCATION_WEIGHT_LIMIT
+            self.data["fock_truncation"] = {"max_truncation_weight": weight,
+                                            "max_renorm_deficit": deficit,
+                                            "flagged": flagged}
+            if flagged:
+                print(f"warning: Fock truncation weight {weight:.3g} exceeds "
+                      f"{fock.TRUNCATION_WEIGHT_LIMIT:g}; raise engine.truncation",
+                      file=sys.stderr)
         path = self.out_dir / "manifest.json"
         self.data["artifacts"].append(str(path))
         path.write_text(json.dumps(self.data, indent=2))
@@ -145,20 +162,25 @@ def _g2_analysis(setting: protocol.SettingResult, trials: float) -> dict:
             for name, (w_win, r_win) in WINDOW_PAIRS.items()}
 
 
-def settings_E(config: ExperimentConfig, settings, first_idx: int = 0) -> list:
+def settings_E(config: ExperimentConfig, settings, first_idx: int = 0,
+               manifest: _Manifest | None = None) -> list:
     """The E pipeline of a scan of phase settings: jitter-averaged
     distributions, chunked counts when config.trials > 0, overlap
     coincidence tables, E.  Returns [(E, table)] in scan order."""
     out = []
-    for sr in protocol.run_settings(config, settings, first_idx):
+    results = protocol.run_settings(config, settings, first_idx)
+    if manifest is not None:
+        manifest.note_truncation(sr.distribution for sr in results)
+    for sr in results:
         table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
         out.append((_estimate(analysis.correlation_E(table), sr), table))
     return out
 
 
-def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0):
+def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0,
+              manifest: _Manifest | None = None):
     """``settings_E`` of one setting.  Returns (E, table)."""
-    return settings_E(config, [(phi_w, phi_r)], setting_idx)[0]
+    return settings_E(config, [(phi_w, phi_r)], setting_idx, manifest)[0]
 
 
 def cmd_simulate(args) -> int:
@@ -173,6 +195,7 @@ def cmd_simulate(args) -> int:
         _thermal_g2_run(config, out, manifest, results)
     else:
         run = protocol.run_experiment(config)
+        manifest.note_truncation(sr.distribution for sr in run.settings)
         if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
             sr = run.settings[0]
             g2s = _g2_analysis(sr, float(config.trials or 1.0))
@@ -312,7 +335,7 @@ def cmd_sweep(args) -> int:
                          "pulses.scattering_probability": "scattering_probability"}[key]
                 data = yaml_roundtrip_scale(config, scale, float(v))
                 cfg, phi_w = data, config.phases.phi_w
-            e, table = setting_E(cfg, phi_w, phi_r, len(rows))
+            e, table = setting_E(cfg, phi_w, phi_r, len(rows), manifest)
             rows.append((phi_w, phi_r, e.value, e.sigma, table.total_coincidences))
     path = manifest.add(out / "sweep.csv")
     with open(path, "w") as fh:
@@ -345,7 +368,7 @@ def cmd_calibrate(args) -> int:
     scan = [(phi_w, phi_r) for phi_r in (0.0, math.pi / 2.0)
             for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)]
     rows = [(phi_w, phi_r, e.value, e.sigma)
-            for (phi_w, phi_r), (e, _) in zip(scan, settings_E(config, scan))]
+            for (phi_w, phi_r), (e, _) in zip(scan, settings_E(config, scan, manifest=manifest))]
     points = [analysis.SweepPoint(*row) for row in rows]
     sweep_path = manifest.add(out / "calibration_sweep.csv")
     with open(sweep_path, "w") as fh:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -321,10 +321,14 @@ class OutcomeDistribution:
     pattern code, in which channel 0 is the most significant bit: the
     pattern's bit string (``counts.csv``) read as binary is its index.
     Sampled counts are int vectors in the same order.
+    ``truncation`` is set by the Fock engine only: the largest truncation
+    weight and the largest |1 - trace| among the states it detected to
+    produce the distribution.
     """
 
     labels: tuple[str, ...]
     probabilities: np.ndarray
+    truncation: tuple[float, float] | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -358,7 +362,7 @@ class OutcomeDistribution:
             v = p.reshape(1 << k, 2, -1)
             v[:, 1] += beta * v[:, 0]
             v[:, 0] *= 1.0 - beta
-        return OutcomeDistribution(self.labels, p)
+        return OutcomeDistribution(self.labels, p, self.truncation)
 
     def sample_counts(self, trials: int, rng: np.random.Generator) -> np.ndarray:
         pvec = np.clip(self.probabilities, 0.0, None)
@@ -461,7 +465,15 @@ def sample_phase_jitter(rng: np.random.Generator, fwhm: float, size: int | None 
 # The file format is YAML with SI units everywhere except angles, which are
 # in units of pi.  See configs/ for commented reference files.
 
-_ANGLE_KEYS = {"phi_w", "phi_r", "phi_off", "write_phase_jitter_fwhm", "read_phase_jitter_fwhm"}
+#: the radian fields of a config, by part, with the override paths that set
+#: each (phi_w and phi_r follow the first explicit setting when there is one)
+_ANGLE_PATHS = {
+    "phases": {"phi_w": ("phases.phi_w", "phases.settings"),
+               "phi_r": ("phases.phi_r", "phases.settings"),
+               "phi_off": ("phases.phi_off",)},
+    "noise": {"write_phase_jitter_fwhm": ("noise.write_phase_jitter_fwhm",),
+              "read_phase_jitter_fwhm": ("noise.read_phase_jitter_fwhm",)},
+}
 
 
 def _angles_in(data: float) -> float:
@@ -690,8 +702,25 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
             if leaf not in node:
                 raise ConfigError(f"unknown override target {dotted!r}")
             node[leaf] = yaml.safe_load(str(value)) if isinstance(value, str) else value
-        return config_from_dict(data)
+        return _keep_angles(config, config_from_dict(data), overrides)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad override: {exc!r}") from exc
+
+
+def _keep_angles(old: ExperimentConfig, new: ExperimentConfig,
+                 overrides: Mapping[str, object]) -> ExperimentConfig:
+    """Put back every radian field of ``old`` that no override sets: the
+    dict form holds angles in units of pi, and x / pi * pi is not always x."""
+    def untouched(paths):
+        return not any(key == path or path.startswith(key + ".")
+                       for key in overrides for path in paths)
+
+    parts = {part: replace(getattr(new, part),
+                           **{name: getattr(getattr(old, part), name)
+                              for name, paths in fields.items() if untouched(paths)})
+             for part, fields in _ANGLE_PATHS.items()}
+    if untouched(("phases.settings",)):
+        parts["phase_sweep"] = old.phase_sweep
+    return replace(new, **parts)

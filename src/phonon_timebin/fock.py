@@ -3,18 +3,32 @@
 States live in an occupation-number basis with a per-mode cutoff ``n_max``
 and an optional cap on the total quantum number.  The cap keeps multimode
 protocol circuits tractable (the populated sector of every circuit here has
-at most a few quanta) without touching single-mode physics.
+at most a few quanta) without touching single-mode physics.  Basis states
+are enumerated in ``itertools.product`` order, which is ascending in the
+mixed-radix occupation code, so the index of any occupation is a
+``searchsorted`` over those codes.
+
+The density matrix is stored sparse (``FockState.rho`` is a CSR array of
+its nonzero entries), and every operation works on the stored entries
+only; no gate ever couples entries outside the support it is given.
 
 Two-mode unitaries (beam splitter, two-mode squeeze) are built per conserved
 ladder -- a+b for the beam splitter, a-b for the squeezer -- by exponentiating
 the restricted anti-Hermitian generator, so they stay exactly unitary on the
 truncated basis and preserve the trace; truncation shows up as amplitude
-error confined to cutoff-adjacent states, not as trace leakage.
+error confined to cutoff-adjacent states, not as trace leakage.  The ladder
+layout is cached per (basis, modes, kind); each call exponentiates every
+distinct ladder once, assembles the block-diagonal U and returns U rho U†
+as a sparse product.
 
 Loss and thermal channels are phase covariant, so they act as a set of
-index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; the thermal
-kernel is extracted once per parameter set from an exact beam-splitter
-coupling to a high-cutoff thermal ancilla.
+index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
+entry moves to the shifted indices with its kernel weight and duplicates are
+summed.  The thermal kernel is extracted once per parameter set from an
+exact beam-splitter coupling to a high-cutoff thermal ancilla.  A phase
+rescales the entries, adding a vacuum mode or tracing modes out remaps
+their indices, and detection reads the diagonal (click distributions) or
+keeps the entries inside one click pattern (conditioned states).
 """
 
 from __future__ import annotations
@@ -32,6 +46,9 @@ from scipy.linalg import expm
 from .core import OutcomeDistribution
 
 HERMITICITY_TOL = 1e-12
+#: population on cutoff-boundary states above which a run is flagged as
+#: distorted by the truncation
+TRUNCATION_WEIGHT_LIMIT = 1e-2
 
 
 class FockEngineError(ValueError):
@@ -39,26 +56,27 @@ class FockEngineError(ValueError):
 
 
 @lru_cache(maxsize=64)
-def _basis_arrays(n_modes: int, n_max: int, total_max: int) -> tuple[np.ndarray, dict]:
+def _basis_arrays(n_modes: int, n_max: int, total_max: int) -> tuple[np.ndarray, dict, np.ndarray]:
     occs = [o for o in itertools.product(range(n_max + 1), repeat=n_modes)
             if sum(o) <= total_max]
     arr = np.array(occs, dtype=np.int64)
     index = {tuple(o): i for i, o in enumerate(occs)}
-    return arr, index
+    return arr, index, arr @ _radix(n_modes, n_max)
+
+
+def _radix(n_modes: int, n_max: int) -> np.ndarray:
+    return (n_max + 1) ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=4096)
 def _shift_table(n_modes: int, n_max: int, total_max: int, mode: int, delta: int) -> np.ndarray:
-    occs, index = _basis_arrays(n_modes, n_max, total_max)
+    occs, _, codes = _basis_arrays(n_modes, n_max, total_max)
     out = np.full(len(occs), -1, dtype=np.int64)
     target = occs[:, mode] + delta
     ok = (target >= 0) & (target <= n_max)
     if delta > 0:
         ok &= occs.sum(axis=1) + delta <= total_max
-    if ok.any():
-        cand = occs[ok].copy()
-        cand[:, mode] += delta
-        out[np.flatnonzero(ok)] = [index[tuple(o)] for o in cand]
+    out[ok] = np.searchsorted(codes, codes[ok] + delta * _radix(n_modes, n_max)[mode])
     out.setflags(write=False)
     return out
 
@@ -81,20 +99,40 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.occs)
 
+    def rank(self, occs: np.ndarray) -> np.ndarray:
+        """Basis index of each occupation row (all rows must be in the basis)."""
+        codes = _basis_arrays(self.n_modes, self.n_max, self.total_max)[2]
+        return np.searchsorted(codes, occs @ _radix(self.n_modes, self.n_max))
+
     def shifted(self, mode: int, delta: int) -> np.ndarray:
         """Index of each basis state with n_mode += delta; -1 where invalid."""
         return _shift_table(self.n_modes, self.n_max, self.total_max, mode, delta)
 
 
-class FockState:
-    """Density matrix over a registered, ordered set of bosonic modes."""
+def _sparse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> sp.csr_array:
+    """CSR array of the given entries, duplicates summed."""
+    return sp.csr_array((vals.astype(complex), (rows, cols)), shape=(dim, dim))
 
-    def __init__(self, modes: Sequence[str], basis: FockBasis, rho: np.ndarray):
+
+class FockState:
+    """Density matrix over a registered, ordered set of bosonic modes,
+    stored as a CSR array of its nonzero entries."""
+
+    def __init__(self, modes: Sequence[str], basis: FockBasis, rho: sp.csr_array | np.ndarray):
         if len(set(modes)) != len(modes):
             raise FockEngineError("duplicate mode labels")
         self.modes = tuple(modes)
         self.basis = basis
         self.rho = rho
+
+    @property
+    def rho(self) -> sp.csr_array:
+        return self._rho
+
+    @rho.setter
+    def rho(self, value: sp.csr_array | np.ndarray) -> None:
+        # a dense array is stored by its nonzero entries
+        self._rho = sp.csr_array(value, dtype=complex)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -112,7 +150,7 @@ class FockState:
         return self.basis.n_max
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
+        return float(np.real(self.rho.diagonal().sum()))
 
     @property
     def renorm_deficit(self) -> float:
@@ -128,40 +166,54 @@ class FockState:
         return float(np.real(self.rho.diagonal()[edge].sum()))
 
     def check_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
-        dev = np.abs(self.rho - self.rho.conj().T).max()
+        dev = abs(self.rho - self.rho.conj().T).max()
         if dev > tol:
             raise FockEngineError(f"state not Hermitian: deviation {dev:g}")
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2.0).min())
+        """Smallest eigenvalue of the Hermitian part; basis states outside
+        the stored support add eigenvalue 0."""
+        support = np.union1d(*self.rho.tocoo().coords)
+        block = self.rho[support][:, support].toarray()
+        low = np.linalg.eigvalsh((block + block.conj().T) / 2.0).min()
+        return float(low if len(support) == self.basis.dim else min(low, 0.0))
 
     def mean_occupation(self, label: str) -> float:
         m = self.mode_index(label)
         return float(np.real(np.dot(self.basis.occs[:, m], self.rho.diagonal())))
 
     def save(self, path) -> None:
-        # debugging aid, not a stability contract
+        # debugging aid, not a stability contract: the stored entries as
+        # (row, col, value) triplets
+        coo = self.rho.tocoo()
         np.savez(path, modes=np.array(self.modes), n_max=self.n_max,
-                 total_max=self.basis.total_max, rho=self.rho)
+                 total_max=self.basis.total_max, row=coo.coords[0], col=coo.coords[1],
+                 data=coo.data)
 
     @staticmethod
     def load(path) -> "FockState":
         data = np.load(path, allow_pickle=False)
         basis = FockBasis(len(data["modes"]), int(data["n_max"]), int(data["total_max"]))
-        return FockState([str(m) for m in data["modes"]], basis, data["rho"])
+        rho = _sparse(data["row"], data["col"], data["data"], basis.dim)
+        return FockState([str(m) for m in data["modes"]], basis, rho)
 
 
 # ---------------------------------------------------------------------------
 # state construction
 
 
+def _diagonal_state(modes: Sequence[str], basis: FockBasis, diag: np.ndarray) -> FockState:
+    idx = np.flatnonzero(diag)
+    return FockState(modes, basis, _sparse(idx, idx, diag[idx], basis.dim))
+
+
 def init_vacuum(modes: Sequence[str], n_max: int, total_max: int | None = None) -> FockState:
     if n_max < 1:
         raise FockEngineError("n_max must be >= 1")
     basis = FockBasis(len(modes), n_max, len(modes) * n_max if total_max is None else total_max)
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return FockState(modes, basis, rho)
+    diag = np.zeros(basis.dim)
+    diag[0] = 1.0
+    return _diagonal_state(modes, basis, diag)
 
 
 def thermal_weights(nbar: float, n_max: int) -> np.ndarray:
@@ -194,115 +246,97 @@ def init_thermal(
     diag = np.ones(basis.dim)
     for i, w in enumerate(per_mode):
         diag = diag * w[basis.occs[:, i]]
-    diag = diag / diag.sum()  # total-cap fold-in, exact trace
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.fill_diagonal(rho, diag)
-    return FockState(modes, basis, rho)
+    return _diagonal_state(modes, basis, diag / diag.sum())  # total-cap fold-in, exact trace
 
 
 def add_vacuum_mode(state: FockState, label: str) -> FockState:
-    new = FockState(
-        state.modes + (label,),
-        FockBasis(len(state.modes) + 1, state.n_max, state.basis.total_max),
-        None,  # type: ignore[arg-type]
-    )
-    rho = np.zeros((new.basis.dim, new.basis.dim), dtype=complex)
-    idx = new.basis.index
-    mapping = np.array([idx[tuple(o) + (0,)] for o in state.basis.occs])
-    rho[np.ix_(mapping, mapping)] = state.rho
-    new.rho = rho
-    return new
+    basis = FockBasis(len(state.modes) + 1, state.n_max, state.basis.total_max)
+    occs = state.basis.occs
+    mapping = basis.rank(np.column_stack([occs, np.zeros(len(occs), dtype=np.int64)]))
+    coo = state.rho.tocoo()
+    rho = _sparse(mapping[coo.coords[0]], mapping[coo.coords[1]], coo.data, basis.dim)
+    return FockState(state.modes + (label,), basis, rho)
 
 
 def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
+    """Sum the entries whose traced-out occupations agree onto the basis of
+    the kept modes."""
     keep = list(keep)
     keep_pos = [state.mode_index(m) for m in keep]
     drop_pos = [i for i in range(len(state.modes)) if i not in keep_pos]
     new_basis = FockBasis(len(keep), state.n_max, state.basis.total_max)
-    out = np.zeros((new_basis.dim, new_basis.dim), dtype=complex)
     occs = state.basis.occs
-    rem_idx = np.array([new_basis.index[tuple(o)] for o in occs[:, keep_pos]])
-    drop_occ = occs[:, drop_pos]
-    # group basis indices by the traced-out occupations and accumulate blocks
-    order = np.lexsort(drop_occ.T[::-1]) if drop_pos else np.arange(len(occs))
-    sorted_drop = drop_occ[order]
-    boundaries = np.flatnonzero(np.any(sorted_drop[1:] != sorted_drop[:-1], axis=1)) + 1
-    for grp in np.split(order, boundaries):
-        r = rem_idx[grp]
-        out[np.ix_(r, r)] += state.rho[np.ix_(grp, grp)]
-    return FockState(keep, new_basis, out)
+    rem_idx = new_basis.rank(occs[:, keep_pos])
+    drop_code = occs[:, drop_pos] @ _radix(len(drop_pos), state.n_max)
+    coo = state.rho.tocoo()
+    r, c = coo.coords
+    same = drop_code[r] == drop_code[c]
+    return FockState(keep, new_basis,
+                     _sparse(rem_idx[r[same]], rem_idx[c[same]], coo.data[same], new_basis.dim))
 
 
 # ---------------------------------------------------------------------------
 # two-mode unitaries
 
 
-def _ladder_unitary_bs(s: int, a_lo: int, a_hi: int, theta: float, phi: float) -> np.ndarray:
-    """exp(theta(e^{i phi} a†b - e^{-i phi} a b†)) restricted to the a+b=s
-    ladder with a in [a_lo, a_hi]."""
-    size = a_hi - a_lo + 1
-    g = np.zeros((size, size), dtype=complex)
-    for k in range(size - 1):
-        a = a_lo + k  # coupling |a, s-a> -> |a+1, s-a-1>
-        amp = theta * math.sqrt((a + 1) * (s - a))
-        g[k + 1, k] = amp * np.exp(1j * phi)
-        g[k, k + 1] = -amp * np.exp(-1j * phi)
+def _ladder_unitaries(coupling: np.ndarray, phi: float | None) -> np.ndarray:
+    """exp(g) for a stack of tridiagonal generators with
+    g[k+1, k] = c_k e^{i phi} and g[k, k+1] = -c_k e^{-i phi}; real
+    arithmetic throughout for phi None."""
+    k = np.arange(coupling.shape[1])
+    if phi is None:
+        up, down = coupling, -coupling
+    else:
+        up, down = coupling * np.exp(1j * phi), -coupling * np.exp(-1j * phi)
+    g = np.zeros((coupling.shape[0], len(k) + 1, len(k) + 1), dtype=up.dtype)
+    g[:, k + 1, k] = up
+    g[:, k, k + 1] = down
     return expm(g)
 
 
-def _ladder_unitary_tms(d: int, a_lo: int, a_hi: int, r: float, phi: float) -> np.ndarray:
-    """exp(r(e^{i phi} a†b† - e^{-i phi} a b)) restricted to the a-b=d ladder."""
-    size = a_hi - a_lo + 1
-    g = np.zeros((size, size), dtype=complex)
-    for k in range(size - 1):
-        a = a_lo + k  # coupling |a, a-d> -> |a+1, a-d+1>
-        amp = r * math.sqrt((a + 1) * (a - d + 1))
-        g[k + 1, k] = amp * np.exp(1j * phi)
-        g[k, k + 1] = -amp * np.exp(-1j * phi)
-    return expm(g)
+@lru_cache(maxsize=256)
+def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
+    """Ladders of a two-mode gate on modes i, j: basis states with the same
+    other occupations and the same invariant (a+b for "bs", a-b for "tms"),
+    sorted by a.  Returns, per ladder length L > 1, (L, keys, inverse): the
+    distinct (invariant, a_lo) keys and each ladder's key; then the rows and
+    columns of U's entries, the diagonal of the one-state ladders first and
+    every ladder's L x L block after it, and the number of one-state ladders."""
+    occs = basis.occs
+    a, b = occs[:, i], occs[:, j]
+    invariant = a + b if kind == "bs" else a - b
+    keys = np.column_stack([np.delete(occs, (i, j), axis=1), invariant])
+    order = np.lexsort(np.column_stack([a, keys]).T)  # last key is primary
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
+    lengths = np.diff(np.r_[starts, len(order)])
+    single = order[starts[lengths == 1]]
+    rows, cols, groups = [single], [single], []
+    for size in np.unique(lengths[lengths > 1]):
+        idx = order[starts[lengths == size][:, None] + np.arange(size)]
+        uniq, inverse = np.unique(np.column_stack([invariant[idx[:, 0]], a[idx[:, 0]]]),
+                                  axis=0, return_inverse=True)
+        groups.append((int(size), uniq, inverse.ravel()))
+        rows.append(np.repeat(idx, size, axis=1).ravel())
+        cols.append(np.tile(idx, (1, size)).ravel())
+    return tuple(groups), np.concatenate(rows), np.concatenate(cols), len(single)
 
 
 def _apply_two_mode(state: FockState, mode_a: str, mode_b: str,
                     kind: str, p1: float, p2: float) -> FockState:
     i, j = state.mode_index(mode_a), state.mode_index(mode_b)
-    basis = state.basis
-    occs = basis.occs
-    a, b = occs[:, i], occs[:, j]
-    rest_total = occs.sum(axis=1) - a - b
-    invariant = a + b if kind == "bs" else a - b
-
-    # group indices into ladders: same rest occupations and same invariant,
-    # sorted by a within each ladder (lexsort: last key is primary)
-    rest = np.delete(occs, (i, j), axis=1)
-    keys = np.column_stack([rest, invariant])
-    order = np.lexsort(np.column_stack([a, keys]).T)
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)) + 1
-
-    rows, cols, vals = [], [], []
-    cache: dict = {}
-    for grp in np.split(order, boundaries):
-        a_lo, a_hi = int(a[grp[0]]), int(a[grp[-1]])
-        key = (int(invariant[grp[0]]), a_lo, a_hi)
-        u = cache.get(key)
-        if u is None:
-            if kind == "bs":
-                u = _ladder_unitary_bs(key[0], a_lo, a_hi, p1, p2)
-            else:
-                u = _ladder_unitary_tms(key[0], a_lo, a_hi, p1, p2)
-            cache[key] = u
-        gi = np.asarray(grp)
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(u.ravel())
-    U = sp.csr_matrix(
-        (np.concatenate(vals).astype(complex),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
-    tmp = U @ state.rho
-    rho = (U.conj() @ tmp.T).T  # (U* rho^T U^T)^T = U rho U†, no Hermiticity assumed
-    return FockState(state.modes, basis, rho)
+    groups, rows, cols, n_single = _ladder_layout(state.basis, i, j, kind)
+    vals = [np.ones(n_single)]
+    for size, keys, inverse in groups:
+        inv, a_lo = keys[:, :1], keys[:, 1:]
+        a = a_lo + np.arange(size - 1)  # coupling |a, .> -> |a+1, .>
+        if kind == "bs":  # a+b = s ladder
+            coupling = p1 * np.sqrt((a + 1) * (inv - a))
+        else:  # a-b = d ladder
+            coupling = p1 * np.sqrt((a + 1) * (a - inv + 1))
+        vals.append(_ladder_unitaries(coupling, p2)[inverse].ravel())
+    U = _sparse(rows, cols, np.concatenate(vals), state.basis.dim)
+    return FockState(state.modes, state.basis, U @ state.rho @ U.conj().T)
 
 
 def apply_beam_splitter(state: FockState, mode_a: str, mode_b: str,
@@ -332,7 +366,10 @@ def apply_two_mode_squeeze(state: FockState, optical_mode: str, mech_mode: str,
 def apply_phase(state: FockState, mode: str, phi: float) -> FockState:
     m = state.mode_index(mode)
     d = np.exp(1j * phi * state.basis.occs[:, m])
-    return FockState(state.modes, state.basis, state.rho * np.outer(d, d.conj()))
+    rho = state.rho.copy()
+    rows = np.repeat(np.arange(rho.shape[0]), np.diff(rho.indptr))
+    rho.data *= d[rows] * d.conj()[rho.indices]
+    return FockState(state.modes, state.basis, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -363,77 +400,64 @@ def _thermal_kernels(n_max: int, survival: float, n_env: float) -> dict[int, np.
     anc_max = min(anc_max, 400)
     pw = (1.0 - q) * q ** np.arange(anc_max + 1)
     pw[-1] = 1.0 - pw[:-1].sum()
+    pw[pw < 1e-16] = 0.0
 
     theta = math.acos(min(1.0, math.sqrt(survival)))
-    c, s = math.cos(theta), math.sin(theta)
-    d_sys = n_max + 1
-
-    # Heisenberg amplitudes <a', k | U | m, l> on each a'+k = m+l ladder
-    @lru_cache(maxsize=None)
-    def block(total: int) -> np.ndarray:
-        lo = max(0, total - anc_max)
-        hi = min(n_max, total)
-        size = hi - lo + 1
-        g = np.zeros((size, size))
-        for k in range(size - 1):
-            a = lo + k
-            g[k + 1, k] = theta * math.sqrt((a + 1) * (total - a))
-            g[k, k + 1] = -g[k + 1, k]
-        return expm(g), lo
-
-    kernels: dict[int, np.ndarray] = {
-        delta: np.zeros((d_sys, d_sys)) for delta in range(-n_max, n_max + 1)}
+    # the beam splitter on each system + ancilla = t ladder, over the system
+    # levels a in [max(0, t - anc_max), min(n_max, t)]; levels outside the
+    # ladder are left uncoupled, so they do not mix into it
+    t = np.arange(n_max + anc_max + 1)[:, None]
+    a = np.arange(n_max)[None, :]  # coupling |a, t-a> -> |a+1, t-a-1>
+    inside = (a >= t - anc_max) & (a < np.minimum(n_max, t))
+    coupling = theta * np.sqrt(np.where(inside, (a + 1) * (t - a), 0))
+    u = _ladder_unitaries(coupling, None)
+    lvl = np.arange(n_max + 1)
+    anc = np.arange(anc_max + 1)[:, None]
+    # amp[l, a, m] = <a, m+l-a| U |m, l>
+    amp = u[(anc + lvl)[:, None, :], lvl[:, None], lvl]
     # T[(a,b),(m,n)] = sum_l P(l) sum_k <a,k|U|m,l> <b,k|U|n,l>, nonzero only
-    # on equal shifts d = m-a = n-b (phase covariance)
-    for l in range(anc_max + 1):
-        weight = pw[l]
-        if weight < 1e-16:
-            continue
-        for m in range(d_sys):
-            u, lo = block(m + l)
-            col = u[:, m - lo]  # amplitudes onto |a, m+l-a>
-            for n in range(d_sys):
-                u2, lo2 = block(n + l)
-                col2 = u2[:, n - lo2]
-                for ka, amp_a in enumerate(col):
-                    a = lo + ka
-                    k = m + l - a  # surviving ancilla occupation
-                    b = n + l - k
-                    if lo2 <= b <= lo2 + len(col2) - 1 and abs(m - a) <= n_max:
-                        kernels[m - a][a, b] += weight * amp_a * col2[b - lo2]
-    return kernels
+    # on equal shifts d = m-a = n-b (phase covariance): with
+    # v[d, l, a] = amp[l, a, a+d], W_d = sum_l P(l) v[d, l] v[d, l]^T
+    shifts = np.arange(-n_max, n_max + 1)[:, None, None]
+    src = lvl + shifts
+    v = np.where((src >= 0) & (src <= n_max), amp[anc, lvl, np.clip(src, 0, n_max)], 0.0)
+    kernels = np.einsum("l,xla,xlb->xab", pw, v, v)
+    return {int(d): k for d, k in zip(shifts.ravel(), kernels)}
 
 
 def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.ndarray]) -> FockState:
     m = state.mode_index(mode)
     basis = state.basis
     occ = basis.occs[:, m]
-    out = np.zeros_like(state.rho)
+    coo = state.rho.tocoo()
+    r, c = coo.coords
+    rows, cols, vals = [], [], []
     # population weight each source actually transfers; gain transitions whose
     # destination falls outside the capped basis are treated as no-ops below
     applied = np.zeros(basis.dim)
     for d, W in kernels.items():
         if not np.any(W):
             continue
-        if d == 0:
-            out += W[occ[:, None], occ[None, :]] * state.rho
-            applied += W.diagonal()[occ]
-            continue
         src = basis.shifted(m, d)
-        valid = np.flatnonzero(src >= 0)
-        if len(valid) == 0:
-            continue
-        sv = src[valid]
-        block = state.rho[sv[:, None], sv[None, :]]
-        ov = occ[valid]
-        out[valid[:, None], valid[None, :]] += W[ov[:, None], ov[None, :]] * block
-        applied[sv] += W.diagonal()[ov]
+        valid = src >= 0
+        applied[src[valid]] += W.diagonal()[occ[valid]]
+        # entry (r, c) moves to the states that shifted(m, d) maps onto r, c
+        dest = basis.shifted(m, -d)
+        a, b = dest[r], dest[c]
+        ok = np.flatnonzero((a >= 0) & (b >= 0))
+        w = W[occ[a[ok]], occ[b[ok]]]
+        ok, w = ok[w != 0.0], w[w != 0.0]
+        rows.append(a[ok])
+        cols.append(b[ok])
+        vals.append(w * coo.data[ok])
     clipped = 1.0 - applied
-    mask = clipped > 1e-15
-    if np.any(mask):
-        idx = np.flatnonzero(mask)
-        out[idx, idx] += clipped[idx] * np.real(state.rho[idx, idx])
-    return FockState(state.modes, basis, out)
+    diag = state.rho.diagonal()
+    idx = np.flatnonzero((clipped > 1e-15) & (diag != 0.0))
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(clipped[idx] * np.real(diag[idx]))
+    rho = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), basis.dim)
+    return FockState(state.modes, basis, rho)
 
 
 def _diag_shift_apply(diag: np.ndarray, basis: FockBasis, mode: int,
@@ -526,7 +550,7 @@ def click_distribution(
 
     Both the efficiency loss and the threshold POVM are diagonal-covariant,
     so this works on the populations alone."""
-    diag = np.real(state.rho.diagonal()).copy()
+    diag = np.real(state.rho.diagonal())
     if efficiency is not None:
         for det, modes in detector_map.items():
             eta = efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0)
@@ -546,19 +570,23 @@ def measure_threshold(
 ) -> list[tuple[int, float, FockState]]:
     """Threshold-measure the mapped modes and return, per click-pattern code
     with nonzero probability, that probability and the conditioned state on
-    the remaining modes."""
+    the remaining modes (the entries whose row and column both carry that
+    code, traced over the measured modes)."""
     work = _with_efficiency(state, detector_map, efficiency)
     codes = _click_codes(work, detector_map)
     measured = sorted({m for modes in detector_map.values() for m in modes},
                       key=work.modes.index)
     keep = [m for m in work.modes if m not in measured]
     probs = np.bincount(codes, weights=np.real(work.rho.diagonal()))
+    coo = work.rho.tocoo()
+    r, c = coo.coords
+    entry_code = np.where(codes[r] == codes[c], codes[r], -1)
     branches = []
     for code in np.flatnonzero(probs > 0.0):
-        sel = np.flatnonzero(codes == code)
-        sub = FockState(work.modes, work.basis, np.zeros_like(work.rho))
-        sub.rho[np.ix_(sel, sel)] = work.rho[np.ix_(sel, sel)]
+        sel = entry_code == code
+        sub = FockState(work.modes, work.basis,
+                        _sparse(r[sel], c[sel], coo.data[sel], work.basis.dim))
         reduced = partial_trace(sub, keep)
-        reduced.rho /= probs[code]
+        reduced.rho = reduced.rho / probs[code]
         branches.append((int(code), float(probs[code]), reduced))
     return branches

@@ -409,6 +409,7 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     # rows: write pattern codes, columns: read pattern codes; write channels
     # come first in the labels, so the row-major ravel is the joint code
     joint = np.zeros((1 << len(w_channels), 1 << len(r_channels)))
+    detected = [circuit.state]
     for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
@@ -416,8 +417,12 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
         r_map = {ch: r_groups[ch] for ch in r_channels}
         r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
         joint[w_code] = w_prob * r_dist.probabilities
+        detected.append(read.state)
     joint = joint.ravel()
-    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels), joint / joint.sum())
+    truncation = (max(st.truncation_weight() for st in detected),
+                  max(abs(st.renorm_deficit) for st in detected))
+    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels), joint / joint.sum(),
+                               truncation)
 
 
 def _jitter_scale(noise: NoiseModel) -> float:
@@ -427,7 +432,9 @@ def _jitter_scale(noise: NoiseModel) -> float:
 
 def _mix(weights, dists: Sequence[OutcomeDistribution]) -> OutcomeDistribution:
     mix = sum(wi * dist.probabilities for wi, dist in zip(weights, dists))
-    return OutcomeDistribution(dists[0].labels, mix / mix.sum())
+    figures = [dist.truncation for dist in dists if dist.truncation is not None]
+    truncation = tuple(map(float, np.max(figures, axis=0))) if figures else None
+    return OutcomeDistribution(dists[0].labels, mix / mix.sum(), truncation)
 
 
 def jitter_averaged_distribution(

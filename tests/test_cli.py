@@ -243,3 +243,23 @@ class TestOther:
         config = write_config(tmp_path)
         assert cli.main(["rate-budget", "--config", str(config)]) == 0
         assert (tmp_path / "envout" / "rate_budget.yaml").exists()
+
+
+@pytest.mark.parametrize("truncation, flagged", [(1, True), (4, False)])
+def test_truncated_fock_run_is_flagged(tmp_path, capsys, truncation, flagged):
+    # the default cutoff (4) keeps the boundary weight near 1e-3; a cutoff
+    # of 1 puts almost all of it on the boundary
+    out = tmp_path / "fock"
+    assert cli.main(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+                     "--engine", "fock", "--out", str(out),
+                     "--override", "trials=0",
+                     "--override", f"engine.truncation={truncation}",
+                     "--override", "noise.write_phase_jitter_fwhm=0",
+                     "--override", "noise.read_phase_jitter_fwhm=0"]) == 0
+    figures = json.loads((out / "manifest.json").read_text())["fock_truncation"]
+    assert figures["flagged"] is flagged
+    assert (figures["max_truncation_weight"] > 1e-2) is flagged
+    assert abs(figures["max_renorm_deficit"]) < 1e-12
+    warned = "Fock truncation weight" in capsys.readouterr().err
+    assert warned is flagged
+

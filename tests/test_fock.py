@@ -1,14 +1,16 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from phonon_timebin import fock as F
 
 
 def pure_state(modes, n_max, occupation, total_max=None):
     st = F.init_vacuum(modes, n_max, total_max)
-    rho = np.zeros_like(st.rho)
+    rho = np.zeros((st.basis.dim, st.basis.dim), complex)
     i = st.basis.index[tuple(occupation)]
     rho[i, i] = 1.0
     st.rho = rho
@@ -50,7 +52,7 @@ class TestTwoModeSqueeze:
     def test_identity_at_zero(self):
         st = F.init_vacuum(["a", "b"], 4)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.0, 0.7)
-        assert np.allclose(out.rho, st.rho)
+        assert np.allclose(out.rho.toarray(), st.rho.toarray())
 
     def test_pair_probability(self):
         st = F.init_vacuum(["a", "b"], 6)
@@ -88,7 +90,7 @@ class TestBeamSplitter:
     def test_identity(self):
         st = F.init_thermal(["a", "b"], 4, {"a": 0.3})
         out = F.apply_beam_splitter(st, "a", "b", 1.0)
-        assert np.allclose(out.rho, st.rho)
+        assert np.allclose(out.rho.toarray(), st.rho.toarray())
 
     def test_balanced_on_single_photon(self):
         st = pure_state(["a", "b"], 4, (1, 0))
@@ -112,12 +114,12 @@ class TestBeamSplitter:
 class TestPhase:
     def test_identity_and_periodicity(self):
         st = F.init_thermal(["a"], 5, 0.4)
-        assert np.allclose(F.apply_phase(st, "a", 0.0).rho, st.rho)
-        assert np.abs(F.apply_phase(st, "a", 2 * math.pi).rho - st.rho).max() < 1e-12
+        assert np.allclose(F.apply_phase(st, "a", 0.0).rho.toarray(), st.rho.toarray())
+        assert np.abs((F.apply_phase(st, "a", 2 * math.pi).rho - st.rho).toarray()).max() < 1e-12
 
     def test_pi_flips_coherence(self):
         st = F.init_vacuum(["a"], 3)
-        rho = np.zeros_like(st.rho)
+        rho = np.zeros((st.basis.dim, st.basis.dim), complex)
         rho[:2, :2] = 0.5
         st.rho = rho
         out = F.apply_phase(st, "a", math.pi)
@@ -128,7 +130,7 @@ class TestPhase:
 class TestChannels:
     def test_loss_identity(self):
         st = F.init_thermal(["a"], 5, 0.3)
-        assert np.allclose(F.apply_loss(st, "a", 1.0).rho, st.rho)
+        assert np.allclose(F.apply_loss(st, "a", 1.0).rho.toarray(), st.rho.toarray())
 
     def test_loss_linearity(self):
         st = F.init_thermal(["a"], 12, 1.0)
@@ -141,7 +143,7 @@ class TestChannels:
         seq = F.apply_loss(F.apply_loss(st, "a", 0.8), "a", 0.6)
         direct = F.apply_loss(st, "a", 0.48)
         assert abs(seq.mean_occupation("a") - direct.mean_occupation("a")) < 1e-10
-        assert np.abs(seq.rho - direct.rho).max() < 1e-10
+        assert np.abs((seq.rho - direct.rho).toarray()).max() < 1e-10
 
     def test_thermal_noise_adds_occupancy(self):
         st = F.init_vacuum(["a"], 6)
@@ -171,12 +173,66 @@ class TestChannels:
             assert st.trace() == pytest.approx(1.0, abs=1e-10)
 
 
+def thermal_kernels_loop(n_max, survival, n_env):
+    """The thermal-attenuator kernels by explicit loops over ancilla level l,
+    source levels m, n and destination level a (an independent reference
+    for the vectorised construction)."""
+    if n_env == 0.0:
+        return dict(enumerate(F._loss_kernels(n_max, survival)))
+    q = n_env / (n_env + 1.0)
+    anc_max = min(max(4, int(math.ceil(math.log(1e-13) / math.log(q)))), 400)
+    pw = (1.0 - q) * q ** np.arange(anc_max + 1)
+    pw[-1] = 1.0 - pw[:-1].sum()
+    theta = math.acos(min(1.0, math.sqrt(survival)))
+    d_sys = n_max + 1
+
+    @lru_cache(maxsize=None)
+    def block(total):
+        lo, hi = max(0, total - anc_max), min(n_max, total)
+        g = np.zeros((hi - lo + 1, hi - lo + 1))
+        for k in range(hi - lo):
+            a = lo + k
+            g[k + 1, k] = theta * math.sqrt((a + 1) * (total - a))
+            g[k, k + 1] = -g[k + 1, k]
+        return expm(g), lo
+
+    kernels = {d: np.zeros((d_sys, d_sys)) for d in range(-n_max, n_max + 1)}
+    for l in range(anc_max + 1):
+        if pw[l] < 1e-16:
+            continue
+        for m in range(d_sys):
+            u, lo = block(m + l)
+            col = u[:, m - lo]
+            for n in range(d_sys):
+                u2, lo2 = block(n + l)
+                col2 = u2[:, n - lo2]
+                for ka, amp_a in enumerate(col):
+                    a = lo + ka
+                    b = n + l - (m + l - a)
+                    if lo2 <= b <= lo2 + len(col2) - 1:
+                        kernels[m - a][a, b] += pw[l] * amp_a * col2[b - lo2]
+    return kernels
+
+
+class TestThermalKernels:
+    # n_env 20 needs more than the 400-level ancilla cap
+    @pytest.mark.parametrize("n_env", [0.0, 0.05, 0.2, 20.0])
+    @pytest.mark.parametrize("survival", [0.0, 0.5, 0.93, 0.99])
+    @pytest.mark.parametrize("n_max", [2, 4, 5])
+    def test_matches_loop(self, n_max, survival, n_env):
+        got = F._thermal_kernels(n_max, survival, n_env)
+        ref = thermal_kernels_loop(n_max, survival, n_env)
+        assert sorted(got) == sorted(ref)
+        for d in ref:
+            assert np.abs(got[d] - ref[d]).max() < 1e-14
+
+
 class TestUnitarityAndPositivity:
     def test_squeeze_inverse(self):
         st = F.init_vacuum(["a", "b"], 6)
         mid = F.apply_two_mode_squeeze(st, "a", "b", 0.01, 0.3)
         back = F.apply_two_mode_squeeze(mid, "a", "b", 0.01, 0.3 + math.pi)
-        assert np.abs(back.rho - st.rho).max() < 1e-10
+        assert np.abs((back.rho - st.rho).toarray()).max() < 1e-10
 
     def test_randomized_circuit_positivity(self):
         rng = np.random.default_rng(11)
@@ -274,7 +330,7 @@ class TestStateBookkeeping:
         st.save(path)
         back = F.FockState.load(path)
         assert back.modes == st.modes
-        assert np.allclose(back.rho, st.rho)
+        assert np.allclose(back.rho.toarray(), st.rho.toarray())
 
     def test_truncation_weight_reported(self):
         st = F.init_thermal(["a"], 5, 0.2)

@@ -1,7 +1,9 @@
 """Property tests of the dense click-distribution vector (the subset
 transform, background folding, chunked sampling), of the Gaussian engine's
-local gate updates and batch axis, and of the config dict round trip."""
+local gate updates and batch axis, of the sparse Fock engine against dense
+references, and of the config dict round trip."""
 
+import dataclasses
 import itertools
 import math
 from importlib.resources import files
@@ -10,17 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from phonon_timebin import gaussian, protocol
+from phonon_timebin import fock, gaussian, protocol
 from phonon_timebin.core import (
     ExperimentKind,
     OutcomeDistribution,
+    PhaseSettings,
     PulseRole,
     config_digest,
     config_from_dict,
     config_to_dict,
     fwhm_to_sigma,
     load_config,
+    with_overrides,
 )
 
 FAST = settings(max_examples=30, deadline=None)
@@ -265,6 +270,216 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
 
 
 # ---------------------------------------------------------------------------
+# sparse Fock engine against dense references
+
+
+MAX_DIM = 80  # keeps the explicit index loops of the references quick
+
+
+@st.composite
+def fock_states(draw):
+    """A random mixed state of 2-4 modes, n_max 2-4 and a drawn total cap:
+    a mixture of 1-3 pure states, each on a random support of up to 8 basis
+    states.  Returns the engine state and its dense matrix."""
+    n = draw(st.integers(2, 4))
+    n_max = draw(st.integers(2, 4))
+    caps = [c for c in range(2, n * n_max + 1)
+            if fock.FockBasis(n, n_max, c).dim <= MAX_DIM]
+    state = fock.init_vacuum([f"m{k}" for k in range(n)], n_max, draw(st.sampled_from(caps)))
+    dim = state.basis.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = np.zeros((dim, dim), complex)
+    for _ in range(draw(st.integers(1, 3))):
+        support = rng.choice(dim, size=rng.integers(1, min(dim, 8) + 1), replace=False)
+        psi = np.zeros(dim, complex)
+        psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        rho += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    rho /= np.trace(rho).real
+    state.rho = rho
+    return state, rho
+
+
+def check_output(out, ref, trace=1.0):
+    assert np.abs(out.rho.toarray() - ref).max() < 1e-12
+    out.check_hermitian()
+    assert out.trace() == pytest.approx(trace, abs=1e-12)
+
+
+def shifted_index(basis, occ, mode, delta):
+    occ = list(occ)
+    occ[mode] += delta
+    return basis.index.get(tuple(occ))  # None outside the (capped) basis
+
+
+def dense_two_mode(state, rho, i, j, kind, amp, phi):
+    """Block-diagonal U from the ladder unitaries, then U rho U^dagger."""
+    basis, dim = state.basis, state.basis.dim
+    U = np.zeros((dim, dim), complex)
+    done = set()
+    for start in range(dim):
+        if start in done:
+            continue
+        occ = basis.occs[start]
+        inv = occ[i] + occ[j] if kind == "bs" else occ[i] - occ[j]
+        ladder = []  # (a, basis index), sorted by a
+        for a in range(basis.n_max + 1):
+            o = list(occ)
+            o[i], o[j] = a, (inv - a if kind == "bs" else a - inv)
+            if tuple(o) in basis.index:
+                ladder.append((a, basis.index[tuple(o)]))
+        g = np.zeros((len(ladder), len(ladder)), complex)
+        for k, (a, _) in enumerate(ladder[:-1]):
+            c = amp * math.sqrt((a + 1) * (inv - a) if kind == "bs" else (a + 1) * (a - inv + 1))
+            g[k + 1, k] = c * np.exp(1j * phi)
+            g[k, k + 1] = -c * np.exp(-1j * phi)
+        u = expm(g)
+        for x, (_, ix) in enumerate(ladder):
+            for y, (_, iy) in enumerate(ladder):
+                U[ix, iy] = u[x, y]
+        done.update(ix for _, ix in ladder)
+    return U @ rho @ U.conj().T
+
+
+def dense_shift_kernels(state, rho, mode, kernels):
+    """rho'[a, b] = sum_d W_d[n_a, n_b] rho[a+d, b+d], plus the clipped
+    population of sources whose gain falls outside the basis."""
+    basis, dim = state.basis, state.basis.dim
+    occs = basis.occs
+    out = np.zeros((dim, dim), complex)
+    applied = np.zeros(dim)
+    for d, W in kernels.items():
+        for a in range(dim):
+            sa = shifted_index(basis, occs[a], mode, d)
+            if sa is None:
+                continue
+            applied[sa] += W[occs[a][mode], occs[a][mode]]
+            for b in range(dim):
+                sb = shifted_index(basis, occs[b], mode, d)
+                if sb is not None:
+                    out[a, b] += W[occs[a][mode], occs[b][mode]] * rho[sa, sb]
+    for s in range(dim):
+        if 1.0 - applied[s] > 1e-15:
+            out[s, s] += (1.0 - applied[s]) * rho[s, s].real
+    return out
+
+
+def dense_partial_trace(state, rho, keep_pos):
+    occs = state.basis.occs
+    drop_pos = [k for k in range(len(state.modes)) if k not in keep_pos]
+    new = fock.FockBasis(len(keep_pos), state.n_max, state.basis.total_max)
+    out = np.zeros((new.dim, new.dim), complex)
+    for a in range(state.basis.dim):
+        for b in range(state.basis.dim):
+            if all(occs[a][k] == occs[b][k] for k in drop_pos):
+                out[new.index[tuple(occs[a][keep_pos])],
+                    new.index[tuple(occs[b][keep_pos])]] += rho[a, b]
+    return out
+
+
+def two_modes(data, state):
+    return data.draw(st.permutations(range(len(state.modes))))[:2]
+
+
+@FAST
+@given(fock_states(), st.data(), st.floats(0.0, 0.3), st.floats(-6.3, 6.3))
+def test_sparse_two_mode_squeeze_matches_dense(case, data, p, phi):
+    state, rho = case
+    i, j = two_modes(data, state)
+    out = fock.apply_two_mode_squeeze(state, state.modes[i], state.modes[j], p, phi)
+    ref = (dense_two_mode(state, rho, i, j, "tms", math.atanh(math.sqrt(p)), phi)
+           if p else rho)
+    check_output(out, ref)
+
+
+@FAST
+@given(fock_states(), st.data(), unit, st.floats(-6.3, 6.3))
+def test_sparse_beam_splitter_matches_dense(case, data, transmissivity, phi):
+    state, rho = case
+    i, j = two_modes(data, state)
+    out = fock.apply_beam_splitter(state, state.modes[i], state.modes[j], transmissivity, phi)
+    theta = math.acos(min(1.0, math.sqrt(transmissivity)))
+    check_output(out, dense_two_mode(state, rho, i, j, "bs", theta, phi) if theta else rho)
+
+
+@FAST
+@given(fock_states(), st.data(), st.floats(-6.3, 6.3))
+def test_sparse_phase_matches_dense(case, data, phi):
+    state, rho = case
+    m = data.draw(st.integers(0, len(state.modes) - 1))
+    d = np.exp(1j * phi * state.basis.occs[:, m])
+    check_output(fock.apply_phase(state, state.modes[m], phi), rho * np.outer(d, d.conj()))
+
+
+@FAST
+@given(fock_states(), st.data(), st.floats(0.0, 0.999), st.sampled_from([0.0, 0.05, 0.3]))
+def test_sparse_loss_channels_match_dense(case, data, survival, n_env):
+    state, rho = case
+    m = data.draw(st.integers(0, len(state.modes) - 1))
+    loss = fock.apply_loss(state, state.modes[m], survival)
+    kernels = dict(enumerate(fock._loss_kernels(state.n_max, survival)))
+    check_output(loss, dense_shift_kernels(state, rho, m, kernels))
+    thermal = fock.apply_thermal_loss(state, state.modes[m], survival, n_env)
+    kernels = fock._thermal_kernels(state.n_max, survival, n_env)
+    check_output(thermal, dense_shift_kernels(state, rho, m, kernels))
+
+
+@FAST
+@given(fock_states())
+def test_sparse_add_vacuum_mode_matches_dense(case):
+    state, rho = case
+    grown = fock.add_vacuum_mode(state, "new")
+    ref = np.zeros((grown.basis.dim, grown.basis.dim), complex)
+    old = [grown.basis.index[tuple(o) + (0,)] for o in state.basis.occs]
+    for a, ia in enumerate(old):
+        for b, ib in enumerate(old):
+            ref[ia, ib] = rho[a, b]
+    check_output(grown, ref)
+
+
+@FAST
+@given(fock_states(), st.data())
+def test_sparse_partial_trace_matches_dense(case, data):
+    state, rho = case
+    keep_pos = sorted(data.draw(st.sets(st.integers(0, len(state.modes) - 1), min_size=1)))
+    keep = data.draw(st.permutations([state.modes[k] for k in keep_pos]))
+    reduced = fock.partial_trace(state, keep)
+    assert reduced.modes == tuple(keep)
+    check_output(reduced, dense_partial_trace(state, rho, [state.modes.index(m) for m in keep]))
+
+
+@FAST
+@given(fock_states(), st.data())
+def test_sparse_measure_threshold_matches_dense(case, data):
+    state, rho = case
+    n = len(state.modes)
+    measured = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                  unique=True))
+    split = data.draw(st.integers(1, len(measured)))
+    detector_map = {"d0": [state.modes[k] for k in measured[:split]],
+                    "d1": [state.modes[k] for k in measured[split:]]}
+    if not detector_map["d1"]:
+        del detector_map["d1"]
+    codes = np.zeros(state.basis.dim, dtype=int)
+    for k, det in enumerate(detector_map.values()):
+        for a, occ in enumerate(state.basis.occs):
+            if any(occ[state.modes.index(m)] for m in det):
+                codes[a] |= 1 << (len(detector_map) - 1 - k)
+    keep_pos = [k for k in range(n) if k not in measured]
+    expected = []
+    for code in sorted(set(codes)):
+        sel = codes == code
+        proj = rho * np.outer(sel, sel)
+        p = np.trace(proj).real
+        if p > 0.0:
+            expected.append((code, p, dense_partial_trace(state, proj, keep_pos) / p))
+    branches = fock.measure_threshold(state, detector_map)
+    assert [b[0] for b in branches] == [e[0] for e in expected]
+    for (_, p, reduced), (_, p_ref, ref) in zip(branches, expected):
+        assert p == pytest.approx(p_ref, abs=1e-12)
+        check_output(reduced, ref)
+
+
+# ---------------------------------------------------------------------------
 # config round trip
 
 
@@ -340,3 +555,25 @@ def test_config_round_trip_is_stable(data):
     again = config_from_dict(config_to_dict(config))
     assert again == config
     assert config_digest(again) == config_digest(config)
+
+
+@FAST
+@given(config_dicts(), st.data())
+def test_unset_radian_angles_survive_overrides(raw, data):
+    # a config built in Python holds radians, which units of pi do not
+    # always carry back exactly
+    radian = st.floats(-6.3, 6.3)
+    config = config_from_dict(raw)
+    sweep = data.draw(st.none() | st.lists(st.tuples(radian, radian), min_size=1, max_size=4))
+    config = dataclasses.replace(
+        config,
+        phases=PhaseSettings(data.draw(radian), data.draw(radian), data.draw(radian)),
+        phase_sweep=None if sweep is None else tuple(sweep),
+        noise=dataclasses.replace(config.noise,
+                                  write_phase_jitter_fwhm=data.draw(st.floats(0.0, 3.2)),
+                                  read_phase_jitter_fwhm=data.draw(st.floats(0.0, 3.2))))
+    assert with_overrides(config, {}) == config
+    changed = with_overrides(config, {"phases.phi_off": 0.25, "seed": 3})
+    assert changed.phases.phi_off == 0.25 * math.pi
+    assert (changed.phases.phi_w, changed.noise, changed.phase_sweep) == \
+        (config.phases.phi_w, config.noise, config.phase_sweep)

@@ -108,7 +108,7 @@ class TestReadStage:
         circuit = protocol._FockCircuit(n_max=2, total_cap=2)
         circuit.add_mode("m_E")
         circuit.add_mode("m_L")
-        rho = np.zeros_like(circuit.state.rho)
+        rho = np.zeros((circuit.state.basis.dim, circuit.state.basis.dim), complex)
         rho[circuit.state.basis.index[(1, 0)], circuit.state.basis.index[(1, 0)]] = 1.0
         circuit.state.rho = rho
         groups = protocol.run_read_stage(circuit, cfg, 0.0, keep_side_windows=True)
@@ -163,7 +163,7 @@ class TestInterferometer:
         circuit = protocol._FockCircuit(n_max=2, total_cap=2)
         circuit.add_mode("early")
         circuit.add_mode("late")
-        rho = np.zeros_like(circuit.state.rho)
+        rho = np.zeros((circuit.state.basis.dim, circuit.state.basis.dim), complex)
         rho[circuit.state.basis.index[(1, 0)], circuit.state.basis.index[(1, 0)]] = 1.0
         circuit.state.rho = rho
         groups = protocol.apply_interferometer(
