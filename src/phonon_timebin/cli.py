@@ -83,6 +83,7 @@ class _Manifest:
 
     def write(self) -> Path:
         self.data["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.data["environment"] = _environment()
         if self.truncation:
             # worst over every Fock state the run detected; a flagged run
             # still succeeds, its numbers carry the warning
@@ -99,6 +100,15 @@ class _Manifest:
         self.data["artifacts"].append(str(path))
         path.write_text(json.dumps(self.data, indent=2))
         return path
+
+
+def _environment() -> dict:
+    """Versions of the package and of what its numbers depend on."""
+    import scipy  # already loaded by the engines
+
+    from . import __version__
+    return {"phonon_timebin": __version__, "python": sys.version.split()[0],
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _out_dir(args) -> Path:
@@ -232,6 +242,7 @@ def cmd_simulate(args) -> int:
         _write_counts(counts_path, run)
         if run.records:
             _write_records(out, manifest, run)
+            manifest.data["records"] = run.metadata["records"]
     results["elapsed_seconds"] = time.time() - t0
     path = manifest.add(out / "results.yaml")
     _dump_yaml(path, results)

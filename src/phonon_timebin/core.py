@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -257,6 +258,7 @@ class EngineSpec:
     def __post_init__(self):
         _require(self.name in ("fock", "gaussian"), f"unknown engine {self.name!r}")
         _require(self.truncation >= 1, "fock truncation must be >= 1")
+        _require(self.total_cap is None or self.total_cap >= 1, "fock total_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require(self.trials >= 0, "trials must be >= 0")
+        _require(self.record_trials >= 0, "record_trials must be >= 0")
         _require(0 <= self.seed < 2**64, "seed must be an unsigned 64-bit integer")
         _require(0.0 <= self.splitting_asymmetry <= 0.005,
                  "splitting_asymmetry must be within 0.5% relative")
@@ -492,6 +495,22 @@ def _as_pair(value, key: str) -> tuple[float, float]:
     raise ConfigError(f"{key} must be a scalar or a pair")
 
 
+def _integer(value, key: str) -> int:
+    """An integer field: ints, integral floats and numeric strings (PyYAML
+    reads 4.0e10 as a string); a fractional value is a ConfigError, never
+    truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file."""
     path = Path(path)
@@ -530,6 +549,10 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if isinstance(engine_raw, str):
         engine = EngineSpec(name=engine_raw)
     else:
+        engine_raw = dict(engine_raw)
+        for key in ("truncation", "total_cap"):
+            if engine_raw.get(key) is not None:
+                engine_raw[key] = _integer(engine_raw[key], f"engine.{key}")
         engine = EngineSpec(**engine_raw)
 
     guard = float(raw.get("perturbative_guard", DEFAULT_PERTURBATIVE_GUARD))
@@ -605,12 +628,12 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         phases=phases,
         phase_sweep=sweep,
         noise=noise,
-        trials=int(raw["trials"]),
-        seed=int(raw["seed"]),
+        trials=_integer(raw["trials"], "trials"),
+        seed=_integer(raw["seed"], "seed"),
         engine=engine,
         repetition_period=float(raw.get("repetition_period", 15e-6)),
         splitting_asymmetry=float(raw.get("splitting_asymmetry", 0.0)),
-        record_trials=int(raw.get("record_trials", 0)),
+        record_trials=_integer(raw.get("record_trials", 0), "record_trials"),
         extra=dict(raw.get("extra", {})),
     )
 

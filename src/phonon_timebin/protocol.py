@@ -514,10 +514,17 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
         "assumed_dark_count_prob": config.noise.dark_count_prob,
     })
     if config.record_trials > 0:
+        n_trials = min(config.record_trials, config.trials or config.record_trials)
+        keys = []
         for idx, (phi_w, phi_r) in enumerate(settings):
-            result.records.extend(
-                _sample_records(config, phi_w, phi_r, engine, idx,
-                                min(config.record_trials, config.trials or config.record_trials)))
+            records, n_keys = _sample_records(config, phi_w, phi_r, engine, idx, n_trials)
+            result.records.extend(records)
+            keys.append(n_keys)
+        result.metadata["records"] = {
+            "count": len(result.records),
+            "jitter_step_rad": 8.0 * _jitter_scale(config.noise) / RECORD_JITTER_QUANTA,
+            "distinct_jitter_keys": keys,
+        }
     return result
 
 
@@ -544,6 +551,9 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
 
 
 SAMPLE_CHUNK = 10_000_000
+#: per-trial records share one distribution per jitter-sum step of
+#: 8 sigma / RECORD_JITTER_QUANTA
+RECORD_JITTER_QUANTA = 64
 
 
 def sample_counts_chunked(dist: OutcomeDistribution, trials: int, seed: int,
@@ -564,33 +574,46 @@ def sample_counts_chunked(dist: OutcomeDistribution, trials: int, seed: int,
     return out
 
 
-def _sample_records(config, phi_w, phi_r, engine, setting_idx, n_trials) -> list[ClickRecord]:
+def _sample_records(config, phi_w, phi_r, engine, setting_idx,
+                    n_trials) -> tuple[list[ClickRecord], int]:
+    """Per-trial click records of one setting, and the number of distinct
+    jitter keys they used.
+
+    Pass 1: trial t draws from its own (seed, 1_000_000 + setting, t)
+    substream the write jitter, the read jitter and one uniform, and keeps
+    only those three doubles.  Pass 2: one exact distribution per distinct
+    quantised jitter sum, and each trial's pattern is the bin of its uniform
+    in that distribution's CDF -- the very draw ``Generator.choice(2**n, p=p)``
+    makes from the same uniform."""
     noise = config.noise
-    records = []
-    cache: dict[float, OutcomeDistribution] = {}
-    quantize = 64
-    scale = _jitter_scale(noise)
+    draws = np.empty((n_trials, 3))
     for trial in range(n_trials):
         trng = np.random.default_rng(np.random.SeedSequence(
             entropy=config.seed, spawn_key=(1_000_000 + setting_idx, trial)))
-        jw = float(sample_phase_jitter(trng, noise.write_phase_jitter_fwhm))
-        jr = float(sample_phase_jitter(trng, noise.read_phase_jitter_fwhm))
-        delta = jw + jr
-        if scale > 0:
-            # quantize the jitter sum onto a fine grid so distributions cache
-            key = round(delta / (8.0 * scale) * quantize) / quantize * 8.0 * scale
-        else:
-            key = 0.0
-        dist = cache.get(key)
-        if dist is None:
-            dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key, engine=engine)
-            cache[key] = dist
-        pvec = np.clip(dist.probabilities, 0, None)
-        code = int(trng.choice(len(pvec), p=pvec / pvec.sum()))
-        n = len(dist.labels)
-        clicks = tuple(ch for k, ch in enumerate(dist.labels) if code >> (n - 1 - k) & 1)
-        records.append(ClickRecord(trial=trial, clicks=clicks, jitter_w=jw, jitter_r=jr))
-    return records
+        draws[trial] = (sample_phase_jitter(trng, noise.write_phase_jitter_fwhm),
+                        sample_phase_jitter(trng, noise.read_phase_jitter_fwhm),
+                        trng.random())
+    jw, jr, u = draws.T
+    scale, q = _jitter_scale(noise), RECORD_JITTER_QUANTA
+    # jitter sums on a grid of 8 sigma / q, so trials share distributions;
+    # np.round rounds half to even as round() does, + 0.0 maps -0.0 to 0.0
+    keys = (np.round((jw + jr) / (8.0 * scale) * q) / q * 8.0 * scale + 0.0 if scale > 0
+            else np.zeros(n_trials))
+    keys, key_idx = np.unique(keys, return_inverse=True)
+    codes = np.empty(n_trials, dtype=np.int64)
+    for k, key in enumerate(keys.tolist()):
+        dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key, engine=engine)
+        p = np.clip(dist.probabilities, 0, None)
+        cdf = (p / p.sum()).cumsum()
+        cdf /= cdf[-1]
+        mine = key_idx == k
+        codes[mine] = cdf.searchsorted(u[mine], side="right")
+    n = len(dist.labels)
+    patterns = [tuple(ch for b, ch in enumerate(dist.labels) if code >> (n - 1 - b) & 1)
+                for code in range(1 << n)]
+    records = [ClickRecord(trial=t, clicks=patterns[c], jitter_w=w, jitter_r=r)
+               for t, (c, w, r) in enumerate(zip(codes.tolist(), jw.tolist(), jr.tolist()))]
+    return records, len(keys)
 
 
 # ---------------------------------------------------------------------------

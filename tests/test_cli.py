@@ -2,11 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from phonon_timebin import cli
-from phonon_timebin.core import config_from_dict, save_config
+from phonon_timebin.core import config_from_dict, fwhm_to_sigma, load_config, save_config
 
 CONFIGS = Path(cli.__file__).parent / "configs"
 
@@ -111,6 +112,37 @@ class TestSimulate:
                          str(tmp_path / "bad"), "--override", override])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--override", "record_trials=-5"],
+        ["--override", "trials=2.7"],
+        ["--override", "record_trials=1.5"],
+        ["--override", "seed=0.5"],
+        ["--engine", "fock", "--override", "engine.truncation=3.7"],
+    ])
+    def test_bad_integer_field_is_config_error(self, tmp_path, extra):
+        code = cli.main(["simulate", "--config", str(CONFIGS / "cross_correlation.yaml"),
+                         "--out", str(tmp_path / "bad"), *extra])
+        assert code == 2
+        assert not (tmp_path / "bad" / "counts.csv").exists()
+
+    @pytest.mark.parametrize("total_cap", [0, 2.5])
+    def test_bad_total_cap_is_config_error(self, tmp_path, total_cap):
+        raw = yaml.safe_load(write_config(tmp_path, trials=0).read_text())
+        raw["engine"] = {"name": "fock", "truncation": 2, "total_cap": total_cap}
+        path = tmp_path / "cap.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_integral_float_counts_load(self, tmp_path):
+        # PyYAML reads 4.0e10 as a string and 4.0e+10 as a float
+        raw = yaml.safe_load(write_config(tmp_path).read_text())
+        for text in ("4.0e10", "4.0e+10"):
+            path = tmp_path / "float.yaml"
+            path.write_text(yaml.safe_dump(raw).replace("trials: 2000000", f"trials: {text}"))
+            assert yaml.safe_load(path.read_text())["trials"] != 2_000_000
+            assert cli.main(["rate-budget", "--config", str(path),
+                             "--out", str(tmp_path / "o")]) == 0
+
     def test_splitting_asymmetry_bound_is_config_error(self, tmp_path):
         config = write_config(tmp_path, trials=0)
         code = cli.main(["simulate", "--config", str(config), "--out",
@@ -127,6 +159,23 @@ class TestSimulate:
         estimates += [s["E"] for s in results.get("settings", [])]
         assert len(estimates) == (6 if name == "bell_test" else 4)
         assert all(e["sigma"] == 0.0 for e in estimates)
+
+    def test_manifest_describes_records_and_environment(self, tmp_path):
+        out = tmp_path / "rec"
+        assert cli.main(["simulate", "--config", str(CONFIGS / "cross_correlation.yaml"),
+                         "--out", str(out), "--seed", "7",
+                         "--override", "record_trials=300"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        records = manifest["records"]
+        assert records["count"] == 300
+        assert len(records["distinct_jitter_keys"]) == 1
+        assert 1 <= records["distinct_jitter_keys"][0] <= 300
+        config = load_config(CONFIGS / "cross_correlation.yaml")
+        sigma = math.hypot(fwhm_to_sigma(config.noise.write_phase_jitter_fwhm),
+                           fwhm_to_sigma(config.noise.read_phase_jitter_fwhm))
+        assert records["jitter_step_rad"] == pytest.approx(8.0 * sigma / 64, rel=1e-15)
+        assert set(manifest["environment"]) == {"phonon_timebin", "python", "numpy", "scipy"}
+        assert manifest["environment"]["numpy"] == np.__version__
 
     def test_manifest_records_in_process_argv(self, tmp_path):
         config = write_config(tmp_path)

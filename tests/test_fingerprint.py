@@ -1,0 +1,36 @@
+"""Golden fingerprint of the sampled output files.
+
+The sampled files of a fixed (config, seed) are part of the program's
+behaviour: a change to the record sampler, the chunked multinomial draws or
+the file format shows here.  A NumPy release that changes its generators
+also shows here, so the failure message names the NumPy version.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from phonon_timebin import cli
+
+CONFIGS = Path(cli.__file__).parent / "configs"
+
+# first 16 hex digits of SHA-256, `simulate --seed 7 --override record_trials=2000`
+GOLDEN = {
+    "cross_correlation": {"counts.csv": "9b5a86f407f2a619",
+                          "events.txt": "247f4499efeab399",
+                          "trials.txt": "35b3283098871568"},
+    "bell_test": {"counts.csv": "45c17f225ed85c41",
+                  "events.txt": "6cab3004113f3ae2",
+                  "trials.txt": "78922cbff1fad9cc"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sampled_files_are_unchanged(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main(["simulate", "--config", str(CONFIGS / f"{name}.yaml"), "--seed", "7",
+                     "--override", "record_trials=2000", "--out", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()[:16] for f in GOLDEN[name]}
+    assert got == GOLDEN[name], f"sampled files of {name} changed (NumPy {np.__version__})"

@@ -119,6 +119,24 @@ def test_chunked_sampling_conserves_trials_and_is_deterministic(dist, trials, se
     assert np.array_equal(counts, protocol.sample_counts_chunked(dist, trials, seed, idx))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), unit), min_size=1, max_size=256)
+       .filter(lambda w: sum(w) > 0), st.integers(0, 2**64 - 1))
+def test_cdf_search_is_generator_choice(weights, seed):
+    # the record sampler bins one uniform per trial in the CDF; this is the
+    # draw Generator.choice(n, p=p) makes, one double per call
+    p = np.clip(np.array(weights), 0, None)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    chooser, searcher = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        expected = int(chooser.choice(len(p), p=p))
+        assert int(cdf.searchsorted(searcher.random(), side="right")) == expected, \
+            f"Generator.choice differs from the CDF search on NumPy {np.__version__}"
+        assert p[expected] > 0
+
+
 def test_negative_click_mass_raises(monkeypatch):
     # P0 of the pair above each single-detector P0 is impossible: it gives
     # the one-click patterns a probability of -0.4

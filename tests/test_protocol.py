@@ -13,6 +13,7 @@ from phonon_timebin.core import (
     PulseRole,
     WaveguideParams,
     build_pulse_sequence,
+    sample_phase_jitter,
 )
 
 ROLES = (PulseRole.WRITE_EARLY, PulseRole.WRITE_LATE,
@@ -306,6 +307,77 @@ class TestRunExperiment:
         object.__setattr__(cfg, "kind", ExperimentKind.THERMAL_G2_TAU)
         with pytest.raises(protocol.ProtocolError):
             protocol.run_experiment(cfg)
+
+
+def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
+    """The one-generator-per-trial record loop the two-pass sampler replaced:
+    a dict cache of distributions and one ``Generator.choice`` per trial."""
+    noise = config.noise
+    records = []
+    cache = {}
+    quantize = 64
+    scale = protocol._jitter_scale(noise)
+    for trial in range(n_trials):
+        trng = np.random.default_rng(np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(1_000_000 + setting_idx, trial)))
+        jw = float(sample_phase_jitter(trng, noise.write_phase_jitter_fwhm))
+        jr = float(sample_phase_jitter(trng, noise.read_phase_jitter_fwhm))
+        delta = jw + jr
+        if scale > 0:
+            key = round(delta / (8.0 * scale) * quantize) / quantize * 8.0 * scale
+        else:
+            key = 0.0
+        dist = cache.get(key)
+        if dist is None:
+            dist = protocol.exact_joint_distribution(config, phi_w, phi_r, jitter_w=key,
+                                                     engine=engine)
+            cache[key] = dist
+        pvec = np.clip(dist.probabilities, 0, None)
+        code = int(trng.choice(len(pvec), p=pvec / pvec.sum()))
+        n = len(dist.labels)
+        clicks = tuple(ch for k, ch in enumerate(dist.labels) if code >> (n - 1 - k) & 1)
+        records.append(protocol.ClickRecord(trial=trial, clicks=clicks, jitter_w=jw,
+                                            jitter_r=jr))
+    return records, len(cache)
+
+
+def noisy(write_fwhm, read_fwhm):
+    # frequent clicks and background, so the records visit many patterns
+    return clean_noise(write_phase_jitter_fwhm=write_fwhm, read_phase_jitter_fwhm=read_fwhm,
+                       thermal_schedule=tuple(zip(ROLES, (0.02, 0.04, 0.06, 0.09))),
+                       interferometer_visibility=0.94, dark_count_prob=0.02)
+
+
+class TestRecordSampler:
+    @pytest.mark.parametrize("kind, write_fwhm, read_fwhm, engine, trials", [
+        (ExperimentKind.TIME_BIN_ENTANGLEMENT, math.pi / 7, math.pi / 20, "gaussian", 600),
+        (ExperimentKind.BELL_TEST, math.pi / 7, 0.0, "gaussian", 600),
+        (ExperimentKind.TIME_BIN_ENTANGLEMENT, 0.0, 0.0, "gaussian", 600),
+        (ExperimentKind.DOUBLE_CROSS_CORRELATION, math.pi / 7, math.pi / 20, "gaussian", 120),
+        (ExperimentKind.TIME_BIN_ENTANGLEMENT, math.pi / 7, math.pi / 20, "fock", 4),
+    ])
+    def test_matches_one_generator_per_trial(self, kind, write_fwhm, read_fwhm, engine,
+                                             trials):
+        cfg = make_config(kind=kind, p_w=0.04, p_r=0.04, noise=noisy(write_fwhm, read_fwhm),
+                          seed=20220812, engine=EngineSpec(engine, truncation=2, total_cap=4))
+        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, engine, 2, trials)
+        want, want_keys = reference_records(cfg, 0.9, 0.4, engine, 2, trials)
+        assert got == want
+        assert n_keys == want_keys
+        assert all(type(r.jitter_w) is float and type(r.jitter_r) is float for r in got)
+        if write_fwhm == 0.0:
+            assert n_keys == 1
+        if engine == "gaussian":
+            assert len({r.clicks for r in got}) > 4
+
+    def test_run_reports_keys_per_setting(self):
+        cfg = make_config(kind=ExperimentKind.BELL_TEST, noise=noisy(math.pi / 7, 0.0),
+                          trials=100, record_trials=150)
+        run = protocol.run_experiment(cfg)
+        meta = run.metadata["records"]
+        assert meta["count"] == len(run.records) == 4 * 100
+        assert len(meta["distinct_jitter_keys"]) == 4
+        assert meta["jitter_step_rad"] == 8.0 * protocol._jitter_scale(cfg.noise) / 64
 
 
 class TestCrossEngineProtocol:
