@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
 
 from .core import OutcomeDistribution
 
@@ -130,10 +129,9 @@ def exact(res: AnalysisResult) -> AnalysisResult:
 
 
 def g2_cross(write_singles: float, read_singles: float, coincidences: float,
-             trials: float, bootstrap: int = 0,
-             rng: np.random.Generator | None = None) -> AnalysisResult:
+             trials: float) -> AnalysisResult:
     """Normalized cross correlation g2 = N_c N / (N_w N_r) with Poisson error
-    propagation (or bootstrap over the three counts as a cross-check)."""
+    propagation."""
     if trials <= 0:
         raise AnalysisError("trials must be > 0")
     digest = _digest("g2", write_singles, read_singles, coincidences, trials)
@@ -144,20 +142,11 @@ def g2_cross(write_singles: float, read_singles: float, coincidences: float,
     if coincidences <= 0:
         return AnalysisResult(0.0, math.nan, "g2-cross/poisson", digest,
                               flags=("no coincidences",))
-    if bootstrap:
-        rng = rng or np.random.default_rng(0)
-        draws = rng.poisson([coincidences, write_singles, read_singles],
-                            size=(bootstrap, 3)).astype(float)
-        draws[draws[:, 1] == 0, 1] = 1.0
-        draws[draws[:, 2] == 0, 2] = 1.0
-        vals = draws[:, 0] * trials / (draws[:, 1] * draws[:, 2])
-        return AnalysisResult(value, float(np.std(vals)), "g2-cross/bootstrap", digest)
     rel = math.sqrt(1.0 / coincidences + 1.0 / write_singles + 1.0 / read_singles)
     return AnalysisResult(value, value * rel, "g2-cross/poisson", digest)
 
 
-def correlation_E(table: CoincidenceTable, bootstrap: int = 0,
-                  rng: np.random.Generator | None = None) -> AnalysisResult:
+def correlation_E(table: CoincidenceTable) -> AnalysisResult:
     """E = (n11 + n22 - n12 - n21) / total with multinomial error."""
     n = table.counts
     total = table.total_coincidences
@@ -165,14 +154,6 @@ def correlation_E(table: CoincidenceTable, bootstrap: int = 0,
     if total <= 0:
         raise AnalysisError("correlation_E: no coincidences")
     value = (n[(1, 1)] + n[(2, 2)] - n[(1, 2)] - n[(2, 1)]) / total
-    if bootstrap:
-        rng = rng or np.random.default_rng(0)
-        keys = sorted(n)
-        p = np.array([n[k] for k in keys]) / total
-        draws = rng.multinomial(max(int(round(total)), 1), p, size=bootstrap)
-        signs = np.array([1 if k in ((1, 1), (2, 2)) else -1 for k in keys])
-        vals = (draws * signs).sum(axis=1) / draws.sum(axis=1)
-        return AnalysisResult(value, float(np.std(vals)), "E/bootstrap", digest)
     sigma = math.sqrt(max(1.0 - value**2, 0.0) / total)
     return AnalysisResult(value, sigma, "E/multinomial", digest)
 
@@ -188,17 +169,14 @@ def chsh_S(e_values: Sequence[AnalysisResult]) -> AnalysisResult:
                           _digest("S", [(e.value, e.sigma) for e in e_values]))
 
 
-def visibility(e_results: Sequence[AnalysisResult], method: str = "max") -> AnalysisResult:
-    """V = max|E| over the measured points (``max``) or the fitted sinusoid
-    amplitude (``fit``, requires the phase values)."""
+def visibility(e_results: Sequence[AnalysisResult]) -> AnalysisResult:
+    """V = max|E| over the measured points.  The fitted sinusoid amplitude
+    is ``fit_sinusoid_and_choose_phases(...).amplitude``."""
     if not e_results:
         raise AnalysisError("empty sweep")
-    digest = _digest("V", [(e.value, e.sigma) for e in e_results])
-    if method == "max":
-        best = max(e_results, key=lambda e: abs(e.value))
-        return AnalysisResult(abs(best.value), best.sigma, "visibility/max|E|", digest)
-    raise AnalysisError("visibility: use fit_sinusoid_and_choose_phases for the "
-                        "fitted-amplitude method")
+    best = max(e_results, key=lambda e: abs(e.value))
+    return AnalysisResult(abs(best.value), best.sigma, "visibility/max|E|",
+                          _digest("V", [(e.value, e.sigma) for e in e_results]))
 
 
 def witness_R(v: float | AnalysisResult, g2_ee: float | AnalysisResult,
@@ -269,6 +247,7 @@ def fit_exponential(times: Sequence[float], values: Sequence[float],
     if np.ptp(y) <= 0 or y.min() < 0:
         return AnalysisResult(math.inf, math.inf, "T1/exp-fit", digest,
                               flags=("degenerate: no decay",))
+    from scipy.optimize import curve_fit  # kept off the package's import path
 
     def model(tt, a, t1):
         return a * np.exp(-tt / t1)
@@ -311,19 +290,19 @@ class CalibrationResult:
     amplitude_sigma: float
     offset: float
     chsh_settings: tuple[tuple[float, float], ...]
-    setting_offsets: tuple[float, ...]   # epsilon vs phi_0 -/+ pi/4 and {0, pi/2}
     expected_S: float
     fit_residual_rms: float
 
 
 def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationResult:
     """Joint sinusoidal fit E = -A sin(phi_w + phi_r - phi_0) + c over the
-    sweep curves, then numerical CHSH setting selection on the fitted model.
+    sweep curves, then the CHSH settings that maximize S on the fitted model.
 
     The fit is linear in (A sin phi_0, A cos phi_0, c), so it needs no
     iteration; phi_0 is reported as the zero crossing with negative slope.
-    The chosen settings maximize the model S and their offsets from the
-    ideal phi_0 -/+ pi/4 and {0, pi/2} points are returned.
+    The maximum needs none either: it is S = 2 sqrt(2) A + 2|c| at the ideal
+    points phi_0 + pi/4 and phi_0 - pi/4 against {0, pi/2}, shifted by pi
+    when c > 0.
     """
     if len(points) < 6:
         raise AnalysisError("need at least 6 sweep points per calibration")
@@ -352,31 +331,14 @@ def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationR
         raise AnalysisError(
             f"degenerate fit: amplitude {amplitude:.3g} below 3x residual rms {rms:.3g}")
 
-    def model_e(phi_w, phi_r):
-        return -amplitude * math.sin(phi_w + phi_r - phi_0) + c
-
-    def neg_s(params):
-        a, ap, b, bp = params
-        return -abs(model_e(a, b) - model_e(ap, b) + model_e(a, bp) + model_e(ap, bp))
-
-    # the constant offset breaks the sign symmetry of S, so try both fringe
-    # branches (settings shifted by pi give the other sign of every E)
-    ideal = np.array([phi_0 + math.pi / 4, phi_0 - math.pi / 4, 0.0, math.pi / 2])
-    best = None
-    for start in (ideal, ideal + np.array([math.pi, math.pi, 0.0, 0.0])):
-        trial = minimize(neg_s, start, method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if best is None or trial.fun < best.fun:
-            best = trial
-    a, ap, b, bp = best.x
-    settings = ((a, b), (ap, b), (a, bp), (ap, bp))
-    # report offsets against the nearest ideal points (mod 2 pi)
-    ref = ideal if abs(a - ideal[0]) < math.pi / 2 else ideal + np.array(
-        [math.pi, math.pi, 0.0, 0.0])
-    offsets = tuple(float((x - r + math.pi) % (2.0 * math.pi) - math.pi)
-                    for x, r in zip((a, ap, b, bp), ref))
+    # at the unshifted ideal points the four E terms sum to -2 sqrt(2) A + 2c;
+    # a shift of pi flips the sign of every A term
+    shift = math.pi if c > 0 else 0.0
+    a, ap = phi_0 + math.pi / 4 + shift, phi_0 - math.pi / 4 + shift
+    b, bp = 0.0, math.pi / 2
     return CalibrationResult(
         phi_0=phi_0, phi_0_sigma=phi_sigma,
         amplitude=amplitude, amplitude_sigma=amp_sigma, offset=float(c),
-        chsh_settings=settings, setting_offsets=tuple(float(o) for o in offsets),
-        expected_S=-float(best.fun), fit_residual_rms=rms)
+        chsh_settings=((a, b), (ap, b), (a, bp), (ap, bp)),
+        expected_S=2.0 * math.sqrt(2.0) * amplitude + 2.0 * abs(float(c)),
+        fit_residual_rms=rms)

@@ -141,7 +141,7 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _result_entry(name: str, res: analysis.AnalysisResult) -> dict:
+def _result_entry(res: analysis.AnalysisResult) -> dict:
     entry = {
         "value": None if math.isnan(res.value) else float(res.value),
         "sigma": None if math.isnan(res.sigma) else float(res.sigma),
@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
         if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
             sr = run.settings[0]
             g2s = _g2_analysis(sr, float(config.trials or 1.0))
-            results["estimates"] = {k: _result_entry(k, v) for k, v in g2s.items()}
+            results["estimates"] = {k: _result_entry(v) for k, v in g2s.items()}
         else:
             e_results = []
             settings_out = []
@@ -221,7 +221,7 @@ def cmd_simulate(args) -> int:
                 try:
                     e = _estimate(analysis.correlation_E(table), sr)
                     e_results.append(e)
-                    entry["E"] = _result_entry("E", e)
+                    entry["E"] = _result_entry(e)
                 except analysis.AnalysisError as exc:
                     entry["E"] = {"value": None, "flags": [str(exc)]}
                 settings_out.append(entry)
@@ -230,14 +230,14 @@ def cmd_simulate(args) -> int:
             if (config.kind is ExperimentKind.BELL_TEST
                     and len(e_results) == len(run.settings) == 4):
                 s = analysis.chsh_S(e_results)
-                results["estimates"]["S"] = _result_entry("S", s)
+                results["estimates"]["S"] = _result_entry(s)
             if e_results:
-                v = analysis.visibility(e_results, method="max")
-                results["estimates"]["V_max_abs_E"] = _result_entry("V", v)
+                v = analysis.visibility(e_results)
+                results["estimates"]["V_max_abs_E"] = _result_entry(v)
                 if "witness_g2" in config.extra:
                     gee, gll = config.extra["witness_g2"]
                     r = analysis.witness_R(v, float(gee), float(gll))
-                    results["estimates"]["R"] = _result_entry("R", r)
+                    results["estimates"]["R"] = _result_entry(r)
         counts_path = manifest.add(out / "counts.csv")
         _write_counts(counts_path, run)
         if run.records:
@@ -370,8 +370,9 @@ def yaml_roundtrip_scale(config: ExperimentConfig, field: str, value: float) -> 
 
 def cmd_calibrate(args) -> int:
     """The phase-calibration workflow: sweep phi_w at phi_r in {0, pi/2},
-    fit the joint sinusoid, pick the CHSH settings that maximize the fitted
-    S, and emit them in config-ready form."""
+    fit the joint sinusoid, take the CHSH settings that maximize the fitted
+    S (the ideal points on the branch the fitted offset picks, in closed
+    form), and emit them in config-ready form."""
     config = _load(args)
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
@@ -394,7 +395,6 @@ def cmd_calibrate(args) -> int:
         "fit_amplitude": cal.amplitude,
         "fit_offset": cal.offset,
         "expected_S": cal.expected_S,
-        "setting_offsets_rad": list(cal.setting_offsets),
         "phases": {"settings": [[w / math.pi, r / math.pi] for w, r in cal.chsh_settings]},
     }
     _dump_yaml(settings_path, payload)
@@ -405,7 +405,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     from .oracles import run_oracle_suite
-    report = run_oracle_suite(scale=args.scale, seed=args.seed or 20260809)
+    seed = 20260809 if args.seed is None else args.seed
+    report = run_oracle_suite(scale=args.scale, seed=seed)
     for line in report.lines:
         print(line)
     if not report.passed:

@@ -182,21 +182,6 @@ class FockState:
         m = self.mode_index(label)
         return float(np.real(np.dot(self.basis.occs[:, m], self.rho.diagonal())))
 
-    def save(self, path) -> None:
-        # debugging aid, not a stability contract: the stored entries as
-        # (row, col, value) triplets
-        coo = self.rho.tocoo()
-        np.savez(path, modes=np.array(self.modes), n_max=self.n_max,
-                 total_max=self.basis.total_max, row=coo.coords[0], col=coo.coords[1],
-                 data=coo.data)
-
-    @staticmethod
-    def load(path) -> "FockState":
-        data = np.load(path, allow_pickle=False)
-        basis = FockBasis(len(data["modes"]), int(data["n_max"]), int(data["total_max"]))
-        rho = _sparse(data["row"], data["col"], data["data"], basis.dim)
-        return FockState([str(m) for m in data["modes"]], basis, rho)
-
 
 # ---------------------------------------------------------------------------
 # state construction

@@ -74,17 +74,14 @@ class CovarianceState:
         return 0.5 * (blk[..., 0, 0] + blk[..., 1, 1] - 1.0)
 
     def check_valid(self, tol: float = 1e-10) -> None:
-        if np.abs(self.sigma - self.sigma.T).max() > SYMMETRY_TOL:
-            raise GaussianEngineError("covariance not symmetric"
-                                      )
+        """Raise unless sigma (every element of a batch) is symmetric and
+        obeys the uncertainty relation sigma + i Omega/2 >= 0."""
+        if np.abs(self.sigma - np.swapaxes(self.sigma, -1, -2)).max() > SYMMETRY_TOL:
+            raise GaussianEngineError("covariance not symmetric")
         omega = symplectic_form(len(self.modes))
         eig = np.linalg.eigvalsh(self.sigma + 0.5j * omega)
         if eig.min() < -tol:
             raise GaussianEngineError(f"uncertainty relation violated: {eig.min():g}")
-
-    def purity_det(self) -> float:
-        """det(2 sigma); equals 1 for pure states."""
-        return float(np.linalg.det(2.0 * self.sigma))
 
 
 def vacuum_state(modes: Sequence[str]) -> CovarianceState:

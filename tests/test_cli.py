@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +253,21 @@ class TestCalibrate:
         results = yaml.safe_load((out2 / "results.yaml").read_text())
         assert results["estimates"]["S"]["value"] > 2.0
 
+    def test_gaussian_calibrate_imports_no_optimizer(self, tmp_path):
+        # the settings are chosen in closed form, so neither the package
+        # import nor a calibration loads scipy.optimize
+        config = write_config(tmp_path, kind="Calibration", trials=0)
+        script = (
+            "import sys\n"
+            "from phonon_timebin import cli\n"
+            f"assert cli.main(['calibrate', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'cal')!r}, '--points', '6']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
 
 class TestEntanglementRun:
     def test_sweep_kind_reports_visibility_and_witness(self, tmp_path):
@@ -286,6 +304,19 @@ class TestOther:
                          "--out", str(out)]) == 0
         budget = yaml.safe_load((out / "rate_budget.yaml").read_text())
         assert 1.0 < budget["coincidences_per_hour"] < 1000.0
+
+    @pytest.mark.parametrize("argv, expected", [([], 20260809), (["--seed", "0"], 0),
+                                                 (["--seed", "7"], 7)])
+    def test_oracle_check_seed(self, monkeypatch, argv, expected):
+        from phonon_timebin import oracles
+        seen = []
+
+        def suite(scale, seed):
+            seen.append(seed)
+            return oracles.OracleReport()
+        monkeypatch.setattr(oracles, "run_oracle_suite", suite)
+        assert cli.main(["oracle-check", "--scale", "smoke", *argv]) == 0
+        assert seen == [expected]
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path / "envout"))

@@ -323,15 +323,6 @@ class TestStateBookkeeping:
         assert grown.mean_occupation("a") == pytest.approx(
             st.mean_occupation("a"), abs=1e-14)
 
-    def test_save_load_round_trip(self, tmp_path):
-        st = F.init_thermal(["a", "b"], 4, {"a": 0.15})
-        st = F.apply_two_mode_squeeze(st, "a", "b", 0.01, 0.5)
-        path = tmp_path / "state.npz"
-        st.save(path)
-        back = F.FockState.load(path)
-        assert back.modes == st.modes
-        assert np.allclose(back.rho.toarray(), st.rho.toarray())
-
     def test_truncation_weight_reported(self):
         st = F.init_thermal(["a"], 5, 0.2)
         assert st.truncation_weight() > 0

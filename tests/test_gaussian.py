@@ -24,6 +24,24 @@ class TestStates:
         with pytest.raises(G.GaussianEngineError, match="uncertainty"):
             bad.check_valid()
 
+    def test_validity_check_batched(self):
+        # B = 2N = 4: sigma minus its full transpose (not its last two
+        # axes swapped) would broadcast here and compare the wrong entries
+        st = G.vacuum_state(["a", "b"])
+        batch = G.apply_beam_splitter(G.apply_two_mode_squeeze(st, "a", "b", 0.02, 0.3),
+                                      "a", "b", 0.4, np.linspace(0.0, 3.0, 4))
+        assert batch.sigma.shape == (4, 4, 4)
+        batch.check_valid()
+        G.CovarianceState(["a", "b"], batch.sigma[:3]).check_valid()
+        sigma = batch.sigma.copy()
+        sigma[2, 0, 0] = 0.1   # one element below vacuum
+        with pytest.raises(G.GaussianEngineError, match="uncertainty"):
+            G.CovarianceState(["a", "b"], sigma).check_valid()
+        sigma = batch.sigma.copy()
+        sigma[1, 0, 2] += 1e-3   # one element not symmetric
+        with pytest.raises(G.GaussianEngineError, match="symmetric"):
+            G.CovarianceState(["a", "b"], sigma).check_valid()
+
 
 class TestSymplectics:
     def test_phase_on_vacuum_invariant(self):
@@ -58,7 +76,8 @@ class TestSymplectics:
         st = G.apply_two_mode_squeeze(st, "a", "b", 0.02, 0.3)
         st = G.apply_beam_splitter(st, "b", "c", 0.4, 1.0)
         st = G.apply_phase(st, "a", 0.5)
-        assert st.purity_det() == pytest.approx(1.0, abs=1e-10)
+        # det(2 sigma) = 1 for a pure state
+        assert np.linalg.det(2 * st.sigma) == pytest.approx(1.0, abs=1e-10)
 
     def test_unknown_op(self):
         st = G.vacuum_state(["a"])
