@@ -294,6 +294,10 @@ class CalibrationResult:
     fit_residual_rms: float
 
 
+#: fewest sweep points the three-parameter calibration fit takes
+MIN_CALIBRATION_POINTS = 6
+
+
 def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationResult:
     """Joint sinusoidal fit E = -A sin(phi_w + phi_r - phi_0) + c over the
     sweep curves, then the CHSH settings that maximize S on the fitted model.
@@ -304,8 +308,8 @@ def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationR
     points phi_0 + pi/4 and phi_0 - pi/4 against {0, pi/2}, shifted by pi
     when c > 0.
     """
-    if len(points) < 6:
-        raise AnalysisError("need at least 6 sweep points per calibration")
+    if len(points) < MIN_CALIBRATION_POINTS:
+        raise AnalysisError(f"need {MIN_CALIBRATION_POINTS} sweep points per calibration")
     x = np.array([p.phi_w + p.phi_r for p in points])
     y = np.array([p.e_value for p in points])
     w = np.array([1.0 / p.sigma**2 if p.sigma > 0 else 1.0 for p in points])

@@ -172,19 +172,25 @@ def _g2_analysis(setting: protocol.SettingResult, trials: float) -> dict:
             for name, (w_win, r_win) in WINDOW_PAIRS.items()}
 
 
+def _overlap(sr: protocol.SettingResult) -> analysis.CoincidenceTable:
+    """One setting's overlap coincidence table; one trial on an exact run."""
+    return analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
+
+
+def _setting_E(sr: protocol.SettingResult, table: analysis.CoincidenceTable):
+    return _estimate(analysis.correlation_E(table), sr)
+
+
 def settings_E(config: ExperimentConfig, settings, first_idx: int = 0,
                manifest: _Manifest | None = None) -> list:
     """The E pipeline of a scan of phase settings: jitter-averaged
-    distributions, chunked counts when config.trials > 0, overlap
-    coincidence tables, E.  Returns [(E, table)] in scan order."""
-    out = []
+    distributions, one draw of counts per setting when config.trials > 0,
+    overlap coincidence tables, E.  Returns [(E, table)] in scan order."""
     results = protocol.run_settings(config, settings, first_idx)
     if manifest is not None:
         manifest.note_truncation(sr.distribution for sr in results)
-    for sr in results:
-        table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
-        out.append((_estimate(analysis.correlation_E(table), sr), table))
-    return out
+    tables = [_overlap(sr) for sr in results]
+    return [(_setting_E(sr, table), table) for sr, table in zip(results, tables)]
 
 
 def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0,
@@ -214,12 +220,12 @@ def cmd_simulate(args) -> int:
             e_results = []
             settings_out = []
             for sr in run.settings:
-                table = analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
+                table = _overlap(sr)
                 entry = {"phi_w": sr.phi_w, "phi_r": sr.phi_r,
                          "coincidences": {f"n{k}{l}": table.counts[(k, l)]
                                           for k in (1, 2) for l in (1, 2)}}
                 try:
-                    e = _estimate(analysis.correlation_E(table), sr)
+                    e = _setting_E(sr, table)
                     e_results.append(e)
                     entry["E"] = _result_entry(e)
                 except analysis.AnalysisError as exc:
@@ -330,24 +336,25 @@ def cmd_sweep(args) -> int:
     if len(values) == 0:
         raise ConfigError("empty sweep list")
     manifest = _Manifest(out, config, args)
-    rows = []
-    phi_r_list = ([config.phases.phi_r] if not args.dual_phi_r
-                  else [0.0, math.pi / 2.0])
-    for phi_r in phi_r_list:
-        for v in values:
-            if key == "phases.phi_w":
-                cfg = with_overrides(config, {"phases.phi_w": float(v),
-                                              "phases.phi_r": phi_r / math.pi})
-                phi_w = float(v) * math.pi
-            elif key == "phases.phi_r":
-                cfg, phi_w, phi_r = config, config.phases.phi_w, float(v) * math.pi
-            else:
-                scale = {"pulses.energy": "energy",
-                         "pulses.scattering_probability": "scattering_probability"}[key]
-                data = yaml_roundtrip_scale(config, scale, float(v))
-                cfg, phi_w = data, config.phases.phi_w
-            e, table = setting_E(cfg, phi_w, phi_r, len(rows), manifest)
-            rows.append((phi_w, phi_r, e.value, e.sigma, table.total_coincidences))
+    phi_w = config.phases.phi_w
+    phi_rs = [0.0, math.pi / 2.0] if args.dual_phi_r else [config.phases.phi_r]
+    grid = [(phi_r, float(v)) for phi_r in phi_rs for v in values]
+    if key == "phases.phi_w":
+        scan = [(v * math.pi, phi_r) for phi_r, v in grid]
+    elif key == "phases.phi_r":
+        # the swept phi_r replaces the --dual-phi-r values, so the flag repeats the sweep
+        scan = [(phi_w, v * math.pi) for _, v in grid]
+    else:
+        scan = [(phi_w, phi_r) for phi_r, _ in grid]
+    if key.startswith("phases."):
+        results = settings_E(config, scan, manifest=manifest)
+    else:
+        # each energy or scattering probability is a config of its own
+        field = key.partition(".")[2]
+        results = [setting_E(yaml_roundtrip_scale(config, field, v), w, r, idx, manifest)
+                   for idx, ((w, r), (_, v)) in enumerate(zip(scan, grid))]
+    rows = [(w, r, e.value, e.sigma, table.total_coincidences)
+            for (w, r), (e, table) in zip(scan, results)]
     path = manifest.add(out / "sweep.csv")
     with open(path, "w") as fh:
         fh.write("phi_w_rad,phi_r_rad,E,sigma_E,coincidences\n")
@@ -373,10 +380,13 @@ def cmd_calibrate(args) -> int:
     fit the joint sinusoid, take the CHSH settings that maximize the fitted
     S (the ideal points on the branch the fitted offset picks, in closed
     form), and emit them in config-ready form."""
+    n_points = args.points
+    if 2 * n_points < analysis.MIN_CALIBRATION_POINTS:
+        raise ConfigError(f"--points {n_points}: the fit needs "
+                          f"{analysis.MIN_CALIBRATION_POINTS} sweep points (2 x points)")
     config = _load(args)
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
-    n_points = args.points
     scan = [(phi_w, phi_r) for phi_r in (0.0, math.pi / 2.0)
             for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)]
     rows = [(phi_w, phi_r, e.value, e.sigma)

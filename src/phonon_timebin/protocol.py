@@ -533,7 +533,7 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
     """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
     distributions (on the Gaussian engine every quadrature node is one
     circuit batched over the scan) plus, when config.trials > 0, the counts
-    of setting i from the (seed, first_idx + i) substreams."""
+    of setting i, one multinomial draw from the (seed, first_idx + i) substream."""
     engine = engine or config.engine.name
     if engine == "gaussian":
         phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
@@ -544,34 +544,17 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
     for idx, ((phi_w, phi_r), dist) in enumerate(zip(settings, dists), start=first_idx):
         sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)
         if config.trials > 0:
-            sr.counts = sample_counts_chunked(dist, config.trials, config.seed, idx)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=config.seed, spawn_key=(idx,)))
+            sr.counts = dist.sample_counts(config.trials, rng)
             sr.trials = config.trials
         results.append(sr)
     return results
 
 
-SAMPLE_CHUNK = 10_000_000
 #: per-trial records share one distribution per jitter-sum step of
 #: 8 sigma / RECORD_JITTER_QUANTA
 RECORD_JITTER_QUANTA = 64
-
-
-def sample_counts_chunked(dist: OutcomeDistribution, trials: int, seed: int,
-                           setting_idx: int) -> np.ndarray:
-    """Aggregate multinomial sampling in fixed-size chunks, each drawn from an
-    absolute (seed, setting, chunk) substream, so the result cannot depend on
-    scheduling or worker count."""
-    out = np.zeros(len(dist.probabilities), dtype=np.int64)
-    chunk_idx = 0
-    remaining = trials
-    while remaining > 0:
-        n = min(SAMPLE_CHUNK, remaining)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(setting_idx, chunk_idx)))
-        out += dist.sample_counts(n, rng)
-        remaining -= n
-        chunk_idx += 1
-    return out
 
 
 def _sample_records(config, phi_w, phi_r, engine, setting_idx,

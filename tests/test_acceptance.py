@@ -263,9 +263,9 @@ def test_criterion_09_estimator_sanity():
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Identical (config, seed) reproduce identical outputs; the sampling
-    substreams are keyed by absolute (seed, setting, chunk) indices, so no
-    scheduling or worker count can change them."""
+    """Identical (config, seed) reproduce identical outputs; each setting's
+    counts are one draw from its absolute (seed, setting) substream, and
+    record trial t draws from its own (seed, 1_000_000 + setting, t) one."""
     config = with_overrides(reference_config("bell_test"),
                             {"trials": 1_000_000_000, "record_trials": 64})
     a = protocol.run_experiment(config)

@@ -268,6 +268,15 @@ class TestCalibrate:
                               env=env, check=True)
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("points", ["2", "0"])
+    def test_too_few_points_is_config_error(self, tmp_path, points):
+        # the scan has 2 x points settings, fewer than the fit takes
+        config = write_config(tmp_path, kind="Calibration", trials=0)
+        out = tmp_path / "cal"
+        assert cli.main(["calibrate", "--config", str(config), "--out", str(out),
+                         "--points", points]) == 2
+        assert not (out / "calibration_sweep.csv").exists()
+
 
 class TestEntanglementRun:
     def test_sweep_kind_reports_visibility_and_witness(self, tmp_path):

@@ -1,9 +1,9 @@
 """Golden fingerprint of the sampled output files.
 
 The sampled files of a fixed (config, seed) are part of the program's
-behaviour: a change to the record sampler, the chunked multinomial draws or
-the file format shows here.  A NumPy release that changes its generators
-also shows here, so the failure message names the NumPy version.
+behaviour: a change to the record sampler, the per-setting multinomial
+draws or the file format shows here.  A NumPy release that changes its
+generators also shows here, so the failure message names the NumPy version.
 """
 
 import hashlib
@@ -18,10 +18,10 @@ CONFIGS = Path(cli.__file__).parent / "configs"
 
 # first 16 hex digits of SHA-256, `simulate --seed 7 --override record_trials=2000`
 GOLDEN = {
-    "cross_correlation": {"counts.csv": "9b5a86f407f2a619",
+    "cross_correlation": {"counts.csv": "b43c93c2caaf4459",
                           "events.txt": "247f4499efeab399",
                           "trials.txt": "35b3283098871568"},
-    "bell_test": {"counts.csv": "45c17f225ed85c41",
+    "bell_test": {"counts.csv": "943d68685466cea1",
                   "events.txt": "6cab3004113f3ae2",
                   "trials.txt": "78922cbff1fad9cc"},
 }

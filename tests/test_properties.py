@@ -1,5 +1,5 @@
 """Property tests of the dense click-distribution vector (the subset
-transform, background folding, chunked sampling), of the Gaussian engine's
+transform, background folding, one-draw sampling), of the Gaussian engine's
 local gate updates and batch axis, of the sparse Fock engine against dense
 references, and of the config dict round trip."""
 
@@ -108,15 +108,41 @@ def test_background_is_channel_order_independent(dist, data):
     assert reordered.probabilities == pytest.approx(direct.probabilities, abs=1e-15)
 
 
+def sampled_counts(dist, trials, seed, idx):
+    """``protocol.run_settings`` counts of setting ``idx`` of a one-setting
+    scan whose jitter-averaged distribution is ``dist``."""
+    config = dataclasses.replace(reference_config("bell_test"), trials=trials, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "jitter_averaged_distribution",
+                   lambda config, phi_w, phi_r, engine=None: [dist] * len(phi_w))
+        return protocol.run_settings(config, [(0.0, 0.0)], first_idx=idx)[0].counts
+
+
 @FAST
-@given(distributions(), st.integers(0, 3 * protocol.SAMPLE_CHUNK),
+@given(distributions(), st.integers(1, 40_000_000_000),
        st.integers(0, 2**32), st.integers(0, 40))
-def test_chunked_sampling_conserves_trials_and_is_deterministic(dist, trials, seed, idx):
-    counts = protocol.sample_counts_chunked(dist, trials, seed, idx)
+def test_one_draw_sampling_conserves_trials_and_is_deterministic(dist, trials, seed, idx):
+    counts = sampled_counts(dist, trials, seed, idx)
     assert counts.shape == dist.probabilities.shape
     assert counts.min() >= 0
     assert counts.sum() == trials
-    assert np.array_equal(counts, protocol.sample_counts_chunked(dist, trials, seed, idx))
+    assert np.array_equal(counts, sampled_counts(dist, trials, seed, idx))
+
+
+def test_one_draw_sampling_fits_the_distribution():
+    # 200 seeds of 1e9 trials from a fixed 16-pattern distribution: each
+    # pattern's mean count within 5 sigma, and the mean Pearson chi^2
+    # within 4 standard errors of its 15 degrees of freedom
+    p = 0.7 ** np.arange(16)
+    p /= p.sum()
+    dist = OutcomeDistribution(tuple(f"c{k}" for k in range(4)), p)
+    trials, seeds = 1_000_000_000, 200
+    counts = np.array([sampled_counts(dist, trials, seed, 0) for seed in range(seeds)])
+    expected = trials * p
+    z = (counts.mean(axis=0) - expected) / np.sqrt(expected * (1.0 - p) / seeds)
+    assert np.abs(z).max() < 5.0
+    chi2 = (((counts - expected) ** 2) / expected).sum(axis=1)
+    assert abs(chi2.mean() - 15.0) < 4.0 * math.sqrt(2.0 * 15.0 / seeds)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from phonon_timebin.core import (
     ExperimentConfig,
     ExperimentKind,
     NoiseModel,
+    OutcomeDistribution,
     PhaseSettings,
     PulseRole,
     WaveguideParams,
@@ -296,6 +297,20 @@ class TestRunExperiment:
             assert sr.distribution.probabilities == pytest.approx(
                 alone.distribution.probabilities, abs=1e-12)
             assert np.array_equal(sr.counts, alone.counts)
+
+    def test_each_setting_draws_its_counts_once(self, monkeypatch):
+        calls = []
+        draw = OutcomeDistribution.sample_counts
+
+        def counted(dist, trials, rng):
+            calls.append(trials)
+            return draw(dist, trials, rng)
+
+        monkeypatch.setattr(OutcomeDistribution, "sample_counts", counted)
+        cfg = make_config(trials=40_000_000_000, seed=5)
+        results = protocol.run_settings(cfg, [(0.3, 0.0), (1.2, 0.5), (2.9, 1.6)])
+        assert calls == [40_000_000_000] * 3
+        assert all(sr.counts.sum() == sr.trials == 40_000_000_000 for sr in results)
 
     def test_fock_engine_takes_one_setting(self):
         cfg = make_config(engine=EngineSpec("fock", truncation=2, total_cap=4))
