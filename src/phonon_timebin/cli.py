@@ -325,6 +325,8 @@ def cmd_sweep(args) -> int:
     if key not in ("phases.phi_w", "phases.phi_r", "pulses.energy",
                    "pulses.scattering_probability"):
         raise ConfigError(f"unknown sweep variable {key!r}")
+    if key == "phases.phi_r" and args.dual_phi_r:
+        raise ConfigError("--dual-phi-r fixes phi_r, so it cannot go with a phases.phi_r sweep")
     try:
         if ":" in valspec:
             start, stop, n = valspec.split(":")
@@ -342,7 +344,6 @@ def cmd_sweep(args) -> int:
     if key == "phases.phi_w":
         scan = [(v * math.pi, phi_r) for phi_r, v in grid]
     elif key == "phases.phi_r":
-        # the swept phi_r replaces the --dual-phi-r values, so the flag repeats the sweep
         scan = [(phi_w, v * math.pi) for _, v in grid]
     else:
         scan = [(phi_w, phi_r) for phi_r, _ in grid]
@@ -464,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", required=True, metavar="KEY=START:STOP:N",
                    help="e.g. phases.phi_w=0:2:13 (phases in units of pi)")
     p.add_argument("--dual-phi-r", action="store_true",
-                   help="repeat the sweep at phi_r = 0 and pi/2")
+                   help="repeat a phi_w, energy or scattering-probability sweep "
+                        "at phi_r = 0 and pi/2")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate",

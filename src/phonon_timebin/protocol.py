@@ -43,7 +43,6 @@ from .core import (
     OutcomeDistribution,
     PulseRole,
     fwhm_to_sigma,
-    sample_phase_jitter,
 )
 
 WINDOWS = (
@@ -130,8 +129,27 @@ class _GaussianCircuit:
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)
 
+    #: (input key, probability rows) of the last successful click transform,
+    #: replaced whole and never written into: a bit-identical final state
+    #: (every jitter key of the open-arm cross-correlation run) reuses it
+    #: instead of redoing the 2**n vacuum subsets
+    _memo = (None, None)
+
     def click_distribution(self, detector_map, efficiency):
-        return gaussian.click_probabilities(self.state, detector_map, efficiency)
+        st = self.state
+        key = (st.modes, st.sigma.shape, st.sigma.tobytes(), st.mean.tobytes(),
+               tuple((ch, tuple(modes)) for ch, modes in detector_map.items()),
+               tuple(efficiency.items()) if isinstance(efficiency, Mapping) else efficiency)
+        cached_key, rows = _GaussianCircuit._memo
+        if cached_key != key:
+            dist = gaussian.click_probabilities(st, detector_map, efficiency)
+            rows = np.array([d.probabilities for d in dist] if isinstance(dist, list)
+                            else dist.probabilities)
+            _GaussianCircuit._memo = (key, rows)
+        labels = tuple(detector_map)
+        if rows.ndim == 1:
+            return OutcomeDistribution(labels, rows.copy())
+        return [OutcomeDistribution(labels, row) for row in rows.copy()]
 
 
 class _FockCircuit:
@@ -569,12 +587,15 @@ def _sample_records(config, phi_w, phi_r, engine, setting_idx,
     in that distribution's CDF -- the very draw ``Generator.choice(2**n, p=p)``
     makes from the same uniform."""
     noise = config.noise
+    # a zero FWHM draws nothing, as in sample_phase_jitter
+    sigma_w, sigma_r = (fwhm_to_sigma(f) if f > 0.0 else None
+                        for f in (noise.write_phase_jitter_fwhm, noise.read_phase_jitter_fwhm))
     draws = np.empty((n_trials, 3))
     for trial in range(n_trials):
         trng = np.random.default_rng(np.random.SeedSequence(
             entropy=config.seed, spawn_key=(1_000_000 + setting_idx, trial)))
-        draws[trial] = (sample_phase_jitter(trng, noise.write_phase_jitter_fwhm),
-                        sample_phase_jitter(trng, noise.read_phase_jitter_fwhm),
+        draws[trial] = (0.0 if sigma_w is None else trng.normal(0.0, sigma_w),
+                        0.0 if sigma_r is None else trng.normal(0.0, sigma_r),
                         trng.random())
     jw, jr, u = draws.T
     scale, q = _jitter_scale(noise), RECORD_JITTER_QUANTA

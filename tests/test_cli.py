@@ -304,6 +304,14 @@ class TestEntanglementRun:
         assert phi_rs[0] == 0.0
         assert phi_rs[1] == pytest.approx(math.pi / 2)
 
+    def test_dual_phi_r_with_a_phi_r_sweep_is_config_error(self, tmp_path):
+        # the swept phi_r would replace both --dual-phi-r values and repeat every row
+        config = write_config(tmp_path, kind="Calibration", trials=0)
+        out = tmp_path / "dual"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                         "--sweep", "phases.phi_r=0:2:9", "--dual-phi-r"]) == 2
+        assert not (out / "sweep.csv").exists()
+
 
 class TestOther:
     def test_rate_budget(self, tmp_path):

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from phonon_timebin import analysis, fock, protocol
+from phonon_timebin import analysis, fock, gaussian, protocol
 from phonon_timebin.core import (
     EngineSpec,
     ExperimentConfig,
@@ -393,6 +394,96 @@ class TestRecordSampler:
         assert meta["count"] == len(run.records) == 4 * 100
         assert len(meta["distinct_jitter_keys"]) == 4
         assert meta["jitter_step_rad"] == 8.0 * protocol._jitter_scale(cfg.noise) / 64
+
+
+def final_circuit(config, phi_w, phi_r, jitter_w):
+    """The Gaussian circuit of one setting and jitter, built as
+    ``exact_joint_distribution`` builds it, with its detector map and
+    efficiencies."""
+    circuit = protocol._GaussianCircuit()
+    groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
+    groups.update(protocol.run_read_stage(circuit, config, phi_r))
+    ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind, False)}
+    return circuit, ordered, protocol._efficiency_map(ordered, config.noise)
+
+
+class TestClickMemo:
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """Start from an empty memo and count the engine's click transforms."""
+        monkeypatch.setattr(protocol._GaussianCircuit, "_memo", (None, None))
+        calls = []
+        transform = gaussian.click_probabilities
+
+        @functools.wraps(transform)
+        def counted(*args, **kwargs):
+            calls.append(args[0].sigma.shape)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "click_probabilities", counted)
+        return calls
+
+    def test_open_arm_records_take_one_transform(self, engine_calls, monkeypatch):
+        cfg = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION, p_w=0.04, p_r=0.04,
+                          noise=noisy(math.pi / 7, math.pi / 20), seed=20220812)
+        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, "gaussian", 2, 120)
+        assert n_keys > 1
+        assert len(engine_calls) == 1
+
+        cached = protocol._GaussianCircuit.click_distribution
+
+        def uncached(circuit, *args):
+            protocol._GaussianCircuit._memo = (None, None)
+            return cached(circuit, *args)
+
+        monkeypatch.setattr(protocol._GaussianCircuit, "click_distribution", uncached)
+        want, want_keys = protocol._sample_records(cfg, 0.9, 0.4, "gaussian", 2, 120)
+        assert len(engine_calls) == 1 + n_keys
+        assert (got, n_keys) == (want, want_keys)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_hit_is_a_fresh_copy(self, engine_calls, batch):
+        cfg = make_config(noise=noisy(math.pi / 7, 0.0))
+        phi_w = np.array([0.3, 1.1]) if batch else 0.3
+        circuit, ordered, eff = final_circuit(cfg, phi_w, 0.0, 0.0)
+        first = circuit.click_distribution(ordered, eff)
+        first = first if batch else [first]
+        want = [d.probabilities.copy() for d in first]
+        for d in first:
+            d.probabilities[:] = 0.0
+        again = circuit.click_distribution(ordered, eff)
+        again = again if batch else [again]
+        assert len(engine_calls) == 1
+        assert all(np.array_equal(d.probabilities, w) for d, w in zip(again, want))
+
+    def test_each_jitter_of_a_closed_interferometer_is_computed(self, engine_calls):
+        cfg = make_config(noise=noisy(math.pi / 7, math.pi / 20))
+        transform = gaussian.click_probabilities.__wrapped__
+        for jitter in (0.0, 0.25):
+            circuit, ordered, eff = final_circuit(cfg, 0.9, 0.4, jitter)
+            got = circuit.click_distribution(ordered, eff)
+            direct = transform(circuit.state, ordered, eff)
+            assert got.labels == direct.labels
+            assert np.array_equal(got.probabilities, direct.probabilities)
+        assert len(engine_calls) == 2
+
+    def test_an_invalid_state_raises_every_time(self, engine_calls):
+        circuit = protocol._GaussianCircuit()
+        detectors = {"da": ["a"], "db": ["b"]}
+        # below the vacuum noise: no physical state, so a negative pattern mass
+        circuit.state = gaussian.CovarianceState(["a", "b"], 0.1 * np.eye(4))
+        for _ in range(2):
+            with pytest.raises(gaussian.GaussianEngineError):
+                circuit.click_distribution(detectors, None)
+        assert len(engine_calls) == 2
+        # a memo of the zero-mean state does not serve the displaced one
+        circuit.state = gaussian.apply_two_mode_squeeze(
+            gaussian.vacuum_state(["a", "b"]), "a", "b", 0.01)
+        circuit.click_distribution(detectors, None)
+        circuit.state.mean[0] = 0.5
+        with pytest.raises(gaussian.GaussianEngineError, match="zero-mean"):
+            circuit.click_distribution(detectors, None)
+        assert len(engine_calls) == 4
 
 
 class TestCrossEngineProtocol:
