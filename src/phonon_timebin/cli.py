@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import analysis, fock, protocol, waveguide
+from . import analysis, protocol, waveguide
 from .core import (
     ConfigError,
     ExperimentConfig,
@@ -85,16 +85,18 @@ class _Manifest:
         self.data["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.data["environment"] = _environment()
         if self.truncation:
+            from .fock import TRUNCATION_WEIGHT_LIMIT  # loaded by the Fock run
+
             # worst over every Fock state the run detected; a flagged run
             # still succeeds, its numbers carry the warning
             weight, deficit = (float(v) for v in np.max(self.truncation, axis=0))
-            flagged = weight > fock.TRUNCATION_WEIGHT_LIMIT
+            flagged = weight > TRUNCATION_WEIGHT_LIMIT
             self.data["fock_truncation"] = {"max_truncation_weight": weight,
                                             "max_renorm_deficit": deficit,
                                             "flagged": flagged}
             if flagged:
                 print(f"warning: Fock truncation weight {weight:.3g} exceeds "
-                      f"{fock.TRUNCATION_WEIGHT_LIMIT:g}; raise engine.truncation",
+                      f"{TRUNCATION_WEIGHT_LIMIT:g}; raise engine.truncation",
                       file=sys.stderr)
         path = self.out_dir / "manifest.json"
         self.data["artifacts"].append(str(path))
@@ -103,12 +105,13 @@ class _Manifest:
 
 
 def _environment() -> dict:
-    """Versions of the package and of what its numbers depend on."""
-    import scipy  # already loaded by the engines
-
+    """Versions of the package and of what its numbers depend on.  SciPy is
+    reported only if the run loaded it (the Fock engine and the fits do); a
+    Gaussian run's numbers do not depend on it."""
     from . import __version__
+    scipy = sys.modules.get("scipy")
     return {"phonon_timebin": __version__, "python": sys.version.split()[0],
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__ if scipy else None}
 
 
 def _out_dir(args) -> Path:

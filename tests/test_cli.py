@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from phonon_timebin import cli
@@ -254,19 +255,43 @@ class TestCalibrate:
         assert results["estimates"]["S"]["value"] > 2.0
 
     def test_gaussian_calibrate_imports_no_optimizer(self, tmp_path):
-        # the settings are chosen in closed form, so neither the package
-        # import nor a calibration loads scipy.optimize
-        config = write_config(tmp_path, kind="Calibration", trials=0)
-        script = (
-            "import sys\n"
-            "from phonon_timebin import cli\n"
-            f"assert cli.main(['calibrate', '--config', {str(config)!r}, "
-            f"'--out', {str(tmp_path / 'cal')!r}, '--points', '6']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+        # the settings are chosen in closed form and only the Fock engine
+        # imports SciPy, so neither the package import nor a Gaussian
+        # calibration or simulation loads any of it; a Fock run, in its own
+        # interpreter, does, so this guard cannot pass vacuously
+        calibration = write_config(tmp_path, kind="Calibration", trials=0)
+        (tmp_path / "bell").mkdir()
+        bell = write_config(tmp_path / "bell")
+        runs = {
+            "gaussian": [["calibrate", "--config", str(calibration), "--out",
+                          str(tmp_path / "cal"), "--points", "6"],
+                         ["simulate", "--config", str(bell), "--out", str(tmp_path / "g")]],
+            "fock": [["simulate", "--config", str(bell), "--engine", "fock", "--out",
+                      str(tmp_path / "f"), "--override", "trials=0",
+                      "--override", "engine.truncation=2",
+                      "--override", "noise.write_phase_jitter_fwhm=0",
+                      "--override", "noise.read_phase_jitter_fwhm=0"]],
+        }
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        loaded = {}
+        for engine, argvs in runs.items():
+            script = (
+                "import sys\n"
+                "from phonon_timebin import cli\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert cli.main(argv) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, check=True)
+            loaded[engine] = proc.stdout.strip().splitlines()[-1]
+        assert loaded["gaussian"] == "[]"
+        assert "'scipy'" in loaded["fock"]
+        # the manifest names SciPy's version only when the run loaded it
+        for out, version in (("g", None), ("f", scipy.__version__)):
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert set(manifest["environment"]) == {"phonon_timebin", "python", "numpy",
+                                                    "scipy"}
+            assert manifest["environment"]["scipy"] == version
 
     @pytest.mark.parametrize("points", ["2", "0"])
     def test_too_few_points_is_config_error(self, tmp_path, points):

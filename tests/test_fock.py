@@ -111,6 +111,53 @@ class TestBeamSplitter:
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
 
+def ladder_generator(coupling, phi):
+    """The anti-Hermitian tridiagonal generator of ``_ladder_unitaries``."""
+    n = len(coupling) + 1
+    g = np.zeros((n, n), complex)
+    for k, c in enumerate(coupling):
+        g[k + 1, k] = c * (1.0 if phi is None else np.exp(1j * phi))
+        g[k, k + 1] = -np.conj(g[k + 1, k])
+    return g
+
+
+class TestLadderUnitaries:
+    @pytest.mark.parametrize("phi", [None, 0.0, 0.7, -2.3])
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_matches_expm(self, length, phi):
+        rng = np.random.default_rng(length)
+        coupling = rng.uniform(0.0, 10.0, size=(5, length - 1))
+        got = F._ladder_unitaries(coupling, phi)
+        assert got.dtype == (float if phi is None else complex)
+        for c, u in zip(coupling, got):
+            assert np.abs(u - expm(ladder_generator(c, phi))).max() < 1e-12
+            assert np.abs(u @ u.conj().T - np.eye(length)).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["bs", "tms"])
+    def test_padded_gate_matches_each_ladder(self, kind):
+        # the total cap cuts the ladders of modes a, b to several lengths,
+        # all padded to the longest in one batch; the reference exponentiates
+        # the gate's generator on the whole capped basis, which is block
+        # diagonal over the ladders
+        st = F.init_vacuum(["a", "b", "c"], 4, total_max=5)
+        basis = st.basis
+        root = F._ladder_layout(basis, 0, 1, kind)[0]
+        assert len(set(np.count_nonzero(root, axis=1))) > 1
+        theta, phi = 0.9, 0.4
+        g = np.zeros((basis.dim, basis.dim), complex)
+        for (a, b, c), i in basis.index.items():
+            dst = (a + 1, b - 1, c) if kind == "bs" else (a + 1, b + 1, c)
+            amp = (a + 1) * (b if kind == "bs" else b + 1)
+            if dst in basis.index:
+                g[basis.index[dst], i] = theta * math.sqrt(amp) * np.exp(1j * phi)
+        u = expm(g - g.conj().T)
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim,) * 2)
+        st.rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        got = F._apply_two_mode(st, "a", "b", kind, theta, phi)
+        assert np.abs(got.rho.toarray() - u @ st.rho.toarray() @ u.conj().T).max() < 1e-12
+
+
 class TestPhase:
     def test_identity_and_periodicity(self):
         st = F.init_thermal(["a"], 5, 0.4)

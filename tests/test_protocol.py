@@ -157,6 +157,17 @@ class TestReadStage:
         with pytest.raises(protocol.ProtocolError, match="differs across the batch"):
             protocol.run_read_stage(circuit, cfg, 0.0)
 
+    @pytest.mark.parametrize("occupation", [[math.nan, math.nan], [math.nan], [0.1, 0.2]])
+    def test_occupancy_not_one_finite_value_raises(self, monkeypatch, occupation):
+        # a NaN occupancy makes the top-up condition false, so unless caught
+        # it would skip the thermal top-up without a word
+        cfg = make_config()
+        circuit = protocol._GaussianCircuit()
+        protocol.run_write_stage(circuit, cfg, np.array([0.0, 1.0]))
+        monkeypatch.setattr(circuit, "mean_occupation", lambda mode: np.array(occupation))
+        with pytest.raises(protocol.ProtocolError, match="occupancy of m_E"):
+            protocol.run_read_stage(circuit, cfg, 0.0)
+
 
 class TestInterferometer:
     def test_single_photon_window_split(self):
@@ -327,7 +338,10 @@ class TestRunExperiment:
 
 def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
     """The one-generator-per-trial record loop the two-pass sampler replaced:
-    a dict cache of distributions and one ``Generator.choice`` per trial."""
+    a dict cache of distributions and one ``Generator.choice`` per trial.
+    Returns the records and the cache.  Each distribution is computed fresh
+    (the click memo emptied first), so a fault in the memo's key cannot
+    reach both sides."""
     noise = config.noise
     records = []
     cache = {}
@@ -345,6 +359,7 @@ def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
             key = 0.0
         dist = cache.get(key)
         if dist is None:
+            protocol._GaussianCircuit._memo = (None, None)
             dist = protocol.exact_joint_distribution(config, phi_w, phi_r, jitter_w=key,
                                                      engine=engine)
             cache[key] = dist
@@ -354,7 +369,7 @@ def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
         clicks = tuple(ch for k, ch in enumerate(dist.labels) if code >> (n - 1 - k) & 1)
         records.append(protocol.ClickRecord(trial=trial, clicks=clicks, jitter_w=jw,
                                             jitter_r=jr))
-    return records, len(cache)
+    return records, cache
 
 
 def noisy(write_fwhm, read_fwhm):
@@ -373,13 +388,26 @@ class TestRecordSampler:
         (ExperimentKind.TIME_BIN_ENTANGLEMENT, math.pi / 7, math.pi / 20, "fock", 4),
     ])
     def test_matches_one_generator_per_trial(self, kind, write_fwhm, read_fwhm, engine,
-                                             trials):
+                                             trials, monkeypatch):
         cfg = make_config(kind=kind, p_w=0.04, p_r=0.04, noise=noisy(write_fwhm, read_fwhm),
                           seed=20220812, engine=EngineSpec(engine, truncation=2, total_cap=4))
+        # the distribution the sampler used for each jitter key: a wrong one
+        # moves few records, so compare the distributions themselves too
+        used, exact = {}, protocol.exact_joint_distribution
+
+        def recorded(config, phi_w, phi_r, jitter_w=0.0, **kwargs):
+            used[jitter_w] = exact(config, phi_w, phi_r, jitter_w=jitter_w, **kwargs)
+            return used[jitter_w]
+
+        monkeypatch.setattr(protocol, "exact_joint_distribution", recorded)
         got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, engine, 2, trials)
-        want, want_keys = reference_records(cfg, 0.9, 0.4, engine, 2, trials)
+        monkeypatch.undo()
+        want, want_dists = reference_records(cfg, 0.9, 0.4, engine, 2, trials)
         assert got == want
-        assert n_keys == want_keys
+        assert n_keys == len(want_dists)
+        assert sorted(used) == sorted(want_dists)
+        assert all(np.array_equal(used[key].probabilities, dist.probabilities)
+                   for key, dist in want_dists.items())
         assert all(type(r.jitter_w) is float and type(r.jitter_r) is float for r in got)
         if write_fwhm == 0.0:
             assert n_keys == 1
