@@ -18,22 +18,18 @@ the restricted anti-Hermitian generator, so they stay exactly unitary on the
 truncated basis and preserve the trace; truncation shows up as amplitude
 error confined to cutoff-adjacent states, not as trace leakage.  The ladder
 layout is cached per (basis, modes, kind), with every ladder padded to the
-longest and the CSR structure of U and U†; a gate exponentiates all its
-distinct ladders in one batched ``eigh`` of the real tridiagonal matrix
-behind the generator, fills U and U† into that structure (kept for the last
-few gates, which a circuit's read stage repeats per write click pattern) and
-returns U rho U† as a sparse product.
+longest and the CSR structure of U and U†; each call exponentiates all
+distinct ladders in one batched matrix exponential, fills U and U† into
+that structure and returns U rho U† as a sparse product.
 
 Loss and thermal channels are phase covariant, so they act as a set of
 index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
-entry moves to the shifted indices with its kernel weight, all shifts at
-once, and duplicates are summed.  The thermal kernel is extracted once per
-parameter set from an exact beam-splitter coupling to a high-cutoff thermal
-ancilla (``scipy.linalg.expm``, the only SciPy routine besides the sparse
-arrays).  A phase rescales the entries, adding a vacuum mode or tracing
-modes out remaps their indices, and detection reads the diagonal (click
-distributions) or keeps the entries inside one click pattern (conditioned
-states).
+entry moves to the shifted indices with its kernel weight and duplicates are
+summed.  The thermal kernel is extracted once per parameter set from an
+exact beam-splitter coupling to a high-cutoff thermal ancilla.  A phase
+rescales the entries, adding a vacuum mode or tracing modes out remaps
+their indices, and detection reads the diagonal (click distributions) or
+keeps the entries inside one click pattern (conditioned states).
 """
 
 from __future__ import annotations
@@ -287,29 +283,19 @@ def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
 # two-mode unitaries
 
 
-#: i**k for k mod 4, exactly
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
 def _ladder_unitaries(coupling: np.ndarray, phi: float | None) -> np.ndarray:
     """exp(g) for a stack of tridiagonal generators with
-    g[k+1, k] = c_k e^{i phi} and g[k, k+1] = -c_k e^{-i phi}.
-
-    g = -i P T P† with T the real symmetric tridiagonal matrix of the c_k
-    and P = diag((i e^{i phi})^k), so exp(g) = P V e^{-i Lambda} V^T P† from
-    one batched ``eigh`` of T.  Real for phi None."""
-    n = coupling.shape[-1] + 1
-    k = np.arange(n - 1)
-    t = np.zeros(coupling.shape[:-1] + (n, n))
-    t[..., k + 1, k] = coupling
-    t[..., k, k + 1] = coupling
-    lam, v = np.linalg.eigh(t)
-    u = (v * np.exp(-1j * lam)[..., None, :]) @ v.swapaxes(-1, -2)
-    p = _I_POWERS[np.arange(n) % 4]
-    if phi is not None:
-        p = p * np.exp(1j * phi * np.arange(n))
-    u = p[:, None] * u * p.conj()
-    return u.real if phi is None else u
+    g[k+1, k] = c_k e^{i phi} and g[k, k+1] = -c_k e^{-i phi}; real
+    arithmetic throughout for phi None."""
+    k = np.arange(coupling.shape[1])
+    if phi is None:
+        up, down = coupling, -coupling
+    else:
+        up, down = coupling * np.exp(1j * phi), -coupling * np.exp(-1j * phi)
+    g = np.zeros((coupling.shape[0], len(k) + 1, len(k) + 1), dtype=up.dtype)
+    g[:, k + 1, k] = up
+    g[:, k, k + 1] = down
+    return expm(g)
 
 
 @lru_cache(maxsize=256)
@@ -361,27 +347,16 @@ def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     return root, csr(rows, cols), csr(cols, rows)
 
 
-@lru_cache(maxsize=32)
-def _two_mode_matrices(basis: FockBasis, i: int, j: int, kind: str,
-                       p1: float, p2: float) -> tuple[sp.csr_array, sp.csr_array]:
-    """U and U† of a two-mode gate, kept for the gates a circuit repeats
-    (the read stage runs once per write click pattern)."""
-    root, (u_idx, u_ptr, u_at), (d_idx, d_ptr, d_at) = _ladder_layout(basis, i, j, kind)
-    vals = np.ones(1, dtype=complex)
-    if root.size:  # a zero phase keeps the ladder unitaries real
-        vals = np.concatenate([_ladder_unitaries(p1 * root, p2 if p2 else None).ravel(), vals])
-    dim = basis.dim
-    pair = (sp.csr_array((vals[u_at], u_idx, u_ptr), shape=(dim, dim)),
-            sp.csr_array((vals[d_at].conj(), d_idx, d_ptr), shape=(dim, dim)))
-    for m in pair:  # shared by every caller
-        m.data.setflags(write=False)
-    return pair
-
-
 def _apply_two_mode(state: FockState, mode_a: str, mode_b: str,
                     kind: str, p1: float, p2: float) -> FockState:
     i, j = state.mode_index(mode_a), state.mode_index(mode_b)
-    U, U_dag = _two_mode_matrices(state.basis, i, j, kind, p1, p2)
+    root, (u_idx, u_ptr, u_at), (d_idx, d_ptr, d_at) = _ladder_layout(state.basis, i, j, kind)
+    vals = np.ones(1, dtype=complex)
+    if root.size:  # a zero phase keeps the ladder unitaries real
+        vals = np.concatenate([_ladder_unitaries(p1 * root, p2 if p2 else None).ravel(), vals])
+    dim = state.basis.dim
+    U = sp.csr_array((vals[u_at], u_idx, u_ptr), shape=(dim, dim))
+    U_dag = sp.csr_array((vals[d_at].conj(), d_idx, d_ptr), shape=(dim, dim))
     return FockState(state.modes, state.basis, U @ state.rho @ U_dag)
 
 
@@ -456,14 +431,7 @@ def _thermal_kernels(n_max: int, survival: float, n_env: float) -> dict[int, np.
     a = np.arange(n_max)[None, :]  # coupling |a, t-a> -> |a+1, t-a-1>
     inside = (a >= t - anc_max) & (a < np.minimum(n_max, t))
     coupling = theta * np.sqrt(np.where(inside, (a + 1) * (t - a), 0))
-    # expm, not _ladder_unitaries: the kernels are built once per parameter
-    # set, and eigh's round-off here (up to 2.3e-14 against an expm loop)
-    # is above the 1e-14 they are checked to
-    k = np.arange(n_max)
-    g = np.zeros((len(t), n_max + 1, n_max + 1))
-    g[:, k + 1, k] = coupling
-    g[:, k, k + 1] = -coupling
-    u = expm(g)
+    u = _ladder_unitaries(coupling, None)
     lvl = np.arange(n_max + 1)
     anc = np.arange(anc_max + 1)[:, None]
     # amp[l, a, m] = <a, m+l-a| U |m, l>
@@ -478,47 +446,38 @@ def _thermal_kernels(n_max: int, survival: float, n_env: float) -> dict[int, np.
     return {int(d): k for d, k in zip(shifts.ravel(), kernels)}
 
 
-@lru_cache(maxsize=64)
-def _channel_plan(basis: FockBasis, mode: int, survival: float, n_env: float):
-    """The shift kernels of a thermal attenuator on one mode that move any
-    weight, stacked, with the index each basis state moves to under each
-    shift (-1 where it leaves the basis), and the population weight each
-    state keeps in place: gain transitions whose destination falls outside
-    the capped basis are treated as no-ops."""
-    kernels = [(d, W) for d, W in _thermal_kernels(basis.n_max, survival, n_env).items()
-               if np.any(W)]
-    occ = basis.occs[:, mode]
-    applied = np.zeros(basis.dim)
-    for d, W in kernels:
-        src = basis.shifted(mode, d)
-        valid = src >= 0
-        applied[src[valid]] += W.diagonal()[occ[valid]]
-    plan = (np.stack([basis.shifted(mode, -d) for d, _ in kernels]),
-            np.stack([W for _, W in kernels]), 1.0 - applied)
-    for arr in plan:  # shared by every caller
-        arr.setflags(write=False)
-    return plan
-
-
-def _apply_channel(state: FockState, mode: str, survival: float, n_env: float) -> FockState:
+def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.ndarray]) -> FockState:
     m = state.mode_index(mode)
     basis = state.basis
-    dest, weights, clipped = _channel_plan(basis, m, survival, n_env)
     occ = basis.occs[:, m]
     rho = state.rho
-    r = np.repeat(np.arange(basis.dim), np.diff(rho.indptr))
-    # under shift d, entry (r, c) moves to the states that shifted(m, d)
-    # maps onto r and c
-    a, b = dest[:, r], dest[:, rho.indices]
-    shift, entry = np.nonzero((a >= 0) & (b >= 0))
-    a, b = a[shift, entry], b[shift, entry]
-    w = weights[shift, occ[a], occ[b]]
-    moved = w != 0.0
+    r, c = np.repeat(np.arange(basis.dim), np.diff(rho.indptr)), rho.indices
+    rows, cols, vals = [], [], []
+    # population weight each source actually transfers; gain transitions whose
+    # destination falls outside the capped basis are treated as no-ops below
+    applied = np.zeros(basis.dim)
+    for d, W in kernels.items():
+        if not np.any(W):
+            continue
+        src = basis.shifted(m, d)
+        valid = src >= 0
+        applied[src[valid]] += W.diagonal()[occ[valid]]
+        # entry (r, c) moves to the states that shifted(m, d) maps onto r, c
+        dest = basis.shifted(m, -d)
+        a, b = dest[r], dest[c]
+        ok = np.flatnonzero((a >= 0) & (b >= 0))
+        w = W[occ[a[ok]], occ[b[ok]]]
+        ok, w = ok[w != 0.0], w[w != 0.0]
+        rows.append(a[ok])
+        cols.append(b[ok])
+        vals.append(w * rho.data[ok])
+    clipped = 1.0 - applied
     diag = rho.diagonal()
     idx = np.flatnonzero((clipped > 1e-15) & (diag != 0.0))
-    rho = _sparse(np.concatenate([a[moved], idx]), np.concatenate([b[moved], idx]),
-                  np.concatenate([w[moved] * rho.data[entry[moved]],
-                                  clipped[idx] * np.real(diag[idx])]), basis.dim)
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(clipped[idx] * np.real(diag[idx]))
+    rho = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), basis.dim)
     return FockState(state.modes, basis, rho)
 
 
@@ -547,7 +506,8 @@ def apply_loss(state: FockState, mode: str, survival: float) -> FockState:
         raise FockEngineError("survival must be in [0, 1]")
     if survival == 1.0:
         return state.copy()
-    return _apply_channel(state, mode, survival, 0.0)
+    kernels = {d: k for d, k in enumerate(_loss_kernels(state.n_max, survival))}
+    return _apply_shift_kernels(state, mode, kernels)
 
 
 def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: float) -> FockState:
@@ -558,7 +518,7 @@ def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: floa
         raise FockEngineError("n_env must be >= 0")
     if survival == 1.0:
         return state.copy()
-    return _apply_channel(state, mode, survival, n_env)
+    return _apply_shift_kernels(state, mode, _thermal_kernels(state.n_max, survival, n_env))
 
 
 def apply_thermal_noise(state: FockState, mode: str, delta_n: float,
