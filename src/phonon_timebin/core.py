@@ -294,10 +294,13 @@ class ExperimentConfig:
                     _require(abs(dt - tau / 2.0) <= 1e-12,
                              f"{late.value} must follow {early.value} by tau/2 exactly")
         # ~7 lifetimes between trials keeps them independent; the reference
-        # spacing (15 us at T1 = 2.2 us) sits right at that margin
-        if self.repetition_period < 6.8 * self.waveguide.T1:
+        # spacing (15 us at T1 = 2.2 us) sits right at that margin.  Only
+        # sampled trials can depend on each other; stacklevel 3 skips the
+        # generated __init__ and names the caller
+        sampled = self.trials > 0 or self.record_trials > 0
+        if sampled and self.repetition_period < 6.8 * self.waveguide.T1:
             warnings.warn("repetition_period below ~7*T1; trials may not be independent",
-                          stacklevel=2)
+                          stacklevel=3)
 
     def pulse(self, role: PulseRole) -> PulseSpec:
         for p in self.pulses:

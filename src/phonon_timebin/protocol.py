@@ -30,12 +30,13 @@ quadrature.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from . import gaussian
 from .core import (
@@ -541,6 +542,7 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
     if config.record_trials > 0:
         n_trials = min(config.record_trials, config.trials or config.record_trials)
         keys = []
+        t0 = time.perf_counter()
         for idx, (phi_w, phi_r) in enumerate(settings):
             records, n_keys = _sample_records(config, phi_w, phi_r, engine, idx, n_trials)
             result.records.extend(records)
@@ -549,6 +551,7 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
             "count": len(result.records),
             "jitter_step_rad": 8.0 * _jitter_scale(config.noise) / RECORD_JITTER_QUANTA,
             "distinct_jitter_keys": keys,
+            "sample_s": time.perf_counter() - t0,
         }
     return result
 
@@ -580,6 +583,78 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
 #: 8 sigma / RECORD_JITTER_QUANTA
 RECORD_JITTER_QUANTA = 64
 
+#: trials whose substream states are computed in one vectorised pass; bounds
+#: the 128-bit Python ints alive at once
+SEED_BLOCK = 1024
+
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 constants
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's uint32 hash with its running constant: xor it in, step
+    it, multiply by it, xorshift."""
+    h = init
+
+    def hash_(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & _M32
+        v = v * np.uint32(h)
+        return v ^ v >> np.uint32(16)
+    return hash_
+
+
+def _seed_sequence_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each column of
+    assembled entropy words (uint32 arrays that broadcast, the pool words
+    first), as four uint64 arrays.  One-element arrays stand in for scalars:
+    array arithmetic wraps silently where numpy scalars warn."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ r >> np.uint32(16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w in entropy[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(w))
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # eight uint32 words read as four little-endian uint64
+    return [out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)]
+
+
+def _substream_states(seed: int, key: int, n_trials: int):
+    """Yield, for t in range(n_trials), the (state, inc) of
+    ``PCG64(SeedSequence(seed, spawn_key=(key, t)))``, computed SEED_BLOCK
+    trials at a time.
+
+    SeedSequence hashing and PCG64 seeding take the same path for every
+    input of the same word count, so the uint32 hashing runs once over a
+    block of trial words and only the 128-bit step is per trial."""
+    if not (0 <= key <= _M32 and n_trials <= _M32 + 1):
+        raise ProtocolError("spawn key and trial index must each fit one uint32 word")
+    # the seed's uint32 words, zero-padded to the pool size as a spawn key demands
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [key]
+    fixed = [np.array([w], dtype=np.uint32) for w in words]
+    for start in range(0, n_trials, SEED_BLOCK):
+        trials = np.arange(start, min(start + SEED_BLOCK, n_trials), dtype=np.uint32)
+        s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _seed_sequence_states(fixed + [trials]))
+        # pcg64 srandom: state 0, step, add the seed, step
+        for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+            inc = ((c << 64 | d) << 1 | 1) & _M128
+            yield ((a << 64 | b) + inc) * _PCG_MULT + inc & _M128, inc
+
 
 def _sample_records(config, phi_w, phi_r, engine, setting_idx,
                     n_trials) -> tuple[list[ClickRecord], int]:
@@ -588,22 +663,31 @@ def _sample_records(config, phi_w, phi_r, engine, setting_idx,
 
     Pass 1: trial t draws from its own (seed, 1_000_000 + setting, t)
     substream the write jitter, the read jitter and one uniform, and keeps
-    only those three doubles.  Pass 2: one exact distribution per distinct
-    quantised jitter sum, and each trial's pattern is the bin of its uniform
-    in that distribution's CDF -- the very draw ``Generator.choice(2**n, p=p)``
-    makes from the same uniform."""
+    only those three doubles; one generator is set to each trial's seeded
+    state in turn (``_substream_states``) to draw the standard normals, scaled
+    afterwards as ``normal(0, sigma)`` scales them.  Pass 2: one exact
+    distribution per distinct quantised jitter sum, and each trial's pattern
+    is the bin of its uniform in that distribution's CDF -- the very draw
+    ``Generator.choice(2**n, p=p)`` makes from the same uniform."""
     noise = config.noise
     # a zero FWHM draws nothing, as in sample_phase_jitter
-    sigma_w, sigma_r = (fwhm_to_sigma(f) if f > 0.0 else None
-                        for f in (noise.write_phase_jitter_fwhm, noise.read_phase_jitter_fwhm))
-    draws = np.empty((n_trials, 3))
-    for trial in range(n_trials):
-        trng = default_rng(SeedSequence(
-            entropy=config.seed, spawn_key=(1_000_000 + setting_idx, trial)))
-        draws[trial] = (0.0 if sigma_w is None else trng.normal(0.0, sigma_w),
-                        0.0 if sigma_r is None else trng.normal(0.0, sigma_r),
-                        trng.random())
-    jw, jr, u = draws.T
+    sigmas = [fwhm_to_sigma(f) if f > 0.0 else None
+              for f in (noise.write_phase_jitter_fwhm, noise.read_phase_jitter_fwhm)]
+    drawn_sigmas = [sigma for sigma in sigmas if sigma is not None]
+    z, u = np.empty((n_trials, len(drawn_sigmas))), np.empty(n_trials)
+    gen = Generator(PCG64())
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    substreams = _substream_states(config.seed, 1_000_000 + setting_idx, n_trials)
+    for trial, (seeded["state"], seeded["inc"]) in enumerate(substreams):
+        gen.bit_generator.state = state
+        gen.standard_normal(out=z[trial])
+        u[trial] = gen.random()
+    # in place, rounded as normal(0, sigma) rounds 0.0 + sigma * z
+    z *= drawn_sigmas
+    z += 0.0
+    drawn = iter(z.T)
+    jw, jr = [np.zeros(n_trials) if sigma is None else next(drawn) for sigma in sigmas]
     scale, q = _jitter_scale(noise), RECORD_JITTER_QUANTA
     # jitter sums on a grid of 8 sigma / q, so trials share distributions;
     # np.round rounds half to even as round() does, + 0.0 maps -0.0 to 0.0

@@ -178,6 +178,7 @@ class TestSimulate:
         sigma = math.hypot(fwhm_to_sigma(config.noise.write_phase_jitter_fwhm),
                            fwhm_to_sigma(config.noise.read_phase_jitter_fwhm))
         assert records["jitter_step_rad"] == pytest.approx(8.0 * sigma / 64, rel=1e-15)
+        assert type(records["sample_s"]) is float and records["sample_s"] >= 0.0
         assert set(manifest["environment"]) == {"phonon_timebin", "python", "numpy", "scipy"}
         assert manifest["environment"]["numpy"] == np.__version__
 

@@ -64,6 +64,25 @@ class TestDomainTypes:
                             length=500e-6, T1=2.2e-6)
         assert any("inconsistent" in str(w.message) for w in caught)
 
+    def test_trial_spacing_warning_only_when_sampled(self):
+        from phonon_timebin.oracles import ideal_limit_config
+        # "error" overrides the pytest.ini ignore of this warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = ideal_limit_config()  # T1 = inf, exact (trials=0)
+        assert cfg.trials == cfg.record_trials == 0
+        for sampled in ({"trials": 10}, {"trials": 0, "record_trials": 10}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                replace(cfg, **sampled)
+            assert [str(w.message) for w in caught] == [
+                "repetition_period below ~7*T1; trials may not be independent"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ExperimentConfig(kind=ExperimentKind.BELL_TEST, repetition_period=2e-6)
+        # the warning names the line that built the config
+        assert len(caught) == 1 and caught[0].filename == __file__
+
     def test_waveguide_t1_bound(self):
         with pytest.raises(ValidationError):
             WaveguideParams(round_trip_time=126e-9, T1=50e-9)

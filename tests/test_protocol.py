@@ -386,6 +386,11 @@ class TestRecordSampler:
         (ExperimentKind.TIME_BIN_ENTANGLEMENT, 0.0, 0.0, "gaussian", 600),
         (ExperimentKind.DOUBLE_CROSS_CORRELATION, math.pi / 7, math.pi / 20, "gaussian", 120),
         (ExperimentKind.TIME_BIN_ENTANGLEMENT, math.pi / 7, math.pi / 20, "fock", 4),
+        # read jitter only: the one normal drawn lands in the read column
+        (ExperimentKind.TIME_BIN_ENTANGLEMENT, 0.0, math.pi / 20, "gaussian", 600),
+        # one trial past the first block of seeded substreams
+        (ExperimentKind.DOUBLE_CROSS_CORRELATION, math.pi / 7, math.pi / 20, "gaussian",
+         protocol.SEED_BLOCK + 1),
     ])
     def test_matches_one_generator_per_trial(self, kind, write_fwhm, read_fwhm, engine,
                                              trials, monkeypatch):
@@ -409,10 +414,15 @@ class TestRecordSampler:
         assert all(np.array_equal(used[key].probabilities, dist.probabilities)
                    for key, dist in want_dists.items())
         assert all(type(r.jitter_w) is float and type(r.jitter_r) is float for r in got)
-        if write_fwhm == 0.0:
+        if write_fwhm == read_fwhm == 0.0:
             assert n_keys == 1
         if engine == "gaussian":
             assert len({r.clicks for r in got}) > 4
+
+    def test_substream_indices_fit_one_word(self):
+        for key, n_trials in ((2**32, 1), (0, 2**32 + 1)):
+            with pytest.raises(protocol.ProtocolError, match="one uint32 word"):
+                next(protocol._substream_states(7, key, n_trials))
 
     def test_run_reports_keys_per_setting(self):
         cfg = make_config(kind=ExperimentKind.BELL_TEST, noise=noisy(math.pi / 7, 0.0),
