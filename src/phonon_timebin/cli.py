@@ -267,15 +267,21 @@ def _thermal_g2_run(config, out, manifest, results):
     if "spectrum_file" in extra:
         spectrum = waveguide.load_spectrum(extra["spectrum_file"], gamma=gamma)
     else:
-        spectrum = waveguide.synthetic_spectrum(
-            n_modes=int(extra.get("n_modes", 12)),
-            fsr_hz=float(extra.get("fsr_hz", 7.94e6)),
-            gamma=gamma,
-            envelope=extra.get("envelope", "gaussian"),
-            envelope_sigma_hz=float(extra.get("envelope_sigma_hz", 9.0e6)),
-        )
+        try:
+            spectrum = waveguide.synthetic_spectrum(
+                n_modes=int(extra.get("n_modes", 12)),
+                fsr_hz=float(extra.get("fsr_hz", 7.94e6)),
+                gamma=gamma,
+                envelope=extra.get("envelope", "gaussian"),
+                envelope_sigma_hz=float(extra.get("envelope_sigma_hz", 9.0e6)),
+            )
+        except ValueError as exc:  # an unparsable number, or a WaveguideError naming the field
+            raise ConfigError(f"extra: {exc}") from exc
     span = float(extra.get("max_delay", 5.5 * config.waveguide.round_trip_time))
     step = float(extra.get("delay_step", 0.5e-9))
+    if not 0.0 < step < span:
+        raise ConfigError(f"extra.delay_step must lie in (0, max_delay = {span:g} s), "
+                          f"got {step:g}")
     delays = np.arange(0.0, span, step)
     curve = waveguide.g2_tau_curve(spectrum, delays)
     path = manifest.add(out / "g2_tau.txt")
@@ -421,6 +427,8 @@ def cmd_calibrate(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .oracles import run_oracle_suite
     seed = 20260809 if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     report = run_oracle_suite(scale=args.scale, seed=seed)
     for line in report.lines:
         print(line)
@@ -433,6 +441,9 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_rate_budget(args) -> int:
     config = _load(args)
+    if config.kind is ExperimentKind.THERMAL_G2_TAU:
+        raise ConfigError("rate-budget needs a pulsed experiment kind; "
+                          f"{config.kind.value} has no pulses")
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     budget = protocol.rate_budget(config)

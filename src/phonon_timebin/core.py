@@ -325,7 +325,10 @@ class OutcomeDistribution:
     protocol level, plain detector ids at the engine level).
     ``probabilities`` is one vector of length 2**len(labels) indexed by the
     pattern code, in which channel 0 is the most significant bit: the
-    pattern's bit string (``counts.csv``) read as binary is its index.
+    pattern's bit string (``counts.csv``) read as binary is its index.  A
+    batched Gaussian circuit gives a (B, 2**n) batch instead, one row per
+    element; background folding and mixing act on the whole batch, while
+    marginals and sampling take one vector only.
     Sampled counts are int vectors in the same order.
     ``truncation`` is set by the Fock engine only: the largest truncation
     weight and the largest |1 - trace| among the states it detected to
@@ -338,40 +341,51 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (1 << len(self.labels),):
+        if p.ndim not in (1, 2) or p.shape[-1] != 1 << len(self.labels):
             raise ValueError(f"{len(self.labels)} channels need 2**n pattern "
                              f"probabilities, got shape {p.shape}")
-        total = float(p.sum())
-        if not math.isclose(total, 1.0, abs_tol=1e-8):
-            raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
+        totals = np.atleast_1d(p.sum(axis=-1))
+        off = ~(np.abs(totals - 1.0) <= 1e-8)  # NaN totals too
+        if off.any():
+            raise ValueError(f"pattern probabilities sum to {float(totals[off][0])!r}, not 1")
         object.__setattr__(self, "probabilities", p)
+
+    def _vector(self) -> np.ndarray:
+        """The one probability vector; a batch must be split first, else a
+        pattern mask would index its rows."""
+        if self.probabilities.ndim != 1:
+            raise ValueError(f"a batch of {len(self.probabilities)} distributions "
+                             "has no single pattern vector; take one row")
+        return self.probabilities
 
     def clicked(self, channel: str) -> np.ndarray:
         """Boolean mask over pattern codes: True where ``channel`` clicks."""
         shift = len(self.labels) - 1 - self.labels.index(channel)
-        return (np.arange(len(self.probabilities)) >> shift) & 1 == 1
+        return (np.arange(len(self._vector())) >> shift) & 1 == 1
 
     def prob(self, **clicks: bool) -> float:
         """Marginal probability of the given click assignment, e.g. prob(d1=True)."""
-        sel = np.ones(len(self.probabilities), dtype=bool)
+        p = self._vector()
+        sel = np.ones(len(p), dtype=bool)
         for channel, value in clicks.items():
             sel &= self.clicked(channel) == value
-        return float(self.probabilities[sel].sum())
+        return float(p[sel].sum())
 
     def with_background(self, extra_click_prob: Sequence[float]) -> "OutcomeDistribution":
-        """OR an independent Bernoulli click (dark counts, leakage) onto each channel."""
+        """OR an independent Bernoulli click (dark counts, leakage) onto each
+        channel, of every row of a batch at once."""
         p = self.probabilities.copy()
         for k, beta in enumerate(extra_click_prob):
             if beta <= 0.0:
                 continue
-            # axis 1 of the view is channel k: [:, 0] silent, [:, 1] clicked
-            v = p.reshape(1 << k, 2, -1)
-            v[:, 1] += beta * v[:, 0]
-            v[:, 0] *= 1.0 - beta
+            # axis -2 of the view is channel k: [..., 0, :] silent, [..., 1, :] clicked
+            v = p.reshape(p.shape[:-1] + (1 << k, 2, -1))
+            v[..., 1, :] += beta * v[..., 0, :]
+            v[..., 0, :] *= 1.0 - beta
         return OutcomeDistribution(self.labels, p, self.truncation)
 
     def sample_counts(self, trials: int, rng: np.random.Generator) -> np.ndarray:
-        pvec = np.clip(self.probabilities, 0.0, None)
+        pvec = np.clip(self._vector(), 0.0, None)
         pvec /= pvec.sum()
         return rng.multinomial(trials, pvec)
 
@@ -582,18 +596,26 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             scattering_probability=float(prob),
             perturbative_guard=guard,
         ))
+    # only the continuous-pump kind runs without pulses
+    missing = [r.value for r in PULSE_ORDER if r not in {p.role for p in pulses}]
+    if kind is not ExperimentKind.THERMAL_G2_TAU and missing:
+        raise ConfigError(f"pulses: {kind.value} needs one pulse per role, "
+                          f"missing {', '.join(missing)}")
 
     ph = raw["phases"]
     sweep = None
     phi_w = ph.get("phi_w", 0.0)
     phi_r = ph.get("phi_r", 0.0)
     if "settings" in ph:
+        scan = "phases.settings"
         sweep = tuple((_angles_in(float(w)), _angles_in(float(r))) for w, r in ph["settings"])
-        phi_w = sweep[0][0] / math.pi
-        phi_r = sweep[0][1] / math.pi
     elif isinstance(phi_w, (list, tuple)):
+        scan = "phases.phi_w and phases.phi_r"
         rs = phi_r if isinstance(phi_r, (list, tuple)) else [phi_r]
         sweep = tuple((_angles_in(float(w)), _angles_in(float(r))) for r in rs for w in phi_w)
+    if sweep is not None:
+        if not sweep:
+            raise ConfigError(f"{scan}: a phase scan needs at least one setting")
         phi_w, phi_r = sweep[0][0] / math.pi, sweep[0][1] / math.pi
     phases = PhaseSettings(
         phi_w=_angles_in(float(phi_w)),
@@ -622,6 +644,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if nz:
         raise ConfigError(f"unknown noise keys: {sorted(nz)}")
     noise = NoiseModel(**kwargs)
+    missing = [r.value for r in PULSE_ORDER if r not in dict(noise.thermal_schedule)]
+    if missing:
+        raise ConfigError(f"noise.thermal_schedule: missing {', '.join(missing)}")
 
     return ExperimentConfig(
         kind=kind,
@@ -732,7 +757,7 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad override: {exc!r}") from exc
+        raise ConfigError(f"bad override {', '.join(overrides)}: {exc!r}") from exc
 
 
 def _keep_angles(old: ExperimentConfig, new: ExperimentConfig,

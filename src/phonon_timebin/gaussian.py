@@ -252,13 +252,13 @@ def click_probabilities(
     state: CovarianceState,
     detector_map: Mapping[str, Sequence[str]],
     efficiency: Mapping[str, float] | float | None = None,
-) -> OutcomeDistribution | list[OutcomeDistribution]:
+) -> OutcomeDistribution:
     """Exact threshold-click pattern probabilities from the vacuum
     probabilities of all 2**n detector subsets, combined by a superset
     Moebius transform in O(n 2**n) (exponential in detector count, which is
     small).  A pattern total below -NEGATIVE_MASS_TOL raises; round-off
-    above it is zeroed.  A batched state gives one distribution per
-    element, and any invalid element raises."""
+    above it is zeroed.  A batched state gives one (B, 2**n) distribution,
+    a row per element, and any invalid element raises."""
     work = state
     for det, modes in detector_map.items():
         eta = 1.0 if efficiency is None else (
@@ -290,7 +290,4 @@ def click_probabilities(
     off = np.abs(norm - 1.0) > 1e-9
     if off.any():
         raise GaussianEngineError(f"pattern probabilities sum to {norm[off][0]!r}")
-    probs = probs / norm
-    if not batch:
-        return OutcomeDistribution(detectors, probs)
-    return [OutcomeDistribution(detectors, p) for p in probs.reshape(-1, 1 << n)]
+    return OutcomeDistribution(detectors, probs / norm)

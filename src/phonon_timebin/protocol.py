@@ -48,15 +48,6 @@ from .core import (
     fwhm_to_sigma,
 )
 
-WINDOWS = (
-    "write-early-direct",
-    "write-overlap",
-    "write-late-delayed",
-    "read-early-direct",
-    "read-overlap",
-    "read-late-delayed",
-)
-
 #: analysis channels: the overlap windows drive heralding and correlation
 #: analysis; in open-delay-arm experiments the early bin lands in the
 #: "direct" slot and the late bin in the (non-interfering) overlap slot.
@@ -132,7 +123,7 @@ class _GaussianCircuit:
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)
 
-    #: (input key, probability rows) of the last successful click transform,
+    #: (input key, probabilities) of the last successful click transform,
     #: replaced whole and never written into: a bit-identical final state
     #: (every jitter key of the open-arm cross-correlation run) reuses it
     #: instead of redoing the 2**n vacuum subsets
@@ -143,16 +134,11 @@ class _GaussianCircuit:
         key = (st.modes, st.sigma.shape, st.sigma.tobytes(), st.mean.tobytes(),
                tuple((ch, tuple(modes)) for ch, modes in detector_map.items()),
                tuple(efficiency.items()) if isinstance(efficiency, Mapping) else efficiency)
-        cached_key, rows = _GaussianCircuit._memo
+        cached_key, probs = _GaussianCircuit._memo
         if cached_key != key:
-            dist = gaussian.click_probabilities(st, detector_map, efficiency)
-            rows = np.array([d.probabilities for d in dist] if isinstance(dist, list)
-                            else dist.probabilities)
-            _GaussianCircuit._memo = (key, rows)
-        labels = tuple(detector_map)
-        if rows.ndim == 1:
-            return OutcomeDistribution(labels, rows.copy())
-        return [OutcomeDistribution(labels, row) for row in rows.copy()]
+            probs = gaussian.click_probabilities(st, detector_map, efficiency).probabilities
+            _GaussianCircuit._memo = (key, probs)
+        return OutcomeDistribution(tuple(detector_map), probs.copy())
 
 
 class _FockCircuit:
@@ -217,40 +203,18 @@ def apply_interferometer(
     phi_late: float,
     interferometer: InterferometerModel,
     jitter: float = 0.0,
-    keep_side_windows: bool = False,
 ) -> dict[str, list[str]]:
     """Send the early/late pulse pair through the unbalanced MZI.
 
-    Returns the mapping from detector channels to engine modes.  With
-    ``keep_side_windows`` the non-overlap time slots get their own detector
-    modes; otherwise the light headed there is traced out (a plain loss),
-    which leaves every overlap-window statistic untouched.
+    Returns the mapping from the overlap-window detector channels to engine
+    modes.  The light headed for the non-overlap time slots is traced out
+    (a plain loss), which leaves every overlap-window statistic untouched.
     """
     pre = "w" if which == "write" else "r"
-    phi_delay = interferometer.phi_off + jitter
     circuit.phase(late_mode, phi_late)
-
-    groups: dict[str, list[str]] = {}
-    if keep_side_windows:
-        d_early, d_late = f"{pre}:ed", f"{pre}:ld"
-        circuit.add_mode(d_early)
-        circuit.add_mode(d_late)
-        # BS1: early keeps the delay-arm part, ancilla takes the direct slot
-        circuit.beam_splitter(early_mode, d_early, 0.5)
-        circuit.beam_splitter(late_mode, d_late, 0.5)
-        circuit.phase(d_late, phi_delay)  # delayed-late slot, not interfering
-        for slot, mode in ((f"{which}-early-direct", d_early),
-                           (f"{which}-late-delayed", d_late)):
-            anc = f"{pre}:{slot}:2"
-            circuit.add_mode(anc)
-            circuit.beam_splitter(mode, anc, 0.5)
-            groups[f"{slot}:1"] = [mode]
-            groups[f"{slot}:2"] = [anc]
-    else:
-        circuit.loss(early_mode, 0.5)
-        circuit.loss(late_mode, 0.5)
-
-    circuit.phase(early_mode, phi_delay)
+    circuit.loss(early_mode, 0.5)
+    circuit.loss(late_mode, 0.5)
+    circuit.phase(early_mode, interferometer.phi_off + jitter)
     mis = f"{pre}:mis"
     circuit.add_mode(mis)
     v = interferometer.visibility
@@ -259,9 +223,7 @@ def apply_interferometer(
     mis2 = f"{pre}:mis2"
     circuit.add_mode(mis2)
     circuit.beam_splitter(mis, mis2, 0.5)
-    groups[f"{which}-overlap:1"] = [early_mode, mis]
-    groups[f"{which}-overlap:2"] = [late_mode, mis2]
-    return groups
+    return {f"{which}-overlap:1": [early_mode, mis], f"{which}-overlap:2": [late_mode, mis2]}
 
 
 def apply_open_interferometer(circuit, which: str, early_mode: str, late_mode: str,
@@ -297,7 +259,6 @@ def run_write_stage(
     config: ExperimentConfig,
     phi_w: float,
     jitter: float = 0.0,
-    keep_side_windows: bool = False,
 ) -> dict[str, list[str]]:
     """Two write pulses: pair creation on each time bin, then the write
     photons through coupling loss and the interferometer."""
@@ -315,7 +276,7 @@ def run_write_stage(
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return apply_open_interferometer(circuit, "write", "o_wE", "o_wL", phi_w)
     return apply_interferometer(circuit, "write", "o_wE", "o_wL", phi_w,
-                                _interferometer(config), jitter, keep_side_windows)
+                                _interferometer(config), jitter)
 
 
 def run_read_stage(
@@ -323,7 +284,6 @@ def run_read_stage(
     config: ExperimentConfig,
     phi_r: float,
     jitter: float = 0.0,
-    keep_side_windows: bool = False,
 ) -> dict[str, list[str]]:
     """Round-trip decay and thermal top-up of the mechanical bins, readout
     beam splitters, then the read photons through the interferometer."""
@@ -355,7 +315,7 @@ def run_read_stage(
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return apply_open_interferometer(circuit, "read", "o_rE", "o_rL", phi_r)
     return apply_interferometer(circuit, "read", "o_rE", "o_rL", phi_r,
-                                _interferometer(config), jitter, keep_side_windows)
+                                _interferometer(config), jitter)
 
 
 def _efficiency_map(groups: Mapping[str, list[str]], noise: NoiseModel) -> dict[str, float]:
@@ -364,7 +324,8 @@ def _efficiency_map(groups: Mapping[str, list[str]], noise: NoiseModel) -> dict[
 
 def detect(distribution: OutcomeDistribution, noise: NoiseModel) -> OutcomeDistribution:
     """Fold dark counts and pump leakage into an efficiency-resolved click
-    distribution as independent per-channel Bernoulli ORs."""
+    distribution (every row of a batch) as independent per-channel
+    Bernoulli ORs."""
     return distribution.with_background(
         [noise.background_prob(ch) for ch in distribution.labels])
 
@@ -373,14 +334,9 @@ def detect(distribution: OutcomeDistribution, noise: NoiseModel) -> OutcomeDistr
 # exact joint distributions
 
 
-def _analysis_channels(kind: ExperimentKind, keep_side_windows: bool) -> tuple[str, ...]:
+def _analysis_channels(kind: ExperimentKind) -> tuple[str, ...]:
     if kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return CROSS_CORRELATION_CHANNELS
-    if keep_side_windows:
-        side = ("write-early-direct", "write-late-delayed",
-                "read-early-direct", "read-late-delayed")
-        extra = tuple(f"{w}:{d}" for w in side for d in (1, 2))
-        return ENTANGLEMENT_CHANNELS + extra
     return ENTANGLEMENT_CHANNELS
 
 
@@ -391,32 +347,25 @@ def exact_joint_distribution(
     jitter_w: float | np.ndarray = 0.0,
     jitter_r: float | np.ndarray = 0.0,
     engine: str | None = None,
-    keep_side_windows: bool = False,
-    with_background: bool = True,
-) -> OutcomeDistribution | list[OutcomeDistribution]:
+) -> OutcomeDistribution:
     """Joint click-pattern distribution over the analysis channels for one
     phase setting and one jitter sample.  On the Gaussian engine the phases
-    and jitters may be (B,) arrays: one batched circuit then gives a list of
-    B distributions, and scalars are its batch-of-one case."""
+    and jitters may be (B,) arrays: one batched circuit then gives one
+    (B, 2**n) distribution, and scalars are its batch-of-one case."""
     engine = engine or config.engine.name
     noise = config.noise
     if engine == "fock" and any(np.ndim(v) for v in (phi_w, phi_r, jitter_w, jitter_r)):
         raise ProtocolError("the Fock engine takes one phase setting and one jitter sample")
     if engine == "gaussian":
         circuit = _GaussianCircuit()
-        groups = run_write_stage(circuit, config, phi_w, jitter_w, keep_side_windows)
-        groups.update(run_read_stage(circuit, config, phi_r, jitter_r, keep_side_windows))
-        order = _analysis_channels(config.kind, keep_side_windows)
-        ordered = {ch: groups[ch] for ch in order}
+        groups = run_write_stage(circuit, config, phi_w, jitter_w)
+        groups.update(run_read_stage(circuit, config, phi_r, jitter_r))
+        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
         dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
     elif engine == "fock":
         dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
-    if not with_background:
-        return dist
-    if isinstance(dist, list):
-        return [detect(d, noise) for d in dist]
     return detect(dist, noise)
 
 
@@ -429,8 +378,8 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     cap = config.engine.total_cap or FOCK_PROTOCOL_CAP
     circuit = _FockCircuit(n_max, cap)
     w_groups = run_write_stage(circuit, config, phi_w, jitter_w)
-    w_channels = [ch for ch in _analysis_channels(config.kind, False) if ch.startswith("write")]
-    r_channels = [ch for ch in _analysis_channels(config.kind, False) if ch.startswith("read")]
+    w_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("write")]
+    r_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("read")]
     w_map = {ch: w_groups[ch] for ch in w_channels}
     # rows: write pattern codes, columns: read pattern codes; write channels
     # come first in the labels, so the row-major ravel is the joint code
@@ -460,7 +409,8 @@ def _mix(weights, dists: Sequence[OutcomeDistribution]) -> OutcomeDistribution:
     mix = sum(wi * dist.probabilities for wi, dist in zip(weights, dists))
     figures = [dist.truncation for dist in dists if dist.truncation is not None]
     truncation = tuple(map(float, np.max(figures, axis=0))) if figures else None
-    return OutcomeDistribution(dists[0].labels, mix / mix.sum(), truncation)
+    return OutcomeDistribution(dists[0].labels, mix / mix.sum(axis=-1, keepdims=True),
+                               truncation)
 
 
 def jitter_averaged_distribution(
@@ -469,23 +419,20 @@ def jitter_averaged_distribution(
     phi_r: float | np.ndarray,
     engine: str | None = None,
     nodes: int = GH_NODES,
-) -> OutcomeDistribution | list[OutcomeDistribution]:
+) -> OutcomeDistribution:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
     Gauss-Hermite rule is exact up to quadrature order.  On the Gaussian
     engine the phases may be (S,) arrays of settings: each node is then one
-    circuit batched over the settings, and the result a list of S
-    distributions."""
+    circuit batched over the settings, and the result one (S, 2**n)
+    distribution."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
     x, w = hermegauss(nodes)
     w = w / math.sqrt(2.0 * math.pi)
-    per_node = [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
-                                         engine=engine) for xi in x]
-    if isinstance(per_node[0], OutcomeDistribution):
-        return _mix(w, per_node)
-    return [_mix(w, per_setting) for per_setting in zip(*per_node)]
+    return _mix(w, [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
+                                             engine=engine) for xi in x])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +512,10 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
     engine = engine or config.engine.name
     if engine == "gaussian":
         phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
-        dists = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+        scan = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+        # the one place a batch splits: each setting keeps its own 1-D vector
+        dists = [OutcomeDistribution(scan.labels, row, scan.truncation)
+                 for row in scan.probabilities]
     else:
         dists = [jitter_averaged_distribution(config, w, r, engine=engine) for w, r in settings]
     results = []

@@ -74,6 +74,8 @@ def synthetic_spectrum(
     """Evenly spaced synthetic spectrum.  ``envelope`` shapes |A_k|: ``equal``
     or ``gaussian`` (weight falls off over envelope_sigma_hz around the
     center, mirroring the peaked hybridized spectra of real devices)."""
+    if n_modes < 2:
+        raise WaveguideError(f"n_modes must be >= 2, got {n_modes}")
     k = np.arange(n_modes) - (n_modes - 1) / 2.0
     freqs = center_hz + k * fsr_hz
     if envelope == "equal":
@@ -83,7 +85,7 @@ def synthetic_spectrum(
             raise WaveguideError("gaussian envelope needs envelope_sigma_hz > 0")
         amps = np.exp(-((k * fsr_hz) ** 2) / (4.0 * envelope_sigma_hz**2))
     else:
-        raise WaveguideError(f"unknown envelope {envelope!r}")
+        raise WaveguideError(f"envelope must be 'equal' or 'gaussian', got {envelope!r}")
     return ModeSpectrum(omega=2.0 * math.pi * freqs, amplitude=amps.astype(complex),
                         gamma=gamma)
 

@@ -108,13 +108,24 @@ class TestSimulate:
                          "--override", "phases.phi_off=0.3"])
         assert code == 0
 
-    @pytest.mark.parametrize("override", ["foo.bar=1",
-                                          "noise.interferometer_visibility=abc"])
-    def test_bad_override_is_config_error(self, tmp_path, override):
-        config = write_config(tmp_path, trials=0)
+    @pytest.mark.parametrize("override", [
+        "foo.bar=1",
+        "noise.interferometer_visibility=abc",
+        # an empty phase scan, a missing pulse role, a missing schedule role
+        "phases.phi_w=[]",
+        "phases.settings=[]",
+        "pulses=[]",
+        "pulses=[{role: WriteEarly, center_time: 0.0, scattering_probability: 0.001}]",
+        "noise.thermal_schedule=[[WriteEarly, 0.01]]",
+    ])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, override):
+        # phases.settings is an override target only in a config that has one
+        settings = {"settings": [[0.25, 0.0]]} if override.startswith("phases.settings") else {}
+        config = write_config(tmp_path, trials=0, phases={"phi_off": 0.2, **settings})
         code = cli.main(["simulate", "--config", str(config), "--out",
                          str(tmp_path / "bad"), "--override", override])
         assert code == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--override", "record_trials=-5"],
@@ -360,6 +371,19 @@ class TestOther:
         monkeypatch.setattr(oracles, "run_oracle_suite", suite)
         assert cli.main(["oracle-check", "--scale", "smoke", *argv]) == 0
         assert seen == [expected]
+
+    @pytest.mark.parametrize("argv, field", [
+        (["oracle-check", "--scale", "smoke", "--seed", "-5"], "--seed"),
+        (["rate-budget", "--config", str(CONFIGS / "thermal_g2.yaml")], "rate-budget"),
+        *[(["simulate", "--config", str(CONFIGS / "thermal_g2.yaml"), "--override", item],
+           item.split("=")[0].split(".")[1])
+          for item in ("extra.n_modes=1", "extra.envelope=flat", "extra.delay_step=0",
+                       "extra.delay_step=-1e-9")],
+    ])
+    def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
+        assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path / "envout"))

@@ -84,8 +84,8 @@ def test_moebius_matches_inclusion_exclusion(state):
 
 
 @st.composite
-def distributions(draw):
-    n = draw(st.integers(1, 4))
+def distributions(draw, n=None):
+    n = draw(st.integers(1, 4)) if n is None else n
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1 << n,
                                      max_size=1 << n))) + 1e-3
     labels = tuple(f"c{k}" for k in range(n))
@@ -109,13 +109,42 @@ def test_background_is_channel_order_independent(dist, data):
     assert reordered.probabilities == pytest.approx(direct.probabilities, abs=1e-15)
 
 
+@FAST
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    distributions(n), min_size=1, max_size=5)), st.data())
+def test_a_batch_folds_as_each_row_alone(rows, data):
+    n = len(rows[0].labels)
+    betas = data.draw(st.lists(unit, min_size=n, max_size=n))
+    batch = OutcomeDistribution(rows[0].labels, np.array([d.probabilities for d in rows]))
+    folded = batch.with_background(betas)
+    assert folded.probabilities.shape == (len(rows), 1 << n)
+    for row, dist in zip(folded.probabilities, rows):
+        assert np.array_equal(row, dist.with_background(betas).probabilities)
+
+
+def test_a_batch_has_no_single_vector():
+    # 16 settings of 4 channels is a square (16, 16) array: a pattern mask
+    # would pick rows without an error
+    p = np.full((16, 16), 1.0 / 16)
+    batch = OutcomeDistribution(tuple(f"c{k}" for k in range(4)), p)
+    with pytest.raises(ValueError, match="batch"):
+        batch.clicked("c0")
+    with pytest.raises(ValueError, match="batch"):
+        batch.prob(c0=True)
+    with pytest.raises(ValueError, match="batch"):
+        batch.sample_counts(10, np.random.default_rng(0))
+
+
 def sampled_counts(dist, trials, seed, idx):
     """``protocol.run_settings`` counts of setting ``idx`` of a one-setting
     scan whose jitter-averaged distribution is ``dist``."""
     config = dataclasses.replace(reference_config("bell_test"), trials=trials, seed=seed)
+
+    def scan(config, phi_w, phi_r, engine=None):
+        return OutcomeDistribution(dist.labels, np.tile(dist.probabilities, (len(phi_w), 1)))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "jitter_averaged_distribution",
-                   lambda config, phi_w, phi_r, engine=None: [dist] * len(phi_w))
+        mp.setattr(protocol, "jitter_averaged_distribution", scan)
         return protocol.run_settings(config, [(0.0, 0.0)], first_idx=idx)[0].counts
 
 
@@ -278,14 +307,14 @@ def test_batched_state_matches_each_element(case):
         assert state.sigma.ndim == 2 and isinstance(dists, OutcomeDistribution)
         return
     assert state.sigma.shape == (batch, 2 * len(modes), 2 * len(modes))
-    assert len(dists) == batch
+    assert dists.labels == tuple(detector_map)
+    assert dists.probabilities.shape == (batch, 1 << len(detector_map))
     for b in range(batch):
         single = [(op, labels, tuple(p[b] if np.ndim(p) else p for p in params))
                   for op, labels, params in gates]
         ref = run_gates(modes, occupations, single)
         assert state.sigma[b] == pytest.approx(ref.sigma, abs=1e-12)
-        assert dists[b].labels == tuple(detector_map)
-        assert dists[b].probabilities == pytest.approx(
+        assert dists.probabilities[b] == pytest.approx(
             gaussian.click_probabilities(ref, detector_map, efficiency).probabilities,
             abs=1e-12)
 
@@ -317,15 +346,15 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
     config = reference_config(name)
     phi_w, phi_r = (np.array(v) for v in zip(*scan))
     averaged = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
-    assert len(averaged) == len(scan)
+    assert averaged.labels == protocol.ENTANGLEMENT_CHANNELS
+    assert averaged.probabilities.shape == (len(scan), 16)
     sigma = math.hypot(fwhm_to_sigma(config.noise.write_phase_jitter_fwhm),
                        fwhm_to_sigma(config.noise.read_phase_jitter_fwhm))
     x, w = np.polynomial.hermite_e.hermegauss(protocol.GH_NODES)
-    for (pw, pr), avg in zip(scan, averaged):
+    for (pw, pr), avg in zip(scan, averaged.probabilities):
         mix = sum(wi * protocol.exact_joint_distribution(
             config, pw, pr, jitter_w=sigma * xi).probabilities for xi, wi in zip(x, w))
-        assert avg.labels == protocol.ENTANGLEMENT_CHANNELS
-        assert avg.probabilities == pytest.approx(mix / mix.sum(), abs=1e-12)
+        assert avg == pytest.approx(mix / mix.sum(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
