@@ -19,8 +19,9 @@ truncated basis and preserve the trace; truncation shows up as amplitude
 error confined to cutoff-adjacent states, not as trace leakage.  The ladder
 layout is cached per (basis, modes, kind), with every ladder padded to the
 longest and the CSR structure of U and U†; each call exponentiates all
-distinct ladders in one batched matrix exponential, fills U and U† into
-that structure and returns U rho U† as a sparse product.
+distinct ladders at once, through one batched Hermitian eigendecomposition
+of i times their generators (no ``scipy.linalg``), fills U and U† into that
+structure and returns U rho U† as a sparse product.
 
 Loss and thermal channels are phase covariant, so they act as a set of
 index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
@@ -42,7 +43,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .core import OutcomeDistribution
 
@@ -285,17 +285,17 @@ def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
 
 def _ladder_unitaries(coupling: np.ndarray, phi: float | None) -> np.ndarray:
     """exp(g) for a stack of tridiagonal generators with
-    g[k+1, k] = c_k e^{i phi} and g[k, k+1] = -c_k e^{-i phi}; real
-    arithmetic throughout for phi None."""
+    g[k+1, k] = c_k e^{i phi} and g[k, k+1] = -c_k e^{-i phi}; a real
+    stack for phi None.  g is anti-Hermitian, so with 1j g = V L V^dagger
+    (one batched Hermitian eigendecomposition) exp(g) = V e^{-i L} V^dagger."""
     k = np.arange(coupling.shape[1])
-    if phi is None:
-        up, down = coupling, -coupling
-    else:
-        up, down = coupling * np.exp(1j * phi), -coupling * np.exp(-1j * phi)
-    g = np.zeros((coupling.shape[0], len(k) + 1, len(k) + 1), dtype=up.dtype)
-    g[:, k + 1, k] = up
-    g[:, k, k + 1] = down
-    return expm(g)
+    up = coupling if phi is None else coupling * np.exp(1j * phi)
+    h = np.zeros((coupling.shape[0], len(k) + 1, len(k) + 1), dtype=complex)
+    h[:, k + 1, k] = 1j * up
+    h[:, k, k + 1] = np.conj(h[:, k + 1, k])
+    lam, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * lam)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    return u.real if phi is None else u
 
 
 @lru_cache(maxsize=256)

@@ -38,6 +38,7 @@ from .core import (
     ExperimentConfig,
     ExperimentKind,
     NoiseModel,
+    OutcomeDistribution,
     PhaseSettings,
     PulseRole,
     WaveguideParams,
@@ -224,11 +225,10 @@ def ideal_limit_config(p: float = 1e-5, phi_off: float = 0.2,
         engine=EngineSpec("fock", truncation=2, total_cap=2))
 
 
-def herald_conditioned_fringe(config: ExperimentConfig, phi_w: float, phi_r: float):
+def herald_conditioned_fringe(dist: OutcomeDistribution) -> tuple[float, float]:
     """Read-detector fringe per heralding detector, in the absolute
     convention E_k = [P(read 1 | herald k) - P(read 2 | herald k)] / sum."""
-    n = analysis.overlap_table(
-        protocol.exact_joint_distribution(config, phi_w, phi_r, engine="fock")).counts
+    n = analysis.overlap_table(dist).counts
     return tuple((n[(k, 1)] - n[(k, 2)]) / (n[(k, 1)] + n[(k, 2)]) for k in (1, 2))
 
 
@@ -236,24 +236,27 @@ def fringe_suite(n_points: int = 24, flip_phase_sign: bool = False
                  ) -> tuple[float, float, float]:
     """(worst |E - cos Phi| with E pooled over heralds per the four-count
     formula, cross-detector probability at Phi = 0 for a detector-1 herald,
-    worst residual of the herald sign flip E_abs(2) = -E_abs(1))."""
+    worst residual of the herald sign flip E_abs(2) = -E_abs(1)).  The fringe
+    points and the Phi = 0 point run as one Fock scan."""
     phi_off = 0.2
     cfg = ideal_limit_config(phi_off=phi_off, flip_phase_sign=flip_phase_sign)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+    # Phi = 0 last: coincidences only on the heralding detector
+    phi_w0 = 2.0 * phi_off - 0.3
+    *fringe, zero = (sr.distribution for sr in protocol.run_settings(
+        cfg, [(phi, 0.3) for phi in phis] + [(phi_w0, 0.3)]))
     worst_fringe = 0.0
     worst_flip = 0.0
-    for phi in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
-        e1, e2 = herald_conditioned_fringe(cfg, phi, 0.3)
+    for phi, dist in zip(phis, fringe):
+        e1, e2 = herald_conditioned_fringe(dist)
         target = math.cos(phi + 0.3 - 2.0 * phi_off)
         # pooled fringe: same-detector coincidences carry 1 + cos for both
         # heralds, so the detector-1-herald absolute fringe is +cos(Phi)
         worst_fringe = max(worst_fringe, abs(e1 - target))
         # detector-2 herald sees the pattern at Phi + pi
         worst_flip = max(worst_flip, abs(e1 + e2))
-    # Phi = 0: coincidences only on the heralding detector
-    phi_w0 = 2.0 * phi_off - 0.3
-    dist = protocol.exact_joint_distribution(cfg, phi_w0, 0.3, engine="fock")
-    herald = dist.prob(**{"write-overlap:1": True, "write-overlap:2": False})
-    return worst_fringe, analysis.overlap_table(dist).counts[(1, 2)] / herald, worst_flip
+    herald = zero.prob(**{"write-overlap:1": True, "write-overlap:2": False})
+    return worst_fringe, analysis.overlap_table(zero).counts[(1, 2)] / herald, worst_flip
 
 
 def tms_click_ratio(p: float = 0.002) -> float:

@@ -24,7 +24,10 @@ interfering coherence by exactly V per pass.
 
 All statistics of the overlap windows depend on the two lock-jitter samples
 only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
-quadrature.
+quadrature.  They depend on the phases only through phi_w + phi_r too, so
+both engines take a whole scan at once: the Gaussian engine as one batched
+circuit, the Fock engine with one write stage and one read-stage prefix per
+heralded branch, shared by every setting.
 """
 
 from __future__ import annotations
@@ -95,8 +98,6 @@ class ClickRecord:
 
 
 class _GaussianCircuit:
-    engine_name = "gaussian"
-
     def __init__(self):
         self.state = gaussian.CovarianceState(())
 
@@ -142,8 +143,6 @@ class _GaussianCircuit:
 
 
 class _FockCircuit:
-    engine_name = "fock"
-
     def __init__(self, n_max: int = FOCK_PROTOCOL_NMAX, total_cap: int = FOCK_PROTOCOL_CAP):
         # imported only here, so a Gaussian run loads no SciPy
         from . import fock
@@ -179,10 +178,6 @@ class _FockCircuit:
 
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)
-
-    def drop(self, labels: Sequence[str]):
-        keep = [m for m in self.state.modes if m not in set(labels)]
-        self.state = self.fock.partial_trace(self.state, keep)
 
     def measure(self, detector_map, efficiency):
         return self.fock.measure_threshold(self.state, detector_map, efficiency)
@@ -273,10 +268,7 @@ def run_write_stage(
     circuit.squeeze("o_wL", "m_L", p_wL, 0.0)
     circuit.loss("o_wE", noise.coupling_efficiency)
     circuit.loss("o_wL", noise.coupling_efficiency)
-    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        return apply_open_interferometer(circuit, "write", "o_wE", "o_wL", phi_w)
-    return apply_interferometer(circuit, "write", "o_wE", "o_wL", phi_w,
-                                _interferometer(config), jitter)
+    return _stage_interferometer(circuit, config, "write", phi_w, jitter)
 
 
 def run_read_stage(
@@ -287,6 +279,24 @@ def run_read_stage(
 ) -> dict[str, list[str]]:
     """Round-trip decay and thermal top-up of the mechanical bins, readout
     beam splitters, then the read photons through the interferometer."""
+    _read_prefix(circuit, config)
+    return _stage_interferometer(circuit, config, "read", phi_r, jitter)
+
+
+def _stage_interferometer(circuit, config: ExperimentConfig, which: str, phi_late,
+                          jitter) -> dict[str, list[str]]:
+    """A stage's photons through the MZI, or through the open one of the
+    cross-correlation kind."""
+    early, late = ("o_wE", "o_wL") if which == "write" else ("o_rE", "o_rL")
+    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+        return apply_open_interferometer(circuit, which, early, late, phi_late)
+    return apply_interferometer(circuit, which, early, late, phi_late,
+                                _interferometer(config), jitter)
+
+
+def _read_prefix(circuit, config: ExperimentConfig) -> None:
+    """The read stage up to its interferometer: round-trip decay and thermal
+    top-up of the mechanical bins, readout beam splitters, coupling loss."""
     noise = config.noise
     survival = config.waveguide.round_trip_survival
     for mech, read_role in (("m_E", PulseRole.READ_EARLY), ("m_L", PulseRole.READ_LATE)):
@@ -312,10 +322,6 @@ def run_read_stage(
     circuit.beam_splitter("o_rL", "m_L", 1.0 - p_rL)
     circuit.loss("o_rE", noise.coupling_efficiency)
     circuit.loss("o_rL", noise.coupling_efficiency)
-    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        return apply_open_interferometer(circuit, "read", "o_rE", "o_rL", phi_r)
-    return apply_interferometer(circuit, "read", "o_rE", "o_rL", phi_r,
-                                _interferometer(config), jitter)
 
 
 def _efficiency_map(groups: Mapping[str, list[str]], noise: NoiseModel) -> dict[str, float]:
@@ -349,13 +355,11 @@ def exact_joint_distribution(
     engine: str | None = None,
 ) -> OutcomeDistribution:
     """Joint click-pattern distribution over the analysis channels for one
-    phase setting and one jitter sample.  On the Gaussian engine the phases
-    and jitters may be (B,) arrays: one batched circuit then gives one
-    (B, 2**n) distribution, and scalars are its batch-of-one case."""
+    phase setting and one jitter sample.  The phases and jitters may be (B,)
+    arrays: either engine then gives one (B, 2**n) distribution, and
+    scalars are its batch-of-one case."""
     engine = engine or config.engine.name
     noise = config.noise
-    if engine == "fock" and any(np.ndim(v) for v in (phi_w, phi_r, jitter_w, jitter_r)):
-        raise ProtocolError("the Fock engine takes one phase setting and one jitter sample")
     if engine == "gaussian":
         circuit = _GaussianCircuit()
         groups = run_write_stage(circuit, config, phi_w, jitter_w)
@@ -370,34 +374,51 @@ def exact_joint_distribution(
 
 
 def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> OutcomeDistribution:
-    """Staged exact Fock pipeline: measure and trace the write photons first,
-    then run the read stage on each conditioned mechanical state.  Keeps at
-    most six live modes."""
+    """Staged exact Fock pipeline over a scan: measure and trace the write
+    photons first, then run the read stage on each conditioned mechanical
+    state.  Keeps at most six live modes.
+
+    The overlap statistics see the phases only through phi_w + phi_r and
+    the jitters only through jitter_w + jitter_r: the squeezer conserves
+    n_o - n_m on a diagonal thermal input, so a phase on o_wL is that phase
+    on m_L; loss, top-up and the occupancy read are phase covariant; and the
+    readout splitter, o_rL in vacuum, hands it on to o_rL (o_wE to o_rE
+    alike).  So the write stage runs once at zero phase and jitter, each
+    heralded branch runs the read stage's prefix once, and only the read
+    interferometer and the click read-out run per element, at the summed
+    phase and jitter."""
     noise = config.noise
+    phi, jitter = np.broadcast_arrays(np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))
     n_max = config.engine.truncation if config.engine.name == "fock" else FOCK_PROTOCOL_NMAX
     cap = config.engine.total_cap or FOCK_PROTOCOL_CAP
     circuit = _FockCircuit(n_max, cap)
-    w_groups = run_write_stage(circuit, config, phi_w, jitter_w)
+    w_groups = run_write_stage(circuit, config, 0.0)
     w_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("write")]
     r_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("read")]
     w_map = {ch: w_groups[ch] for ch in w_channels}
-    # rows: write pattern codes, columns: read pattern codes; write channels
-    # come first in the labels, so the row-major ravel is the joint code
-    joint = np.zeros((1 << len(w_channels), 1 << len(r_channels)))
-    detected = [circuit.state]
+    # per element, rows: write pattern codes, columns: read pattern codes;
+    # write channels come first in the labels, so the row-major ravel of the
+    # last two axes is the joint code
+    joint = np.zeros(phi.shape + (1 << len(w_channels), 1 << len(r_channels)))
+    # running maxima, so no element's state outlives its read-out
+    weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
     for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
-        r_groups = run_read_stage(read, config, phi_r, jitter_r)
-        r_map = {ch: r_groups[ch] for ch in r_channels}
-        r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
-        joint[w_code] = w_prob * r_dist.probabilities
-        detected.append(read.state)
-    joint = joint.ravel()
-    truncation = (max(st.truncation_weight() for st in detected),
-                  max(abs(st.renorm_deficit) for st in detected))
-    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels), joint / joint.sum(),
-                               truncation)
+        _read_prefix(read, config)
+        prefix = read.state
+        for idx in np.ndindex(phi.shape):
+            read.state = prefix
+            r_groups = _stage_interferometer(read, config, "read", float(phi[idx]),
+                                             float(jitter[idx]))
+            r_map = {ch: r_groups[ch] for ch in r_channels}
+            r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
+            joint[idx + (w_code,)] = w_prob * r_dist.probabilities
+            weight = max(weight, read.state.truncation_weight())
+            deficit = max(deficit, abs(read.state.renorm_deficit))
+    joint = joint.reshape(phi.shape + (-1,))
+    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels),
+                               joint / joint.sum(axis=-1, keepdims=True), (weight, deficit))
 
 
 def _jitter_scale(noise: NoiseModel) -> float:
@@ -422,10 +443,9 @@ def jitter_averaged_distribution(
 ) -> OutcomeDistribution:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
-    Gauss-Hermite rule is exact up to quadrature order.  On the Gaussian
-    engine the phases may be (S,) arrays of settings: each node is then one
-    circuit batched over the settings, and the result one (S, 2**n)
-    distribution."""
+    Gauss-Hermite rule is exact up to quadrature order.  The phases may be
+    (S,) arrays of settings: each node is then one circuit batched over the
+    settings, and the result one (S, 2**n) distribution."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
@@ -506,18 +526,14 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
 def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float]],
                  first_idx: int = 0, engine: str | None = None) -> list[SettingResult]:
     """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
-    distributions (on the Gaussian engine every quadrature node is one
-    circuit batched over the scan) plus, when config.trials > 0, the counts
-    of setting i, one multinomial draw from the (seed, first_idx + i) substream."""
-    engine = engine or config.engine.name
-    if engine == "gaussian":
-        phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
-        scan = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
-        # the one place a batch splits: each setting keeps its own 1-D vector
-        dists = [OutcomeDistribution(scan.labels, row, scan.truncation)
-                 for row in scan.probabilities]
-    else:
-        dists = [jitter_averaged_distribution(config, w, r, engine=engine) for w, r in settings]
+    distributions (every quadrature node is one circuit batched over the
+    scan) plus, when config.trials > 0, the counts of setting i, one
+    multinomial draw from the (seed, first_idx + i) substream."""
+    phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
+    scan = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+    # the one place a batch splits: each setting keeps its own 1-D vector
+    dists = [OutcomeDistribution(scan.labels, row, scan.truncation)
+             for row in scan.probabilities]
     results = []
     for idx, ((phi_w, phi_r), dist) in enumerate(zip(settings, dists), start=first_idx):
         sr = SettingResult(phi_w=phi_w, phi_r=phi_r, distribution=dist)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -117,10 +118,14 @@ class TestSimulate:
         "pulses=[]",
         "pulses=[{role: WriteEarly, center_time: 0.0, scattering_probability: 0.001}]",
         "noise.thermal_schedule=[[WriteEarly, 0.01]]",
+        # on a config with a phases.settings scan, which takes precedence
+        "phases.phi_w=0.6",
+        "phases.phi_r=0.1",
     ])
     def test_bad_override_is_config_error(self, tmp_path, capsys, override):
         # phases.settings is an override target only in a config that has one
-        settings = {"settings": [[0.25, 0.0]]} if override.startswith("phases.settings") else {}
+        scanned = override in ("phases.settings=[]", "phases.phi_w=0.6", "phases.phi_r=0.1")
+        settings = {"settings": [[0.25, 0.0]]} if scanned else {}
         config = write_config(tmp_path, trials=0, phases={"phi_off": 0.2, **settings})
         code = cli.main(["simulate", "--config", str(config), "--out",
                          str(tmp_path / "bad"), "--override", override])
@@ -270,7 +275,8 @@ class TestCalibrate:
         # the settings are chosen in closed form and only the Fock engine
         # imports SciPy, so neither the package import nor a Gaussian
         # calibration or simulation loads any of it; a Fock run, in its own
-        # interpreter, does, so this guard cannot pass vacuously
+        # interpreter, loads scipy.sparse, so this guard cannot pass
+        # vacuously, and no scipy.linalg (its exponentials use eigh)
         calibration = write_config(tmp_path, kind="Calibration", trials=0)
         (tmp_path / "bell").mkdir()
         bell = write_config(tmp_path / "bell")
@@ -297,7 +303,9 @@ class TestCalibrate:
                                   text=True, env=env, check=True)
             loaded[engine] = proc.stdout.strip().splitlines()[-1]
         assert loaded["gaussian"] == "[]"
-        assert "'scipy'" in loaded["fock"]
+        fock_modules = ast.literal_eval(loaded["fock"])
+        assert "scipy.sparse" in fock_modules
+        assert not [m for m in fock_modules if m.split(".")[:2] == ["scipy", "linalg"]]
         # the manifest names SciPy's version only when the run loaded it
         for out, version in (("g", None), ("f", scipy.__version__)):
             manifest = json.loads((tmp_path / out / "manifest.json").read_text())

@@ -220,10 +220,29 @@ class TestChannels:
             assert st.trace() == pytest.approx(1.0, abs=1e-10)
 
 
+def expm_extended(g):
+    """exp(g) in long double: a Taylor series of g / 2**s with norm <= 1/4,
+    then s squarings.  Its error stays far below the 1e-14 the kernels are
+    held to, which a double-precision reference cannot promise for the
+    large-norm ladders."""
+    a = np.asarray(g, dtype=np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
+    a = a / np.longdouble(2) ** s
+    term = out = np.eye(len(a), dtype=np.longdouble)
+    for k in range(1, 30):  # 0.25**30 / 30! is far below long double eps
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out.astype(float)
+
+
 def thermal_kernels_loop(n_max, survival, n_env):
     """The thermal-attenuator kernels by explicit loops over ancilla level l,
     source levels m, n and destination level a (an independent reference
-    for the vectorised construction)."""
+    for the vectorised construction, its ladder blocks exponentiated in
+    extended precision)."""
     if n_env == 0.0:
         return dict(enumerate(F._loss_kernels(n_max, survival)))
     q = n_env / (n_env + 1.0)
@@ -241,7 +260,7 @@ def thermal_kernels_loop(n_max, survival, n_env):
             a = lo + k
             g[k + 1, k] = theta * math.sqrt((a + 1) * (total - a))
             g[k, k + 1] = -g[k + 1, k]
-        return expm(g), lo
+        return expm_extended(g), lo
 
     kernels = {d: np.zeros((d_sys, d_sys)) for d in range(-n_max, n_max + 1)}
     for l in range(anc_max + 1):
@@ -267,6 +286,9 @@ class TestThermalKernels:
     @pytest.mark.parametrize("survival", [0.0, 0.5, 0.93, 0.99])
     @pytest.mark.parametrize("n_max", [2, 4, 5])
     def test_matches_loop(self, n_max, survival, n_env):
+        # the reference needs 80-bit (or wider) long double to be exact
+        # enough; fail rather than skip where the platform lacks it
+        assert np.finfo(np.longdouble).eps < 1e-18
         got = F._thermal_kernels(n_max, survival, n_env)
         ref = thermal_kernels_loop(n_max, survival, n_env)
         assert sorted(got) == sorted(ref)

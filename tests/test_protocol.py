@@ -1,10 +1,11 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phonon_timebin import analysis, fock, gaussian, protocol
+from phonon_timebin import analysis, fock, gaussian, oracles, protocol
 from phonon_timebin.core import (
     EngineSpec,
     ExperimentConfig,
@@ -15,8 +16,12 @@ from phonon_timebin.core import (
     PulseRole,
     WaveguideParams,
     build_pulse_sequence,
+    load_config,
     sample_phase_jitter,
+    with_overrides,
 )
+
+CONFIGS = Path(protocol.__file__).parent / "configs"
 
 ROLES = (PulseRole.WRITE_EARLY, PulseRole.WRITE_LATE,
          PulseRole.READ_EARLY, PulseRole.READ_LATE)
@@ -319,10 +324,24 @@ class TestRunExperiment:
         assert calls == [40_000_000_000] * 3
         assert all(sr.counts.sum() == sr.trials == 40_000_000_000 for sr in results)
 
-    def test_fock_engine_takes_one_setting(self):
-        cfg = make_config(engine=EngineSpec("fock", truncation=2, total_cap=4))
-        with pytest.raises(protocol.ProtocolError, match="one phase setting"):
-            protocol.exact_joint_distribution(cfg, np.array([0.0, 1.0]), 0.0)
+    def test_fock_batch_matches_each_element_alone(self):
+        noise = clean_noise(thermal_schedule=tuple(zip(ROLES, (0.02, 0.04, 0.06, 0.09))),
+                            interferometer_visibility=0.94, dark_count_prob=1e-6)
+        cfg = make_config(noise=noise, T1=2.2e-6, retrieval=0.8,
+                          engine=EngineSpec("fock", truncation=3, total_cap=4))
+        phi_w, phi_r = np.array([0.0, 0.7, 2.9]), np.array([0.3, 0.3, -1.1])
+        jitter_w, jitter_r = np.array([0.0, 0.25, -0.4]), np.array([0.1, 0.0, 0.2])
+        batch = protocol.exact_joint_distribution(cfg, phi_w, phi_r, jitter_w, jitter_r)
+        assert batch.probabilities.shape == (3, 16)
+        figures = []
+        for b in range(3):
+            alone = protocol.exact_joint_distribution(cfg, phi_w[b], phi_r[b],
+                                                      jitter_w[b], jitter_r[b])
+            assert alone.labels == batch.labels
+            assert alone.probabilities.shape == (16,)
+            assert batch.probabilities[b] == pytest.approx(alone.probabilities, abs=1e-12)
+            figures.append(alone.truncation)
+        assert batch.truncation == pytest.approx(np.max(figures, axis=0), abs=1e-15)
 
     def test_thermal_g2_kind_rejected(self):
         cfg = make_config()
@@ -544,6 +563,63 @@ class TestCrossEngineProtocol:
         dg = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="gaussian")
         df = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="fock")
         assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-6)
+
+
+def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
+    """One setting through the staged Fock pipeline with each phase and
+    jitter on its own arm: the write stage at phi_w and jitter_w, its photons
+    measured, then the whole read stage at phi_r and jitter_r on each
+    conditioned mechanical state."""
+    noise = config.noise
+    n_max, cap = config.engine.truncation, config.engine.total_cap or protocol.FOCK_PROTOCOL_CAP
+    circuit = protocol._FockCircuit(n_max, cap)
+    w_groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
+    channels = protocol._analysis_channels(config.kind)
+    w_map = {ch: w_groups[ch] for ch in channels if ch.startswith("write")}
+    r_channels = [ch for ch in channels if ch.startswith("read")]
+    joint = np.zeros((1 << len(w_map), 1 << len(r_channels)))
+    for w_code, w_prob, mech_state in circuit.measure(
+            w_map, protocol._efficiency_map(w_map, noise)):
+        read = protocol._FockCircuit(n_max, cap)
+        read.state = mech_state
+        r_groups = protocol.run_read_stage(read, config, phi_r, jitter_r)
+        r_map = {ch: r_groups[ch] for ch in r_channels}
+        joint[w_code] = w_prob * read.click_distribution(
+            r_map, protocol._efficiency_map(r_map, noise)).probabilities
+    joint = joint.ravel()
+    return protocol.detect(OutcomeDistribution(channels, joint / joint.sum()), noise)
+
+
+def fock_config(name):
+    return with_overrides(load_config(CONFIGS / f"{name}.yaml"), {"engine.name": "fock"})
+
+
+class TestFockScan:
+    """A Fock scan runs the write stage once and the read prefix once per
+    herald; the phases and jitters act through their sums on the read arm."""
+
+    @pytest.mark.parametrize("config, settings, jitters", [
+        # the CHSH settings without jitter, then one with a write jitter
+        (lambda: fock_config("bell_test"),
+         lambda c: [*c.phases.chsh_settings(), c.phases.chsh_settings()[1]],
+         [(0.0, 0.0)] * 4 + [(0.31, -0.12)]),
+        (lambda: fock_config("timebin_entanglement"),
+         lambda c: c.phase_sweep[::4], [(0.0, 0.0)] * 3),
+        (oracles.ideal_limit_config,
+         lambda c: [(0.0, 0.3), (1.9, 0.3), (0.1, 0.3), (4.4, -0.8)],
+         [(0.0, 0.0), (0.0, 0.0), (0.2, 0.0), (-0.5, 0.7)]),
+    ], ids=["bell_test", "timebin_entanglement", "ideal_limit"])
+    def test_matches_the_per_setting_staged_pipeline(self, config, settings, jitters):
+        cfg = config()
+        scan = settings(cfg)
+        assert len(scan) == len(jitters)
+        phi_w, phi_r = (np.array(v) for v in zip(*scan))
+        jitter_w, jitter_r = (np.array(v) for v in zip(*jitters))
+        got = protocol.exact_joint_distribution(cfg, phi_w, phi_r, jitter_w, jitter_r)
+        for b, ((w, r), (jw, jr)) in enumerate(zip(scan, jitters)):
+            want = staged_fock_reference(cfg, w, r, jw, jr)
+            assert got.labels == want.labels
+            assert got.probabilities[b] == pytest.approx(want.probabilities, abs=1e-12)
 
 
 class TestJitterAveraging:
