@@ -739,6 +739,11 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+#: config keys that the dict form carries only when they are set, so an
+#: override may add them
+_OPTIONAL_PATHS = ("phases.settings", "engine.total_cap", "perturbative_guard")
+
+
 def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) -> ExperimentConfig:
     """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``) by
     round-tripping through the dict form so all validation re-runs."""
@@ -756,7 +761,7 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
             for part in parts[:-1]:
                 node = node[part]
             leaf = parts[-1]
-            if leaf not in node:
+            if leaf not in node and dotted not in _OPTIONAL_PATHS:
                 raise ConfigError(f"unknown override target {dotted!r}")
             node[leaf] = yaml.safe_load(str(value)) if isinstance(value, str) else value
         return _keep_angles(config, config_from_dict(data), overrides)

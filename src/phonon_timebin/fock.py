@@ -4,13 +4,23 @@ States live in an occupation-number basis with a per-mode cutoff ``n_max``
 and an optional cap on the total quantum number.  The cap keeps multimode
 protocol circuits tractable (the populated sector of every circuit here has
 at most a few quanta) without touching single-mode physics.  Basis states
-are enumerated in ``itertools.product`` order, which is ascending in the
-mixed-radix occupation code, so the index of any occupation is a
+are enumerated ascending in the mixed-radix occupation code (the order of
+``itertools.product``), so the index of any occupation is a
 ``searchsorted`` over those codes.
 
 The density matrix is stored sparse (``FockState.rho`` is a CSR array of
 its nonzero entries), and every operation works on the stored entries
 only; no gate ever couples entries outside the support it is given.
+
+A state may be a batch of B density matrices over one basis, stored as one
+block-diagonal CSR array (``tile``): the element index is the most
+significant digit of the basis code, so the occupation table, the codes and
+the shift tables tile across the blocks and every gate, phase, channel and
+click read-out acts on all elements in one pass, each exactly as it would
+act on that element alone.  A phase may differ per element; click
+distributions come out as (B, 2**n) and the health figures report the worst
+element.  A batch of one is an ordinary state.  Conditioning and partial
+traces take single states only.
 
 Two-mode unitaries (beam splitter, two-mode squeeze) are built per conserved
 ladder -- a+b for the beam splitter, a-b for the squeezer -- by exponentiating
@@ -35,9 +45,8 @@ keeps the entries inside one click pattern (conditioned states).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -57,12 +66,28 @@ class FockEngineError(ValueError):
 
 
 @lru_cache(maxsize=64)
-def _basis_arrays(n_modes: int, n_max: int, total_max: int) -> tuple[np.ndarray, dict, np.ndarray]:
-    occs = [o for o in itertools.product(range(n_max + 1), repeat=n_modes)
-            if sum(o) <= total_max]
-    arr = np.array(occs, dtype=np.int64)
-    index = {tuple(o): i for i, o in enumerate(occs)}
-    return arr, index, arr @ _radix(n_modes, n_max)
+def _basis_arrays(n_modes: int, n_max: int, total_max: int,
+                  batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation rows and their mixed-radix codes, ascending; a batch tiles
+    them with the element index as the most significant digit."""
+    if batch > 1:
+        occs, codes = _basis_arrays(n_modes, n_max, total_max, 1)
+        offsets = np.arange(batch, dtype=np.int64)[:, None] * (n_max + 1) ** n_modes
+        return np.tile(occs, (batch, 1)), (offsets + codes).ravel()
+    occs = np.zeros((1, 0), dtype=np.int64)
+    digits = np.arange(n_max + 1, dtype=np.int64)
+    for _ in range(n_modes):
+        # every row grows by one less significant digit, which keeps the
+        # codes ascending; rows over the cap go before the next mode
+        occs = np.column_stack([np.repeat(occs, n_max + 1, axis=0), np.tile(digits, len(occs))])
+        occs = occs[occs.sum(axis=1) <= total_max]
+    return occs, occs @ _radix(n_modes, n_max)
+
+
+@lru_cache(maxsize=64)
+def _basis_index(n_modes: int, n_max: int, total_max: int) -> dict:
+    occs = _basis_arrays(n_modes, n_max, total_max, 1)[0]
+    return {o: i for i, o in enumerate(map(tuple, occs.tolist()))}
 
 
 def _radix(n_modes: int, n_max: int) -> np.ndarray:
@@ -70,8 +95,9 @@ def _radix(n_modes: int, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _shift_table(n_modes: int, n_max: int, total_max: int, mode: int, delta: int) -> np.ndarray:
-    occs, _, codes = _basis_arrays(n_modes, n_max, total_max)
+def _shift_table(n_modes: int, n_max: int, total_max: int, batch: int,
+                 mode: int, delta: int) -> np.ndarray:
+    occs, codes = _basis_arrays(n_modes, n_max, total_max, batch)
     out = np.full(len(occs), -1, dtype=np.int64)
     target = occs[:, mode] + delta
     ok = (target >= 0) & (target <= n_max)
@@ -84,30 +110,41 @@ def _shift_table(n_modes: int, n_max: int, total_max: int, mode: int, delta: int
 
 @dataclass(frozen=True)
 class FockBasis:
+    """The capped occupation basis of ``n_modes`` modes, ``batch`` times
+    over: ``occs`` and ``dim`` span every element, ``index`` and ``rank``
+    address one element."""
     n_modes: int
     n_max: int
     total_max: int
+    batch: int = 1
 
     @property
     def occs(self) -> np.ndarray:
-        return _basis_arrays(self.n_modes, self.n_max, self.total_max)[0]
+        return _basis_arrays(self.n_modes, self.n_max, self.total_max, self.batch)[0]
 
     @property
     def index(self) -> dict:
-        return _basis_arrays(self.n_modes, self.n_max, self.total_max)[1]
+        """Index of each occupation tuple, built when first read."""
+        return _basis_index(self.n_modes, self.n_max, self.total_max)
 
     @property
     def dim(self) -> int:
         return len(self.occs)
 
+    @property
+    def element(self) -> np.ndarray:
+        """Batch element of each basis state."""
+        return np.repeat(np.arange(self.batch), self.dim // self.batch)
+
     def rank(self, occs: np.ndarray) -> np.ndarray:
-        """Basis index of each occupation row (all rows must be in the basis)."""
-        codes = _basis_arrays(self.n_modes, self.n_max, self.total_max)[2]
+        """Index of each occupation row within one element (all rows must be
+        in the basis)."""
+        codes = _basis_arrays(self.n_modes, self.n_max, self.total_max, 1)[1]
         return np.searchsorted(codes, occs @ _radix(self.n_modes, self.n_max))
 
     def shifted(self, mode: int, delta: int) -> np.ndarray:
         """Index of each basis state with n_mode += delta; -1 where invalid."""
-        return _shift_table(self.n_modes, self.n_max, self.total_max, mode, delta)
+        return _shift_table(self.n_modes, self.n_max, self.total_max, self.batch, mode, delta)
 
 
 def _sparse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> sp.csr_array:
@@ -117,7 +154,8 @@ def _sparse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> s
 
 class FockState:
     """Density matrix over a registered, ordered set of bosonic modes,
-    stored as a CSR array of its nonzero entries."""
+    stored as a CSR array of its nonzero entries; a batch of them when the
+    basis has ``batch`` > 1."""
 
     def __init__(self, modes: Sequence[str], basis: FockBasis, rho: sp.csr_array | np.ndarray):
         if len(set(modes)) != len(modes):
@@ -153,21 +191,35 @@ class FockState:
     def n_max(self) -> int:
         return self.basis.n_max
 
-    def trace(self) -> float:
-        return float(np.real(self.rho.diagonal().sum()))
+    def _element_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-element sums of one value per basis state, each summed
+        as that element alone would sum it."""
+        return values.reshape(self.basis.batch, -1).sum(axis=1)
+
+    def _single(self, what: str) -> None:
+        if self.basis.batch != 1:
+            raise FockEngineError(f"{what} takes one state, not a batch of {self.basis.batch}")
+
+    def trace(self) -> float | np.ndarray:
+        """The trace; a (B,) array of them for a batch."""
+        traces = np.real(self._element_sums(self.rho.diagonal()))
+        return float(traces[0]) if self.basis.batch == 1 else traces
 
     @property
     def renorm_deficit(self) -> float:
-        """1 - trace; nonzero only through numerical round-off because all
-        channels here are trace preserving on the truncated basis."""
-        return 1.0 - self.trace()
+        """1 - trace, of the element furthest from 1; nonzero only through
+        numerical round-off because all channels here are trace preserving
+        on the truncated basis."""
+        deficits = 1.0 - np.atleast_1d(self.trace())
+        return float(deficits[np.abs(deficits).argmax()])
 
     def truncation_weight(self) -> float:
-        """Population sitting on cutoff-boundary states; a cheap upper bound
-        on how much the truncation can distort subsequent operations."""
+        """Population sitting on cutoff-boundary states, of the worst
+        element; a cheap upper bound on how much the truncation can distort
+        subsequent operations."""
         occs = self.basis.occs
         edge = (occs == self.n_max).any(axis=1) | (occs.sum(axis=1) == self.basis.total_max)
-        return float(np.real(self.rho.diagonal()[edge].sum()))
+        return float(np.real(self._element_sums(self.rho.diagonal()[edge])).max())
 
     def check_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
         dev = abs(self.rho - self.rho.conj().T).max()
@@ -175,16 +227,19 @@ class FockState:
             raise FockEngineError(f"state not Hermitian: deviation {dev:g}")
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part; basis states outside
-        the stored support add eigenvalue 0."""
+        """Smallest eigenvalue of the Hermitian part (over every element of
+        a batch); basis states outside the stored support add eigenvalue 0."""
         support = np.union1d(*self.rho.tocoo().coords)
         block = self.rho[support][:, support].toarray()
         low = np.linalg.eigvalsh((block + block.conj().T) / 2.0).min()
         return float(low if len(support) == self.basis.dim else min(low, 0.0))
 
-    def mean_occupation(self, label: str) -> float:
-        m = self.mode_index(label)
-        return float(np.real(np.dot(self.basis.occs[:, m], self.rho.diagonal())))
+    def mean_occupation(self, label: str) -> float | np.ndarray:
+        """Mean occupation of a mode; a (B,) array of them for a batch."""
+        occ = self.basis.occs[:self.basis.dim // self.basis.batch, self.mode_index(label)]
+        means = np.array([np.real(np.dot(occ, diag))
+                          for diag in self.rho.diagonal().reshape(self.basis.batch, -1)])
+        return float(means[0]) if self.basis.batch == 1 else means
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +296,18 @@ def init_thermal(
 @lru_cache(maxsize=64)
 def _vacuum_mode_map(basis: FockBasis) -> np.ndarray:
     """Index of each state of ``basis`` with one more mode, empty, appended;
-    increasing, because the appended digit is the least significant."""
-    occs = basis.occs
+    increasing, because the appended digit is the least significant and
+    element b of a batch maps into element b."""
+    occs = replace(basis, batch=1).occs
     grown = FockBasis(basis.n_modes + 1, basis.n_max, basis.total_max)
     mapping = grown.rank(np.column_stack([occs, np.zeros(len(occs), dtype=np.int64)]))
+    mapping = (np.arange(basis.batch)[:, None] * grown.dim + mapping).ravel()
     mapping.setflags(write=False)
     return mapping
 
 
 def add_vacuum_mode(state: FockState, label: str) -> FockState:
-    basis = FockBasis(len(state.modes) + 1, state.n_max, state.basis.total_max)
+    basis = FockBasis(len(state.modes) + 1, state.n_max, state.basis.total_max, state.basis.batch)
     mapping = _vacuum_mode_map(state.basis)
     rho = state.rho
     # row r moves to row mapping[r]; the rows in between are empty
@@ -262,9 +319,25 @@ def add_vacuum_mode(state: FockState, label: str) -> FockState:
     return FockState(state.modes + (label,), basis, grown)
 
 
+def tile(state: FockState, batch: int) -> FockState:
+    """``batch`` copies of one state as a block-diagonal batch; a batch of
+    one is the state itself."""
+    state._single("tile")
+    if batch == 1:
+        return state
+    rho = state.rho
+    shift = np.arange(batch)[:, None]
+    indptr = np.r_[(rho.indptr[:-1] + rho.nnz * shift).ravel(), batch * rho.nnz]
+    dim = batch * rho.shape[0]
+    blocks = sp.csr_array((np.tile(rho.data, batch), (rho.indices + rho.shape[0] * shift).ravel(),
+                           indptr), shape=(dim, dim))
+    return FockState(state.modes, replace(state.basis, batch=batch), blocks)
+
+
 def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
     """Sum the entries whose traced-out occupations agree onto the basis of
     the kept modes."""
+    state._single("partial_trace")
     keep = list(keep)
     keep_pos = [state.mode_index(m) for m in keep]
     drop_pos = [i for i in range(len(state.modes)) if i not in keep_pos]
@@ -300,10 +373,11 @@ def _ladder_unitaries(coupling: np.ndarray, phi: float | None) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
-    """Ladders of a two-mode gate on modes i, j: basis states with the same
-    other occupations and the same invariant (a+b for "bs", a-b for "tms"),
-    sorted by a.  Every ladder is padded to the longest length n; zero
-    coupling past its own length decouples the padding.  Returns the n-1
+    """Ladders of a two-mode gate on modes i, j: basis states of the same
+    batch element with the same other occupations and the same invariant
+    (a+b for "bs", a-b for "tms"), sorted by a.  Every ladder is padded to
+    the longest length n; zero coupling past its own length decouples the
+    padding; a batch shares the distinct ladders.  Returns the n-1
     couplings at unit gate strength of each distinct (invariant, a_lo,
     length); then, for U and for U†, the CSR structure (indices, indptr) and
     where each stored entry sits in the flattened stack of the n x n ladder
@@ -312,7 +386,7 @@ def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     occs = basis.occs
     a, b = occs[:, i], occs[:, j]
     invariant = a + b if kind == "bs" else a - b
-    keys = np.column_stack([np.delete(occs, (i, j), axis=1), invariant])
+    keys = np.column_stack([basis.element, np.delete(occs, (i, j), axis=1), invariant])
     order = np.lexsort(np.column_stack([a, keys]).T)  # last key is primary
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
@@ -384,9 +458,14 @@ def apply_two_mode_squeeze(state: FockState, optical_mode: str, mech_mode: str,
     return _apply_two_mode(state, optical_mode, mech_mode, "tms", r, phase)
 
 
-def apply_phase(state: FockState, mode: str, phi: float) -> FockState:
-    m = state.mode_index(mode)
-    d = np.exp(1j * phi * state.basis.occs[:, m])
+def apply_phase(state: FockState, mode: str, phi: float | np.ndarray) -> FockState:
+    """Phase phi per quantum of ``mode``: one phase, or a (B,) array of one
+    per element of a batch."""
+    occ = state.basis.occs[:, state.mode_index(mode)].reshape(state.basis.batch, -1)
+    phi = np.reshape(phi, (-1, 1))
+    if len(phi) not in (1, state.basis.batch):
+        raise FockEngineError(f"{len(phi)} phases for a batch of {state.basis.batch}")
+    d = np.exp(1j * (phi * occ).ravel())
     rho = state.rho.copy()
     rows = np.repeat(np.arange(rho.shape[0]), np.diff(rho.indptr))
     rho.data *= d[rows] * d.conj()[rho.indices]
@@ -401,11 +480,12 @@ def apply_phase(state: FockState, mode: str, phi: float) -> FockState:
 def _loss_kernels(n_max: int, survival: float) -> tuple[np.ndarray, ...]:
     """W_d[a, b] such that rho'[a,b] = sum_d W_d[a,b] rho[a+d, b+d]."""
     n = np.arange(n_max + 1)
+    binom = np.ones(n_max + 1)  # binom(x + d, d) over x, at d = 0
     kernels = []
     for d in range(n_max + 1):
-        binom = np.array([math.comb(x + d, d) for x in n], dtype=float)
         amp = np.sqrt(binom) * (1.0 - survival) ** (d / 2.0) * survival ** (n / 2.0)
         kernels.append(np.outer(amp, amp))
+        binom = np.cumsum(binom)  # hockey stick: sum_{y <= x} binom(y + d, d)
     return tuple(kernels)
 
 
@@ -566,8 +646,9 @@ def click_distribution(
     detector_map: Mapping[str, Sequence[str]],
     efficiency: Mapping[str, float] | float | None = None,
 ) -> OutcomeDistribution:
-    """Exact probabilities of every click pattern.  A detector clicks when
-    at least one quantum survives the efficiency loss on any of its modes.
+    """Exact probabilities of every click pattern, (B, 2**n) for a batch.  A
+    detector clicks when at least one quantum survives the efficiency loss
+    on any of its modes.
 
     Both the efficiency loss and the threshold POVM are diagonal-covariant,
     so this works on the populations alone."""
@@ -579,9 +660,12 @@ def click_distribution(
                 kern = {d: k for d, k in enumerate(_loss_kernels(state.n_max, eta))}
                 for m in modes:
                     diag = _diag_shift_apply(diag, state.basis, state.mode_index(m), kern)
-    sums = np.bincount(_click_codes(state, detector_map), weights=diag,
-                       minlength=1 << len(detector_map))
-    return OutcomeDistribution(tuple(detector_map), sums)
+    n, batch = len(detector_map), state.basis.batch
+    # the element index is the high part of the code, so each element's
+    # patterns sum in the order that element alone sums them
+    codes = _click_codes(state, detector_map) + (state.basis.element << n)
+    sums = np.bincount(codes, weights=diag, minlength=batch << n)
+    return OutcomeDistribution(tuple(detector_map), sums if batch == 1 else sums.reshape(batch, -1))
 
 
 def measure_threshold(
@@ -593,6 +677,7 @@ def measure_threshold(
     with nonzero probability, that probability and the conditioned state on
     the remaining modes (the entries whose row and column both carry that
     code, traced over the measured modes)."""
+    state._single("measure_threshold")
     work = _with_efficiency(state, detector_map, efficiency)
     codes = _click_codes(work, detector_map)
     measured = sorted({m for modes in detector_map.values() for m in modes},

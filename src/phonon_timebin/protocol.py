@@ -27,7 +27,9 @@ only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
 quadrature.  They depend on the phases only through phi_w + phi_r too, so
 both engines take a whole scan at once: the Gaussian engine as one batched
 circuit, the Fock engine with one write stage and one read-stage prefix per
-heralded branch, shared by every setting.
+heralded branch, shared by every setting, and the read interferometer and
+click read-out on block-diagonal batches of that prefix, as many elements
+per block as keep it near FOCK_BATCH_ENTRIES stored entries.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ GH_NODES = 21
 THERMAL_NOISE_EPSILON = 0.01
 FOCK_PROTOCOL_NMAX = 4
 FOCK_PROTOCOL_CAP = 6
+#: stored entries of read-stage prefixes that one Fock read pass tiles: a
+#: pass over a few entries is mostly per-call overhead, which a block of
+#: elements shares, while a prefix of this size or more runs one element
+#: per block, so a large state is never held many times over
+FOCK_BATCH_ENTRIES = 1 << 10
 
 
 class ProtocolError(RuntimeError):
@@ -386,9 +393,12 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     alike).  So the write stage runs once at zero phase and jitter, each
     heralded branch runs the read stage's prefix once, and only the read
     interferometer and the click read-out run per element, at the summed
-    phase and jitter."""
+    phase and jitter: on blocks of max(1, FOCK_BATCH_ENTRIES // entries of
+    the prefix) elements, each block one block-diagonal Fock batch."""
     noise = config.noise
     phi, jitter = np.broadcast_arrays(np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))
+    shape = phi.shape
+    phi, jitter = phi.ravel(), jitter.ravel()
     n_max = config.engine.truncation if config.engine.name == "fock" else FOCK_PROTOCOL_NMAX
     cap = config.engine.total_cap or FOCK_PROTOCOL_CAP
     circuit = _FockCircuit(n_max, cap)
@@ -399,24 +409,24 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     # per element, rows: write pattern codes, columns: read pattern codes;
     # write channels come first in the labels, so the row-major ravel of the
     # last two axes is the joint code
-    joint = np.zeros(phi.shape + (1 << len(w_channels), 1 << len(r_channels)))
-    # running maxima, so no element's state outlives its read-out
+    joint = np.zeros((phi.size, 1 << len(w_channels), 1 << len(r_channels)))
+    # running maxima, so no block's state outlives its read-out
     weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
     for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
         _read_prefix(read, config)
         prefix = read.state
-        for idx in np.ndindex(phi.shape):
-            read.state = prefix
-            r_groups = _stage_interferometer(read, config, "read", float(phi[idx]),
-                                             float(jitter[idx]))
+        size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
+        for block in (slice(start, start + size) for start in range(0, phi.size, size)):
+            read.state = read.fock.tile(prefix, len(phi[block]))
+            r_groups = _stage_interferometer(read, config, "read", phi[block], jitter[block])
             r_map = {ch: r_groups[ch] for ch in r_channels}
             r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
-            joint[idx + (w_code,)] = w_prob * r_dist.probabilities
+            joint[block, w_code] = w_prob * r_dist.probabilities.reshape(-1, joint.shape[-1])
             weight = max(weight, read.state.truncation_weight())
             deficit = max(deficit, abs(read.state.renorm_deficit))
-    joint = joint.reshape(phi.shape + (-1,))
+    joint = joint.reshape(shape + (-1,))
     return OutcomeDistribution(tuple(w_channels) + tuple(r_channels),
                                joint / joint.sum(axis=-1, keepdims=True), (weight, deficit))
 

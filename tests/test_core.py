@@ -1,8 +1,10 @@
 import math
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
+import yaml
 
 from phonon_timebin.core import (
     CavityParams,
@@ -16,6 +18,7 @@ from phonon_timebin.core import (
     ValidationError,
     WaveguideParams,
     build_pulse_sequence,
+    config_digest,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -292,6 +295,35 @@ class TestConfigIO:
         assert changed.seed == 9
         with pytest.raises(ConfigError, match="unknown override"):
             with_overrides(config, {"noise.nonsense": 1})
+
+    def test_override_adds_a_phase_scan(self, tmp_path):
+        # the dict form of a config without a scan has no phases.settings;
+        # the override sets the scan as the same key in the file would
+        path = files("phonon_timebin") / "configs" / "bell_test.yaml"
+        config = load_config(str(path))
+        assert config.phase_sweep is None
+        settings = [[0.25, 0.0], [0.5, 0.25]]
+        overridden = with_overrides(config, {"phases.settings": str(settings)})
+        raw = yaml.safe_load(path.read_text())
+        raw["phases"]["settings"] = settings
+        scanned = tmp_path / "scan.yaml"
+        scanned.write_text(yaml.safe_dump(raw))
+        assert overridden == load_config(scanned)
+        assert config_digest(overridden) == config_digest(load_config(scanned))
+        assert overridden.phase_sweep == ((0.25 * math.pi, 0.0), (0.5 * math.pi, 0.25 * math.pi))
+
+    @pytest.mark.parametrize("dotted, value", [("engine.total_cap", 5),
+                                               ("perturbative_guard", 0.2)])
+    def test_override_adds_an_unset_key(self, dotted, value):
+        config = config_from_dict(minimal_config_dict())
+        data = config_to_dict(config)
+        *parents, leaf = dotted.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        assert leaf not in node
+        node[leaf] = value
+        assert with_overrides(config, {dotted: str(value)}) == config_from_dict(data)
 
     def test_reference_configs_ship_valid(self):
         from importlib.resources import files

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import lru_cache
 
@@ -191,6 +192,16 @@ class TestChannels:
         direct = F.apply_loss(st, "a", 0.48)
         assert abs(seq.mean_occupation("a") - direct.mean_occupation("a")) < 1e-10
         assert np.abs((seq.rho - direct.rho).toarray()).max() < 1e-10
+
+    @pytest.mark.parametrize("n_max", [1, 4, 12, 25])
+    def test_loss_kernels_match_the_binomial_loop(self, n_max):
+        # the per-entry math.comb loop is the reference, bit for bit
+        n = np.arange(n_max + 1)
+        for survival in (0.0, 0.3, 0.93, 1.0):
+            for d, kernel in enumerate(F._loss_kernels(n_max, survival)):
+                binom = np.array([math.comb(x + d, d) for x in n], dtype=float)
+                amp = np.sqrt(binom) * (1.0 - survival) ** (d / 2.0) * survival ** (n / 2.0)
+                assert np.array_equal(kernel, np.outer(amp, amp))
 
     def test_thermal_noise_adds_occupancy(self):
         st = F.init_vacuum(["a"], 6)
@@ -396,3 +407,55 @@ class TestStateBookkeeping:
         st = F.init_thermal(["a"], 5, 0.2)
         assert st.truncation_weight() > 0
         assert st.renorm_deficit == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_max", [1, 2, 4])
+    def test_matches_the_product_enumeration(self, n_modes, n_max):
+        # every cap from the vacuum alone up to the uncapped basis
+        for total_max in range(n_modes * n_max + 1):
+            want = [o for o in itertools.product(range(n_max + 1), repeat=n_modes)
+                    if sum(o) <= total_max]
+            basis = F.FockBasis(n_modes, n_max, total_max)
+            assert basis.occs.tolist() == [list(o) for o in want]
+            assert basis.index == {o: i for i, o in enumerate(want)}
+            assert basis.rank(np.array(want)).tolist() == list(range(len(want)))
+
+    def test_a_batch_tiles_one_element(self):
+        one = F.FockBasis(3, 2, 4)
+        basis = F.FockBasis(3, 2, 4, batch=3)
+        assert basis.dim == 3 * one.dim
+        assert np.array_equal(basis.occs, np.tile(one.occs, (3, 1)))
+        assert np.array_equal(basis.element, np.repeat(np.arange(3), one.dim))
+        for delta in (-1, 1):
+            single = one.shifted(1, delta)
+            want = [np.where(single >= 0, single + b * one.dim, -1) for b in range(3)]
+            assert np.array_equal(basis.shifted(1, delta), np.concatenate(want))
+
+
+class TestBatch:
+    def batch(self):
+        st = F.init_thermal(["a", "b"], 3, {"a": 0.2})
+        return F.tile(F.apply_beam_splitter(st, "a", "b", 0.6, 0.3), 3)
+
+    def test_tile_is_block_diagonal(self):
+        st = F.apply_beam_splitter(F.init_thermal(["a", "b"], 3, {"a": 0.2}), "a", "b", 0.6, 0.3)
+        tiled = F.tile(st, 3)
+        assert tiled.basis.batch == 3
+        assert np.array_equal(tiled.rho.toarray(), np.kron(np.eye(3), st.rho.toarray()))
+        assert F.tile(st, 1) is st
+        assert tiled.trace() == pytest.approx([1.0] * 3, abs=1e-14)
+
+    @pytest.mark.parametrize("op", [
+        lambda st: F.measure_threshold(st, {"d": ["a"]}),
+        lambda st: F.partial_trace(st, ["a"]),
+        lambda st: F.tile(st, 2),
+    ], ids=["measure_threshold", "partial_trace", "tile"])
+    def test_single_state_operations_reject_a_batch(self, op):
+        with pytest.raises(F.FockEngineError, match="batch of 3"):
+            op(self.batch())
+
+    def test_phases_must_match_the_batch(self):
+        with pytest.raises(F.FockEngineError, match="2 phases for a batch of 3"):
+            F.apply_phase(self.batch(), "a", np.array([0.1, 0.2]))

@@ -1,8 +1,9 @@
 """Property tests of the dense click-distribution vector (the subset
 transform, background folding, one-draw sampling), of the record sampler's
 substream seeding against numpy, of the Gaussian engine's local gate updates
-and batch axis, of the sparse Fock engine against dense references, and of
-the config dict round trip."""
+and batch axis, of the sparse Fock engine against dense references and its
+block-diagonal batch against each element alone, and of the config dict
+round trip."""
 
 import dataclasses
 import itertools
@@ -565,6 +566,49 @@ def test_sparse_measure_threshold_matches_dense(case, data):
     for (_, p, reduced), (_, p_ref, ref) in zip(branches, expected):
         assert p == pytest.approx(p_ref, abs=1e-12)
         check_output(reduced, ref)
+
+
+@FAST
+@given(fock_states(), st.data(), st.integers(2, 4))
+def test_a_fock_batch_matches_each_element_alone(case, data, batch):
+    # B tiled copies, each with its own phase, through a gate, loss,
+    # thermal loss, a new vacuum mode, a gate on it and the click read-out
+    state, _ = case
+    i, j = two_modes(data, state)
+    a, b = state.modes[i], state.modes[j]
+    phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch, max_size=batch)))
+    transmissivity, survival = data.draw(unit), data.draw(st.floats(0.0, 0.999))
+    n_env, p = data.draw(st.sampled_from([0.0, 0.05, 0.3])), data.draw(st.floats(0.0, 0.3))
+    detectors = {"d0": [a], "d1": [b, "new"]}
+
+    def run(st_, phi):
+        st_ = fock.apply_beam_splitter(st_, a, b, transmissivity, 0.7)
+        st_ = fock.apply_phase(st_, a, phi)
+        st_ = fock.apply_loss(st_, b, survival)
+        st_ = fock.apply_thermal_loss(st_, a, survival, n_env)
+        st_ = fock.add_vacuum_mode(st_, "new")
+        return fock.apply_two_mode_squeeze(st_, b, "new", p, 0.4)
+
+    batched = run(fock.tile(state, batch), phis)
+    batched.check_hermitian()
+    assert batched.trace() == pytest.approx(np.ones(batch), abs=1e-12)
+    r, c = batched.rho.tocoo().coords
+    assert np.array_equal(batched.basis.element[r], batched.basis.element[c])
+    clicks = fock.click_distribution(batched, detectors, 0.8).probabilities
+    assert clicks.shape == (batch, 4)
+    alone = [run(state, float(phi)) for phi in phis]
+    dim = alone[0].basis.dim
+    for k, single in enumerate(alone):
+        block = batched.rho[k * dim:(k + 1) * dim][:, k * dim:(k + 1) * dim]
+        assert np.abs((block - single.rho).toarray()).max() < 1e-12
+        assert clicks[k] == pytest.approx(
+            fock.click_distribution(single, detectors, 0.8).probabilities, abs=1e-12)
+        assert batched.mean_occupation(b)[k] == pytest.approx(single.mean_occupation(b),
+                                                              abs=1e-12)
+    assert batched.truncation_weight() == pytest.approx(
+        max(single.truncation_weight() for single in alone), abs=1e-12)
+    assert abs(batched.renorm_deficit) == pytest.approx(
+        max(abs(single.renorm_deficit) for single in alone), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,54 @@ class TestFockScan:
             assert got.probabilities[b] == pytest.approx(want.probabilities, abs=1e-12)
 
 
+def bell_scan():
+    cfg = with_overrides(fock_config("bell_test"), {"noise.write_phase_jitter_fwhm": 0,
+                                                    "noise.read_phase_jitter_fwhm": 0})
+    return cfg, cfg.phases.chsh_settings()
+
+
+def fringe_scan():
+    phis = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    return (oracles.ideal_limit_config(phi_off=0.2),
+            [(phi, 0.3) for phi in phis] + [(0.1, 0.3)])
+
+
+class TestFockBlocks:
+    """A Fock scan's read stages run in block-diagonal batches of
+    max(1, FOCK_BATCH_ENTRIES // prefix entries) elements."""
+
+    def blocks(self, monkeypatch, scan, entries=None):
+        if entries is not None:
+            monkeypatch.setattr(protocol, "FOCK_BATCH_ENTRIES", entries)
+        sizes = []
+        tile = fock.tile
+        monkeypatch.setattr(fock, "tile", lambda state, batch: sizes.append(batch)
+                            or tile(state, batch))
+        cfg, settings = scan()
+        phi_w, phi_r = (np.array(v) for v in zip(*settings))
+        return protocol.exact_joint_distribution(cfg, phi_w, phi_r), sizes
+
+    @pytest.mark.parametrize("scan, sizes", [
+        # the Bell step's prefixes hold thousands of entries: one element
+        # per block; the fringe prefixes a few: the whole scan in one block
+        (bell_scan, [1] * 4), (fringe_scan, [25]),
+    ], ids=["bell_test", "fringe"])
+    def test_blocks_follow_the_prefix_entries(self, monkeypatch, scan, sizes):
+        _, got = self.blocks(monkeypatch, scan)
+        heralds = len(got) // len(sizes)
+        assert got == sizes * heralds
+
+    @pytest.mark.parametrize("scan", [bell_scan, fringe_scan], ids=["bell_test", "fringe"])
+    @pytest.mark.parametrize("entries", [1, 1 << 30], ids=["per_element", "one_block"])
+    def test_the_block_split_does_not_matter(self, monkeypatch, scan, entries):
+        want, _ = self.blocks(monkeypatch, scan)
+        got, sizes = self.blocks(monkeypatch, scan, entries)
+        n = len(scan()[1])
+        assert set(sizes) == ({1} if entries == 1 else {n})
+        assert got.probabilities == pytest.approx(want.probabilities, abs=1e-12)
+        assert got.truncation == pytest.approx(want.truncation, abs=1e-12)
+
+
 class TestJitterAveraging:
     def test_quadrature_matches_monte_carlo(self):
         noise = clean_noise(write_phase_jitter_fwhm=math.pi / 7,
