@@ -748,12 +748,13 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
     """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``) by
     round-tripping through the dict form so all validation re-runs."""
     data = config_to_dict(config)
-    # a scan takes precedence over phi_w and phi_r, which would be ignored
-    if "settings" in data["phases"] and "phases.settings" not in overrides:
+    # a scan, the config's own or an overridden one, takes precedence over
+    # phi_w and phi_r, which would be ignored
+    if "settings" in data["phases"] or "phases.settings" in overrides:
         for dotted in ("phases.phi_w", "phases.phi_r"):
             if dotted in overrides:
-                raise ConfigError(f"{dotted}: the config has a phase scan (phases.settings), "
-                                  "which takes precedence; override phases.settings instead")
+                raise ConfigError(f"{dotted}: a phase scan (phases.settings) takes "
+                                  "precedence; set the phases in phases.settings instead")
     try:
         for dotted, value in overrides.items():
             node = data

@@ -676,17 +676,31 @@ def measure_threshold(
     """Threshold-measure the mapped modes and return, per click-pattern code
     with nonzero probability, that probability and the conditioned state on
     the remaining modes (the entries whose row and column both carry that
-    code, traced over the measured modes)."""
+    code, traced over the measured modes).
+
+    The efficiency loss keeps each mode's occupation difference between row
+    and column, and the trace over the measured modes keeps only entries
+    where it is zero, so the entries whose measured occupations differ are
+    dropped before the loss: they could never reach a branch."""
     state._single("measure_threshold")
-    work = _with_efficiency(state, detector_map, efficiency)
-    codes = _click_codes(work, detector_map)
     measured = sorted({m for modes in detector_map.values() for m in modes},
-                      key=work.modes.index)
-    keep = [m for m in work.modes if m not in measured]
+                      key=state.modes.index)
+    keep = [m for m in state.modes if m not in measured]
+    pos = [state.mode_index(m) for m in measured]
+    seen = state.basis.occs[:, pos] @ _radix(len(pos), state.n_max)
+    coo = state.rho.tocoo()
+    r, c = coo.coords
+    same = seen[r] == seen[c]
+    cut = FockState(state.modes, state.basis,
+                    _sparse(r[same], c[same], coo.data[same], state.basis.dim))
+    work = _with_efficiency(cut, detector_map, efficiency)
+    codes = _click_codes(work, detector_map)
     probs = np.bincount(codes, weights=np.real(work.rho.diagonal()))
     coo = work.rho.tocoo()
     r, c = coo.coords
-    entry_code = np.where(codes[r] == codes[c], codes[r], -1)
+    # the measured occupations of every kept entry agree, so its row and
+    # column carry one click code
+    entry_code = codes[r]
     branches = []
     for code in np.flatnonzero(probs > 0.0):
         sel = entry_code == code

@@ -27,9 +27,10 @@ only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
 quadrature.  They depend on the phases only through phi_w + phi_r too, so
 both engines take a whole scan at once: the Gaussian engine as one batched
 circuit, the Fock engine with one write stage and one read-stage prefix per
-heralded branch, shared by every setting, and the read interferometer and
-click read-out on block-diagonal batches of that prefix, as many elements
-per block as keep it near FOCK_BATCH_ENTRIES stored entries.
+heralded branch, shared by every setting, traced down to the two read
+photons, and the read interferometer and click read-out on block-diagonal
+batches of it, as many elements per block as keep it near
+FOCK_BATCH_ENTRIES stored entries.
 """
 
 from __future__ import annotations
@@ -383,7 +384,9 @@ def exact_joint_distribution(
 def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> OutcomeDistribution:
     """Staged exact Fock pipeline over a scan: measure and trace the write
     photons first, then run the read stage on each conditioned mechanical
-    state.  Keeps at most six live modes.
+    state, and trace the mechanical modes out once the readout splitters
+    have swapped them onto the read photons.  Keeps at most six live modes
+    up to that trace and four after it.
 
     The overlap statistics see the phases only through phi_w + phi_r and
     the jitters only through jitter_w + jitter_r: the squeezer conserves
@@ -394,7 +397,8 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     heralded branch runs the read stage's prefix once, and only the read
     interferometer and the click read-out run per element, at the summed
     phase and jitter: on blocks of max(1, FOCK_BATCH_ENTRIES // entries of
-    the prefix) elements, each block one block-diagonal Fock batch."""
+    the traced prefix) elements, each block one block-diagonal Fock batch.
+    The truncation figures include the prefix before its trace."""
     noise = config.noise
     phi, jitter = np.broadcast_arrays(np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))
     shape = phi.shape
@@ -416,7 +420,10 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
         read = _FockCircuit(n_max, cap)
         read.state = mech_state
         _read_prefix(read, config)
-        prefix = read.state
+        weight = max(weight, read.state.truncation_weight())
+        deficit = max(deficit, abs(read.state.renorm_deficit))
+        # nothing after the readout splitters touches m_E or m_L
+        prefix = read.fock.partial_trace(read.state, ["o_rE", "o_rL"])
         size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
         for block in (slice(start, start + size) for start in range(0, phi.size, size)):
             read.state = read.fock.tile(prefix, len(phi[block]))

@@ -121,16 +121,21 @@ class TestSimulate:
         # on a config with a phases.settings scan, which takes precedence
         "phases.phi_w=0.6",
         "phases.phi_r=0.1",
+        # together with a phases.settings override, on a config without a scan
+        pytest.param(("phases.settings=[[0.25, 0.0]]", "phases.phi_w=0.6"), id="settings+phi_w"),
+        pytest.param(("phases.settings=[[0.25, 0.0]]", "phases.phi_r=0.1"), id="settings+phi_r"),
     ])
     def test_bad_override_is_config_error(self, tmp_path, capsys, override):
-        # phases.settings is an override target only in a config that has one
-        scanned = override in ("phases.settings=[]", "phases.phi_w=0.6", "phases.phi_r=0.1")
+        # each case names the bad field last; the single phase overrides run
+        # on a config with a scan
+        overrides = [override] if isinstance(override, str) else list(override)
+        scanned = override in ("phases.phi_w=0.6", "phases.phi_r=0.1")
         settings = {"settings": [[0.25, 0.0]]} if scanned else {}
         config = write_config(tmp_path, trials=0, phases={"phi_off": 0.2, **settings})
-        code = cli.main(["simulate", "--config", str(config), "--out",
-                         str(tmp_path / "bad"), "--override", override])
+        code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "bad"),
+                         *(arg for ov in overrides for arg in ("--override", ov))])
         assert code == 2
-        assert override.partition("=")[0] in capsys.readouterr().err
+        assert overrides[-1].partition("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--override", "record_trials=-5"],

@@ -548,6 +548,14 @@ def test_sparse_measure_threshold_matches_dense(case, data):
                     "d1": [state.modes[k] for k in measured[split:]]}
     if not detector_map["d1"]:
         del detector_map["d1"]
+    # in (0, 1], away from 0, where a branch probability underflows
+    efficiency = {det: data.draw(st.floats(0.01, 1.0)) for det in detector_map}
+    # the reference applies the efficiency loss to the whole state first
+    lossy = state
+    for det, modes in detector_map.items():
+        for m in modes:
+            lossy = fock.apply_loss(lossy, m, efficiency[det])
+    rho = lossy.rho.toarray()
     codes = np.zeros(state.basis.dim, dtype=int)
     for k, det in enumerate(detector_map.values()):
         for a, occ in enumerate(state.basis.occs):
@@ -561,7 +569,7 @@ def test_sparse_measure_threshold_matches_dense(case, data):
         p = np.trace(proj).real
         if p > 0.0:
             expected.append((code, p, dense_partial_trace(state, proj, keep_pos) / p))
-    branches = fock.measure_threshold(state, detector_map)
+    branches = fock.measure_threshold(state, detector_map, efficiency)
     assert [b[0] for b in branches] == [e[0] for e in expected]
     for (_, p, reduced), (_, p_ref, ref) in zip(branches, expected):
         assert p == pytest.approx(p_ref, abs=1e-12)

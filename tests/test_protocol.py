@@ -608,7 +608,10 @@ class TestFockScan:
         (oracles.ideal_limit_config,
          lambda c: [(0.0, 0.3), (1.9, 0.3), (0.1, 0.3), (4.4, -0.8)],
          [(0.0, 0.0), (0.0, 0.0), (0.2, 0.0), (-0.5, 0.7)]),
-    ], ids=["bell_test", "timebin_entanglement", "ideal_limit"])
+        # the open interferometer of the cross-correlation kind, 8 channels
+        (lambda: fock_config("cross_correlation"),
+         lambda c: [(0.0, 0.0), (0.7, 0.2)], [(0.0, 0.0), (0.3, -0.1)]),
+    ], ids=["bell_test", "timebin_entanglement", "ideal_limit", "cross_correlation"])
     def test_matches_the_per_setting_staged_pipeline(self, config, settings, jitters):
         cfg = config()
         scan = settings(cfg)
@@ -620,6 +623,20 @@ class TestFockScan:
             want = staged_fock_reference(cfg, w, r, jw, jr)
             assert got.labels == want.labels
             assert got.probabilities[b] == pytest.approx(want.probabilities, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["bell_test", "cross_correlation"])
+    def test_the_read_interferometer_sees_only_the_read_photons(self, monkeypatch, name):
+        modes = []
+        stage = protocol._stage_interferometer
+
+        def spy(circuit, config, which, phi_late, jitter):
+            modes.append((which, circuit.state.modes))
+            return stage(circuit, config, which, phi_late, jitter)
+
+        monkeypatch.setattr(protocol, "_stage_interferometer", spy)
+        protocol.exact_joint_distribution(fock_config(name), np.zeros(3), 0.0)
+        reads = [m for which, m in modes if which == "read"]
+        assert reads and set(reads) == {("o_rE", "o_rL")}
 
 
 def bell_scan():
@@ -650,9 +667,9 @@ class TestFockBlocks:
         return protocol.exact_joint_distribution(cfg, phi_w, phi_r), sizes
 
     @pytest.mark.parametrize("scan, sizes", [
-        # the Bell step's prefixes hold thousands of entries: one element
-        # per block; the fringe prefixes a few: the whole scan in one block
-        (bell_scan, [1] * 4), (fringe_scan, [25]),
+        # traced to the two read photons, the Bell step's prefixes hold tens
+        # of entries and the fringe prefixes a few: each scan in one block
+        (bell_scan, [4]), (fringe_scan, [25]),
     ], ids=["bell_test", "fringe"])
     def test_blocks_follow_the_prefix_entries(self, monkeypatch, scan, sizes):
         _, got = self.blocks(monkeypatch, scan)
