@@ -414,7 +414,9 @@ def cmd_calibrate(args) -> int:
         "phi_0_rad": cal.phi_0,
         "phi_0_sigma_rad": cal.phi_0_sigma,
         "fit_amplitude": cal.amplitude,
+        "fit_amplitude_sigma": cal.amplitude_sigma,
         "fit_offset": cal.offset,
+        "fit_residual_rms": cal.fit_residual_rms,
         "expected_S": cal.expected_S,
         "phases": {"settings": [[w / math.pi, r / math.pi] for w, r in cal.chsh_settings]},
     }

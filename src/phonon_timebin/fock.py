@@ -601,17 +601,6 @@ def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: floa
     return _apply_shift_kernels(state, mode, _thermal_kernels(state.n_max, survival, n_env))
 
 
-def apply_thermal_noise(state: FockState, mode: str, delta_n: float,
-                        epsilon: float = 0.01) -> FockState:
-    """Add delta_n of thermal occupancy through a weak thermal-loss channel
-    (survival 1 - epsilon against an environment at delta_n / epsilon)."""
-    if delta_n < 0:
-        raise FockEngineError("delta_n must be >= 0")
-    if delta_n == 0.0:
-        return state.copy()
-    return apply_thermal_loss(state, mode, 1.0 - epsilon, delta_n / epsilon)
-
-
 # ---------------------------------------------------------------------------
 # threshold detection
 
@@ -703,6 +692,11 @@ def measure_threshold(
     entry_code = codes[r]
     branches = []
     for code in np.flatnonzero(probs > 0.0):
+        # dividing by a subnormal probability overflows, and its underflowed
+        # entries are no valid state to rescale anyway
+        if probs[code] < np.finfo(float).tiny:
+            raise FockEngineError(f"click pattern {code} has subnormal probability "
+                                  f"{probs[code]:.3g}: its conditioned state underflows")
         sel = entry_code == code
         sub = FockState(work.modes, work.basis,
                         _sparse(r[sel], c[sel], coo.data[sel], work.basis.dim))

@@ -1,5 +1,8 @@
-"""Covariance-matrix engine for the same circuit vocabulary as the Fock
-engine, with determinant-based threshold-click probabilities.
+"""Covariance-matrix engine for the circuit vocabulary of the Fock engine,
+under the same names (``apply_two_mode_squeeze``, ``apply_beam_splitter``,
+``apply_phase``, ``apply_loss``, ``apply_thermal_loss``), with
+determinant-based threshold-click probabilities.  Each gate is one local
+update by its small symplectic matrix.
 
 Conventions: hbar = 1, quadrature ordering (x1, p1, x2, p2, ...), vacuum
 covariance = I/2.  Means are identically zero here -- the vocabulary has no
@@ -112,20 +115,8 @@ def _quadratures(state: CovarianceState, labels: Sequence[str]) -> list[int]:
     return [q for m in labels for q in (2 * state.mode_index(m), 2 * state.mode_index(m) + 1)]
 
 
-def drop_modes(state: CovarianceState, labels: Sequence[str]) -> CovarianceState:
-    drop = {state.mode_index(m) for m in labels}
-    keep = [m for i, m in enumerate(state.modes) if i not in drop]
-    sel = _quadratures(state, keep)
-    return CovarianceState(keep, state.sigma[..., sel, :][..., :, sel])
-
-
 # ---------------------------------------------------------------------------
 # symplectic operations
-
-
-def phase_symplectic(phi) -> np.ndarray:
-    # apply_phase multiplies |n> by e^{i n phi}, i.e. a -> a e^{i phi}
-    return _rot(phi)
 
 
 def beam_splitter_symplectic(transmissivity: float, phase=0.0) -> np.ndarray:
@@ -166,36 +157,25 @@ def _local_update(state: CovarianceState, idx: list[int], S: np.ndarray) -> Cova
     return CovarianceState(state.modes, out)
 
 
-def symplectic_apply(state: CovarianceState, op: str, labels: Sequence[str],
-                     *params) -> CovarianceState:
-    """Apply one of the vocabulary unitaries (squeeze | beamsplitter | phase)."""
-    if op == "phase":
-        small = phase_symplectic(*params)
-    elif op == "beamsplitter":
-        small = beam_splitter_symplectic(*params)
-    elif op == "squeeze":
-        small = squeeze_symplectic(*params)
-    else:
-        raise GaussianEngineError(f"unknown op {op!r}")
-    return _local_update(state, _quadratures(state, labels), small)
-
-
 def apply_phase(state: CovarianceState, mode: str, phi) -> CovarianceState:
-    return symplectic_apply(state, "phase", [mode], phi)
+    # |n> -> e^{i n phi} |n>, i.e. a -> a e^{i phi}: a rotation by phi
+    return _local_update(state, _quadratures(state, [mode]), _rot(phi))
 
 
 def apply_beam_splitter(state: CovarianceState, mode_a: str, mode_b: str,
                         transmissivity: float, phase: float = 0.0) -> CovarianceState:
-    return symplectic_apply(state, "beamsplitter", [mode_a, mode_b], transmissivity, phase)
+    return _local_update(state, _quadratures(state, [mode_a, mode_b]),
+                         beam_splitter_symplectic(transmissivity, phase))
 
 
 def apply_two_mode_squeeze(state: CovarianceState, optical_mode: str, mech_mode: str,
                            p: float, phase: float = 0.0) -> CovarianceState:
-    return symplectic_apply(state, "squeeze", [optical_mode, mech_mode], p, phase)
+    return _local_update(state, _quadratures(state, [optical_mode, mech_mode]),
+                         squeeze_symplectic(p, phase))
 
 
-def thermal_loss(state: CovarianceState, mode: str, survival: float,
-                 n_env: float = 0.0) -> CovarianceState:
+def apply_thermal_loss(state: CovarianceState, mode: str, survival: float,
+                       n_env: float = 0.0) -> CovarianceState:
     """sigma_mode -> eta sigma_mode + (1-eta)(n_env + 1/2) I, cross blocks
     scaled by sqrt(eta)."""
     if not 0.0 <= survival <= 1.0:
@@ -213,16 +193,7 @@ def thermal_loss(state: CovarianceState, mode: str, survival: float,
 
 
 def apply_loss(state: CovarianceState, mode: str, survival: float) -> CovarianceState:
-    return thermal_loss(state, mode, survival, 0.0)
-
-
-def apply_thermal_noise(state: CovarianceState, mode: str, delta_n: float,
-                        epsilon: float = 0.01) -> CovarianceState:
-    if delta_n < 0:
-        raise GaussianEngineError("delta_n must be >= 0")
-    if delta_n == 0.0:
-        return state.copy()
-    return thermal_loss(state, mode, 1.0 - epsilon, delta_n / epsilon)
+    return apply_thermal_loss(state, mode, survival, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +236,7 @@ def click_probabilities(
             efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
         if eta < 1.0:
             for m in modes:
-                work = thermal_loss(work, m, eta, 0.0)
+                work = apply_thermal_loss(work, m, eta, 0.0)
     detectors = tuple(detector_map)
     n = len(detectors)
     batch = work.sigma.shape[:-2]

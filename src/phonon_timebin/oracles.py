@@ -1,6 +1,8 @@
 """Cross-engine and analytic-limit verification suites.
 
-The random-circuit generator draws from the shared engine vocabulary over
+Each op of a random circuit names the protocol circuit-builder method that
+runs it, so both engines replay a circuit through the one builder.  The
+random-circuit generator draws from the shared engine vocabulary over
 the protocol's operating envelope (pair probabilities <= 0.02, thermal
 occupancies <= 0.2, up to 6 modes).  Two structural constraints keep the
 per-mode cutoff N = 5 honest to 1e-6 on click probabilities:
@@ -69,7 +71,8 @@ COOL_INIT_MAX = 0.04
 
 
 def random_circuit(rng: np.random.Generator) -> dict:
-    """One random vocabulary circuit description (engine independent)."""
+    """One random vocabulary circuit description (engine independent): each
+    op is (builder method name, *its arguments)."""
     n_modes = rng.choice(list(_MODE_WEIGHTS), p=list(_MODE_WEIGHTS.values()))
     n_modes = int(n_modes)
     hot_cap, total_cap = _ENVELOPE[n_modes]
@@ -91,9 +94,9 @@ def random_circuit(rng: np.random.Generator) -> dict:
     ops = []
 
     for _ in range(int(rng.integers(3, 8))):
-        kind = rng.choice(["squeeze", "bs", "phase", "loss", "thermal"],
+        kind = rng.choice(["squeeze", "beam_splitter", "phase", "loss", "thermal_loss"],
                           p=[0.25, 0.25, 0.15, 0.2, 0.15])
-        if kind in ("squeeze", "bs") and n_modes >= 2:
+        if kind in ("squeeze", "beam_splitter") and n_modes >= 2:
             cool = [m for m in modes if m != hot]
             pairs = [(a, b) for i, a in enumerate(cool) for b in cool[i + 1:]
                      if current[a] + current[b] <= MIXING_SUM_LIMIT]
@@ -115,7 +118,7 @@ def random_circuit(rng: np.random.Generator) -> dict:
                 na, nb = current[a], current[b]
                 current[a] = t * na + (1 - t) * nb
                 current[b] = (1 - t) * na + t * nb
-                ops.append(("bs", a, b, t, float(rng.uniform(0, 2 * math.pi))))
+                ops.append(("beam_splitter", a, b, t, float(rng.uniform(0, 2 * math.pi))))
         elif kind == "phase":
             ops.append(("phase", modes[int(rng.integers(n_modes))],
                         float(rng.uniform(0, 2 * math.pi))))
@@ -130,7 +133,7 @@ def random_circuit(rng: np.random.Generator) -> dict:
             cap = hot_cap if m == hot else 0.06
             n_env = float(rng.uniform(0.0, cap))
             current[m] = s * current[m] + (1 - s) * n_env
-            ops.append(("thermal", m, s, n_env))
+            ops.append(("thermal_loss", m, s, n_env))
     detectors: dict[str, list[str]] = {}
     n_det = min(int(rng.integers(2, 5)), n_modes)
     for k, m in enumerate(modes):
@@ -143,45 +146,20 @@ def random_circuit(rng: np.random.Generator) -> dict:
             "total_cap": total_cap}
 
 
-def run_circuit_fock(desc: dict, n_max: int = 5):
-    st = fock.init_thermal(desc["modes"], n_max, desc["occupations"],
-                           total_max=desc["total_cap"])
-    for op in desc["ops"]:
-        kind = op[0]
-        if kind == "squeeze":
-            st = fock.apply_two_mode_squeeze(st, op[1], op[2], op[3], op[4])
-        elif kind == "bs":
-            st = fock.apply_beam_splitter(st, op[1], op[2], op[3], op[4])
-        elif kind == "phase":
-            st = fock.apply_phase(st, op[1], op[2])
-        elif kind == "loss":
-            st = fock.apply_loss(st, op[1], op[2])
-        else:
-            st = fock.apply_thermal_loss(st, op[1], op[2], op[3])
-    return fock.click_distribution(st, desc["detectors"], desc["efficiency"])
-
-
-def run_circuit_gaussian(desc: dict):
-    st = gaussian.thermal_state(desc["modes"], desc["occupations"])
-    for op in desc["ops"]:
-        kind = op[0]
-        if kind == "squeeze":
-            st = gaussian.apply_two_mode_squeeze(st, op[1], op[2], op[3], op[4])
-        elif kind == "bs":
-            st = gaussian.apply_beam_splitter(st, op[1], op[2], op[3], op[4])
-        elif kind == "phase":
-            st = gaussian.apply_phase(st, op[1], op[2])
-        elif kind == "loss":
-            st = gaussian.apply_loss(st, op[1], op[2])
-        else:
-            st = gaussian.thermal_loss(st, op[1], op[2], op[3])
-    return gaussian.click_probabilities(st, desc["detectors"], desc["efficiency"])
-
-
 def cross_engine_deviation(desc: dict, n_max: int = 5) -> float:
-    df = run_circuit_fock(desc, n_max)
-    dg = run_circuit_gaussian(desc)
-    return float(np.abs(dg.probabilities - df.probabilities).max())
+    """Largest click-pattern difference between the two engines running one
+    circuit description from its thermal start state."""
+    modes, occupations = desc["modes"], desc["occupations"]
+    fock_circuit = protocol._FockCircuit(n_max, desc["total_cap"])
+    fock_circuit.state = fock.init_thermal(modes, n_max, occupations, total_max=desc["total_cap"])
+    gaussian_circuit = protocol._GaussianCircuit()
+    gaussian_circuit.state = gaussian.thermal_state(modes, occupations)
+    dists = []
+    for circuit in (fock_circuit, gaussian_circuit):
+        for kind, *args in desc["ops"]:
+            getattr(circuit, kind)(*args)
+        dists.append(circuit.click_distribution(desc["detectors"], desc["efficiency"]))
+    return float(np.abs(dists[1].probabilities - dists[0].probabilities).max())
 
 
 def cross_engine_suite(n_circuits: int, seed: int, n_max: int = 5):

@@ -11,6 +11,11 @@ Circuit layout per trial (entanglement-type experiments):
   read:   beam splitter sin^2 = p_r maps phonons onto o_rE / o_rL,
           phi_r on the late read -> coupling loss -> same MZI -> read detectors
 
+One circuit builder serves both engines: each method calls that engine's
+``apply_*`` function on the current state.  The thermal top-up is a weak
+thermal loss at THERMAL_NOISE_EPSILON, the epsilon the read stage solves
+its top-up for.
+
 The MZI convention: the delay arm carries phase +phi_off (plus lock jitter),
 the Early pulse reaches the overlap window through it, so heralded
 coincidences fringe as 1 + cos(phi_w + phi_r - 2*phi_off) on the same
@@ -102,35 +107,49 @@ class ClickRecord:
 
 
 # ---------------------------------------------------------------------------
-# engine adapters: one mutable circuit-builder facade over each engine
+# circuit builders: one mutable facade over either engine's apply_* functions
 
 
-class _GaussianCircuit:
-    def __init__(self):
-        self.state = gaussian.CovarianceState(())
+class _Circuit:
+    """The circuit vocabulary, each call one ``engine.apply_*`` on the state."""
+
+    def __init__(self, engine, state):
+        self.engine = engine
+        self.state = state
 
     def add_mode(self, label: str, thermal: float = 0.0):
-        self.state = gaussian.add_vacuum_mode(self.state, label)
+        self.state = self.engine.add_vacuum_mode(self.state, label)
         if thermal > 0.0:
-            self.state = gaussian.thermal_loss(self.state, label, 0.0, thermal)
+            self.thermal_loss(label, 0.0, thermal)
 
     def squeeze(self, a, b, p, phi=0.0):
-        self.state = gaussian.apply_two_mode_squeeze(self.state, a, b, p, phi)
+        self.state = self.engine.apply_two_mode_squeeze(self.state, a, b, p, phi)
 
     def beam_splitter(self, a, b, transmissivity, phi=0.0):
-        self.state = gaussian.apply_beam_splitter(self.state, a, b, transmissivity, phi)
+        self.state = self.engine.apply_beam_splitter(self.state, a, b, transmissivity, phi)
 
     def phase(self, m, phi):
-        self.state = gaussian.apply_phase(self.state, m, phi)
+        self.state = self.engine.apply_phase(self.state, m, phi)
 
     def loss(self, m, survival):
-        self.state = gaussian.apply_loss(self.state, m, survival)
+        self.state = self.engine.apply_loss(self.state, m, survival)
+
+    def thermal_loss(self, m, survival, n_env):
+        self.state = self.engine.apply_thermal_loss(self.state, m, survival, n_env)
 
     def thermal_noise(self, m, delta_n):
-        self.state = gaussian.apply_thermal_noise(self.state, m, delta_n)
+        """Add delta_n of occupancy through a weak thermal loss: survival
+        1 - THERMAL_NOISE_EPSILON against an environment at
+        delta_n / THERMAL_NOISE_EPSILON."""
+        self.thermal_loss(m, 1.0 - THERMAL_NOISE_EPSILON, delta_n / THERMAL_NOISE_EPSILON)
 
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)
+
+
+class _GaussianCircuit(_Circuit):
+    def __init__(self):
+        super().__init__(gaussian, gaussian.CovarianceState(()))
 
     #: (input key, probabilities) of the last successful click transform,
     #: replaced whole and never written into: a bit-identical final state
@@ -150,48 +169,17 @@ class _GaussianCircuit:
         return OutcomeDistribution(tuple(detector_map), probs.copy())
 
 
-class _FockCircuit:
+class _FockCircuit(_Circuit):
     def __init__(self, n_max: int = FOCK_PROTOCOL_NMAX, total_cap: int = FOCK_PROTOCOL_CAP):
         # imported only here, so a Gaussian run loads no SciPy
         from . import fock
-        self.fock = fock
-        self.n_max = n_max
-        self.total_cap = total_cap
-        self.state: fock.FockState | None = None
-
-    def add_mode(self, label: str, thermal: float = 0.0):
-        if self.state is None:
-            self.state = self.fock.init_thermal([label], self.n_max, {label: thermal},
-                                                total_max=self.total_cap)
-            return
-        # appending re-enumerates the capped basis, so build thermal via channel
-        self.state = self.fock.add_vacuum_mode(self.state, label)
-        if thermal > 0.0:
-            self.state = self.fock.apply_thermal_loss(self.state, label, 0.0, thermal)
-
-    def squeeze(self, a, b, p, phi=0.0):
-        self.state = self.fock.apply_two_mode_squeeze(self.state, a, b, p, phi)
-
-    def beam_splitter(self, a, b, transmissivity, phi=0.0):
-        self.state = self.fock.apply_beam_splitter(self.state, a, b, transmissivity, phi)
-
-    def phase(self, m, phi):
-        self.state = self.fock.apply_phase(self.state, m, phi)
-
-    def loss(self, m, survival):
-        self.state = self.fock.apply_loss(self.state, m, survival)
-
-    def thermal_noise(self, m, delta_n):
-        self.state = self.fock.apply_thermal_noise(self.state, m, delta_n)
-
-    def mean_occupation(self, m):
-        return self.state.mean_occupation(m)
+        super().__init__(fock, fock.init_vacuum([], n_max, total_cap))
 
     def measure(self, detector_map, efficiency):
-        return self.fock.measure_threshold(self.state, detector_map, efficiency)
+        return self.engine.measure_threshold(self.state, detector_map, efficiency)
 
     def click_distribution(self, detector_map, efficiency):
-        return self.fock.click_distribution(self.state, detector_map, efficiency)
+        return self.engine.click_distribution(self.state, detector_map, efficiency)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +404,17 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     joint = np.zeros((phi.size, 1 << len(w_channels), 1 << len(r_channels)))
     # running maxima, so no block's state outlives its read-out
     weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
+    read = _FockCircuit(n_max, cap)
     for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
-        read = _FockCircuit(n_max, cap)
         read.state = mech_state
         _read_prefix(read, config)
         weight = max(weight, read.state.truncation_weight())
         deficit = max(deficit, abs(read.state.renorm_deficit))
         # nothing after the readout splitters touches m_E or m_L
-        prefix = read.fock.partial_trace(read.state, ["o_rE", "o_rL"])
+        prefix = read.engine.partial_trace(read.state, ["o_rE", "o_rL"])
         size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
         for block in (slice(start, start + size) for start in range(0, phi.size, size)):
-            read.state = read.fock.tile(prefix, len(phi[block]))
+            read.state = read.engine.tile(prefix, len(phi[block]))
             r_groups = _stage_interferometer(read, config, "read", phi[block], jitter[block])
             r_map = {ch: r_groups[ch] for ch in r_channels}
             r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))

@@ -259,6 +259,9 @@ class TestCalibrate:
         phi_0_true = (2 * 0.2 * math.pi + math.pi / 2) % (2 * math.pi)
         assert payload["phi_0_rad"] == pytest.approx(phi_0_true, abs=math.pi / 50)
         assert len(payload["phases"]["settings"]) == 4
+        # what the fit leaves out is reported with it
+        for key in ("fit_amplitude_sigma", "fit_residual_rms"):
+            assert math.isfinite(payload[key])
         assert (out / "calibration_sweep.csv").exists()
 
     def test_settings_feed_back_into_bell_config(self, tmp_path):

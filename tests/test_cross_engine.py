@@ -24,7 +24,7 @@ class TestSharedVocabulary:
         gs = gaussian.thermal_state(["a"], 0.1)
         for s, n_env in ((0.9, 0.05), (0.7, 0.0), (0.95, 0.18)):
             fs = fock.apply_thermal_loss(fs, "a", s, n_env)
-            gs = gaussian.thermal_loss(gs, "a", s, n_env)
+            gs = gaussian.apply_thermal_loss(gs, "a", s, n_env)
             # means see the n-weighted tail, so they are a little softer
             # than the click-probability contract
             assert fs.mean_occupation("a") == pytest.approx(
@@ -39,7 +39,7 @@ class TestSharedVocabulary:
             ("squeeze", "o", "m", 0.004, 0.3),
             ("loss", "o", 0.5),
             ("phase", "o", 0.77),
-            ("bs", "o", "v", 0.5, 0.0),
+            ("beam_splitter", "o", "v", 0.5, 0.0),
             ("loss", "m", 0.92),
         ]
         desc = {"modes": ["o", "m", "v"], "occupations": {"m": 0.03},

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from phonon_timebin import fock as F
+from phonon_timebin import protocol
 
 
 def pure_state(modes, n_max, occupation, total_max=None):
@@ -204,15 +206,18 @@ class TestChannels:
                 assert np.array_equal(kernel, np.outer(amp, amp))
 
     def test_thermal_noise_adds_occupancy(self):
-        st = F.init_vacuum(["a"], 6)
-        out = F.apply_thermal_noise(st, "a", 0.022)
-        assert out.mean_occupation("a") == pytest.approx(0.022, abs=1e-6)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
+        circuit = protocol._FockCircuit(n_max=6, total_cap=6)
+        circuit.add_mode("a")
+        circuit.thermal_noise("a", 0.022)
+        assert circuit.mean_occupation("a") == pytest.approx(0.022, abs=1e-6)
+        assert circuit.state.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_thermal_noise_epsilon_insensitive(self):
+        # adding 0.05 of occupancy through survival 1 - epsilon against
+        # 0.05 / epsilon hardly depends on epsilon
         st = F.init_vacuum(["a"], 6)
-        a = F.apply_thermal_noise(st, "a", 0.05, epsilon=0.01)
-        b = F.apply_thermal_noise(st, "a", 0.05, epsilon=0.005)
+        a = F.apply_thermal_loss(st, "a", 0.99, 5.0)
+        b = F.apply_thermal_loss(st, "a", 0.995, 10.0)
         assert abs(a.mean_occupation("a") - b.mean_occupation("a")) < 1e-6
 
     def test_thermal_loss_matches_gaussian_moments(self):
@@ -383,6 +388,16 @@ class TestDetection:
         assert heralded.trace() == pytest.approx(1.0, abs=1e-10)
         total = sum(p for _, p, _ in branches)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_subnormal_branch_raises_without_overflow(self):
+        # the click branch's probability ~ 2.2e-308 * 0.11 is subnormal, so
+        # dividing its conditioned state by it would overflow
+        st = F.init_vacuum(["o", "m"], 4)
+        st = F.apply_two_mode_squeeze(st, "o", "m", 0.1, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(F.FockEngineError, match="subnormal probability"):
+                F.measure_threshold(st, {"d": ["o"]}, 2.2e-308)
 
 
 class TestStateBookkeeping:

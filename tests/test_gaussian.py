@@ -68,7 +68,7 @@ class TestSymplectics:
                   G.squeeze_symplectic(0.02, 2.2)):
             assert np.linalg.det(S) == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(S @ omega @ S.T, omega, atol=1e-12)
-        R = G.phase_symplectic(0.7)
+        R = G._rot(0.7)
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
 
     def test_purity_through_lossless_circuit(self):
@@ -79,33 +79,28 @@ class TestSymplectics:
         # det(2 sigma) = 1 for a pure state
         assert np.linalg.det(2 * st.sigma) == pytest.approx(1.0, abs=1e-10)
 
-    def test_unknown_op(self):
-        st = G.vacuum_state(["a"])
-        with pytest.raises(G.GaussianEngineError, match="unknown op"):
-            G.symplectic_apply(st, "displace", ["a"], 1.0)
-
 
 class TestThermalLoss:
     def test_identity(self):
         st = G.thermal_state(["a"], 0.3)
-        out = G.thermal_loss(st, "a", 1.0, 5.0)
+        out = G.apply_thermal_loss(st, "a", 1.0, 5.0)
         assert np.allclose(out.sigma, st.sigma)
 
     def test_full_replacement(self):
         st = G.vacuum_state(["a"])
-        out = G.thermal_loss(st, "a", 0.0, 0.09)
+        out = G.apply_thermal_loss(st, "a", 0.0, 0.09)
         assert out.mean_occupation("a") == pytest.approx(0.09, abs=1e-14)
 
     def test_added_occupancy(self):
         st = G.vacuum_state(["a"])
-        out = G.thermal_loss(st, "a", 0.99, 2.2)
+        out = G.apply_thermal_loss(st, "a", 0.99, 2.2)
         assert out.mean_occupation("a") == pytest.approx(0.022, abs=1e-12)
 
     def test_cross_blocks_scaled(self):
         st = G.vacuum_state(["a", "b"])
         st = G.apply_two_mode_squeeze(st, "a", "b", 0.04, 0.0)
         cross = st.sigma[:2, 2:].copy()
-        out = G.thermal_loss(st, "a", 0.64, 0.1)
+        out = G.apply_thermal_loss(st, "a", 0.64, 0.1)
         assert np.allclose(out.sigma[:2, 2:], 0.8 * cross, atol=1e-14)
 
 
@@ -157,9 +152,8 @@ class TestModeRegistry:
         grown = G.add_vacuum_mode(st, "b")
         assert grown.modes == ("a", "b")
         st2 = G.apply_beam_splitter(grown, "a", "b", 0.5)
-        reduced = G.drop_modes(st2, ["b"])
-        assert reduced.modes == ("a",)
-        assert reduced.mean_occupation("a") == pytest.approx(0.25, abs=1e-12)
+        # the added mode is vacuum: the splitter halves the occupation
+        assert st2.mean_occupation("a") == pytest.approx(0.25, abs=1e-12)
 
     def test_unregistered(self):
         st = G.vacuum_state(["a"])

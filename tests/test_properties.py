@@ -247,10 +247,10 @@ def gate_sequences(draw, batch=None):
     gates = []
     for _ in range(draw(st.integers(1, 10))):
         a, b = draw(st.permutations(modes))[:2]
-        op = draw(st.sampled_from(["squeeze", "beamsplitter", "phase", "loss"]))
+        op = draw(st.sampled_from(["squeeze", "beam_splitter", "phase", "thermal_loss"]))
         if op == "squeeze":
             gates.append((op, [a, b], (draw(st.floats(0.0, 0.2)), draw(angle))))
-        elif op == "beamsplitter":
+        elif op == "beam_splitter":
             gates.append((op, [a, b], (draw(unit), draw(angle))))
         elif op == "phase":
             gates.append((op, [a], (draw(angle),)))
@@ -260,25 +260,24 @@ def gate_sequences(draw, batch=None):
 
 
 def run_gates(modes, occupations, gates):
-    state = gaussian.thermal_state(modes, occupations)
+    """The gates through the Gaussian circuit builder, one method per op."""
+    circuit = protocol._GaussianCircuit()
+    circuit.state = gaussian.thermal_state(modes, occupations)
     for op, labels, params in gates:
-        if op == "loss":
-            state = gaussian.thermal_loss(state, labels[0], *params)
-        else:
-            state = gaussian.symplectic_apply(state, op, labels, *params)
-    return state
+        getattr(circuit, op)(*labels, *params)
+    return circuit.state
 
 
 def dense_reference(modes, occupations, gates):
     """The same gates as full 2N x 2N products S sigma S^T and X sigma X."""
     sigma = gaussian.thermal_state(modes, occupations).sigma
     small = {"squeeze": gaussian.squeeze_symplectic,
-             "beamsplitter": gaussian.beam_splitter_symplectic,
-             "phase": gaussian.phase_symplectic}
+             "beam_splitter": gaussian.beam_splitter_symplectic,
+             "phase": gaussian._rot}
     for op, labels, params in gates:
         idx = [q for m in labels for q in (2 * modes.index(m), 2 * modes.index(m) + 1)]
         S = np.eye(2 * len(modes))
-        if op == "loss":
+        if op == "thermal_loss":
             survival, n_env = params
             S[idx, idx] = math.sqrt(survival)
             sigma = S @ sigma @ S.T

@@ -89,7 +89,11 @@ class TestWriteStage:
             j = heralded.basis.index[(0, 1)]
             assert abs(heralded.rho[i, j]) == pytest.approx(v_int / 2.0, abs=2e-3)
 
-    def test_mechanical_occupancy_follows_schedule(self):
+    @pytest.mark.parametrize("epsilon", [0.01, 0.005])
+    def test_mechanical_occupancy_follows_schedule(self, monkeypatch, epsilon):
+        # the read-stage top-up solves for its delta with the same epsilon
+        # that the thermal-noise channel attenuates by
+        monkeypatch.setattr(protocol, "THERMAL_NOISE_EPSILON", epsilon)
         noise = clean_noise(thermal_schedule=tuple(
             zip(ROLES, (0.022, 0.040, 0.066, 0.095))))
         cfg = make_config(noise=noise, T1=2.2e-6, retrieval=0.8)
