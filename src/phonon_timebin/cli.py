@@ -261,11 +261,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _extra_float(extra, key: str, default: float) -> float:
+    try:
+        return float(extra.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"extra.{key}: {exc}") from exc
+
+
 def _thermal_g2_run(config, out, manifest, results):
     extra = dict(config.extra)
     gamma = 1.0 / config.waveguide.T1
     if "spectrum_file" in extra:
-        spectrum = waveguide.load_spectrum(extra["spectrum_file"], gamma=gamma)
+        try:
+            spectrum = waveguide.load_spectrum(extra["spectrum_file"], gamma=gamma)
+        except (OSError, ValueError) as exc:  # missing, unreadable or malformed
+            raise ConfigError(f"extra.spectrum_file: {exc}") from exc
     else:
         try:
             spectrum = waveguide.synthetic_spectrum(
@@ -277,8 +287,8 @@ def _thermal_g2_run(config, out, manifest, results):
             )
         except ValueError as exc:  # an unparsable number, or a WaveguideError naming the field
             raise ConfigError(f"extra: {exc}") from exc
-    span = float(extra.get("max_delay", 5.5 * config.waveguide.round_trip_time))
-    step = float(extra.get("delay_step", 0.5e-9))
+    span = _extra_float(extra, "max_delay", 5.5 * config.waveguide.round_trip_time)
+    step = _extra_float(extra, "delay_step", 0.5e-9)
     if not 0.0 < step < span:
         raise ConfigError(f"extra.delay_step must lie in (0, max_delay = {span:g} s), "
                           f"got {step:g}")

@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import SeedSequence, default_rng
 
 from . import gaussian
 from .core import (
@@ -73,7 +73,6 @@ CROSS_CORRELATION_CHANNELS = (
 
 GH_NODES = 21
 THERMAL_NOISE_EPSILON = 0.01
-FOCK_PROTOCOL_NMAX = 4
 FOCK_PROTOCOL_CAP = 6
 #: stored entries of read-stage prefixes that one Fock read pass tiles: a
 #: pass over a few entries is mostly per-call overhead, which a block of
@@ -170,7 +169,7 @@ class _GaussianCircuit(_Circuit):
 
 
 class _FockCircuit(_Circuit):
-    def __init__(self, n_max: int = FOCK_PROTOCOL_NMAX, total_cap: int = FOCK_PROTOCOL_CAP):
+    def __init__(self, n_max: int, total_cap: int):
         # imported only here, so a Gaussian run loads no SciPy
         from . import fock
         super().__init__(fock, fock.init_vacuum([], n_max, total_cap))
@@ -348,24 +347,20 @@ def exact_joint_distribution(
     phi_r: float | np.ndarray,
     jitter_w: float | np.ndarray = 0.0,
     jitter_r: float | np.ndarray = 0.0,
-    engine: str | None = None,
 ) -> OutcomeDistribution:
     """Joint click-pattern distribution over the analysis channels for one
     phase setting and one jitter sample.  The phases and jitters may be (B,)
     arrays: either engine then gives one (B, 2**n) distribution, and
-    scalars are its batch-of-one case."""
-    engine = engine or config.engine.name
+    scalars are its batch-of-one case.  ``config.engine`` picks the engine."""
     noise = config.noise
-    if engine == "gaussian":
+    if config.engine.name == "fock":
+        dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
+    else:
         circuit = _GaussianCircuit()
         groups = run_write_stage(circuit, config, phi_w, jitter_w)
         groups.update(run_read_stage(circuit, config, phi_r, jitter_r))
         ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
         dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
-    elif engine == "fock":
-        dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
-    else:
-        raise ProtocolError(f"unknown engine {engine!r}")
     return detect(dist, noise)
 
 
@@ -391,8 +386,7 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
     phi, jitter = np.broadcast_arrays(np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))
     shape = phi.shape
     phi, jitter = phi.ravel(), jitter.ravel()
-    n_max = config.engine.truncation if config.engine.name == "fock" else FOCK_PROTOCOL_NMAX
-    cap = config.engine.total_cap or FOCK_PROTOCOL_CAP
+    n_max, cap = config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP
     circuit = _FockCircuit(n_max, cap)
     w_groups = run_write_stage(circuit, config, 0.0)
     w_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("write")]
@@ -443,21 +437,19 @@ def jitter_averaged_distribution(
     config: ExperimentConfig,
     phi_w: float | np.ndarray,
     phi_r: float | np.ndarray,
-    engine: str | None = None,
-    nodes: int = GH_NODES,
 ) -> OutcomeDistribution:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
-    Gauss-Hermite rule is exact up to quadrature order.  The phases may be
-    (S,) arrays of settings: each node is then one circuit batched over the
-    settings, and the result one (S, 2**n) distribution."""
+    Gauss-Hermite rule of GH_NODES nodes is exact up to quadrature order.
+    The phases may be (S,) arrays of settings: each node is then one circuit
+    batched over the settings, and the result one (S, 2**n) distribution."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        return exact_joint_distribution(config, phi_w, phi_r, engine=engine)
-    x, w = hermegauss(nodes)
+        return exact_joint_distribution(config, phi_w, phi_r)
+    x, w = hermegauss(GH_NODES)
     w = w / math.sqrt(2.0 * math.pi)
-    return _mix(w, [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi,
-                                             engine=engine) for xi in x])
+    return _mix(w, [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi)
+                    for xi in x])
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +481,21 @@ def _phase_settings(config: ExperimentConfig) -> list[tuple[float, float]]:
     return [(config.phases.phi_w, config.phases.phi_r)]
 
 
-def run_experiment(config: ExperimentConfig, engine: str | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Exact distribution per phase setting plus, when trials > 0, sampled
     counts (aggregate Monte Carlo) and optionally per-trial click records.
 
     Deterministic given (config, seed): trials are i.i.d., so aggregate
     sampling from the jitter-averaged exact distribution is statistically
-    identical to per-trial simulation, and per-trial records draw their own
-    jitter from substreams keyed by (seed, setting, trial)."""
+    identical to per-trial simulation, and the per-trial records of each
+    setting draw their jitters and uniforms from one generator keyed by
+    (seed, 1_000_000 + setting)."""
     if config.kind is ExperimentKind.THERMAL_G2_TAU:
         raise ProtocolError("ThermalG2Tau runs through the waveguide-dynamics module")
-    engine = engine or config.engine.name
     settings = _phase_settings(config)
-    setting_results = run_settings(config, settings, engine=engine)
+    setting_results = run_settings(config, settings)
     result = ExperimentResult(kind=config.kind, settings=setting_results, metadata={
-        "engine": engine,
+        "engine": config.engine.name,
         "seed": config.seed,
         "trials_per_setting": config.trials,
         "repetition_period": config.repetition_period,
@@ -516,7 +508,7 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
         keys = []
         t0 = time.perf_counter()
         for idx, (phi_w, phi_r) in enumerate(settings):
-            records, n_keys = _sample_records(config, phi_w, phi_r, engine, idx, n_trials)
+            records, n_keys = _sample_records(config, phi_w, phi_r, idx, n_trials)
             result.records.extend(records)
             keys.append(n_keys)
         result.metadata["records"] = {
@@ -529,13 +521,13 @@ def run_experiment(config: ExperimentConfig, engine: str | None = None) -> Exper
 
 
 def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float]],
-                 first_idx: int = 0, engine: str | None = None) -> list[SettingResult]:
+                 first_idx: int = 0) -> list[SettingResult]:
     """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
     distributions (every quadrature node is one circuit batched over the
     scan) plus, when config.trials > 0, the counts of setting i, one
     multinomial draw from the (seed, first_idx + i) substream."""
     phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
-    scan = jitter_averaged_distribution(config, phi_w, phi_r, engine=engine)
+    scan = jitter_averaged_distribution(config, phi_w, phi_r)
     # the one place a batch splits: each setting keeps its own 1-D vector
     dists = [OutcomeDistribution(scan.labels, row, scan.truncation)
              for row in scan.probabilities]
@@ -554,89 +546,16 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
 #: 8 sigma / RECORD_JITTER_QUANTA
 RECORD_JITTER_QUANTA = 64
 
-#: trials whose substream states are computed in one vectorised pass; bounds
-#: the 128-bit Python ints alive at once
-SEED_BLOCK = 1024
-
-# numpy's SeedSequence (pool of four uint32 words) and PCG64 constants
-_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's uint32 hash with its running constant: xor it in, step
-    it, multiply by it, xorshift."""
-    h = init
-
-    def hash_(v):
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = h * mult & _M32
-        v = v * np.uint32(h)
-        return v ^ v >> np.uint32(16)
-    return hash_
-
-
-def _seed_sequence_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence.generate_state(4, np.uint64)`` for each column of
-    assembled entropy words (uint32 arrays that broadcast, the pool words
-    first), as four uint64 arrays.  One-element arrays stand in for scalars:
-    array arithmetic wraps silently where numpy scalars warn."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return r ^ r >> np.uint32(16)
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                pool[j] = mix(pool[j], hashmix(pool[i]))
-    for w in entropy[4:]:
-        for j in range(4):
-            pool[j] = mix(pool[j], hashmix(w))
-    generate = _hasher(_INIT_B, _MULT_B)
-    out = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # eight uint32 words read as four little-endian uint64
-    return [out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)]
-
-
-def _substream_states(seed: int, key: int, n_trials: int):
-    """Yield, for t in range(n_trials), the (state, inc) of
-    ``PCG64(SeedSequence(seed, spawn_key=(key, t)))``, computed SEED_BLOCK
-    trials at a time.
-
-    SeedSequence hashing and PCG64 seeding take the same path for every
-    input of the same word count, so the uint32 hashing runs once over a
-    block of trial words and only the 128-bit step is per trial."""
-    if not (0 <= key <= _M32 and n_trials <= _M32 + 1):
-        raise ProtocolError("spawn key and trial index must each fit one uint32 word")
-    # the seed's uint32 words, zero-padded to the pool size as a spawn key demands
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [key]
-    fixed = [np.array([w], dtype=np.uint32) for w in words]
-    for start in range(0, n_trials, SEED_BLOCK):
-        trials = np.arange(start, min(start + SEED_BLOCK, n_trials), dtype=np.uint32)
-        s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _seed_sequence_states(fixed + [trials]))
-        # pcg64 srandom: state 0, step, add the seed, step
-        for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-            inc = ((c << 64 | d) << 1 | 1) & _M128
-            yield ((a << 64 | b) + inc) * _PCG_MULT + inc & _M128, inc
-
-
-def _sample_records(config, phi_w, phi_r, engine, setting_idx,
+def _sample_records(config, phi_w, phi_r, setting_idx,
                     n_trials) -> tuple[list[ClickRecord], int]:
     """Per-trial click records of one setting, and the number of distinct
     jitter keys they used.
 
-    Pass 1: trial t draws from its own (seed, 1_000_000 + setting, t)
-    substream the write jitter, the read jitter and one uniform, and keeps
-    only those three doubles; one generator is set to each trial's seeded
-    state in turn (``_substream_states``) to draw the standard normals, scaled
-    afterwards as ``normal(0, sigma)`` scales them.  Pass 2: one exact
+    Pass 1: one (seed, 1_000_000 + setting) generator draws every trial's
+    standard normals, trial by trial (write jitter, then read jitter), then
+    one uniform per trial; the normals are scaled afterwards as
+    ``normal(0, sigma)`` scales them.  So a trial's jitters do not depend on
+    the number of records, and its uniform does.  Pass 2: one exact
     distribution per distinct quantised jitter sum, and each trial's pattern
     is the bin of its uniform in that distribution's CDF -- the very draw
     ``Generator.choice(2**n, p=p)`` makes from the same uniform."""
@@ -645,15 +564,9 @@ def _sample_records(config, phi_w, phi_r, engine, setting_idx,
     sigmas = [fwhm_to_sigma(f) if f > 0.0 else None
               for f in (noise.write_phase_jitter_fwhm, noise.read_phase_jitter_fwhm)]
     drawn_sigmas = [sigma for sigma in sigmas if sigma is not None]
-    z, u = np.empty((n_trials, len(drawn_sigmas))), np.empty(n_trials)
-    gen = Generator(PCG64())
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    substreams = _substream_states(config.seed, 1_000_000 + setting_idx, n_trials)
-    for trial, (seeded["state"], seeded["inc"]) in enumerate(substreams):
-        gen.bit_generator.state = state
-        gen.standard_normal(out=z[trial])
-        u[trial] = gen.random()
+    rng = default_rng(SeedSequence(config.seed, spawn_key=(1_000_000 + setting_idx,)))
+    z = rng.standard_normal((n_trials, len(drawn_sigmas)))
+    u = rng.random(n_trials)
     # in place, rounded as normal(0, sigma) rounds 0.0 + sigma * z
     z *= drawn_sigmas
     z += 0.0
@@ -667,7 +580,7 @@ def _sample_records(config, phi_w, phi_r, engine, setting_idx,
     keys, key_idx = np.unique(keys, return_inverse=True)
     codes = np.empty(n_trials, dtype=np.int64)
     for k, key in enumerate(keys.tolist()):
-        dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key, engine=engine)
+        dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key)
         p = np.clip(dist.probabilities, 0, None)
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]

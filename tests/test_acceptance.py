@@ -190,7 +190,7 @@ def test_criterion_07_bell_violation():
     control = oracles.ideal_limit_config()
     ctrl_es = []
     for phi_w, phi_r in control.phases.chsh_settings():
-        dist = protocol.exact_joint_distribution(control, phi_w, phi_r, engine="fock")
+        dist = protocol.exact_joint_distribution(control, phi_w, phi_r)
         ctrl_es.append(analysis.correlation_E(analysis.overlap_table(dist)))
     s_ctrl = analysis.chsh_S(ctrl_es).value
 
@@ -264,8 +264,8 @@ def test_criterion_09_estimator_sanity():
 
 def test_criterion_10_determinism(tmp_path):
     """Identical (config, seed) reproduce identical outputs; each setting's
-    counts are one draw from its absolute (seed, setting) substream, and
-    record trial t draws from its own (seed, 1_000_000 + setting, t) one."""
+    counts are one draw from its absolute (seed, setting) substream, and its
+    records draw from one (seed, 1_000_000 + setting) generator."""
     config = with_overrides(reference_config("bell_test"),
                             {"trials": 1_000_000_000, "record_trials": 64})
     a = protocol.run_experiment(config)

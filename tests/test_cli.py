@@ -394,12 +394,23 @@ class TestOther:
         *[(["simulate", "--config", str(CONFIGS / "thermal_g2.yaml"), "--override", item],
            item.split("=")[0].split(".")[1])
           for item in ("extra.n_modes=1", "extra.envelope=flat", "extra.delay_step=0",
-                       "extra.delay_step=-1e-9")],
+                       "extra.delay_step=-1e-9", "extra.delay_step=abc")],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
+
+    @pytest.mark.parametrize("field, value", [("max_delay", "abc"),
+                                              ("spectrum_file", "no_such_spectrum.txt")])
+    def test_bad_thermal_g2_extra_is_config_error(self, tmp_path, capsys, field, value):
+        raw = yaml.safe_load((CONFIGS / "thermal_g2.yaml").read_text())
+        raw["extra"][field] = str(tmp_path / value) if field == "spectrum_file" else value
+        path = tmp_path / "g2.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"extra.{field}" in err
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path / "envout"))

@@ -19,11 +19,11 @@ CONFIGS = Path(cli.__file__).parent / "configs"
 # first 16 hex digits of SHA-256, `simulate --seed 7 --override record_trials=2000`
 GOLDEN = {
     "cross_correlation": {"counts.csv": "b43c93c2caaf4459",
-                          "events.txt": "247f4499efeab399",
-                          "trials.txt": "35b3283098871568"},
+                          "events.txt": "4c5acfe98852cf01",
+                          "trials.txt": "97018ef5c49da3d5"},
     "bell_test": {"counts.csv": "943d68685466cea1",
-                  "events.txt": "6cab3004113f3ae2",
-                  "trials.txt": "78922cbff1fad9cc"},
+                  "events.txt": "cf8844877ff48d7c",
+                  "trials.txt": "6da9071e7cfa4d1f"},
 }
 
 

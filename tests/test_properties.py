@@ -141,7 +141,7 @@ def sampled_counts(dist, trials, seed, idx):
     scan whose jitter-averaged distribution is ``dist``."""
     config = dataclasses.replace(reference_config("bell_test"), trials=trials, seed=seed)
 
-    def scan(config, phi_w, phi_r, engine=None):
+    def scan(config, phi_w, phi_r):
         return OutcomeDistribution(dist.labels, np.tile(dist.probabilities, (len(phi_w), 1)))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -174,20 +174,6 @@ def test_one_draw_sampling_fits_the_distribution():
     assert np.abs(z).max() < 5.0
     chi2 = (((counts - expected) ** 2) / expected).sum(axis=1)
     assert abs(chi2.mean() - 15.0) < 4.0 * math.sqrt(2.0 * 15.0 / seeds)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
-       st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
-def test_substream_states_match_seed_sequence(seed, key, block, data):
-    # seeds of one and two uint32 words, trial ranges from 0 across block edges
-    n_trials = data.draw(st.integers(0, 3 * block + 1))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "SEED_BLOCK", block)
-        got = list(protocol._substream_states(seed, key, n_trials))
-    want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key, t))).state["state"]
-            for t in range(n_trials)]
-    assert got == [(s["state"], s["inc"]) for s in want]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from phonon_timebin import analysis, fock, gaussian, oracles, protocol
 from phonon_timebin.core import (
@@ -16,6 +18,7 @@ from phonon_timebin.core import (
     PulseRole,
     WaveguideParams,
     build_pulse_sequence,
+    fwhm_to_sigma,
     load_config,
     sample_phase_jitter,
     with_overrides,
@@ -354,22 +357,25 @@ class TestRunExperiment:
             protocol.run_experiment(cfg)
 
 
-def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
-    """The one-generator-per-trial record loop the two-pass sampler replaced:
-    a dict cache of distributions and one ``Generator.choice`` per trial.
-    Returns the records and the cache.  Each distribution is computed fresh
-    (the click memo emptied first), so a fault in the memo's key cannot
-    reach both sides."""
+def reference_records(config, phi_w, phi_r, setting_idx, n_trials):
+    """The records of one setting drawn call by call from its one
+    (seed, 1_000_000 + setting) generator: every trial's jitters through
+    ``sample_phase_jitter``, then every trial's pattern through
+    ``Generator.choice``, with a dict cache of distributions.  Returns the
+    records and the cache.  Each distribution is computed fresh (the click
+    memo emptied first), so a fault in the memo's key cannot reach both
+    sides."""
     noise = config.noise
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(1_000_000 + setting_idx,)))
+    jitters = [(float(sample_phase_jitter(rng, noise.write_phase_jitter_fwhm)),
+                float(sample_phase_jitter(rng, noise.read_phase_jitter_fwhm)))
+               for _ in range(n_trials)]
     records = []
     cache = {}
     quantize = 64
     scale = protocol._jitter_scale(noise)
-    for trial in range(n_trials):
-        trng = np.random.default_rng(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(1_000_000 + setting_idx, trial)))
-        jw = float(sample_phase_jitter(trng, noise.write_phase_jitter_fwhm))
-        jr = float(sample_phase_jitter(trng, noise.read_phase_jitter_fwhm))
+    for trial, (jw, jr) in enumerate(jitters):
         delta = jw + jr
         if scale > 0:
             key = round(delta / (8.0 * scale) * quantize) / quantize * 8.0 * scale
@@ -378,11 +384,10 @@ def reference_records(config, phi_w, phi_r, engine, setting_idx, n_trials):
         dist = cache.get(key)
         if dist is None:
             protocol._GaussianCircuit._memo = (None, None)
-            dist = protocol.exact_joint_distribution(config, phi_w, phi_r, jitter_w=key,
-                                                     engine=engine)
+            dist = protocol.exact_joint_distribution(config, phi_w, phi_r, jitter_w=key)
             cache[key] = dist
         pvec = np.clip(dist.probabilities, 0, None)
-        code = int(trng.choice(len(pvec), p=pvec / pvec.sum()))
+        code = int(rng.choice(len(pvec), p=pvec / pvec.sum()))
         n = len(dist.labels)
         clicks = tuple(ch for k, ch in enumerate(dist.labels) if code >> (n - 1 - k) & 1)
         records.append(protocol.ClickRecord(trial=trial, clicks=clicks, jitter_w=jw,
@@ -406,9 +411,6 @@ class TestRecordSampler:
         (ExperimentKind.TIME_BIN_ENTANGLEMENT, math.pi / 7, math.pi / 20, "fock", 4),
         # read jitter only: the one normal drawn lands in the read column
         (ExperimentKind.TIME_BIN_ENTANGLEMENT, 0.0, math.pi / 20, "gaussian", 600),
-        # one trial past the first block of seeded substreams
-        (ExperimentKind.DOUBLE_CROSS_CORRELATION, math.pi / 7, math.pi / 20, "gaussian",
-         protocol.SEED_BLOCK + 1),
     ])
     def test_matches_one_generator_per_trial(self, kind, write_fwhm, read_fwhm, engine,
                                              trials, monkeypatch):
@@ -423,9 +425,9 @@ class TestRecordSampler:
             return used[jitter_w]
 
         monkeypatch.setattr(protocol, "exact_joint_distribution", recorded)
-        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, engine, 2, trials)
+        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, trials)
         monkeypatch.undo()
-        want, want_dists = reference_records(cfg, 0.9, 0.4, engine, 2, trials)
+        want, want_dists = reference_records(cfg, 0.9, 0.4, 2, trials)
         assert got == want
         assert n_keys == len(want_dists)
         assert sorted(used) == sorted(want_dists)
@@ -437,10 +439,42 @@ class TestRecordSampler:
         if engine == "gaussian":
             assert len({r.clicks for r in got}) > 4
 
-    def test_substream_indices_fit_one_word(self):
-        for key, n_trials in ((2**32, 1), (0, 2**32 + 1)):
-            with pytest.raises(protocol.ProtocolError, match="one uint32 word"):
-                next(protocol._substream_states(7, key, n_trials))
+    def test_records_follow_the_exact_law(self, monkeypatch):
+        # each jitter column is N(0, sigma) of its own FWHM, and the pattern
+        # counts fit the sum over trials of the distribution the sampler used
+        # for each trial's jitter key
+        write_fwhm, read_fwhm, n = math.pi / 7, math.pi / 20, 20_000
+        cfg = make_config(p_w=0.04, p_r=0.04, noise=noisy(write_fwhm, read_fwhm), seed=3)
+        used, exact = {}, protocol.exact_joint_distribution
+
+        def recorded(config, phi_w, phi_r, jitter_w=0.0):
+            used[jitter_w] = exact(config, phi_w, phi_r, jitter_w=jitter_w)
+            return used[jitter_w]
+
+        monkeypatch.setattr(protocol, "exact_joint_distribution", recorded)
+        records, _ = protocol._sample_records(cfg, 0.9, 0.4, 0, n)
+        monkeypatch.undo()
+        jw, jr = (np.array(v) for v in zip(*((r.jitter_w, r.jitter_r) for r in records)))
+        for column, fwhm in ((jw, write_fwhm), (jr, read_fwhm)):
+            sigma = fwhm_to_sigma(fwhm)
+            assert abs(column.mean()) < 4.0 * sigma / math.sqrt(n)
+            assert abs(column.std(ddof=1) - sigma) < 4.0 * sigma / math.sqrt(2.0 * (n - 1))
+        # each trial's key is the computed grid point nearest its jitter sum
+        keys = np.array(sorted(used))
+        nearest = np.abs((jw + jr)[:, None] - keys).argmin(axis=1)
+        p = np.array([np.clip(used[k].probabilities, 0, None) for k in keys])
+        expected = (p / p.sum(axis=1, keepdims=True))[nearest].sum(axis=0)
+        labels = used[keys[0]].labels
+        codes = [sum(1 << (len(labels) - 1 - labels.index(ch)) for ch in r.clicks)
+                 for r in records]
+        observed = np.bincount(codes, minlength=1 << len(labels))
+        # patterns expected fewer than 5 times are pooled into one bin
+        rare = expected < 5.0
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert stat < chi2.isf(1e-4, len(expected) - 1)
 
     def test_run_reports_keys_per_setting(self):
         cfg = make_config(kind=ExperimentKind.BELL_TEST, noise=noisy(math.pi / 7, 0.0),
@@ -482,7 +516,7 @@ class TestClickMemo:
     def test_open_arm_records_take_one_transform(self, engine_calls, monkeypatch):
         cfg = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION, p_w=0.04, p_r=0.04,
                           noise=noisy(math.pi / 7, math.pi / 20), seed=20220812)
-        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, "gaussian", 2, 120)
+        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
         assert n_keys > 1
         assert len(engine_calls) == 1
 
@@ -493,7 +527,7 @@ class TestClickMemo:
             return cached(circuit, *args)
 
         monkeypatch.setattr(protocol._GaussianCircuit, "click_distribution", uncached)
-        want, want_keys = protocol._sample_records(cfg, 0.9, 0.4, "gaussian", 2, 120)
+        want, want_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
         assert len(engine_calls) == 1 + n_keys
         assert (got, n_keys) == (want, want_keys)
 
@@ -540,6 +574,10 @@ class TestClickMemo:
         assert len(engine_calls) == 4
 
 
+def with_fock(config):
+    return dataclasses.replace(config, engine=EngineSpec("fock", truncation=4, total_cap=6))
+
+
 class TestCrossEngineProtocol:
     def test_joint_distribution_engines_agree(self):
         noise = clean_noise(
@@ -549,10 +587,9 @@ class TestCrossEngineProtocol:
             coupling_efficiency=0.5,
             filter_pulse_efficiency=(0.39, 0.65),
             dark_count_prob=1e-6)
-        cfg = make_config(noise=noise, T1=2.2e-6, retrieval=0.8,
-                          engine=EngineSpec("fock", truncation=4, total_cap=6))
-        dg = protocol.exact_joint_distribution(cfg, 0.7, 0.3, engine="gaussian")
-        df = protocol.exact_joint_distribution(cfg, 0.7, 0.3, engine="fock")
+        cfg = make_config(noise=noise, T1=2.2e-6, retrieval=0.8)
+        dg = protocol.exact_joint_distribution(cfg, 0.7, 0.3)
+        df = protocol.exact_joint_distribution(with_fock(cfg), 0.7, 0.3)
         assert dg.labels == df.labels
         assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-6)
 
@@ -562,10 +599,9 @@ class TestCrossEngineProtocol:
             coupling_efficiency=0.5, detector_efficiency=(0.85, 0.85),
             filter_pulse_efficiency=(0.39, 0.65))
         cfg = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION,
-                          noise=noise, T1=2.2e-6, retrieval=0.35,
-                          engine=EngineSpec("fock", truncation=4, total_cap=6))
-        dg = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="gaussian")
-        df = protocol.exact_joint_distribution(cfg, 0.0, 0.0, engine="fock")
+                          noise=noise, T1=2.2e-6, retrieval=0.35)
+        dg = protocol.exact_joint_distribution(cfg, 0.0, 0.0)
+        df = protocol.exact_joint_distribution(with_fock(cfg), 0.0, 0.0)
         assert df.probabilities == pytest.approx(dg.probabilities, abs=1e-6)
 
 
