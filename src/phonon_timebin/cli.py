@@ -18,7 +18,6 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import analysis, protocol, waveguide
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     config_digest,
     load_config,
     with_overrides,
+    yaml_dump,
 )
 
 ENV_OUTDIR = "PHONON_TIMEBIN_OUTDIR"
@@ -53,7 +53,7 @@ def _plain(obj):
 
 
 def _dump_yaml(path: Path, payload) -> None:
-    path.write_text(yaml.safe_dump(_plain(payload), sort_keys=False))
+    path.write_text(yaml_dump(_plain(payload)))
 
 
 class _Manifest:
@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
     path = manifest.add(out / "results.yaml")
     _dump_yaml(path, results)
     manifest.write()
-    print(yaml.safe_dump(_plain(results.get("estimates", results)), sort_keys=False).strip())
+    print(yaml_dump(_plain(results.get("estimates", results))).strip())
     return EXIT_OK
 
 
@@ -432,7 +432,7 @@ def cmd_calibrate(args) -> int:
     }
     _dump_yaml(settings_path, payload)
     manifest.write()
-    print(yaml.safe_dump(_plain(payload), sort_keys=False).strip())
+    print(yaml_dump(_plain(payload)).strip())
     return EXIT_OK
 
 
@@ -462,7 +462,7 @@ def cmd_rate_budget(args) -> int:
     path = manifest.add(out / "rate_budget.yaml")
     _dump_yaml(path, budget)
     manifest.write()
-    print(yaml.safe_dump(_plain(budget), sort_keys=False).strip())
+    print(yaml_dump(_plain(budget)).strip())
     return EXIT_OK
 
 

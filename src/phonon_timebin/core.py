@@ -36,6 +36,20 @@ DEFAULT_CALIBRATION_ANCHORS = {
 
 DEFAULT_PERTURBATIVE_GUARD = 0.05
 
+#: every YAML read and write: libyaml's safe loader and dumper where PyYAML
+#: has them, else its Python ones
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def yaml_load(text: str):
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
+def yaml_dump(data) -> str:
+    """Block-style YAML with the keys in insertion order."""
+    return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=False)
+
 
 class ConfigError(ValueError):
     """Config file failed to parse or a value violates an invariant."""
@@ -529,16 +543,20 @@ def _integer(value, key: str) -> int:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and fully validate an experiment config file."""
+    """Parse and fully validate an experiment config file.  A relative
+    ``extra.spectrum_file`` is taken relative to the file's directory."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    extra = raw.get("extra")
+    if isinstance(extra, dict) and isinstance(extra.get("spectrum_file"), str):
+        extra["spectrum_file"] = str(path.parent / extra["spectrum_file"])
     try:
         return config_from_dict(raw)
     except ValidationError:
@@ -730,7 +748,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(config), sort_keys=False))
+    Path(path).write_text(yaml_dump(config_to_dict(config)))
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -764,7 +782,7 @@ def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) ->
             leaf = parts[-1]
             if leaf not in node and dotted not in _OPTIONAL_PATHS:
                 raise ConfigError(f"unknown override target {dotted!r}")
-            node[leaf] = yaml.safe_load(str(value)) if isinstance(value, str) else value
+            node[leaf] = yaml_load(str(value)) if isinstance(value, str) else value
         return _keep_angles(config, config_from_dict(data), overrides)
     except ConfigError:
         raise

@@ -30,11 +30,12 @@ interfering coherence by exactly V per pass.
 All statistics of the overlap windows depend on the two lock-jitter samples
 only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
 quadrature.  They depend on the phases only through phi_w + phi_r too, so
-both engines take a whole scan at once: the Gaussian engine as one batched
-circuit, the Fock engine with one write stage and one read-stage prefix per
-heralded branch, shared by every setting, traced down to the two read
-photons, and the read interferometer and click read-out on block-diagonal
-batches of it, as many elements per block as keep it near
+both engines run the write stage at zero phase and jitter and the read
+stage up to its interferometer once, and only the read interferometer and
+the click read-out at the summed phase and jitter: the Gaussian engine on
+one prefix per config, kept for every later call, the Fock engine on one
+prefix per heralded branch per call, traced down to the two read photons,
+in block-diagonal batches of as many elements as keep a block near
 FOCK_BATCH_ENTRIES stored entries.
 """
 
@@ -351,17 +352,44 @@ def exact_joint_distribution(
     """Joint click-pattern distribution over the analysis channels for one
     phase setting and one jitter sample.  The phases and jitters may be (B,)
     arrays: either engine then gives one (B, 2**n) distribution, and
-    scalars are its batch-of-one case.  ``config.engine`` picks the engine."""
+    scalars are its batch-of-one case.  ``config.engine`` picks the engine.
+    The Gaussian engine runs only the read interferometer, at phi_w + phi_r
+    and jitter_w + jitter_r, on ``_gaussian_prefix(config)``, then the
+    click read-out."""
     noise = config.noise
     if config.engine.name == "fock":
         dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
     else:
         circuit = _GaussianCircuit()
-        groups = run_write_stage(circuit, config, phi_w, jitter_w)
-        groups.update(run_read_stage(circuit, config, phi_r, jitter_r))
+        circuit.state, w_groups = _gaussian_prefix(config)
+        groups = {**w_groups, **_stage_interferometer(
+            circuit, config, "read", np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))}
         ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
         dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
     return detect(dist, noise)
+
+
+#: (key, state, write groups) of the last Gaussian prefix, replaced whole;
+#: its covariance is read-only
+_prefix_memo = (None, None, None)
+
+
+def _gaussian_prefix(config: ExperimentConfig):
+    """The phase-free part of the Gaussian circuit: the write stage at zero
+    phase and jitter, then the read stage up to its interferometer, as one
+    unbatched state and the write detector groups.  Memoised for the last
+    (config, THERMAL_NOISE_EPSILON), compared with ``==``, so a scan's
+    quadrature nodes and a record run's jitter keys share one prefix and a
+    patched epsilon builds its own."""
+    global _prefix_memo
+    key = (config, THERMAL_NOISE_EPSILON)
+    if _prefix_memo[0] != key:
+        circuit = _GaussianCircuit()
+        w_groups = run_write_stage(circuit, config, 0.0)
+        _read_prefix(circuit, config)
+        circuit.state.sigma.flags.writeable = False
+        _prefix_memo = (key, circuit.state, w_groups)
+    return _prefix_memo[1:]
 
 
 def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> OutcomeDistribution:
@@ -441,8 +469,9 @@ def jitter_averaged_distribution(
     """Exact average over the lock-phase jitter.  Overlap statistics depend
     on the write and read jitters only through their sum, so a 1-D
     Gauss-Hermite rule of GH_NODES nodes is exact up to quadrature order.
-    The phases may be (S,) arrays of settings: each node is then one circuit
-    batched over the settings, and the result one (S, 2**n) distribution."""
+    The phases may be (S,) arrays of settings: each node is then one call
+    batched over the settings, which on the Gaussian engine shares the
+    config's phase-free prefix, and the result one (S, 2**n) distribution."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r)
@@ -523,7 +552,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float]],
                  first_idx: int = 0) -> list[SettingResult]:
     """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
-    distributions (every quadrature node is one circuit batched over the
+    distributions (every quadrature node is one call batched over the
     scan) plus, when config.trials > 0, the counts of setting i, one
     multinomial draw from the (seed, first_idx + i) substream."""
     phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))

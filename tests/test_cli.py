@@ -11,7 +11,7 @@ import pytest
 import scipy
 import yaml
 
-from phonon_timebin import cli
+from phonon_timebin import cli, core
 from phonon_timebin.core import config_from_dict, fwhm_to_sigma, load_config, save_config
 
 CONFIGS = Path(cli.__file__).parent / "configs"
@@ -411,6 +411,34 @@ class TestOther:
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"extra.{field}" in err
+
+    def test_relative_spectrum_file_is_read_next_to_the_config(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        freqs = 5.154e9 + np.arange(5) * 7.94e6
+        np.savetxt(sub / "spec.txt", np.column_stack([freqs, [0.4, 0.8, 1.0, 0.7, 0.3]]))
+        raw = yaml.safe_load((CONFIGS / "thermal_g2.yaml").read_text())
+        raw["extra"]["spectrum_file"] = "spec.txt"
+        (sub / "g2.yaml").write_text(yaml.safe_dump(raw))
+        # run from the parent directory, where no spec.txt lies
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", "sub/g2.yaml", "--out", "o"]) == 0
+        assert (tmp_path / "o" / "g2_tau.txt").exists()
+
+    def test_both_yaml_backends_write_the_same_results(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+
+        def run(out):
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                             "--override", "noise.dark_count_prob=2e-7"]) == 0
+            text = (out / "results.yaml").read_text()
+            return [line for line in text.splitlines()
+                    if not line.startswith("elapsed_seconds:")], capsys.readouterr().out
+
+        first = run(tmp_path / "c")
+        monkeypatch.setattr(core, "YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(core, "YAML_DUMPER", yaml.SafeDumper)
+        assert run(tmp_path / "python") == first
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path / "envout"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from phonon_timebin import core
 from phonon_timebin.core import (
     CavityParams,
     ConfigError,
@@ -332,3 +333,38 @@ class TestConfigIO:
             path = files("phonon_timebin") / "configs" / f"{name}.yaml"
             config = load_config(str(path))
             assert config_to_dict(config)
+
+
+SHIPPED = ("bell_test", "calibration", "cross_correlation", "thermal_g2",
+           "timebin_entanglement")
+
+
+class TestYamlBackend:
+    """Every config read and result write goes through one loader and one
+    dumper: libyaml's where PyYAML was built with it, else its Python ones."""
+
+    def test_libyaml_is_chosen_where_present(self):
+        assert core.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        assert core.YAML_DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_configs_read_and_write_alike(self, monkeypatch, name):
+        path = files("phonon_timebin") / "configs" / f"{name}.yaml"
+        first = load_config(str(path))
+        text = core.yaml_dump(config_to_dict(first))
+        monkeypatch.setattr(core, "YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(core, "YAML_DUMPER", yaml.SafeDumper)
+        again = load_config(str(path))
+        assert again == first
+        assert core.yaml_dump(config_to_dict(again)) == text
+
+
+def test_an_absolute_spectrum_file_stays_as_written(tmp_path):
+    # a relative one is taken from the config's directory (tests/test_cli.py)
+    raw = yaml.safe_load((files("phonon_timebin") / "configs" / "thermal_g2.yaml").read_text())
+    spectrum = str(tmp_path / "elsewhere" / "spec.txt")
+    raw["extra"]["spectrum_file"] = spectrum
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / "g2.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert load_config(path).extra["spectrum_file"] == spectrum

@@ -1,9 +1,10 @@
 """Property tests of the dense click-distribution vector (the subset
 transform, background folding, one-draw sampling), of the record sampler's
 substream seeding against numpy, of the Gaussian engine's local gate updates
-and batch axis, of the sparse Fock engine against dense references and its
-block-diagonal batch against each element alone, and of the config dict
-round trip."""
+and batch axis, of the Gaussian protocol's phase and jitter sums against
+one circuit with each on its own arm, of the sparse Fock engine against
+dense references and its block-diagonal batch against each element alone,
+and of the config dict round trip."""
 
 import dataclasses
 import itertools
@@ -327,7 +328,7 @@ def reference_config(name):
 @given(st.sampled_from(["bell_test", "calibration"]),
        st.lists(st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)), min_size=1, max_size=4))
 def test_batched_jitter_average_matches_per_node_sum(name, scan):
-    # one circuit per node, batched over the scan, against each setting's
+    # one call per node, batched over the scan, against each setting's
     # nodes run one at a time
     config = reference_config(name)
     phi_w, phi_r = (np.array(v) for v in zip(*scan))
@@ -341,6 +342,46 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
         mix = sum(wi * protocol.exact_joint_distribution(
             config, pw, pr, jitter_w=sigma * xi).probabilities for xi, wi in zip(x, w))
         assert avg == pytest.approx(mix / mix.sum(), abs=1e-12)
+
+
+def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
+    """One Gaussian circuit with each phase and jitter on its own arm: the
+    write stage at phi_w and jitter_w, then the whole read stage at phi_r
+    and jitter_r, without the shared prefix or the click memo."""
+    circuit = protocol._GaussianCircuit()
+    groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
+    groups.update(protocol.run_read_stage(circuit, config, phi_r, jitter_r))
+    ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
+    dist = gaussian.click_probabilities(circuit.state, ordered,
+                                        protocol._efficiency_map(ordered, config.noise))
+    return protocol.detect(dist, config.noise)
+
+
+@st.composite
+def phase_arguments(draw):
+    """phi_w, phi_r, jitter_w, jitter_r: each a float, or all that are not
+    floats (B,) arrays of one B."""
+    batch = draw(st.integers(1, 3))
+    args = []
+    for bound in (6.3, 6.3, 1.0, 1.0):
+        value = st.floats(-bound, bound)
+        args.append(draw(st.one_of(value, st.lists(value, min_size=batch, max_size=batch)
+                                   .map(np.array))))
+    return args
+
+
+@FAST
+@given(st.sampled_from(["bell_test", "timebin_entanglement", "cross_correlation"]),
+       phase_arguments())
+def test_gaussian_phases_and_jitters_act_through_their_sums(name, args):
+    # the shared prefix at zero phase and jitter, then the summed phase and
+    # jitter on the read interferometer, against each on its own arm
+    config = reference_config(name)
+    got = protocol.exact_joint_distribution(config, *args)
+    want = unstaged_reference(config, *args)
+    assert got.labels == want.labels
+    assert got.probabilities.shape == want.probabilities.shape
+    assert got.probabilities == pytest.approx(want.probabilities, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -487,9 +487,8 @@ class TestRecordSampler:
 
 
 def final_circuit(config, phi_w, phi_r, jitter_w):
-    """The Gaussian circuit of one setting and jitter, built as
-    ``exact_joint_distribution`` builds it, with its detector map and
-    efficiencies."""
+    """The unstaged Gaussian circuit of one setting and jitter, each phase
+    on its own arm, with its detector map and efficiencies."""
     circuit = protocol._GaussianCircuit()
     groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
     groups.update(protocol.run_read_stage(circuit, config, phi_r))
@@ -572,6 +571,85 @@ class TestClickMemo:
         with pytest.raises(gaussian.GaussianEngineError, match="zero-mean"):
             circuit.click_distribution(detectors, None)
         assert len(engine_calls) == 4
+
+
+class TestGaussianPrefix:
+    """The Gaussian write stage and read prefix are built once per
+    (config, THERMAL_NOISE_EPSILON) and shared by every call after."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Start from an empty memo and record each prefix build's config."""
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None, None))
+        seen = []
+        write_stage = protocol.run_write_stage
+
+        def counted(circuit, config, *args, **kwargs):
+            seen.append(config)
+            return write_stage(circuit, config, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_write_stage", counted)
+        return seen
+
+    @staticmethod
+    def fresh(config, *args, **kwargs):
+        protocol._prefix_memo = (None, None, None)
+        return protocol.exact_joint_distribution(config, *args, **kwargs).probabilities
+
+    def test_a_scan_builds_one_prefix(self, builds):
+        cfg = load_config(CONFIGS / "bell_test.yaml")
+        phi_w, phi_r = (np.array(v) for v in zip(*cfg.phases.chsh_settings()))
+        protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
+        protocol.exact_joint_distribution(cfg, 0.3, 0.1, 0.2)
+        assert builds == [cfg]
+        assert not protocol._prefix_memo[1].sigma.flags.writeable
+
+    @pytest.mark.parametrize("overrides", [
+        {"noise.coupling_efficiency": 0.3},
+        {"noise.thermal_schedule": [["WriteEarly", 0.027], ["WriteLate", 0.038],
+                                    ["ReadEarly", 0.2], ["ReadLate", 0.3]]},
+    ], ids=["coupling_efficiency", "thermal_schedule"])
+    def test_alternating_configs_each_match_a_fresh_run(self, builds, overrides):
+        first = load_config(CONFIGS / "bell_test.yaml")
+        second = with_overrides(first, overrides)
+        args = (np.array([0.3, 1.2]), 0.4, np.array([0.1, -0.2]))
+        want = [self.fresh(cfg, *args) for cfg in (first, second)]
+        assert not np.allclose(*want)
+        for _ in range(2):
+            for cfg, probs in zip((first, second), want):
+                assert np.array_equal(protocol.exact_joint_distribution(cfg, *args)
+                                      .probabilities, probs)
+        assert builds == [first, second] * 3
+
+    def test_an_equal_rebuilt_config_reuses_the_prefix(self, builds):
+        cfg = load_config(CONFIGS / "timebin_entanglement.yaml")
+        rebuilt = with_overrides(cfg, {})
+        assert rebuilt is not cfg and rebuilt == cfg
+        first = protocol.exact_joint_distribution(cfg, 0.3, 0.4)
+        prefix = protocol._prefix_memo[1]
+        again = protocol.exact_joint_distribution(rebuilt, 0.3, 0.4)
+        assert builds == [cfg]
+        assert protocol._prefix_memo[1] is prefix
+        assert np.array_equal(again.probabilities, first.probabilities)
+
+    @pytest.mark.parametrize("name", ["bell_test", "cross_correlation"])
+    def test_repeated_calls_return_identical_arrays(self, builds, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        first = protocol.exact_joint_distribution(cfg, np.array([0.3, 2.0]), 0.4, 0.25)
+        want = first.probabilities.copy()
+        first.probabilities[...] = 0.0
+        again = protocol.exact_joint_distribution(cfg, np.array([0.3, 2.0]), 0.4, 0.25)
+        assert np.array_equal(again.probabilities, want)
+        assert len(builds) == 1
+
+    def test_the_epsilon_is_part_of_the_key(self, builds, monkeypatch):
+        cfg = load_config(CONFIGS / "bell_test.yaml")
+        before = protocol.exact_joint_distribution(cfg, 0.3, 0.4).probabilities
+        monkeypatch.setattr(protocol, "THERMAL_NOISE_EPSILON", 0.002)
+        after = protocol.exact_joint_distribution(cfg, 0.3, 0.4).probabilities
+        assert len(builds) == 2
+        assert np.array_equal(after, self.fresh(cfg, 0.3, 0.4))
+        assert not np.array_equal(after, before)
 
 
 def with_fock(config):
