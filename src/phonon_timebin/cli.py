@@ -250,9 +250,9 @@ def cmd_simulate(args) -> int:
                     results["estimates"]["R"] = _result_entry(r)
         counts_path = manifest.add(out / "counts.csv")
         _write_counts(counts_path, run)
-        if run.records:
+        if run.record_figures is not None:
             _write_records(out, manifest, run)
-            manifest.data["records"] = run.metadata["records"]
+            manifest.data["records"] = run.record_figures
     results["elapsed_seconds"] = time.time() - t0
     path = manifest.add(out / "results.yaml")
     _dump_yaml(path, results)
@@ -322,18 +322,24 @@ def _write_counts(path: Path, run: protocol.ExperimentResult) -> None:
 
 
 def _write_records(out: Path, manifest: _Manifest, run: protocol.ExperimentResult) -> None:
-    events = manifest.add(out / "events.txt")
-    with open(events, "w") as fh:
-        fh.write("# trial window detector\n")
-        for rec in run.records:
-            for ch in rec.clicks:
-                window, det = ch.rsplit(":", 1)
-                fh.write(f"{rec.trial} {window} {det}\n")
-    trials = manifest.add(out / "trials.txt")
-    with open(trials, "w") as fh:
-        fh.write("# trial jitter_w_rad jitter_r_rad\n")
-        for rec in run.records:
-            fh.write(f"{rec.trial} {rec.jitter_w:.9g} {rec.jitter_r:.9g}\n")
+    """events.txt, one line per click, and trials.txt, one line per trial,
+    each setting's lines in trial order, from the settings' record arrays."""
+    with open(manifest.add(out / "events.txt"), "w") as events, \
+            open(manifest.add(out / "trials.txt"), "w") as trials:
+        events.write("# setting trial window detector\n")
+        trials.write("# setting trial jitter_w_rad jitter_r_rad\n")
+        for i, sr in enumerate(run.settings):
+            codes, jitter_w, jitter_r = sr.records
+            labels = sr.distribution.labels
+            names = [" ".join(ch.rsplit(":", 1)) for ch in labels]
+            # channel 0 is the leftmost bit; nonzero lists (trial, channel) row-major
+            bits = 1 << np.arange(len(labels) - 1, -1, -1)
+            trial, channel = np.nonzero(codes[:, None] & bits)
+            events.writelines(f"{i} {t} {names[c]}\n"
+                              for t, c in zip(trial.tolist(), channel.tolist()))
+            trials.writelines(f"{i} {t} {w:.9g} {r:.9g}\n"
+                              for t, (w, r) in enumerate(zip(jitter_w.tolist(),
+                                                             jitter_r.tolist())))
 
 
 def cmd_sweep(args) -> int:

@@ -582,12 +582,7 @@ def _diag_shift_apply(diag: np.ndarray, basis: FockBasis, mode: int,
 
 def apply_loss(state: FockState, mode: str, survival: float) -> FockState:
     """Beam splitter to a vacuum ancilla plus trace: the standard CPTP loss."""
-    if not 0.0 <= survival <= 1.0:
-        raise FockEngineError("survival must be in [0, 1]")
-    if survival == 1.0:
-        return state.copy()
-    kernels = {d: k for d, k in enumerate(_loss_kernels(state.n_max, survival))}
-    return _apply_shift_kernels(state, mode, kernels)
+    return apply_thermal_loss(state, mode, survival, 0.0)
 
 
 def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: float) -> FockState:

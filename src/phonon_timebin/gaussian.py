@@ -56,7 +56,6 @@ class CovarianceState:
         if sigma is None:
             sigma = 0.5 * np.eye(2 * len(self.modes))
         self.sigma = np.asarray(sigma, dtype=float)
-        self.mean = np.zeros(2 * len(self.modes))
 
     def mode_index(self, label: str) -> int:
         try:
@@ -203,8 +202,6 @@ def apply_loss(state: CovarianceState, mode: str, survival: float) -> Covariance
 def vacuum_probability(state: CovarianceState, labels: Sequence[str]):
     """P(no click on the given modes) = 1/sqrt(det(sigma_S + I/2)): a float,
     or a (B,) array from one stacked Cholesky factorisation for a batch."""
-    if np.abs(state.mean).max() > 0:
-        raise GaussianEngineError("click formulas require zero-mean states")
     batch = state.sigma.shape[:-2]
     if not labels:
         return np.ones(batch) if batch else 1.0

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,14 +96,6 @@ class InterferometerModel:
     def bs2_transmissivity(self) -> float:
         # port-ratio difference equals splitting_asymmetry
         return 0.5 * (1.0 + self.splitting_asymmetry)
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    trial: int
-    clicks: tuple[str, ...]           # channel ids "window:detector"
-    jitter_w: float
-    jitter_r: float
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +151,7 @@ class _GaussianCircuit(_Circuit):
 
     def click_distribution(self, detector_map, efficiency):
         st = self.state
-        key = (st.modes, st.sigma.shape, st.sigma.tobytes(), st.mean.tobytes(),
+        key = (st.modes, st.sigma.shape, st.sigma.tobytes(),
                tuple((ch, tuple(modes)) for ch, modes in detector_map.items()),
                tuple(efficiency.items()) if isinstance(efficiency, Mapping) else efficiency)
         cached_key, probs = _GaussianCircuit._memo
@@ -487,19 +479,24 @@ def jitter_averaged_distribution(
 
 @dataclass
 class SettingResult:
+    """One phase setting: its exact distribution, the sampled pattern counts
+    when trials > 0, and its click records when record_trials > 0, as three
+    (n,) arrays: each trial's pattern code (distribution order, channel 0
+    the leftmost bit), write jitter and read jitter in radians."""
     phi_w: float
     phi_r: float
     distribution: OutcomeDistribution
     counts: np.ndarray | None = None   # sampled pattern counts, distribution order
     trials: int = 0
+    records: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
 class ExperimentResult:
-    kind: ExperimentKind
     settings: list[SettingResult]
-    records: list[ClickRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    #: what manifest.json reports of a record run: count, jitter_step_rad,
+    #: distinct_jitter_keys (per setting) and sample_s
+    record_figures: dict | None = None
 
 
 def _phase_settings(config: ExperimentConfig) -> list[tuple[float, float]]:
@@ -512,7 +509,8 @@ def _phase_settings(config: ExperimentConfig) -> list[tuple[float, float]]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Exact distribution per phase setting plus, when trials > 0, sampled
-    counts (aggregate Monte Carlo) and optionally per-trial click records.
+    counts (aggregate Monte Carlo) and, when record_trials > 0, each
+    setting's per-trial click records on its ``SettingResult.records``.
 
     Deterministic given (config, seed): trials are i.i.d., so aggregate
     sampling from the jitter-averaged exact distribution is statistically
@@ -521,27 +519,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (seed, 1_000_000 + setting)."""
     if config.kind is ExperimentKind.THERMAL_G2_TAU:
         raise ProtocolError("ThermalG2Tau runs through the waveguide-dynamics module")
-    settings = _phase_settings(config)
-    setting_results = run_settings(config, settings)
-    result = ExperimentResult(kind=config.kind, settings=setting_results, metadata={
-        "engine": config.engine.name,
-        "seed": config.seed,
-        "trials_per_setting": config.trials,
-        "repetition_period": config.repetition_period,
-        "trial_spacing_over_t1": config.repetition_period / config.waveguide.T1,
-        "assumed_detector_efficiency": list(config.noise.detector_efficiency),
-        "assumed_dark_count_prob": config.noise.dark_count_prob,
-    })
+    result = ExperimentResult(run_settings(config, _phase_settings(config)))
     if config.record_trials > 0:
         n_trials = min(config.record_trials, config.trials or config.record_trials)
         keys = []
         t0 = time.perf_counter()
-        for idx, (phi_w, phi_r) in enumerate(settings):
-            records, n_keys = _sample_records(config, phi_w, phi_r, idx, n_trials)
-            result.records.extend(records)
+        for idx, sr in enumerate(result.settings):
+            sr.records, n_keys = _sample_records(config, sr.phi_w, sr.phi_r, idx, n_trials)
             keys.append(n_keys)
-        result.metadata["records"] = {
-            "count": len(result.records),
+        result.record_figures = {
+            "count": n_trials * len(result.settings),
             "jitter_step_rad": 8.0 * _jitter_scale(config.noise) / RECORD_JITTER_QUANTA,
             "distinct_jitter_keys": keys,
             "sample_s": time.perf_counter() - t0,
@@ -575,10 +562,11 @@ def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float
 #: 8 sigma / RECORD_JITTER_QUANTA
 RECORD_JITTER_QUANTA = 64
 
-def _sample_records(config, phi_w, phi_r, setting_idx,
-                    n_trials) -> tuple[list[ClickRecord], int]:
-    """Per-trial click records of one setting, and the number of distinct
-    jitter keys they used.
+def _sample_records(config, phi_w, phi_r, setting_idx, n_trials):
+    """Per-trial click records of one setting as (codes, jitter_w,
+    jitter_r), three (n_trials,) arrays, and the number of distinct jitter
+    keys they used.  A code is the trial's click pattern in the order of
+    the setting's distribution, channel 0 the leftmost bit.
 
     Pass 1: one (seed, 1_000_000 + setting) generator draws every trial's
     standard normals, trial by trial (write jitter, then read jitter), then
@@ -615,12 +603,7 @@ def _sample_records(config, phi_w, phi_r, setting_idx,
         cdf /= cdf[-1]
         mine = key_idx == k
         codes[mine] = cdf.searchsorted(u[mine], side="right")
-    n = len(dist.labels)
-    patterns = [tuple(ch for b, ch in enumerate(dist.labels) if code >> (n - 1 - b) & 1)
-                for code in range(1 << n)]
-    records = [ClickRecord(trial=t, clicks=patterns[c], jitter_w=w, jitter_r=r)
-               for t, (c, w, r) in enumerate(zip(codes.tolist(), jw.tolist(), jr.tolist()))]
-    return records, len(keys)
+    return (codes, jw, jr), len(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,8 @@ def test_criterion_10_determinism(tmp_path):
     a = protocol.run_experiment(config)
     b = protocol.run_experiment(config)
     same = all(np.array_equal(x.counts, y.counts) for x, y in zip(a.settings, b.settings))
-    same &= a.records == b.records
+    same &= all(np.array_equal(x, y) for sa, sb in zip(a.settings, b.settings)
+                for x, y in zip(sa.records, sb.records))
 
     cfg_path = tmp_path / "bell.yaml"
     from phonon_timebin.core import save_config

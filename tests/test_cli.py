@@ -11,7 +11,7 @@ import pytest
 import scipy
 import yaml
 
-from phonon_timebin import cli, core
+from phonon_timebin import cli, core, protocol
 from phonon_timebin.core import config_from_dict, fwhm_to_sigma, load_config, save_config
 
 CONFIGS = Path(cli.__file__).parent / "configs"
@@ -202,6 +202,44 @@ class TestSimulate:
         assert type(records["sample_s"]) is float and records["sample_s"] >= 0.0
         assert set(manifest["environment"]) == {"phonon_timebin", "python", "numpy", "scipy"}
         assert manifest["environment"]["numpy"] == np.__version__
+
+    def test_each_record_names_its_setting(self, tmp_path):
+        out = tmp_path / "bell"
+        assert cli.main(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+                         "--out", str(out), "--override", "record_trials=50"]) == 0
+        header, *lines = (out / "trials.txt").read_text().splitlines()
+        assert header.split()[1:3] == ["setting", "trial"]
+        pairs = [tuple(int(v) for v in line.split()[:2]) for line in lines]
+        assert len(set(pairs)) == len(pairs) == 4 * 50
+        assert set(pairs) == {(s, t) for s in range(4) for t in range(50)}
+
+    def test_record_files_parse_back_to_each_settings_arrays(self, tmp_path):
+        # frequent dark counts, so the records visit many click patterns
+        config = write_config(tmp_path, record_trials=200, noise={"dark_count_prob": 0.05})
+        out = tmp_path / "rec"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        run = protocol.run_experiment(load_config(config))
+        codes = np.zeros((len(run.settings), 200), dtype=np.int64)
+        header, *events = (out / "events.txt").read_text().splitlines()
+        assert header == "# setting trial window detector"
+        for line in events:
+            setting, trial, window, det = line.split()
+            labels = run.settings[int(setting)].distribution.labels
+            codes[int(setting), int(trial)] |= 1 << (len(labels) - 1
+                                                     - labels.index(f"{window}:{det}"))
+        header, *lines = (out / "trials.txt").read_text().splitlines()
+        assert header == "# setting trial jitter_w_rad jitter_r_rad"
+        rows = np.array([line.split() for line in lines], dtype=float)
+        assert len(rows) == 4 * 200
+        for i, sr in enumerate(run.settings):
+            want_codes, jitter_w, jitter_r = sr.records
+            assert len(np.unique(want_codes)) > 4
+            assert np.array_equal(codes[i], want_codes)
+            mine = rows[rows[:, 0] == i]
+            assert np.array_equal(mine[:, 1], np.arange(200))
+            # written to nine significant digits: relative rounding below 5e-9
+            np.testing.assert_allclose(mine[:, 2:], np.column_stack([jitter_w, jitter_r]),
+                                       rtol=5e-9, atol=0.0)
 
     def test_manifest_records_in_process_argv(self, tmp_path):
         config = write_config(tmp_path)

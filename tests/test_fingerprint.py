@@ -19,11 +19,11 @@ CONFIGS = Path(cli.__file__).parent / "configs"
 # first 16 hex digits of SHA-256, `simulate --seed 7 --override record_trials=2000`
 GOLDEN = {
     "cross_correlation": {"counts.csv": "b43c93c2caaf4459",
-                          "events.txt": "4c5acfe98852cf01",
-                          "trials.txt": "97018ef5c49da3d5"},
+                          "events.txt": "98050b5a04fad95e",
+                          "trials.txt": "d23a0c0b0a6f3e2b"},
     "bell_test": {"counts.csv": "943d68685466cea1",
-                  "events.txt": "cf8844877ff48d7c",
-                  "trials.txt": "6da9071e7cfa4d1f"},
+                  "events.txt": "ca038fd51e2d61cd",
+                  "trials.txt": "f14f442705fde05e"},
 }
 
 

@@ -10,7 +10,6 @@ class TestStates:
     def test_vacuum_covariance(self):
         st = G.vacuum_state(["a", "b"])
         assert np.allclose(st.sigma, 0.5 * np.eye(4))
-        assert np.all(st.mean == 0.0)
 
     def test_thermal_occupation(self):
         st = G.thermal_state(["a", "b"], {"a": 1.0})
@@ -138,12 +137,6 @@ class TestClicks:
         d = G.click_probabilities(st, {"d": ["a", "b"]})
         # no-click on the pair is the joint vacuum probability
         assert d.prob(d=False) == pytest.approx(1.0 / 1.2**2, abs=1e-12)
-
-    def test_mean_must_be_zero(self):
-        st = G.vacuum_state(["a"])
-        st.mean = np.array([0.4, 0.0])
-        with pytest.raises(G.GaussianEngineError, match="zero-mean"):
-            G.vacuum_probability(st, ["a"])
 
 
 class TestModeRegistry:
