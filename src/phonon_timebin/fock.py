@@ -27,20 +27,31 @@ ladder -- a+b for the beam splitter, a-b for the squeezer -- by exponentiating
 the restricted anti-Hermitian generator, so they stay exactly unitary on the
 truncated basis and preserve the trace; truncation shows up as amplitude
 error confined to cutoff-adjacent states, not as trace leakage.  The ladder
-layout is cached per (basis, modes, kind), with every ladder padded to the
-longest and the CSR structure of U and U†; each call exponentiates all
-distinct ladders at once, through one batched Hermitian eigendecomposition
-of i times their generators (no ``scipy.linalg``), fills U and U† into that
-structure and returns U rho U† as a sparse product.
+layout is cached per (basis, modes, kind) and built without a sort: one
+``np.unique`` over the basis codes, with the gate's two digits replaced by
+the invariant, names each ladder; a state's position in it is a - a_lo; and
+the CSR rows of U and U† are read off a (ladders x n) member table, every
+ladder padded to the longest length n (the sparse product needs no sorted
+indices).  Each call exponentiates all distinct ladders at once, through
+one batched Hermitian eigendecomposition of i times their generators (no
+``scipy.linalg``), fills U and U† into that structure and returns U rho U†
+as a sparse product.
 
 Loss and thermal channels are phase covariant, so they act as a set of
 index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
 entry moves to the shifted indices with its kernel weight and duplicates are
 summed.  The thermal kernel is extracted once per parameter set from an
 exact beam-splitter coupling to a high-cutoff thermal ancilla.  A phase
-rescales the entries, adding a vacuum mode or tracing modes out remaps
-their indices, and detection reads the diagonal (click distributions) or
-keeps the entries inside one click pattern (conditioned states).
+rescales the entries, and adding a vacuum mode or tracing modes out remaps
+their indices.
+
+Threshold detection with efficiency eta is the diagonal POVM whose quiet
+element on a detector is sum_n (1-eta)^n |n><n| over its total count n
+(Quesada et al., PRA 98, 062322, 2018), so no loss channel runs first: every
+basis state gets a weight per click pattern, click distributions are the
+diagonal times that weight matrix, and a conditioned state keeps the
+entries whose measured occupations agree, each weighted by its pattern,
+traced over the measured modes.  An efficiency outside [0, 1] raises.
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ import scipy.sparse as sp
 
 from .core import OutcomeDistribution
 
-HERMITICITY_TOL = 1e-12
 #: population on cutoff-boundary states above which a run is flagged as
 #: distorted by the truncation
 TRUNCATION_WEIGHT_LIMIT = 1e-2
@@ -130,11 +140,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return len(self.occs)
-
-    @property
-    def element(self) -> np.ndarray:
-        """Batch element of each basis state."""
-        return np.repeat(np.arange(self.batch), self.dim // self.batch)
 
     def rank(self, occs: np.ndarray) -> np.ndarray:
         """Index of each occupation row within one element (all rows must be
@@ -220,19 +225,6 @@ class FockState:
         occs = self.basis.occs
         edge = (occs == self.n_max).any(axis=1) | (occs.sum(axis=1) == self.basis.total_max)
         return float(np.real(self._element_sums(self.rho.diagonal()[edge])).max())
-
-    def check_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
-        dev = abs(self.rho - self.rho.conj().T).max()
-        if dev > tol:
-            raise FockEngineError(f"state not Hermitian: deviation {dev:g}")
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part (over every element of
-        a batch); basis states outside the stored support add eigenvalue 0."""
-        support = np.union1d(*self.rho.tocoo().coords)
-        block = self.rho[support][:, support].toarray()
-        low = np.linalg.eigvalsh((block + block.conj().T) / 2.0).min()
-        return float(low if len(support) == self.basis.dim else min(low, 0.0))
 
     def mean_occupation(self, label: str) -> float | np.ndarray:
         """Mean occupation of a mode; a (B,) array of them for a batch."""
@@ -375,62 +367,70 @@ def _ladder_unitaries(coupling: np.ndarray, phi: float | None) -> np.ndarray:
 def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     """Ladders of a two-mode gate on modes i, j: basis states of the same
     batch element with the same other occupations and the same invariant
-    (a+b for "bs", a-b for "tms"), sorted by a.  Every ladder is padded to
-    the longest length n; zero coupling past its own length decouples the
-    padding; a batch shares the distinct ladders.  Returns the n-1
-    couplings at unit gate strength of each distinct (invariant, a_lo,
-    length); then, for U and for U†, the CSR structure (indices, indptr) and
-    where each stored entry sits in the flattened stack of the n x n ladder
-    unitaries, whose one-past-the-end index stands for the 1 of a one-state
-    ladder."""
-    occs = basis.occs
+    (a+b for "bs", a-b for "tms"), a state's position in its ladder being
+    a - a_lo.  Every ladder is padded to the longest length n; zero coupling
+    past its own length decouples the padding; a batch shares the distinct
+    ladders.  Returns the n-1 couplings at unit gate strength of each
+    distinct (invariant, length); the CSR structure (indices, indptr) that
+    U and U† share, a row's columns being its ladder's members in position
+    order; and, for U and for U†, where each stored entry sits in the
+    flattened stack of the n x n ladder unitaries, whose one-past-the-end
+    index stands for the 1 of a one-state ladder."""
+    n_max = basis.n_max
+    occs, codes = _basis_arrays(basis.n_modes, n_max, basis.total_max, basis.batch)
+    radix = _radix(basis.n_modes, n_max)
     a, b = occs[:, i], occs[:, j]
-    invariant = a + b if kind == "bs" else a - b
-    keys = np.column_stack([basis.element, np.delete(occs, (i, j), axis=1), invariant])
-    order = np.lexsort(np.column_stack([a, keys]).T)  # last key is primary
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
-    lengths = np.diff(np.r_[starts, len(order)])
+    # the invariant, offset into [0, 2 n_max], replaces digits i and j of the
+    # code (whose most significant digit is the batch element)
+    offset = 0 if kind == "bs" else n_max
+    span = 2 * n_max + 1
+    key = (codes - a * radix[i] - b * radix[j]) * span + (a + b if kind == "bs" else a - b) + offset
+    keys, ladder = np.unique(key, return_inverse=True)
+    invariant = keys % span - offset
+    # a ladder holds every a from its lowest up: along it the total stays
+    # fixed ("bs") or grows with a ("tms"), so the cap cuts only its top
+    a_lo = np.maximum(0, invariant - n_max if kind == "bs" else invariant)
+    pos = a - a_lo[ladder]
+    lengths = np.bincount(ladder)
     n = int(lengths.max())
-    ladder = lengths > 1
-    first = order[starts[ladder]]
-    uniq, inverse = np.unique(np.column_stack([invariant[first], a[first], lengths[ladder]]),
-                              axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    members = np.full((len(keys), n), -1, dtype=np.int64)
+    members[ladder, pos] = np.arange(basis.dim)
+    # a ladder's unitary depends on its invariant and length only
+    long = np.flatnonzero(lengths > 1)
+    _, first, uid = np.unique((invariant[long] + offset) * (n + 1) + lengths[long],
+                              return_index=True, return_inverse=True)
+    stack = np.full(len(keys), len(first))
+    stack[long] = uid.ravel()
+    inv, lo, size = (v[long[first], None] for v in (invariant, a_lo, lengths))
     # coupling |a, .> -> |a+1, .> of a+b = s ladders and of a-b = d ladders
     k = np.arange(n - 1)
-    inv, lo = uniq[:, :1], uniq[:, 1:2] + k
+    lo = lo + k
     weight = (lo + 1) * (inv - lo if kind == "bs" else lo - inv + 1)
-    root = np.sqrt(np.where(k < uniq[:, 2:] - 1, weight, 0))
-    single = order[starts[~ladder]]
-    rows, cols, flat = [single], [single], [np.full(len(single), len(uniq) * n * n)]
-    for size in np.unique(lengths[ladder]):
-        sel = lengths[ladder] == size
-        idx = order[starts[ladder][sel][:, None] + np.arange(size)]
-        m = np.arange(size)
-        rows.append(np.repeat(idx, size, axis=1).ravel())
-        cols.append(np.tile(idx, (1, size)).ravel())
-        flat.append((inverse[sel][:, None] * n * n + (m[:, None] * n + m).ravel()).ravel())
-    rows, cols, flat = np.concatenate(rows), np.concatenate(cols), np.concatenate(flat)
-
-    def csr(r, c):  # int32: the index type scipy picks here, so none is converted
-        perm = np.lexsort((c, r))
-        indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=basis.dim))]
-        return c[perm].astype(np.int32), indptr.astype(np.int32), flat[perm]
-
-    return root, csr(rows, cols), csr(cols, rows)
+    root = np.sqrt(np.where(k < size - 1, weight, 0))
+    cols = members[ladder]
+    stored = cols >= 0
+    m = np.arange(n)
+    base = stack[ladder, None] * n * n
+    u_at = (base + pos[:, None] * n + m)[stored]
+    d_at = (base + m * n + pos[:, None])[stored]
+    # int32: the index type scipy picks here, so none is converted
+    indptr = np.r_[0, np.cumsum(lengths[ladder])].astype(np.int32)
+    layout = root, cols[stored].astype(np.int32), indptr, u_at, d_at
+    for arr in layout:  # cached, and U and U† share the structure
+        arr.setflags(write=False)
+    return layout
 
 
 def _apply_two_mode(state: FockState, mode_a: str, mode_b: str,
                     kind: str, p1: float, p2: float) -> FockState:
     i, j = state.mode_index(mode_a), state.mode_index(mode_b)
-    root, (u_idx, u_ptr, u_at), (d_idx, d_ptr, d_at) = _ladder_layout(state.basis, i, j, kind)
+    root, indices, indptr, u_at, d_at = _ladder_layout(state.basis, i, j, kind)
     vals = np.ones(1, dtype=complex)
     if root.size:  # a zero phase keeps the ladder unitaries real
         vals = np.concatenate([_ladder_unitaries(p1 * root, p2 if p2 else None).ravel(), vals])
     dim = state.basis.dim
-    U = sp.csr_array((vals[u_at], u_idx, u_ptr), shape=(dim, dim))
-    U_dag = sp.csr_array((vals[d_at].conj(), d_idx, d_ptr), shape=(dim, dim))
+    U = sp.csr_array((vals[u_at], indices, indptr), shape=(dim, dim))
+    U_dag = sp.csr_array((vals[d_at].conj(), indices, indptr), shape=(dim, dim))
     return FockState(state.modes, state.basis, U @ state.rho @ U_dag)
 
 
@@ -561,25 +561,6 @@ def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.n
     return FockState(state.modes, basis, rho)
 
 
-def _diag_shift_apply(diag: np.ndarray, basis: FockBasis, mode: int,
-                      kernels: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Populations of a phase-covariant channel: the diagonal maps to itself
-    independently of coherences, at O(dim * shifts)."""
-    occ = basis.occs[:, mode]
-    out = np.zeros_like(diag)
-    applied = np.zeros(basis.dim)
-    for d, W in kernels.items():
-        wd = W.diagonal()
-        if not np.any(wd):
-            continue
-        src = basis.shifted(mode, d)
-        valid = src >= 0
-        out[valid] += wd[occ[valid]] * diag[src[valid]]
-        applied[src[valid]] += wd[occ[valid]]
-    out += (1.0 - applied) * diag
-    return out
-
-
 def apply_loss(state: FockState, mode: str, survival: float) -> FockState:
     """Beam splitter to a vacuum ancilla plus trace: the standard CPTP loss."""
     return apply_thermal_loss(state, mode, survival, 0.0)
@@ -600,29 +581,26 @@ def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: floa
 # threshold detection
 
 
-def _click_codes(state: FockState, detector_map: Mapping[str, Sequence[str]]) -> np.ndarray:
-    """Click-pattern code of every basis state, detector 0 the most
-    significant bit (the OutcomeDistribution order)."""
-    occs = state.basis.occs
-    n = len(detector_map)
-    codes = np.zeros(state.basis.dim, dtype=np.int64)
-    for k, modes in enumerate(detector_map.values()):
-        cols = [state.mode_index(m) for m in modes]
-        codes |= (occs[:, cols].sum(axis=1) > 0).astype(np.int64) << (n - 1 - k)
-    return codes
-
-
-def _with_efficiency(state: FockState, detector_map: Mapping[str, Sequence[str]],
-                     efficiency: Mapping[str, float] | float | None) -> FockState:
-    if efficiency is None:
-        return state
-    out = state
+def _pattern_weights(state: FockState, detector_map: Mapping[str, Sequence[str]],
+                     efficiency: Mapping[str, float] | float | None) -> np.ndarray:
+    """(dim of one element, 2**n) weight of every click pattern on every
+    basis state, detector 0 the most significant bit (the
+    OutcomeDistribution order).  A detector of efficiency eta holding N
+    quanta stays quiet with weight (1-eta)**N and clicks with the rest,
+    -expm1(N log1p(-eta)), which keeps the click weight of a tiny eta."""
+    occs = state.basis.occs[:state.basis.dim // state.basis.batch]
+    weights = np.ones((len(occs), 1))
     for det, modes in detector_map.items():
-        eta = efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0)
-        if eta < 1.0:
-            for m in modes:
-                out = apply_loss(out, m, eta)
-    return out
+        eta = 1.0 if efficiency is None else (
+            efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
+        if not 0.0 <= eta <= 1.0:
+            raise FockEngineError(f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
+        quanta = occs[:, [state.mode_index(m) for m in modes]].sum(axis=1)
+        quiet = (1.0 - eta) ** quanta
+        click = 1.0 - quiet if eta == 1.0 else -np.expm1(quanta * np.log1p(-eta))
+        weights = np.stack([weights * quiet[:, None], weights * click[:, None]], axis=-1)
+        weights = weights.reshape(len(occs), -1)
+    return weights
 
 
 def click_distribution(
@@ -634,22 +612,11 @@ def click_distribution(
     detector clicks when at least one quantum survives the efficiency loss
     on any of its modes.
 
-    Both the efficiency loss and the threshold POVM are diagonal-covariant,
-    so this works on the populations alone."""
-    diag = np.real(state.rho.diagonal())
-    if efficiency is not None:
-        for det, modes in detector_map.items():
-            eta = efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0)
-            if eta < 1.0:
-                kern = {d: k for d, k in enumerate(_loss_kernels(state.n_max, eta))}
-                for m in modes:
-                    diag = _diag_shift_apply(diag, state.basis, state.mode_index(m), kern)
-    n, batch = len(detector_map), state.basis.batch
-    # the element index is the high part of the code, so each element's
-    # patterns sum in the order that element alone sums them
-    codes = _click_codes(state, detector_map) + (state.basis.element << n)
-    sums = np.bincount(codes, weights=diag, minlength=batch << n)
-    return OutcomeDistribution(tuple(detector_map), sums if batch == 1 else sums.reshape(batch, -1))
+    The threshold POVM with efficiency is diagonal, so this is each
+    element's populations times the pattern weights of its basis states."""
+    weights = _pattern_weights(state, detector_map, efficiency)
+    probs = np.real(state.rho.diagonal()).reshape(state.basis.batch, -1) @ weights
+    return OutcomeDistribution(tuple(detector_map), probs[0] if state.basis.batch == 1 else probs)
 
 
 def measure_threshold(
@@ -659,32 +626,27 @@ def measure_threshold(
 ) -> list[tuple[int, float, FockState]]:
     """Threshold-measure the mapped modes and return, per click-pattern code
     with nonzero probability, that probability and the conditioned state on
-    the remaining modes (the entries whose row and column both carry that
-    code, traced over the measured modes).
-
-    The efficiency loss keeps each mode's occupation difference between row
-    and column, and the trace over the measured modes keeps only entries
-    where it is zero, so the entries whose measured occupations differ are
-    dropped before the loss: they could never reach a branch."""
+    the remaining modes: the entries whose measured occupations agree
+    between row and column (the others vanish in the trace over the measured
+    modes), each weighted by its pattern's POVM weight, traced over the
+    measured modes."""
     state._single("measure_threshold")
     measured = sorted({m for modes in detector_map.values() for m in modes},
                       key=state.modes.index)
     keep = [m for m in state.modes if m not in measured]
-    pos = [state.mode_index(m) for m in measured]
-    seen = state.basis.occs[:, pos] @ _radix(len(pos), state.n_max)
+    occs = state.basis.occs
+    seen = occs[:, [state.mode_index(m) for m in measured]] @ _radix(len(measured), state.n_max)
     coo = state.rho.tocoo()
     r, c = coo.coords
-    same = seen[r] == seen[c]
-    cut = FockState(state.modes, state.basis,
-                    _sparse(r[same], c[same], coo.data[same], state.basis.dim))
-    work = _with_efficiency(cut, detector_map, efficiency)
-    codes = _click_codes(work, detector_map)
-    probs = np.bincount(codes, weights=np.real(work.rho.diagonal()))
-    coo = work.rho.tocoo()
-    r, c = coo.coords
-    # the measured occupations of every kept entry agree, so its row and
-    # column carry one click code
-    entry_code = codes[r]
+    same = np.flatnonzero(seen[r] == seen[c])
+    r, c, data = r[same], c[same], coo.data[same]
+    # a kept entry's row and column carry the same measured occupations, so
+    # its row's weights are its weights
+    weights = _pattern_weights(state, detector_map, efficiency)
+    on_diag = r == c
+    probs = np.real(data[on_diag]) @ weights[r[on_diag]]
+    reduced = FockBasis(len(keep), state.n_max, state.basis.total_max)
+    rem = reduced.rank(occs[:, [state.mode_index(m) for m in keep]])
     branches = []
     for code in np.flatnonzero(probs > 0.0):
         # dividing by a subnormal probability overflows, and its underflowed
@@ -692,10 +654,9 @@ def measure_threshold(
         if probs[code] < np.finfo(float).tiny:
             raise FockEngineError(f"click pattern {code} has subnormal probability "
                                   f"{probs[code]:.3g}: its conditioned state underflows")
-        sel = entry_code == code
-        sub = FockState(work.modes, work.basis,
-                        _sparse(r[sel], c[sel], coo.data[sel], work.basis.dim))
-        reduced = partial_trace(sub, keep)
-        reduced.rho = reduced.rho / probs[code]
-        branches.append((int(code), float(probs[code]), reduced))
+        w = weights[r, code]
+        sel = np.flatnonzero(w)
+        rho = _sparse(rem[r[sel]], rem[c[sel]], w[sel] * data[sel], reduced.dim)
+        rho.data /= probs[code]
+        branches.append((int(code), float(probs[code]), FockState(keep, reduced, rho)))
     return branches

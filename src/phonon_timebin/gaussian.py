@@ -231,6 +231,9 @@ def click_probabilities(
     for det, modes in detector_map.items():
         eta = 1.0 if efficiency is None else (
             efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
+        if not 0.0 <= eta <= 1.0:
+            raise GaussianEngineError(
+                f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
         if eta < 1.0:
             for m in modes:
                 work = apply_thermal_loss(work, m, eta, 0.0)

@@ -49,8 +49,12 @@ class TestSharedVocabulary:
         assert oracles.cross_engine_deviation(desc, n_max=5) < 1e-7
 
     def test_random_suite_smoke(self):
-        worst, _ = oracles.cross_engine_suite(20, seed=20260809)
+        worst, worst_idx = oracles.cross_engine_suite(20, seed=20260809, n_max=5)
         assert worst < 1e-6
+        # pinned, so a kernel that loses accuracy but stays under the gate
+        # still fails
+        assert worst == pytest.approx(3.728391894823385e-08, abs=1e-15)
+        assert worst_idx == 10
 
     def test_mutated_convention_fails_fringe_oracle(self):
         # flipping the interferometer phase sign must trip the branch test

@@ -124,6 +124,14 @@ class TestClicks:
                                   {"d1": 0.8, "d2": 0.6})
         assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("eta", [1.5, -0.2, math.nan])
+    def test_efficiency_outside_the_unit_interval_raises(self, eta):
+        st = G.thermal_state(["a", "b"], 0.3)
+        detectors = {"d1": ["a"], "d2": ["b"]}
+        for efficiency in ({"d1": 0.9, "d2": eta}, eta):
+            with pytest.raises(G.GaussianEngineError, match="efficiency of detector 'd.'"):
+                G.click_probabilities(st, detectors, efficiency)
+
     def test_marginal_consistency(self):
         # marginal click probability equals the sum over full patterns
         st = G.thermal_state(["a", "b"], {"a": 0.3, "b": 0.2})

@@ -414,9 +414,14 @@ def fock_states(draw):
     return state, rho
 
 
+def assert_hermitian(state):
+    dense = state.rho.toarray()
+    assert np.abs(dense - dense.conj().T).max() <= 1e-12
+
+
 def check_output(out, ref, trace=1.0):
     assert np.abs(out.rho.toarray() - ref).max() < 1e-12
-    out.check_hermitian()
+    assert_hermitian(out)
     assert out.trace() == pytest.approx(trace, abs=1e-12)
 
 
@@ -602,6 +607,79 @@ def test_sparse_measure_threshold_matches_dense(case, data):
         check_output(reduced, ref)
 
 
+def draw_detectors(data, state, max_measured, efficiencies):
+    """One or two detectors over a drawn set of modes, with an efficiency
+    each."""
+    measured = data.draw(st.lists(st.integers(0, len(state.modes) - 1), min_size=1,
+                                  max_size=max_measured, unique=True))
+    split = data.draw(st.integers(1, len(measured)))
+    detector_map = {f"d{k}": [state.modes[i] for i in group]
+                    for k, group in enumerate((measured[:split], measured[split:])) if group}
+    return detector_map, {det: data.draw(efficiencies) for det in detector_map}
+
+
+def loss_channel_readout(state, detector_map, efficiency):
+    """The read-out through a loss channel: the state after ``fock.apply_loss``
+    on every detector mode at its detector's efficiency, and the click code
+    of every basis state (detector 0 the most significant bit)."""
+    lossy = state
+    for det, modes in detector_map.items():
+        for m in modes:
+            lossy = fock.apply_loss(lossy, m, efficiency[det])
+    n = len(detector_map)
+    codes = np.zeros(state.basis.dim, dtype=np.int64)
+    for k, modes in enumerate(detector_map.values()):
+        cols = [state.modes.index(m) for m in modes]
+        codes |= (state.basis.occs[:, cols].sum(axis=1) > 0).astype(np.int64) << (n - 1 - k)
+    return lossy, codes
+
+
+@FAST
+@given(fock_states(), st.data(), st.integers(1, 3))
+def test_click_distribution_matches_the_loss_channel_route(case, data, batch):
+    state, _ = case
+    if batch > 1:
+        # elements that differ: a phase each, then a beam splitter
+        i, j = two_modes(data, state)
+        a, b = state.modes[i], state.modes[j]
+        phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch, max_size=batch)))
+        state = fock.apply_beam_splitter(fock.apply_phase(fock.tile(state, batch), a, phis),
+                                         a, b, 0.6)
+    detector_map, efficiency = draw_detectors(data, state, len(state.modes), unit)
+    lossy, codes = loss_channel_readout(state, detector_map, efficiency)
+    n = len(detector_map)
+    element = np.repeat(np.arange(batch), state.basis.dim // batch)
+    want = np.bincount(codes + (element << n), weights=np.real(lossy.rho.diagonal()),
+                       minlength=batch << n).reshape(batch, -1)
+    got = fock.click_distribution(state, detector_map, efficiency).probabilities
+    assert np.abs(got.reshape(batch, -1) - want).max() <= 1e-14
+
+
+@FAST
+@given(fock_states(), st.data())
+def test_measure_threshold_matches_the_loss_channel_route(case, data):
+    state, _ = case
+    # away from a tiny efficiency, whose click branches are subnormal
+    efficiencies = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0)
+    detector_map, efficiency = draw_detectors(data, state, len(state.modes) - 1, efficiencies)
+    lossy, codes = loss_channel_readout(state, detector_map, efficiency)
+    keep = [m for m in state.modes if not any(m in modes for modes in detector_map.values())]
+    probs = np.bincount(codes, weights=np.real(lossy.rho.diagonal()),
+                        minlength=1 << len(detector_map))
+    coo = lossy.rho.tocoo()
+    r, c = coo.coords
+    branches = fock.measure_threshold(state, detector_map, efficiency)
+    assert [code for code, _, _ in branches] == np.flatnonzero(probs > 0.0).tolist()
+    for code, p, reduced in branches:
+        assert abs(p - probs[code]) <= 1e-14
+        sel = (codes[r] == code) & (codes[c] == code)
+        inside = fock.FockState(state.modes, state.basis, fock._sparse(
+            r[sel], c[sel], coo.data[sel], state.basis.dim))
+        want = fock.partial_trace(inside, keep).rho.toarray() / probs[code]
+        assert reduced.modes == tuple(keep)
+        assert np.abs(reduced.rho.toarray() - want).max() <= 1e-14
+
+
 @FAST
 @given(fock_states(), st.data(), st.integers(2, 4))
 def test_a_fock_batch_matches_each_element_alone(case, data, batch):
@@ -624,10 +702,12 @@ def test_a_fock_batch_matches_each_element_alone(case, data, batch):
         return fock.apply_two_mode_squeeze(st_, b, "new", p, 0.4)
 
     batched = run(fock.tile(state, batch), phis)
-    batched.check_hermitian()
+    assert_hermitian(batched)
     assert batched.trace() == pytest.approx(np.ones(batch), abs=1e-12)
     r, c = batched.rho.tocoo().coords
-    assert np.array_equal(batched.basis.element[r], batched.basis.element[c])
+    # every entry stays inside its element's block
+    size = batched.basis.dim // batch
+    assert np.array_equal(r // size, c // size)
     clicks = fock.click_distribution(batched, detectors, 0.8).probabilities
     assert clicks.shape == (batch, 4)
     alone = [run(state, float(phi)) for phi in phis]
