@@ -235,38 +235,55 @@ def fit_exponential(times: Sequence[float], values: Sequence[float],
                     window_start: float = 1e-6,
                     sigmas: Sequence[float] | None = None) -> AnalysisResult:
     """Least-squares a*exp(-t/T1) on points past window_start (the early
-    points carry delayed heating and are excluded by default)."""
+    points carry delayed heating and are excluded by default), by variable
+    projection: for a fixed T1 the best amplitude is linear in the data, so
+    only T1 is searched, on a log grid and then by bisecting the derivative
+    of the projected residual.  T1's sigma is the least-squares one:
+    absolute with ``sigmas``, and scaled by chi^2/dof without them."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     sel = t >= window_start
     if sel.sum() < 4:
         raise AnalysisError("need at least 4 points beyond the fit window start")
     t, y = t[sel], y[sel]
-    sig = None if sigmas is None else np.asarray(sigmas, dtype=float)[sel]
+    w = np.ones_like(y) if sigmas is None else np.asarray(sigmas, dtype=float)[sel] ** -2.0
     digest = _digest("T1", t.tolist(), y.tolist())
-    if np.ptp(y) <= 0 or y.min() < 0:
+    if np.ptp(y) <= 0 or y.min() < 0 or np.ptp(t) <= 0:
         return AnalysisResult(math.inf, math.inf, "T1/exp-fit", digest,
                               flags=("degenerate: no decay",))
-    from scipy.optimize import curve_fit  # kept off the package's import path
+    s = t - t.min()  # times from the first point, so exp(-s/T1) <= 1
 
-    def model(tt, a, t1):
-        return a * np.exp(-tt / t1)
+    def projected(t1):
+        """The residual at the best amplitude for each T1, and a number
+        with the sign of minus its T1 derivative."""
+        e = np.exp(-s / np.asarray(t1)[..., None])
+        p, q = (w * e * y).sum(-1), (w * e * e).sum(-1)
+        descent = q * (w * s * e * y).sum(-1) - p * (w * s * e * e).sum(-1)
+        return (w * y * y).sum() - p * p / q, descent
 
-    # log-linear seed
-    pos = y > 0
-    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
-    p0 = (math.exp(intercept), -1.0 / slope if slope < 0 else (t.max() - t.min()))
-    try:
-        popt, pcov = curve_fit(model, t, y, p0=p0, sigma=sig, absolute_sigma=sig is not None,
-                               maxfev=10000)
-    except RuntimeError:
+    grid = s.max() * np.geomspace(1e-4, 1e4, 161)
+    residual, descent = projected(grid)
+    k = int(np.argmin(residual))
+    if not 0 < k < len(grid) - 1 or not descent[k - 1] > 0 > descent[k + 1]:
         return AnalysisResult(math.nan, math.nan, "T1/exp-fit", digest,
                               flags=("fit did not converge",))
-    t1 = float(popt[1])
-    err = float(math.sqrt(max(pcov[1, 1], 0.0)))
-    flags = ()
-    if t1 <= 0 or not math.isfinite(err):
-        flags = ("fit did not converge",)
+    lo, hi = grid[k - 1], grid[k + 1]
+    while lo < (t1 := math.sqrt(lo * hi)) < hi:
+        if projected(t1)[1] > 0:
+            lo = t1
+        else:
+            hi = t1
+    e = np.exp(-s / t1)
+    a = (w * e * y).sum() / (w * e * e).sum()
+    # Fisher matrix of (amplitude at t.min(), T1); T1's variance is the same
+    # in any parametrisation of the amplitude
+    d_t1 = a * e * s / t1**2
+    f_aa, f_at, f_tt = (w * e * e).sum(), (w * e * d_t1).sum(), (w * d_t1 * d_t1).sum()
+    var = f_aa / (f_aa * f_tt - f_at**2)
+    if sigmas is None:
+        var *= (w * (y - a * e) ** 2).sum() / (len(y) - 2)
+    err = math.sqrt(var) if var >= 0 else math.inf
+    flags = () if math.isfinite(err) else ("fit did not converge",)
     return AnalysisResult(t1, err, "T1/exp-fit", digest, flags=flags)
 
 

@@ -106,9 +106,8 @@ class _Manifest:
 
 def _environment() -> dict:
     """Versions of the package and of what its numbers depend on.  SciPy is
-    reported only if the process has loaded it (the Fock engine and the fits
-    do); a Gaussian command in its own interpreter loads none, and its
-    numbers do not depend on it."""
+    reported only if the process has loaded it: no command does, and no
+    number depends on it."""
     from . import __version__
     scipy = sys.modules.get("scipy")
     return {"phonon_timebin": __version__, "python": sys.version.split()[0],

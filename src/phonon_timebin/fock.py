@@ -8,12 +8,16 @@ are enumerated ascending in the mixed-radix occupation code (the order of
 ``itertools.product``), so the index of any occupation is a
 ``searchsorted`` over those codes.
 
-The density matrix is stored sparse (``FockState.rho`` is a CSR array of
-its nonzero entries), and every operation works on the stored entries
-only; no gate ever couples entries outside the support it is given.
+The density matrix is stored as its nonzero entries (``FockState.rho`` is
+an ``Entries`` of row, column and value arrays, each (row, column) pair at
+most once, in no set order), in NumPy alone, and every operation works on
+the stored entries only; no gate ever couples entries outside the support
+it is given.  Where an operation makes a pair more than once, one sort of
+the pairs' keys, with each entry's position packed below its key, groups
+them and ``np.bincount`` sums them in input order.
 
 A state may be a batch of B density matrices over one basis, stored as one
-block-diagonal CSR array (``tile``): the element index is the most
+block-diagonal matrix (``tile``): the element index is the most
 significant digit of the basis code, so the occupation table, the codes and
 the shift tables tile across the blocks and every gate, phase, channel and
 click read-out acts on all elements in one pass, each exactly as it would
@@ -27,15 +31,21 @@ ladder -- a+b for the beam splitter, a-b for the squeezer -- by exponentiating
 the restricted anti-Hermitian generator, so they stay exactly unitary on the
 truncated basis and preserve the trace; truncation shows up as amplitude
 error confined to cutoff-adjacent states, not as trace leakage.  The ladder
-layout is cached per (basis, modes, kind) and built without a sort: one
-``np.unique`` over the basis codes, with the gate's two digits replaced by
-the invariant, names each ladder; a state's position in it is a - a_lo; and
-the CSR rows of U and U† are read off a (ladders x n) member table, every
-ladder padded to the longest length n (the sparse product needs no sorted
-indices).  Each call exponentiates all distinct ladders at once, through
-one batched Hermitian eigendecomposition of i times their generators (no
-``scipy.linalg``), fills U and U† into that structure and returns U rho U†
-as a sparse product.
+layout is cached per (basis, modes, kind): one ``np.unique`` over the basis
+codes, with the gate's two digits replaced by the invariant, names each
+ladder; a state's position in it is a - a_lo; and the ladders are numbered
+so that those sharing a unitary (the same invariant and length) are
+contiguous.  Each call exponentiates all distinct ladders at once, through
+one batched Hermitian eigendecomposition of i times their generators, and
+forms U rho U† as U (U rho)†, rho being Hermitian, so one product runs
+twice: it gathers the entries of each (row ladder, column) pair into a
+vector over the ladder, multiplies each distinct unitary's vectors in one
+BLAS product, and gives every state of the ladder an entry, so no pair
+repeats.  The result is Hermitian too, so the gate computes only its blocks
+on and below the block diagonal of the ladders, from rho's blocks on and
+above it, and adds the conjugate transposes of those below.  It runs over
+chunks of whole column ladders (``GATE_CHUNK_ENTRIES`` input entries each),
+whose outputs are disjoint, which bounds its temporaries.
 
 Loss and thermal channels are phase covariant, so they act as a set of
 index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
@@ -62,7 +72,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import OutcomeDistribution
 
@@ -152,17 +161,68 @@ class FockBasis:
         return _shift_table(self.n_modes, self.n_max, self.total_max, self.batch, mode, delta)
 
 
-def _sparse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> sp.csr_array:
-    """CSR array of the given entries, duplicates summed."""
-    return sp.csr_array((vals.astype(complex), (rows, cols)), shape=(dim, dim))
+@dataclass(frozen=True)
+class Entries:
+    """The stored entries of a dim x dim matrix: row, column and complex
+    value arrays, each (row, column) pair at most once, in no set order.
+    No operation changes them in place, so states may share them."""
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def diagonal(self) -> np.ndarray:
+        diag = np.zeros(self.dim, dtype=complex)
+        on = self.rows == self.cols
+        diag[self.rows[on]] = self.vals[on]
+        return diag
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[self.rows, self.cols] = self.vals
+        return dense
+
+
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The permutation that sorts ``keys`` (equal keys in input order), the
+    group number of each sorted key and the distinct keys, ascending: one
+    sort of the keys with each position packed below them."""
+    bits = len(keys).bit_length()
+    if len(keys) and int(keys.max()) >> (63 - bits):
+        raise FockEngineError(f"{len(keys)} keys up to {keys.max()} do not pack into 64 bits")
+    packed = np.sort(keys << bits | np.arange(len(keys)))
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    new = np.empty(len(packed), dtype=bool)
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    return order, np.cumsum(new) - 1, packed[new]
+
+
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> Entries:
+    """The entries with the values of each repeated (row, column) summed."""
+    order, group, keys = _sorted_groups(rows * dim + cols)
+    vals = vals[order]
+    sums = np.empty(len(keys), dtype=complex)
+    sums.real = np.bincount(group, vals.real, len(keys))
+    sums.imag = np.bincount(group, vals.imag, len(keys))
+    return Entries(keys // dim, keys % dim, sums, dim)
 
 
 class FockState:
     """Density matrix over a registered, ordered set of bosonic modes,
-    stored as a CSR array of its nonzero entries; a batch of them when the
-    basis has ``batch`` > 1."""
+    stored as its nonzero entries; a batch of them when the basis has
+    ``batch`` > 1."""
 
-    def __init__(self, modes: Sequence[str], basis: FockBasis, rho: sp.csr_array | np.ndarray):
+    def __init__(self, modes: Sequence[str], basis: FockBasis, rho: Entries | np.ndarray):
         if len(set(modes)) != len(modes):
             raise FockEngineError("duplicate mode labels")
         self.modes = tuple(modes)
@@ -170,15 +230,16 @@ class FockState:
         self.rho = rho
 
     @property
-    def rho(self) -> sp.csr_array:
+    def rho(self) -> Entries:
         return self._rho
 
     @rho.setter
-    def rho(self, value: sp.csr_array | np.ndarray) -> None:
-        # a complex CSR array is stored as given; a dense array is stored by
-        # its nonzero entries
-        if not (isinstance(value, sp.csr_array) and value.dtype == complex):
-            value = sp.csr_array(value, dtype=complex)
+    def rho(self, value: Entries | np.ndarray) -> None:
+        # a dense array is stored by its nonzero entries
+        if not isinstance(value, Entries):
+            value = np.asarray(value, dtype=complex)
+            rows, cols = np.nonzero(value)
+            value = Entries(rows, cols, value[rows, cols], len(value))
         self._rho = value
 
     # -- bookkeeping ------------------------------------------------------
@@ -190,7 +251,7 @@ class FockState:
             raise FockEngineError(f"mode {label!r} not registered") from None
 
     def copy(self) -> "FockState":
-        return FockState(self.modes, self.basis, self.rho.copy())
+        return FockState(self.modes, self.basis, self.rho)
 
     @property
     def n_max(self) -> int:
@@ -240,7 +301,7 @@ class FockState:
 
 def _diagonal_state(modes: Sequence[str], basis: FockBasis, diag: np.ndarray) -> FockState:
     idx = np.flatnonzero(diag)
-    return FockState(modes, basis, _sparse(idx, idx, diag[idx], basis.dim))
+    return FockState(modes, basis, Entries(idx, idx, diag[idx].astype(complex), basis.dim))
 
 
 def init_vacuum(modes: Sequence[str], n_max: int, total_max: int | None = None) -> FockState:
@@ -302,13 +363,8 @@ def add_vacuum_mode(state: FockState, label: str) -> FockState:
     basis = FockBasis(len(state.modes) + 1, state.n_max, state.basis.total_max, state.basis.batch)
     mapping = _vacuum_mode_map(state.basis)
     rho = state.rho
-    # row r moves to row mapping[r]; the rows in between are empty
-    counts = np.zeros(basis.dim, dtype=rho.indptr.dtype)
-    counts[mapping] = np.diff(rho.indptr)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    grown = sp.csr_array((rho.data.copy(), mapping[rho.indices], indptr),
-                         shape=(basis.dim, basis.dim))
-    return FockState(state.modes + (label,), basis, grown)
+    return FockState(state.modes + (label,), basis,
+                     Entries(mapping[rho.rows], mapping[rho.cols], rho.vals, basis.dim))
 
 
 def tile(state: FockState, batch: int) -> FockState:
@@ -318,11 +374,9 @@ def tile(state: FockState, batch: int) -> FockState:
     if batch == 1:
         return state
     rho = state.rho
-    shift = np.arange(batch)[:, None]
-    indptr = np.r_[(rho.indptr[:-1] + rho.nnz * shift).ravel(), batch * rho.nnz]
-    dim = batch * rho.shape[0]
-    blocks = sp.csr_array((np.tile(rho.data, batch), (rho.indices + rho.shape[0] * shift).ravel(),
-                           indptr), shape=(dim, dim))
+    shift = rho.dim * np.arange(batch)[:, None]
+    blocks = Entries((rho.rows + shift).ravel(), (rho.cols + shift).ravel(),
+                     np.tile(rho.vals, batch), batch * rho.dim)
     return FockState(state.modes, replace(state.basis, batch=batch), blocks)
 
 
@@ -337,11 +391,10 @@ def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
     occs = state.basis.occs
     rem_idx = new_basis.rank(occs[:, keep_pos])
     drop_code = occs[:, drop_pos] @ _radix(len(drop_pos), state.n_max)
-    coo = state.rho.tocoo()
-    r, c = coo.coords
-    same = drop_code[r] == drop_code[c]
-    return FockState(keep, new_basis,
-                     _sparse(rem_idx[r[same]], rem_idx[c[same]], coo.data[same], new_basis.dim))
+    rho = state.rho
+    same = drop_code[rho.rows] == drop_code[rho.cols]
+    return FockState(keep, new_basis, _summed(rem_idx[rho.rows[same]], rem_idx[rho.cols[same]],
+                                              rho.vals[same], new_basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +421,17 @@ def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     """Ladders of a two-mode gate on modes i, j: basis states of the same
     batch element with the same other occupations and the same invariant
     (a+b for "bs", a-b for "tms"), a state's position in its ladder being
-    a - a_lo.  Every ladder is padded to the longest length n; zero coupling
-    past its own length decouples the padding; a batch shares the distinct
-    ladders.  Returns the n-1 couplings at unit gate strength of each
-    distinct (invariant, length); the CSR structure (indices, indptr) that
-    U and U† share, a row's columns being its ladder's members in position
-    order; and, for U and for U†, where each stored entry sits in the
-    flattened stack of the n x n ladder unitaries, whose one-past-the-end
-    index stands for the 1 of a one-state ladder."""
+    a - a_lo.  A ladder's unitary depends on its invariant and length only,
+    so the ladders are numbered by unitary: those of each distinct
+    (invariant, length) contiguous, and the one-state ladders, whose unitary
+    is 1, last; a batch shares the distinct ladders.  Returns the n-1
+    couplings at unit gate strength of each distinct ladder of two or more
+    states, padded to the longest length n (zero coupling past its own
+    length decouples the padding); the ladder number and the position of
+    every basis state; where each ladder starts in the basis states ordered
+    by ladder and position (one past the last ladder too), and that order;
+    and the ladder number where each distinct unitary's ladders start, then
+    where the one-state ones do."""
     n_max = basis.n_max
     occs, codes = _basis_arrays(basis.n_modes, n_max, basis.total_max, basis.batch)
     radix = _radix(basis.n_modes, n_max)
@@ -393,45 +449,110 @@ def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     pos = a - a_lo[ladder]
     lengths = np.bincount(ladder)
     n = int(lengths.max())
-    members = np.full((len(keys), n), -1, dtype=np.int64)
-    members[ladder, pos] = np.arange(basis.dim)
-    # a ladder's unitary depends on its invariant and length only
-    long = np.flatnonzero(lengths > 1)
-    _, first, uid = np.unique((invariant[long] + offset) * (n + 1) + lengths[long],
-                              return_index=True, return_inverse=True)
-    stack = np.full(len(keys), len(first))
-    stack[long] = uid.ravel()
-    inv, lo, size = (v[long[first], None] for v in (invariant, a_lo, lengths))
+    long = lengths > 1
+    _, first, uid = np.unique(np.where(long, (invariant + offset) * (n + 1) + lengths,
+                                       span * (n + 1)), return_index=True, return_inverse=True)
+    order = np.argsort(uid, kind="stable")
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    ladder = number[ladder]
+    start = np.r_[0, np.cumsum(lengths[order])]
+    members = np.empty(basis.dim, dtype=np.int64)
+    members[start[ladder] + pos] = np.arange(basis.dim)
+    n_long = len(first) - (not long.all())
+    bounds = np.searchsorted(uid[order], np.arange(n_long + 1))
+    inv, lo, size = (v[first[:n_long], None] for v in (invariant, a_lo, lengths))
     # coupling |a, .> -> |a+1, .> of a+b = s ladders and of a-b = d ladders
     k = np.arange(n - 1)
     lo = lo + k
     weight = (lo + 1) * (inv - lo if kind == "bs" else lo - inv + 1)
     root = np.sqrt(np.where(k < size - 1, weight, 0))
-    cols = members[ladder]
-    stored = cols >= 0
-    m = np.arange(n)
-    base = stack[ladder, None] * n * n
-    u_at = (base + pos[:, None] * n + m)[stored]
-    d_at = (base + m * n + pos[:, None])[stored]
-    # int32: the index type scipy picks here, so none is converted
-    indptr = np.r_[0, np.cumsum(lengths[ladder])].astype(np.int32)
-    layout = root, cols[stored].astype(np.int32), indptr, u_at, d_at
-    for arr in layout:  # cached, and U and U† share the structure
+    layout = root, ladder, pos, start, members, bounds
+    for arr in layout:  # cached
         arr.setflags(write=False)
     return layout
+
+
+#: stored entries of rho, on or above its block diagonal, per chunk of
+#: whole column ladders in a two-mode gate, which bounds the gate's
+#: temporaries
+GATE_CHUNK_ENTRIES = 1 << 13
+
+
+def _ladder_product(layout, unitaries_t: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    vals: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of U X, U block diagonal over the ladders, for the
+    entries of X.  The entries of each (row ladder, column) pair form a
+    vector over that ladder; each distinct unitary multiplies the vectors of
+    its ladders in one product (``unitaries_t`` holds their transposes); and
+    every state of the ladder gets an entry of the result, so no pair
+    repeats."""
+    _, ladder, pos, start, members, bounds = layout
+    order, group, keys = _sorted_groups(ladder[rows] * dim + cols)
+    group_ladder = keys // dim
+    lengths = start[group_ladder + 1] - start[group_ladder]
+    ends = np.cumsum(lengths)
+    offsets = ends - lengths
+    x = np.zeros(lengths.sum(), dtype=complex)
+    x[offsets[group] + pos[rows[order]]] = vals[order]
+    del order, group
+    edges = np.searchsorted(group_ladder, bounds)
+    for u, (s, e) in enumerate(zip(edges[:-1], edges[1:])):
+        if e == s:
+            continue
+        n = lengths[s]
+        block = x[offsets[s]:ends[e - 1]].reshape(e - s, n)
+        ut = unitaries_t[u, :n, :n]
+        # a one-row product takes another BLAS route, rounded differently
+        block[:] = block @ ut if e - s > 1 else (block[[0, 0]] @ ut)[:1]
+    out_rows = members[np.arange(len(x)) + np.repeat(start[group_ladder] - offsets, lengths)]
+    return out_rows, np.repeat(keys % dim, lengths), x
 
 
 def _apply_two_mode(state: FockState, mode_a: str, mode_b: str,
                     kind: str, p1: float, p2: float) -> FockState:
     i, j = state.mode_index(mode_a), state.mode_index(mode_b)
-    root, indices, indptr, u_at, d_at = _ladder_layout(state.basis, i, j, kind)
-    vals = np.ones(1, dtype=complex)
-    if root.size:  # a zero phase keeps the ladder unitaries real
-        vals = np.concatenate([_ladder_unitaries(p1 * root, p2 if p2 else None).ravel(), vals])
-    dim = state.basis.dim
-    U = sp.csr_array((vals[u_at], indices, indptr), shape=(dim, dim))
-    U_dag = sp.csr_array((vals[d_at].conj(), indices, indptr), shape=(dim, dim))
-    return FockState(state.modes, state.basis, U @ state.rho @ U_dag)
+    layout = _ladder_layout(state.basis, i, j, kind)
+    root, ladder, start = layout[0], layout[1], layout[3]
+    if not root.size:  # every ladder holds one state
+        return state.copy()
+    # a zero phase keeps the ladder unitaries real
+    u = _ladder_unitaries(p1 * root, p2 if p2 else None)
+    unitaries_t = np.swapaxes(u, 1, 2).astype(complex)
+    rho = state.rho
+    # U rho U^dagger = U (U rho)^dagger, rho being Hermitian, and so is the
+    # result: its blocks (row ladder l, column ladder m) with l >= m come
+    # from rho's blocks with l <= m, and the others are their conjugate
+    # transposes.  Over a chunk C of whole column ladders, (U rho)[:, C]
+    # needs only rho[:, C], and U ((U rho)[:, C])^dagger is
+    # (U rho U^dagger)[C, :], so the chunks' outputs are disjoint
+    col_ladder = ladder[rho.cols]
+    upper = np.flatnonzero(ladder[rho.rows] <= col_ladder)
+    parts = [upper]
+    if len(upper) > GATE_CHUNK_ENTRIES:
+        col_ladder = col_ladder[upper]
+        counts = np.bincount(col_ladder, minlength=len(start) - 1)
+        # a 16-bit chunk number (nnz // GATE_CHUNK_ENTRIES at most) sorts in
+        # linear time
+        chunk = ((np.cumsum(counts) - counts) // GATE_CHUNK_ENTRIES).astype(np.int16)[col_ladder]
+        order = np.argsort(chunk, kind="stable")
+        parts = np.split(upper[order], np.flatnonzero(np.diff(chunk[order])) + 1)
+        del chunk, order
+    del col_ladder, upper
+    rows, cols, vals = [], [], []
+    for part in parts:
+        r, c, v = _ladder_product(layout, unitaries_t, rho.rows[part], rho.cols[part],
+                                  rho.vals[part], rho.dim)
+        r, c, v = _ladder_product(layout, unitaries_t, c, r, v.conj(), rho.dim)
+        strict = np.flatnonzero(ladder[r] != ladder[c])
+        rows += [r, c[strict]]
+        cols += [c, r[strict]]
+        vals += [v, v[strict].conj()]
+    # one array at a time, so that each one's parts are freed once joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return FockState(state.modes, state.basis, Entries(rows, cols, vals, rho.dim))
 
 
 def apply_beam_splitter(state: FockState, mode_a: str, mode_b: str,
@@ -466,10 +587,9 @@ def apply_phase(state: FockState, mode: str, phi: float | np.ndarray) -> FockSta
     if len(phi) not in (1, state.basis.batch):
         raise FockEngineError(f"{len(phi)} phases for a batch of {state.basis.batch}")
     d = np.exp(1j * (phi * occ).ravel())
-    rho = state.rho.copy()
-    rows = np.repeat(np.arange(rho.shape[0]), np.diff(rho.indptr))
-    rho.data *= d[rows] * d.conj()[rho.indices]
-    return FockState(state.modes, state.basis, rho)
+    rho = state.rho
+    return FockState(state.modes, state.basis,
+                     replace(rho, vals=rho.vals * (d[rho.rows] * d.conj()[rho.cols])))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +651,7 @@ def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.n
     basis = state.basis
     occ = basis.occs[:, m]
     rho = state.rho
-    r, c = np.repeat(np.arange(basis.dim), np.diff(rho.indptr)), rho.indices
+    r, c = rho.rows, rho.cols
     rows, cols, vals = [], [], []
     # population weight each source actually transfers; gain transitions whose
     # destination falls outside the capped basis are treated as no-ops below
@@ -550,15 +670,15 @@ def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.n
         ok, w = ok[w != 0.0], w[w != 0.0]
         rows.append(a[ok])
         cols.append(b[ok])
-        vals.append(w * rho.data[ok])
+        vals.append(w * rho.vals[ok])
     clipped = 1.0 - applied
     diag = rho.diagonal()
     idx = np.flatnonzero((clipped > 1e-15) & (diag != 0.0))
     rows.append(idx)
     cols.append(idx)
     vals.append(clipped[idx] * np.real(diag[idx]))
-    rho = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), basis.dim)
-    return FockState(state.modes, basis, rho)
+    return FockState(state.modes, basis, _summed(np.concatenate(rows), np.concatenate(cols),
+                                                 np.concatenate(vals), basis.dim))
 
 
 def apply_loss(state: FockState, mode: str, survival: float) -> FockState:
@@ -587,7 +707,13 @@ def _pattern_weights(state: FockState, detector_map: Mapping[str, Sequence[str]]
     basis state, detector 0 the most significant bit (the
     OutcomeDistribution order).  A detector of efficiency eta holding N
     quanta stays quiet with weight (1-eta)**N and clicks with the rest,
-    -expm1(N log1p(-eta)), which keeps the click weight of a tiny eta."""
+    -expm1(N log1p(-eta)), which keeps the click weight of a tiny eta.  A
+    detector that a mapping leaves out has eta 1; a key of it that names no
+    detector raises."""
+    if isinstance(efficiency, Mapping):
+        unknown = [det for det in efficiency if det not in detector_map]
+        if unknown:
+            raise FockEngineError(f"efficiency for no detector: {', '.join(map(repr, unknown))}")
     occs = state.basis.occs[:state.basis.dim // state.basis.batch]
     weights = np.ones((len(occs), 1))
     for det, modes in detector_map.items():
@@ -636,10 +762,9 @@ def measure_threshold(
     keep = [m for m in state.modes if m not in measured]
     occs = state.basis.occs
     seen = occs[:, [state.mode_index(m) for m in measured]] @ _radix(len(measured), state.n_max)
-    coo = state.rho.tocoo()
-    r, c = coo.coords
-    same = np.flatnonzero(seen[r] == seen[c])
-    r, c, data = r[same], c[same], coo.data[same]
+    rho = state.rho
+    same = np.flatnonzero(seen[rho.rows] == seen[rho.cols])
+    r, c, data = rho.rows[same], rho.cols[same], rho.vals[same]
     # a kept entry's row and column carry the same measured occupations, so
     # its row's weights are its weights
     weights = _pattern_weights(state, detector_map, efficiency)
@@ -656,7 +781,7 @@ def measure_threshold(
                                   f"{probs[code]:.3g}: its conditioned state underflows")
         w = weights[r, code]
         sel = np.flatnonzero(w)
-        rho = _sparse(rem[r[sel]], rem[c[sel]], w[sel] * data[sel], reduced.dim)
-        rho.data /= probs[code]
-        branches.append((int(code), float(probs[code]), FockState(keep, reduced, rho)))
+        sums = _summed(rem[r[sel]], rem[c[sel]], w[sel] * data[sel], reduced.dim)
+        branches.append((int(code), float(probs[code]),
+                         FockState(keep, reduced, replace(sums, vals=sums.vals / probs[code]))))
     return branches

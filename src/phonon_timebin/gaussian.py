@@ -226,7 +226,14 @@ def click_probabilities(
     Moebius transform in O(n 2**n) (exponential in detector count, which is
     small).  A pattern total below -NEGATIVE_MASS_TOL raises; round-off
     above it is zeroed.  A batched state gives one (B, 2**n) distribution,
-    a row per element, and any invalid element raises."""
+    a row per element, and any invalid element raises.  A detector that an
+    efficiency mapping leaves out has efficiency 1; a key of it that names
+    no detector raises."""
+    if isinstance(efficiency, Mapping):
+        unknown = [det for det in efficiency if det not in detector_map]
+        if unknown:
+            raise GaussianEngineError(
+                f"efficiency for no detector: {', '.join(map(repr, unknown))}")
     work = state
     for det, modes in detector_map.items():
         eta = 1.0 if efficiency is None else (

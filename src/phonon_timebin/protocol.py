@@ -163,7 +163,7 @@ class _GaussianCircuit(_Circuit):
 
 class _FockCircuit(_Circuit):
     def __init__(self, n_max: int, total_cap: int):
-        # imported only here, so a Gaussian run loads no SciPy
+        # imported only here, so a Gaussian run does not load the Fock engine
         from . import fock
         super().__init__(fock, fock.init_vacuum([], n_max, total_cap))
 

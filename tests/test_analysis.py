@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from phonon_timebin import analysis as A
+from phonon_timebin import gaussian
 
 
 def table(n11, n12, n21, n22, singles=None, trials=1e6):
@@ -179,6 +181,76 @@ class TestLifetimeFit:
         y = np.exp(-t / 1.5e-6)
         res = A.fit_exponential(t, y)
         assert res.value == pytest.approx(1.5e-6, rel=1e-6)
+
+
+def curve_fit_t1(t, y, sigmas=None):
+    """T1 and its sigma from SciPy's curve_fit, seeded by a log-linear fit
+    and held to tight tolerances with the exact Jacobian, so that its own
+    convergence error stays far below the 1e-6 it is compared at."""
+    slope, intercept = np.polyfit(t, np.log(y), 1)
+    p0 = (math.exp(intercept), -1.0 / slope if slope < 0 else np.ptp(t))
+    popt, pcov = curve_fit(
+        lambda tt, a, t1: a * np.exp(-tt / t1), t, y, p0=p0, sigma=sigmas,
+        absolute_sigma=sigmas is not None, maxfev=10000, ftol=1e-14, xtol=1e-14,
+        jac=lambda tt, a, t1: np.column_stack([np.exp(-tt / t1),
+                                               a * tt / t1**2 * np.exp(-tt / t1)]))
+    return popt[1], math.sqrt(pcov[1, 1])
+
+
+def acceptance_lifetime_inputs():
+    """The synthetic pump-probe decay of acceptance criterion 9, drawn after
+    that test's occupancy draws from the same generator."""
+    rng = np.random.default_rng(99)
+    for target in (0.022, 0.040, 0.066, 0.095):
+        st_ = gaussian.thermal_state(["m", "o"], {"m": target})
+        stokes = gaussian.apply_two_mode_squeeze(st_, "o", "m", 0.002)
+        anti = gaussian.apply_beam_splitter(st_, "o", "m", 1.0 - 0.002)
+        rng.poisson((1.0 - gaussian.vacuum_probability(stokes, ["o"])) * 1e9)
+        rng.poisson((1.0 - gaussian.vacuum_probability(anti, ["o"])) * 1e9)
+    t = np.linspace(0.1e-6, 12e-6, 80)
+    decay = np.exp(-t / 2.2e-6)
+    decay[t < 1e-6] *= 1.0 + 0.4 * np.exp(-t[t < 1e-6] / 0.3e-6)
+    decay *= 1.0 + 0.01 * rng.standard_normal(len(t))
+    return t, decay
+
+
+class TestLifetimeFitAgainstCurveFit:
+    def test_acceptance_inputs(self):
+        t, y = acceptance_lifetime_inputs()
+        res = A.fit_exponential(t, y, window_start=1e-6)
+        t1, sigma = curve_fit_t1(t[t >= 1e-6], y[t >= 1e-6])
+        assert res.value == pytest.approx(2.2e-6, rel=0.05)
+        assert res.value == pytest.approx(t1, rel=1e-6)
+        assert res.sigma == pytest.approx(sigma, rel=1e-6)
+        # absolute sigmas: no chi^2/dof scaling
+        sigmas = np.full(len(t), 0.01)
+        res = A.fit_exponential(t, y, window_start=1e-6, sigmas=sigmas)
+        t1, sigma = curve_fit_t1(t[t >= 1e-6], y[t >= 1e-6], sigmas[t >= 1e-6])
+        assert res.value == pytest.approx(t1, rel=1e-6)
+        assert res.sigma == pytest.approx(sigma, rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 60), amplitude=st.floats(1e-2, 1e2),
+           span=st.floats(1e-6, 2e-5), t1_over_span=st.floats(0.1, 3.0),
+           noise=st.floats(1e-3, 5e-2), absolute=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_decays(self, n, amplitude, span, t1_over_span, noise, absolute, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(1e-6 + span * rng.random(n))
+        clean = amplitude * np.exp(-t / (t1_over_span * span))
+        y = clean * (1.0 + noise * rng.standard_normal(n))
+        sigmas = noise * clean if absolute else None
+        res = A.fit_exponential(t, y, window_start=1e-6, sigmas=sigmas)
+        t1, sigma = curve_fit_t1(t, y, sigmas)
+        assert not res.flags
+        assert res.value == pytest.approx(t1, rel=1e-6)
+        assert res.sigma == pytest.approx(sigma, rel=1e-6)
+
+    def test_growth_is_flagged(self):
+        t = np.linspace(1e-6, 5e-6, 10)
+        res = A.fit_exponential(t, np.exp(t / 2e-6))
+        assert math.isnan(res.value)
+        assert res.flags == ("fit did not converge",)
 
 
 class TestSinusoidCalibration:

@@ -11,6 +11,11 @@ from phonon_timebin import fock as F
 from phonon_timebin import protocol
 
 
+def dense(state):
+    """The state's density matrix as a dense array."""
+    return state.rho.toarray()
+
+
 def pure_state(modes, n_max, occupation, total_max=None):
     st = F.init_vacuum(modes, n_max, total_max)
     rho = np.zeros((st.basis.dim, st.basis.dim), complex)
@@ -29,7 +34,7 @@ class TestInit:
 
     def test_thermal_geometric_p0(self):
         st = F.init_thermal(["a"], 10, 1.0)
-        assert np.real(st.rho[0, 0]) == pytest.approx(0.5, abs=1e-12)
+        assert np.real(dense(st)[0, 0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_thermal_low_occupancy_mean(self):
         st = F.init_thermal(["a"], 6, 0.09)
@@ -61,7 +66,7 @@ class TestTwoModeSqueeze:
         st = F.init_vacuum(["a", "b"], 6)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.04, 0.0)
         i = out.basis.index[(1, 1)]
-        assert np.real(out.rho[i, i]) == pytest.approx(0.96 * 0.04, abs=1e-9)
+        assert np.real(dense(out)[i, i]) == pytest.approx(0.96 * 0.04, abs=1e-9)
 
     def test_vacuum_series_amplitudes(self):
         p, phi = 0.01, 1.234
@@ -70,9 +75,9 @@ class TestTwoModeSqueeze:
         for n in range(3):
             i = out.basis.index[(n, n)]
             amp2 = (1 - p) * p**n
-            assert np.real(out.rho[i, i]) == pytest.approx(amp2, rel=1e-6)
+            assert np.real(dense(out)[i, i]) == pytest.approx(amp2, rel=1e-6)
             if n:
-                coh = out.rho[i, out.basis.index[(0, 0)]]
+                coh = dense(out)[i, out.basis.index[(0, 0)]]
                 expected = (1 - p) * p ** (n / 2) * np.exp(1j * n * phi)
                 assert coh == pytest.approx(expected, abs=1e-9)
 
@@ -81,7 +86,7 @@ class TestTwoModeSqueeze:
         st = F.init_vacuum(["a", "b"], 5)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.002, 0.0)
         i, j = out.basis.index[(1, 1)], out.basis.index[(0, 0)]
-        assert abs(out.rho[i, j]) == pytest.approx(math.sqrt(0.002), rel=3e-3)
+        assert abs(dense(out)[i, j]) == pytest.approx(math.sqrt(0.002), rel=3e-3)
 
     def test_unregistered_mode(self):
         st = F.init_vacuum(["a", "b"], 3)
@@ -98,8 +103,8 @@ class TestBeamSplitter:
     def test_balanced_on_single_photon(self):
         st = pure_state(["a", "b"], 4, (1, 0))
         out = F.apply_beam_splitter(st, "a", "b", 0.5)
-        p10 = np.real(out.rho[out.basis.index[(1, 0)], out.basis.index[(1, 0)]])
-        p01 = np.real(out.rho[out.basis.index[(0, 1)], out.basis.index[(0, 1)]])
+        p10 = np.real(dense(out)[out.basis.index[(1, 0)], out.basis.index[(1, 0)]])
+        p01 = np.real(dense(out)[out.basis.index[(0, 1)], out.basis.index[(0, 1)]])
         assert p10 == pytest.approx(0.5, abs=1e-12)
         assert p01 == pytest.approx(0.5, abs=1e-12)
 
@@ -165,7 +170,7 @@ class TestPhase:
     def test_identity_and_periodicity(self):
         st = F.init_thermal(["a"], 5, 0.4)
         assert np.allclose(F.apply_phase(st, "a", 0.0).rho.toarray(), st.rho.toarray())
-        assert np.abs((F.apply_phase(st, "a", 2 * math.pi).rho - st.rho).toarray()).max() < 1e-12
+        assert np.abs(dense(F.apply_phase(st, "a", 2 * math.pi)) - dense(st)).max() < 1e-12
 
     def test_pi_flips_coherence(self):
         st = F.init_vacuum(["a"], 3)
@@ -173,8 +178,8 @@ class TestPhase:
         rho[:2, :2] = 0.5
         st.rho = rho
         out = F.apply_phase(st, "a", math.pi)
-        assert out.rho[0, 1] == pytest.approx(-0.5, abs=1e-14)
-        assert out.rho[1, 1] == pytest.approx(0.5, abs=1e-14)
+        assert dense(out)[0, 1] == pytest.approx(-0.5, abs=1e-14)
+        assert dense(out)[1, 1] == pytest.approx(0.5, abs=1e-14)
 
 
 class TestChannels:
@@ -193,7 +198,7 @@ class TestChannels:
         seq = F.apply_loss(F.apply_loss(st, "a", 0.8), "a", 0.6)
         direct = F.apply_loss(st, "a", 0.48)
         assert abs(seq.mean_occupation("a") - direct.mean_occupation("a")) < 1e-10
-        assert np.abs((seq.rho - direct.rho).toarray()).max() < 1e-10
+        assert np.abs(dense(seq) - dense(direct)).max() < 1e-10
 
     @pytest.mark.parametrize("n_max", [1, 4, 12, 25])
     def test_loss_kernels_match_the_binomial_loop(self, n_max):
@@ -317,7 +322,7 @@ class TestUnitarityAndPositivity:
         st = F.init_vacuum(["a", "b"], 6)
         mid = F.apply_two_mode_squeeze(st, "a", "b", 0.01, 0.3)
         back = F.apply_two_mode_squeeze(mid, "a", "b", 0.01, 0.3 + math.pi)
-        assert np.abs((back.rho - st.rho).toarray()).max() < 1e-10
+        assert np.abs(dense(back) - dense(st)).max() < 1e-10
 
     def test_randomized_circuit_positivity(self):
         rng = np.random.default_rng(11)
@@ -378,6 +383,13 @@ class TestDetection:
         for efficiency in ({"d1": 0.9, "d2": eta}, eta):
             with pytest.raises(F.FockEngineError, match="efficiency of detector 'd.'"):
                 read(st, detectors, efficiency)
+
+    @pytest.mark.parametrize("read", [F.click_distribution, F.measure_threshold])
+    def test_efficiency_for_no_detector_raises(self, read):
+        # a misspelt key would otherwise leave 'd1' read at efficiency 1
+        st = F.init_thermal(["a", "b"], 8, 0.5)
+        with pytest.raises(F.FockEngineError, match="efficiency for no detector: 'd_1'"):
+            read(st, {"d1": ["a"]}, {"d_1": 0.5})
 
     def test_distribution_normalized(self):
         st = F.init_thermal(["a", "b", "c"], 4, {"a": 0.2, "c": 0.1}, total_max=8)
@@ -456,6 +468,20 @@ class TestBasis:
             single = one.shifted(1, delta)
             want = [np.where(single >= 0, single + b * one.dim, -1) for b in range(3)]
             assert np.array_equal(basis.shifted(1, delta), np.concatenate(want))
+
+
+class TestSortedGroups:
+    def test_groups_in_input_order(self):
+        order, group, keys = F._sorted_groups(np.array([7, 3, 7, 3, 5]))
+        assert order.tolist() == [1, 3, 4, 0, 2]
+        assert group.tolist() == [0, 0, 1, 2, 2]
+        assert keys.tolist() == [3, 5, 7]
+
+    def test_keys_too_wide_to_pack_raise(self):
+        # three keys take two position bits, leaving 61 for the key
+        F._sorted_groups(np.array([0, 1, (1 << 61) - 1]))
+        with pytest.raises(F.FockEngineError, match="do not pack into 64 bits"):
+            F._sorted_groups(np.array([0, 1, 1 << 61]))
 
 
 class TestBatch:

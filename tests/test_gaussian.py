@@ -132,6 +132,12 @@ class TestClicks:
             with pytest.raises(G.GaussianEngineError, match="efficiency of detector 'd.'"):
                 G.click_probabilities(st, detectors, efficiency)
 
+    def test_efficiency_for_no_detector_raises(self):
+        # a misspelt key would otherwise leave 'd1' read at efficiency 1
+        st = G.thermal_state(["a"], 0.5)
+        with pytest.raises(G.GaussianEngineError, match="efficiency for no detector: 'd_1'"):
+            G.click_probabilities(st, {"d1": ["a"]}, {"d_1": 0.5})
+
     def test_marginal_consistency(self):
         # marginal click probability equals the sum over full patterns
         st = G.thermal_state(["a", "b"], {"a": 0.3, "b": 0.2})

@@ -414,13 +414,18 @@ def fock_states(draw):
     return state, rho
 
 
+def dense(state):
+    """The state's density matrix as a dense array."""
+    return state.rho.toarray()
+
+
 def assert_hermitian(state):
-    dense = state.rho.toarray()
-    assert np.abs(dense - dense.conj().T).max() <= 1e-12
+    rho = dense(state)
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
 
 
 def check_output(out, ref, trace=1.0):
-    assert np.abs(out.rho.toarray() - ref).max() < 1e-12
+    assert np.abs(dense(out) - ref).max() < 1e-12
     assert_hermitian(out)
     assert out.trace() == pytest.approx(trace, abs=1e-12)
 
@@ -519,6 +524,34 @@ def test_sparse_beam_splitter_matches_dense(case, data, transmissivity, phi):
     out = fock.apply_beam_splitter(state, state.modes[i], state.modes[j], transmissivity, phi)
     theta = math.acos(min(1.0, math.sqrt(transmissivity)))
     check_output(out, dense_two_mode(state, rho, i, j, "bs", theta, phi) if theta else rho)
+
+
+def canonical(entries):
+    """The stored entries sorted by row, then column."""
+    order = np.lexsort((entries.cols, entries.rows))
+    return entries.rows[order], entries.cols[order], entries.vals[order]
+
+
+@FAST
+@given(fock_states(), st.data(), st.integers(1, 4), st.sampled_from(["bs", "tms"]),
+       st.floats(0.0, 2.0), st.floats(-6.3, 6.3), st.integers(1, 64))
+def test_gate_chunks_give_the_same_entries(case, data, batch, kind, strength, phi, chunk):
+    # chunks of whole column ladders, down to a few entries each, against
+    # one chunk: the same entries, bit for bit, in some order
+    state, _ = case
+    i, j = two_modes(data, state)
+    a, b = state.modes[i], state.modes[j]
+    if batch > 1:
+        phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch,
+                                           max_size=batch)))
+        state = fock.apply_phase(fock.tile(state, batch), a, phis)
+    assert state.rho.nnz <= fock.GATE_CHUNK_ENTRIES  # one chunk at the default size
+    whole = fock._apply_two_mode(state, a, b, kind, strength, phi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "GATE_CHUNK_ENTRIES", chunk)
+        chunked = fock._apply_two_mode(state, a, b, kind, strength, phi)
+    for got, want in zip(canonical(chunked.rho), canonical(whole.rho)):
+        assert np.array_equal(got, want)
 
 
 @FAST
@@ -666,18 +699,16 @@ def test_measure_threshold_matches_the_loss_channel_route(case, data):
     keep = [m for m in state.modes if not any(m in modes for modes in detector_map.values())]
     probs = np.bincount(codes, weights=np.real(lossy.rho.diagonal()),
                         minlength=1 << len(detector_map))
-    coo = lossy.rho.tocoo()
-    r, c = coo.coords
+    rho = dense(lossy)
     branches = fock.measure_threshold(state, detector_map, efficiency)
     assert [code for code, _, _ in branches] == np.flatnonzero(probs > 0.0).tolist()
     for code, p, reduced in branches:
         assert abs(p - probs[code]) <= 1e-14
-        sel = (codes[r] == code) & (codes[c] == code)
-        inside = fock.FockState(state.modes, state.basis, fock._sparse(
-            r[sel], c[sel], coo.data[sel], state.basis.dim))
-        want = fock.partial_trace(inside, keep).rho.toarray() / probs[code]
+        sel = codes == code
+        inside = fock.FockState(state.modes, state.basis, rho * np.outer(sel, sel))
+        want = dense(fock.partial_trace(inside, keep)) / probs[code]
         assert reduced.modes == tuple(keep)
-        assert np.abs(reduced.rho.toarray() - want).max() <= 1e-14
+        assert np.abs(dense(reduced) - want).max() <= 1e-14
 
 
 @FAST
@@ -704,7 +735,8 @@ def test_a_fock_batch_matches_each_element_alone(case, data, batch):
     batched = run(fock.tile(state, batch), phis)
     assert_hermitian(batched)
     assert batched.trace() == pytest.approx(np.ones(batch), abs=1e-12)
-    r, c = batched.rho.tocoo().coords
+    rho = dense(batched)
+    r, c = np.nonzero(rho)
     # every entry stays inside its element's block
     size = batched.basis.dim // batch
     assert np.array_equal(r // size, c // size)
@@ -713,8 +745,8 @@ def test_a_fock_batch_matches_each_element_alone(case, data, batch):
     alone = [run(state, float(phi)) for phi in phis]
     dim = alone[0].basis.dim
     for k, single in enumerate(alone):
-        block = batched.rho[k * dim:(k + 1) * dim][:, k * dim:(k + 1) * dim]
-        assert np.abs((block - single.rho).toarray()).max() < 1e-12
+        block = rho[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim]
+        assert np.abs(block - dense(single)).max() < 1e-12
         assert clicks[k] == pytest.approx(
             fock.click_distribution(single, detectors, 0.8).probabilities, abs=1e-12)
         assert batched.mean_occupation(b)[k] == pytest.approx(single.mean_occupation(b),
