@@ -24,6 +24,7 @@ from .core import (
     ConfigError,
     ExperimentConfig,
     ExperimentKind,
+    _integer,
     config_digest,
     load_config,
     with_overrides,
@@ -213,6 +214,7 @@ def cmd_simulate(args) -> int:
     if config.kind is ExperimentKind.THERMAL_G2_TAU:
         _thermal_g2_run(config, out, manifest, results)
     else:
+        witness_g2 = _witness_g2(config.extra)
         run = protocol.run_experiment(config)
         manifest.note_truncation(sr.distribution for sr in run.settings)
         if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
@@ -243,9 +245,8 @@ def cmd_simulate(args) -> int:
             if e_results:
                 v = analysis.visibility(e_results)
                 results["estimates"]["V_max_abs_E"] = _result_entry(v)
-                if "witness_g2" in config.extra:
-                    gee, gll = config.extra["witness_g2"]
-                    r = analysis.witness_R(v, float(gee), float(gll))
+                if witness_g2 is not None:
+                    r = analysis.witness_R(v, *witness_g2)
                     results["estimates"]["R"] = _result_entry(r)
         counts_path = manifest.add(out / "counts.csv")
         _write_counts(counts_path, run)
@@ -258,6 +259,21 @@ def cmd_simulate(args) -> int:
     manifest.write()
     print(yaml_dump(_plain(results.get("estimates", results))).strip())
     return EXIT_OK
+
+
+def _witness_g2(extra) -> tuple[float, float] | None:
+    """extra.witness_g2, the (g2_EE, g2_LL) pair the witness R takes: two
+    finite positive numbers, or None when the key is absent."""
+    if "witness_g2" not in extra:
+        return None
+    value = extra["witness_g2"]
+    try:
+        pair = tuple(float(g) for g in value) if isinstance(value, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        pair = ()
+    if len(pair) != 2 or not all(math.isfinite(g) and g > 0.0 for g in pair):
+        raise ConfigError(f"extra.witness_g2 must be two finite positive numbers, got {value!r}")
+    return pair
 
 
 def _extra_float(extra, key: str, default: float) -> float:
@@ -278,7 +294,7 @@ def _thermal_g2_run(config, out, manifest, results):
     else:
         try:
             spectrum = waveguide.synthetic_spectrum(
-                n_modes=int(extra.get("n_modes", 12)),
+                n_modes=_integer(extra.get("n_modes", 12), "extra.n_modes"),
                 fsr_hz=float(extra.get("fsr_hz", 7.94e6)),
                 gamma=gamma,
                 envelope=extra.get("envelope", "gaussian"),

@@ -29,14 +29,14 @@ interfering coherence by exactly V per pass.
 
 All statistics of the overlap windows depend on the two lock-jitter samples
 only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
-quadrature.  They depend on the phases only through phi_w + phi_r too, so
-both engines run the write stage at zero phase and jitter and the read
-stage up to its interferometer once, and only the read interferometer and
-the click read-out at the summed phase and jitter: the Gaussian engine on
-one prefix per config, kept for every later call, the Fock engine on one
-prefix per heralded branch per call, traced down to the two read photons,
-in block-diagonal batches of as many elements as keep a block near
-FOCK_BATCH_ENTRIES stored entries.
+quadrature.  They depend on the phases only through phi_w + phi_r too: the
+squeezer conserves n_o - n_m on a diagonal thermal input, so a phase on
+o_wL is that phase on m_L; loss, top-up and the occupancy read are phase
+covariant; and the readout splitter, o_rL in vacuum, hands it on to o_rL
+(o_wE to o_rE alike).  So both engines build the write stage at zero phase
+and jitter and the read stage up to its interferometer once per config
+(``_prefix``), and run only the read interferometer and the click read-out
+at the summed phase and jitter.
 """
 
 from __future__ import annotations
@@ -259,18 +259,6 @@ def run_write_stage(
     return _stage_interferometer(circuit, config, "write", phi_w, jitter)
 
 
-def run_read_stage(
-    circuit,
-    config: ExperimentConfig,
-    phi_r: float,
-    jitter: float = 0.0,
-) -> dict[str, list[str]]:
-    """Round-trip decay and thermal top-up of the mechanical bins, readout
-    beam splitters, then the read photons through the interferometer."""
-    _read_prefix(circuit, config)
-    return _stage_interferometer(circuit, config, "read", phi_r, jitter)
-
-
 def _stage_interferometer(circuit, config: ExperimentConfig, which: str, phi_late,
                           jitter) -> dict[str, list[str]]:
     """A stage's photons through the MZI, or through the open one of the
@@ -290,16 +278,13 @@ def _read_prefix(circuit, config: ExperimentConfig) -> None:
     for mech, read_role in (("m_E", PulseRole.READ_EARLY), ("m_L", PulseRole.READ_LATE)):
         circuit.loss(mech, survival)
         target = noise.occupancy_seen_by(read_role)
-        # no phase touches a mechanical mode, so every element of a batched
-        # state holds the same finite occupancy; anything else is a circuit
-        # fault (a NaN would make the top-up test below false, skipping it)
-        occupation = np.ravel(circuit.mean_occupation(mech))
-        if not (np.isfinite(occupation[0]) and np.all(occupation == occupation[0])):
-            raise ProtocolError(f"occupancy of {mech} differs across the batch "
-                                f"or is not finite: {occupation}")
+        occupation = float(circuit.mean_occupation(mech))
+        # a NaN would make the top-up test below false, skipping it
+        if not math.isfinite(occupation):
+            raise ProtocolError(f"occupancy of {mech} is not finite: {occupation}")
         # the injection channel itself attenuates by (1 - epsilon) before
         # adding delta, so solve for the delta that lands on the target
-        delta = target - (1.0 - THERMAL_NOISE_EPSILON) * float(occupation[0])
+        delta = target - (1.0 - THERMAL_NOISE_EPSILON) * occupation
         if delta > 1e-12:
             circuit.thermal_noise(mech, delta)
     p_rE = config.pulse(PulseRole.READ_EARLY).scattering_probability
@@ -345,87 +330,83 @@ def exact_joint_distribution(
     phase setting and one jitter sample.  The phases and jitters may be (B,)
     arrays: either engine then gives one (B, 2**n) distribution, and
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
-    The Gaussian engine runs only the read interferometer, at phi_w + phi_r
-    and jitter_w + jitter_r, on ``_gaussian_prefix(config)``, then the
-    click read-out."""
+    Either engine runs only the read interferometer, at phi_w + phi_r and
+    jitter_w + jitter_r, on ``_prefix(config)``, then the click read-out."""
     noise = config.noise
+    phi, jitter = np.add(phi_w, phi_r), np.add(jitter_w, jitter_r)
     if config.engine.name == "fock":
-        dist = _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r)
+        dist = _fock_joint_distribution(config, phi, jitter)
     else:
         circuit = _GaussianCircuit()
-        circuit.state, w_groups = _gaussian_prefix(config)
-        groups = {**w_groups, **_stage_interferometer(
-            circuit, config, "read", np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))}
+        circuit.state, w_groups = _prefix(config)
+        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi, jitter)}
         ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
         dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
     return detect(dist, noise)
 
 
-#: (key, state, write groups) of the last Gaussian prefix, replaced whole;
-#: its covariance is read-only
-_prefix_memo = (None, None, None)
+#: (key, prefix) of the last config, replaced whole; its arrays are read-only
+_prefix_memo = (None, None)
 
 
-def _gaussian_prefix(config: ExperimentConfig):
-    """The phase-free part of the Gaussian circuit: the write stage at zero
-    phase and jitter, then the read stage up to its interferometer, as one
-    unbatched state and the write detector groups.  Memoised for the last
-    (config, THERMAL_NOISE_EPSILON), compared with ``==``, so a scan's
-    quadrature nodes and a record run's jitter keys share one prefix and a
-    patched epsilon builds its own."""
+def _prefix(config: ExperimentConfig):
+    """The phase-free part of the circuit, memoised for the last (config,
+    THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP), compared with ``==``: the
+    Gaussian (state, write groups), or the Fock (branches, (truncation
+    weight, |renorm deficit|)) -- per heralded write pattern its (code,
+    probability, read prefix traced to o_rE and o_rL, which nothing after
+    the readout splitters touches), and the maxima over every state built,
+    each prefix before its trace included.  Keeps at most six live modes."""
     global _prefix_memo
-    key = (config, THERMAL_NOISE_EPSILON)
-    if _prefix_memo[0] != key:
-        circuit = _GaussianCircuit()
-        w_groups = run_write_stage(circuit, config, 0.0)
+    key = (config, THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP)
+    if _prefix_memo[0] == key:
+        return _prefix_memo[1]
+    engine = config.engine
+    circuit = (_FockCircuit(engine.truncation, engine.total_cap or FOCK_PROTOCOL_CAP)
+               if engine.name == "fock" else _GaussianCircuit())
+    w_groups = run_write_stage(circuit, config, 0.0)
+    if engine.name != "fock":
         _read_prefix(circuit, config)
         circuit.state.sigma.flags.writeable = False
-        _prefix_memo = (key, circuit.state, w_groups)
-    return _prefix_memo[1:]
+        prefix = (circuit.state, w_groups)
+    else:
+        w_map = {ch: w_groups[ch] for ch in _analysis_channels(config.kind)
+                 if ch.startswith("write")}
+        heralds = circuit.measure(w_map, _efficiency_map(w_map, config.noise))
+        weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
+        branches = []
+        for w_code, w_prob, mech_state in heralds:
+            circuit.state = mech_state
+            _read_prefix(circuit, config)
+            weight = max(weight, circuit.state.truncation_weight())
+            deficit = max(deficit, abs(circuit.state.renorm_deficit))
+            traced = circuit.engine.partial_trace(circuit.state, ["o_rE", "o_rL"])
+            for array in (traced.rho.rows, traced.rho.cols, traced.rho.vals):
+                array.flags.writeable = False
+            branches.append((w_code, w_prob, traced))
+        prefix = (branches, (weight, deficit))
+    _prefix_memo = (key, prefix)
+    return prefix
 
 
-def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> OutcomeDistribution:
-    """Staged exact Fock pipeline over a scan: measure and trace the write
-    photons first, then run the read stage on each conditioned mechanical
-    state, and trace the mechanical modes out once the readout splitters
-    have swapped them onto the read photons.  Keeps at most six live modes
-    up to that trace and four after it.
-
-    The overlap statistics see the phases only through phi_w + phi_r and
-    the jitters only through jitter_w + jitter_r: the squeezer conserves
-    n_o - n_m on a diagonal thermal input, so a phase on o_wL is that phase
-    on m_L; loss, top-up and the occupancy read are phase covariant; and the
-    readout splitter, o_rL in vacuum, hands it on to o_rL (o_wE to o_rE
-    alike).  So the write stage runs once at zero phase and jitter, each
-    heralded branch runs the read stage's prefix once, and only the read
-    interferometer and the click read-out run per element, at the summed
-    phase and jitter: on blocks of max(1, FOCK_BATCH_ENTRIES // entries of
-    the traced prefix) elements, each block one block-diagonal Fock batch.
-    The truncation figures include the prefix before its trace."""
+def _fock_joint_distribution(config, phi, jitter) -> OutcomeDistribution:
+    """The Fock read passes: per heralded branch of ``_prefix(config)``, the
+    read interferometer and the click read-out of each summed phase and
+    jitter, on blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries)
+    elements, each one block-diagonal Fock batch of four modes."""
     noise = config.noise
-    phi, jitter = np.broadcast_arrays(np.add(phi_w, phi_r), np.add(jitter_w, jitter_r))
-    shape = phi.shape
-    phi, jitter = phi.ravel(), jitter.ravel()
-    n_max, cap = config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP
-    circuit = _FockCircuit(n_max, cap)
-    w_groups = run_write_stage(circuit, config, 0.0)
-    w_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("write")]
-    r_channels = [ch for ch in _analysis_channels(config.kind) if ch.startswith("read")]
-    w_map = {ch: w_groups[ch] for ch in w_channels}
+    shape = np.broadcast(phi, jitter).shape
+    phi, jitter = (np.broadcast_to(a, shape).ravel() for a in (phi, jitter))
+    # running maxima from the prefix's, so no block's state outlives its read-out
+    branches, (weight, deficit) = _prefix(config)
+    labels = _analysis_channels(config.kind)
+    r_channels = [ch for ch in labels if ch.startswith("read")]
     # per element, rows: write pattern codes, columns: read pattern codes;
     # write channels come first in the labels, so the row-major ravel of the
     # last two axes is the joint code
-    joint = np.zeros((phi.size, 1 << len(w_channels), 1 << len(r_channels)))
-    # running maxima, so no block's state outlives its read-out
-    weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
-    read = _FockCircuit(n_max, cap)
-    for w_code, w_prob, mech_state in circuit.measure(w_map, _efficiency_map(w_map, noise)):
-        read.state = mech_state
-        _read_prefix(read, config)
-        weight = max(weight, read.state.truncation_weight())
-        deficit = max(deficit, abs(read.state.renorm_deficit))
-        # nothing after the readout splitters touches m_E or m_L
-        prefix = read.engine.partial_trace(read.state, ["o_rE", "o_rL"])
+    joint = np.zeros((phi.size, 1 << (len(labels) - len(r_channels)), 1 << len(r_channels)))
+    read = _FockCircuit(config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP)
+    for w_code, w_prob, prefix in branches:
         size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
         for block in (slice(start, start + size) for start in range(0, phi.size, size)):
             read.state = read.engine.tile(prefix, len(phi[block]))
@@ -436,8 +417,8 @@ def _fock_joint_distribution(config, phi_w, phi_r, jitter_w, jitter_r) -> Outcom
             weight = max(weight, read.state.truncation_weight())
             deficit = max(deficit, abs(read.state.renorm_deficit))
     joint = joint.reshape(shape + (-1,))
-    return OutcomeDistribution(tuple(w_channels) + tuple(r_channels),
-                               joint / joint.sum(axis=-1, keepdims=True), (weight, deficit))
+    return OutcomeDistribution(labels, joint / joint.sum(axis=-1, keepdims=True),
+                               (weight, deficit))
 
 
 def _jitter_scale(noise: NoiseModel) -> float:
@@ -462,8 +443,8 @@ def jitter_averaged_distribution(
     on the write and read jitters only through their sum, so a 1-D
     Gauss-Hermite rule of GH_NODES nodes is exact up to quadrature order.
     The phases may be (S,) arrays of settings: each node is then one call
-    batched over the settings, which on the Gaussian engine shares the
-    config's phase-free prefix, and the result one (S, 2**n) distribution."""
+    batched over the settings, which shares the config's phase-free prefix,
+    and the result one (S, 2**n) distribution."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r)
@@ -573,8 +554,10 @@ def _sample_records(config, phi_w, phi_r, setting_idx, n_trials):
     one uniform per trial; the normals are scaled afterwards as
     ``normal(0, sigma)`` scales them.  So a trial's jitters do not depend on
     the number of records, and its uniform does.  Pass 2: one exact
-    distribution per distinct quantised jitter sum, and each trial's pattern
-    is the bin of its uniform in that distribution's CDF -- the very draw
+    distribution per distinct quantised jitter sum, each only the read
+    interferometer and the click read-out on the config's shared prefix
+    (``_prefix``, on either engine), and each trial's pattern is the bin of
+    its uniform in that distribution's CDF -- the very draw
     ``Generator.choice(2**n, p=p)`` makes from the same uniform."""
     noise = config.noise
     # a zero FWHM draws nothing, as in sample_phase_jitter

@@ -341,11 +341,13 @@ class TestCalibrate:
                 "from phonon_timebin import cli\n"
                 f"for argv in {argvs!r}:\n"
                 "    assert cli.main(argv) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+                "      'phonon_timebin.fock' in sys.modules)\n")
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                   text=True, env=env, check=True)
             loaded[engine] = proc.stdout.strip().splitlines()[-1]
-        assert loaded == {"gaussian": "[]", "fock": "[]"}
+        # and the Gaussian runs never load the Fock engine
+        assert loaded == {"gaussian": "[] False", "fock": "[] True"}
         # the manifest names SciPy's version only when the run loaded it
         for out in ("g", "f"):
             manifest = json.loads((tmp_path / out / "manifest.json").read_text())
@@ -426,7 +428,11 @@ class TestOther:
         *[(["simulate", "--config", str(CONFIGS / "thermal_g2.yaml"), "--override", item],
            item.split("=")[0].split(".")[1])
           for item in ("extra.n_modes=1", "extra.envelope=flat", "extra.delay_step=0",
-                       "extra.delay_step=-1e-9", "extra.delay_step=abc")],
+                       "extra.delay_step=-1e-9", "extra.delay_step=abc", "extra.n_modes=12.7")],
+        # checked before the experiment runs
+        *[(["simulate", "--config", str(CONFIGS / "timebin_entanglement.yaml"),
+            "--override", f"extra.witness_g2={value}"], "extra.witness_g2")
+          for value in ("5", "[a,b]", "[1.2]", "[0, 5]")],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

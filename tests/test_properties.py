@@ -345,16 +345,25 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
 
 
 def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
-    """One Gaussian circuit with each phase and jitter on its own arm: the
-    write stage at phi_w and jitter_w, then the whole read stage at phi_r
-    and jitter_r, without the shared prefix or the click memo."""
-    circuit = protocol._GaussianCircuit()
-    groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
-    groups.update(protocol.run_read_stage(circuit, config, phi_r, jitter_r))
-    ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
-    dist = gaussian.click_probabilities(circuit.state, ordered,
-                                        protocol._efficiency_map(ordered, config.noise))
-    return protocol.detect(dist, config.noise)
+    """Gaussian circuits with each phase and jitter on its own arm, one per
+    element of the broadcast arguments: the write stage at phi_w and
+    jitter_w, then the whole read stage at phi_r and jitter_r, without the
+    shared prefix or the click memo."""
+    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+        # the open interferometer takes no jitter, so a jitter batches nothing
+        jitter_w = jitter_r = 0.0
+    args = np.broadcast_arrays(phi_w, phi_r, jitter_w, jitter_r)
+    rows = []
+    for pw, pr, jw, jr in zip(*(np.ravel(a) for a in args)):
+        circuit = protocol._GaussianCircuit()
+        groups = protocol.run_write_stage(circuit, config, pw, jw)
+        protocol._read_prefix(circuit, config)
+        groups.update(protocol._stage_interferometer(circuit, config, "read", pr, jr))
+        ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
+        rows.append(gaussian.click_probabilities(
+            circuit.state, ordered, protocol._efficiency_map(ordered, config.noise)))
+    probs = np.reshape([row.probabilities for row in rows], args[0].shape + (-1,))
+    return protocol.detect(OutcomeDistribution(rows[0].labels, probs), config.noise)
 
 
 @st.composite

@@ -63,6 +63,14 @@ def dense(state):
     return state.rho.toarray()
 
 
+def read_stage(circuit, config, phi_r, jitter=0.0):
+    """The whole read stage on an unbatched state: round-trip decay, thermal
+    top-up, readout splitters and coupling loss, then the read photons
+    through the interferometer at phi_r and jitter."""
+    protocol._read_prefix(circuit, config)
+    return protocol._stage_interferometer(circuit, config, "read", phi_r, jitter)
+
+
 class TestWriteStage:
     def test_write_click_probability(self):
         # ideal chain: each bin sends half its photon flux into the overlap
@@ -111,7 +119,7 @@ class TestWriteStage:
         # plus the pair creation's sinh^2(r) (1 + n) = p/(1-p) (1 + n)
         assert circuit.mean_occupation("m_L") == pytest.approx(
             0.022 + 0.002 / 0.998 * 1.022, abs=1e-9)
-        protocol.run_read_stage(circuit, cfg, 0.0)
+        read_stage(circuit, cfg, 0.0)
         # after the inter-pulse channels each read saw its scheduled value
         # (readout removed p_r of it)
         assert circuit.mean_occupation("m_E") == pytest.approx(
@@ -131,7 +139,7 @@ class TestReadStage:
         rho = np.zeros((circuit.state.basis.dim, circuit.state.basis.dim), complex)
         rho[circuit.state.basis.index[(1, 0)], circuit.state.basis.index[(1, 0)]] = 1.0
         circuit.state.rho = rho
-        groups = protocol.run_read_stage(circuit, cfg, 0.0)
+        groups = read_stage(circuit, cfg, 0.0)
         all_modes = sorted({m for modes in groups.values() for m in modes})
         survival = math.exp(-126e-9 / 2.2e-6)
         emitted = 0.007 * survival
@@ -143,7 +151,7 @@ class TestReadStage:
         cfg = make_config(p_w=0.0, p_r=0.0)
         circuit = protocol._GaussianCircuit()
         protocol.run_write_stage(circuit, cfg, 0.0)
-        groups = protocol.run_read_stage(circuit, cfg, 0.0)
+        groups = read_stage(circuit, cfg, 0.0)
         dist = circuit.click_distribution(groups, None)
         assert dist.prob(**{"read-overlap:1": False, "read-overlap:2": False}) == \
             pytest.approx(1.0, abs=1e-12)
@@ -156,34 +164,22 @@ class TestReadStage:
         cfg = make_config(p_w=0.0, noise=noise)
         circuit = protocol._GaussianCircuit()
         protocol.run_write_stage(circuit, cfg, 0.0)
-        protocol.run_read_stage(circuit, cfg, 0.0)
+        read_stage(circuit, cfg, 0.0)
         flux = (circuit.mean_occupation("o_rE") + circuit.mean_occupation("r:mis")
                 + circuit.mean_occupation("o_rL") + circuit.mean_occupation("r:mis2"))
         assert flux == pytest.approx(0.007 * 0.066, rel=1e-9)
 
-    def test_batch_with_unequal_occupancy_raises(self):
-        # a phase between two passes of a balanced splitter moves thermal
-        # quanta in or out of m_E, differently in each batch element
-        cfg = make_config()
-        circuit = protocol._GaussianCircuit()
-        for mode in ("m_E", "m_L", "x"):
-            circuit.add_mode(mode, thermal=0.1 if mode == "m_E" else 0.0)
-        circuit.beam_splitter("m_E", "x", 0.5)
-        circuit.phase("x", np.array([0.0, 1.0]))
-        circuit.beam_splitter("m_E", "x", 0.5)
-        with pytest.raises(protocol.ProtocolError, match="differs across the batch"):
-            protocol.run_read_stage(circuit, cfg, 0.0)
-
-    @pytest.mark.parametrize("occupation", [[math.nan, math.nan], [math.nan], [0.1, 0.2]])
+    # NumPy 0-d values, as an unbatched state's occupancy is one
+    @pytest.mark.parametrize("occupation", [np.array(v) for v in (math.nan, math.inf, -math.inf)])
     def test_occupancy_not_one_finite_value_raises(self, monkeypatch, occupation):
         # a NaN occupancy makes the top-up condition false, so unless caught
         # it would skip the thermal top-up without a word
         cfg = make_config()
         circuit = protocol._GaussianCircuit()
-        protocol.run_write_stage(circuit, cfg, np.array([0.0, 1.0]))
-        monkeypatch.setattr(circuit, "mean_occupation", lambda mode: np.array(occupation))
-        with pytest.raises(protocol.ProtocolError, match="occupancy of m_E"):
-            protocol.run_read_stage(circuit, cfg, 0.0)
+        protocol.run_write_stage(circuit, cfg, 0.0)
+        monkeypatch.setattr(circuit, "mean_occupation", lambda mode: occupation)
+        with pytest.raises(protocol.ProtocolError, match="occupancy of m_E is not finite"):
+            read_stage(circuit, cfg, 0.0)
 
 
 class TestInterferometer:
@@ -493,10 +489,11 @@ class TestRecordSampler:
 
 def final_circuit(config, phi_w, phi_r, jitter_w):
     """The unstaged Gaussian circuit of one setting and jitter, each phase
-    on its own arm, with its detector map and efficiencies."""
+    on its own arm, with its detector map and efficiencies; phi_r may be a
+    (B,) array, which the read interferometer alone takes."""
     circuit = protocol._GaussianCircuit()
     groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
-    groups.update(protocol.run_read_stage(circuit, config, phi_r))
+    groups.update(read_stage(circuit, config, phi_r))
     ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
     return circuit, ordered, protocol._efficiency_map(ordered, config.noise)
 
@@ -539,8 +536,8 @@ class TestClickMemo:
     @pytest.mark.parametrize("batch", [False, True])
     def test_a_hit_is_a_fresh_copy(self, engine_calls, batch):
         cfg = make_config(noise=noisy(math.pi / 7, 0.0))
-        phi_w = np.array([0.3, 1.1]) if batch else 0.3
-        circuit, ordered, eff = final_circuit(cfg, phi_w, 0.0, 0.0)
+        phi_r = np.array([0.3, 1.1]) if batch else 0.3
+        circuit, ordered, eff = final_circuit(cfg, 0.0, phi_r, 0.0)
         first = circuit.click_distribution(ordered, eff)
         want = first.probabilities.copy()
         assert want.shape == ((2, 16) if batch else (16,))
@@ -571,14 +568,22 @@ class TestClickMemo:
         assert len(engine_calls) == 2
 
 
-class TestGaussianPrefix:
-    """The Gaussian write stage and read prefix are built once per
-    (config, THERMAL_NOISE_EPSILON) and shared by every call after."""
+ENGINES = ["gaussian", "fock"]
+
+
+def engine_config(name, engine):
+    return with_overrides(load_config(CONFIGS / f"{name}.yaml"), {"engine.name": engine})
+
+
+class TestPrefix:
+    """On either engine, the write stage and the read stage up to its
+    interferometer are built once per (config, THERMAL_NOISE_EPSILON,
+    FOCK_PROTOCOL_CAP) and shared by every call after."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         """Start from an empty memo and record each prefix build's config."""
-        monkeypatch.setattr(protocol, "_prefix_memo", (None, None, None))
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
         seen = []
         write_stage = protocol.run_write_stage
 
@@ -591,24 +596,42 @@ class TestGaussianPrefix:
 
     @staticmethod
     def fresh(config, *args, **kwargs):
-        protocol._prefix_memo = (None, None, None)
+        protocol._prefix_memo = (None, None)
         return protocol.exact_joint_distribution(config, *args, **kwargs).probabilities
 
-    def test_a_scan_builds_one_prefix(self, builds):
-        cfg = load_config(CONFIGS / "bell_test.yaml")
+    @staticmethod
+    def memo_arrays():
+        """Every array the memoised prefix holds."""
+        prefix = protocol._prefix_memo[1]
+        if isinstance(prefix[0], gaussian.CovarianceState):
+            return [prefix[0].sigma]
+        return [a for _, _, state in prefix[0]
+                for a in (state.rho.rows, state.rho.cols, state.rho.vals)]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_scan_builds_one_prefix(self, builds, engine):
+        # on the Fock engine, one write stage instead of one per quadrature node
+        cfg = engine_config("bell_test", engine)
         phi_w, phi_r = (np.array(v) for v in zip(*cfg.phases.chsh_settings()))
         protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
         protocol.exact_joint_distribution(cfg, 0.3, 0.1, 0.2)
         assert builds == [cfg]
-        assert not protocol._prefix_memo[1].sigma.flags.writeable
+        assert not any(a.flags.writeable for a in self.memo_arrays())
 
+    def test_a_fock_record_run_builds_one_prefix(self, builds):
+        cfg = engine_config("bell_test", "fock")
+        _, n_keys = protocol._sample_records(cfg, 0.3, 0.1, 0, 100)
+        assert n_keys > 1
+        assert builds == [cfg]
+
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
         {"noise.coupling_efficiency": 0.3},
         {"noise.thermal_schedule": [["WriteEarly", 0.027], ["WriteLate", 0.038],
                                     ["ReadEarly", 0.2], ["ReadLate", 0.3]]},
     ], ids=["coupling_efficiency", "thermal_schedule"])
-    def test_alternating_configs_each_match_a_fresh_run(self, builds, overrides):
-        first = load_config(CONFIGS / "bell_test.yaml")
+    def test_alternating_configs_each_match_a_fresh_run(self, builds, overrides, engine):
+        first = engine_config("bell_test", engine)
         second = with_overrides(first, overrides)
         args = (np.array([0.3, 1.2]), 0.4, np.array([0.1, -0.2]))
         want = [self.fresh(cfg, *args) for cfg in (first, second)]
@@ -619,8 +642,9 @@ class TestGaussianPrefix:
                                       .probabilities, probs)
         assert builds == [first, second] * 3
 
-    def test_an_equal_rebuilt_config_reuses_the_prefix(self, builds):
-        cfg = load_config(CONFIGS / "timebin_entanglement.yaml")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_equal_rebuilt_config_reuses_the_prefix(self, builds, engine):
+        cfg = engine_config("timebin_entanglement", engine)
         rebuilt = with_overrides(cfg, {})
         assert rebuilt is not cfg and rebuilt == cfg
         first = protocol.exact_joint_distribution(cfg, 0.3, 0.4)
@@ -630,24 +654,37 @@ class TestGaussianPrefix:
         assert protocol._prefix_memo[1] is prefix
         assert np.array_equal(again.probabilities, first.probabilities)
 
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", ["bell_test", "cross_correlation"])
-    def test_repeated_calls_return_identical_arrays(self, builds, name):
-        cfg = load_config(CONFIGS / f"{name}.yaml")
+    def test_repeated_calls_return_identical_arrays(self, builds, name, engine):
+        cfg = engine_config(name, engine)
         first = protocol.exact_joint_distribution(cfg, np.array([0.3, 2.0]), 0.4, 0.25)
         want = first.probabilities.copy()
         first.probabilities[...] = 0.0
         again = protocol.exact_joint_distribution(cfg, np.array([0.3, 2.0]), 0.4, 0.25)
         assert np.array_equal(again.probabilities, want)
+        assert again.truncation == first.truncation
         assert len(builds) == 1
+        for array in self.memo_arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
-    def test_the_epsilon_is_part_of_the_key(self, builds, monkeypatch):
-        cfg = load_config(CONFIGS / "bell_test.yaml")
-        before = protocol.exact_joint_distribution(cfg, 0.3, 0.4).probabilities
-        monkeypatch.setattr(protocol, "THERMAL_NOISE_EPSILON", 0.002)
-        after = protocol.exact_joint_distribution(cfg, 0.3, 0.4).probabilities
+    @pytest.mark.parametrize("constant, value, engine", [
+        ("THERMAL_NOISE_EPSILON", 0.002, "gaussian"),
+        ("THERMAL_NOISE_EPSILON", 0.002, "fock"),
+        # bell_test names no total cap, so the Fock engine takes this one
+        ("FOCK_PROTOCOL_CAP", 5, "fock"),
+    ], ids=["epsilon-gaussian", "epsilon-fock", "cap-fock"])
+    def test_the_constants_are_part_of_the_key(self, builds, monkeypatch, constant, value,
+                                               engine):
+        cfg = engine_config("bell_test", engine)
+        before = protocol.exact_joint_distribution(cfg, 0.3, 0.4)
+        monkeypatch.setattr(protocol, constant, value)
+        after = protocol.exact_joint_distribution(cfg, 0.3, 0.4)
         assert len(builds) == 2
-        assert np.array_equal(after, self.fresh(cfg, 0.3, 0.4))
-        assert not np.array_equal(after, before)
+        assert np.array_equal(after.probabilities, self.fresh(cfg, 0.3, 0.4))
+        assert not np.array_equal(after.probabilities, before.probabilities)
+        assert (after.truncation is None) == (engine == "gaussian")
 
 
 def with_fock(config):
@@ -698,7 +735,7 @@ def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
             w_map, protocol._efficiency_map(w_map, noise)):
         read = protocol._FockCircuit(n_max, cap)
         read.state = mech_state
-        r_groups = protocol.run_read_stage(read, config, phi_r, jitter_r)
+        r_groups = read_stage(read, config, phi_r, jitter_r)
         r_map = {ch: r_groups[ch] for ch in r_channels}
         joint[w_code] = w_prob * read.click_distribution(
             r_map, protocol._efficiency_map(r_map, noise)).probabilities
@@ -707,7 +744,7 @@ def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
 
 
 def fock_config(name):
-    return with_overrides(load_config(CONFIGS / f"{name}.yaml"), {"engine.name": "fock"})
+    return engine_config(name, "fock")
 
 
 class TestFockScan:
