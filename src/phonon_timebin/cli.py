@@ -276,9 +276,11 @@ def _witness_g2(extra) -> tuple[float, float] | None:
     return pair
 
 
-def _extra_float(extra, key: str, default: float) -> float:
+def _extra(extra, key: str, default, read=float):
+    """extra.<key> through ``read``: a value it cannot read is a ConfigError
+    that names the key once."""
     try:
-        return float(extra.get(key, default))
+        return read(extra.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"extra.{key}: {exc}") from exc
 
@@ -294,16 +296,16 @@ def _thermal_g2_run(config, out, manifest, results):
     else:
         try:
             spectrum = waveguide.synthetic_spectrum(
-                n_modes=_integer(extra.get("n_modes", 12), "extra.n_modes"),
-                fsr_hz=float(extra.get("fsr_hz", 7.94e6)),
+                n_modes=_extra(extra, "n_modes", 12, lambda v: _integer(v, "value")),
+                fsr_hz=_extra(extra, "fsr_hz", 7.94e6),
                 gamma=gamma,
-                envelope=extra.get("envelope", "gaussian"),
-                envelope_sigma_hz=float(extra.get("envelope_sigma_hz", 9.0e6)),
+                envelope=_extra(extra, "envelope", "gaussian", str),
+                envelope_sigma_hz=_extra(extra, "envelope_sigma_hz", 9.0e6),
             )
-        except ValueError as exc:  # an unparsable number, or a WaveguideError naming the field
+        except waveguide.WaveguideError as exc:  # a value out of range, its field named
             raise ConfigError(f"extra: {exc}") from exc
-    span = _extra_float(extra, "max_delay", 5.5 * config.waveguide.round_trip_time)
-    step = _extra_float(extra, "delay_step", 0.5e-9)
+    span = _extra(extra, "max_delay", 5.5 * config.waveguide.round_trip_time)
+    step = _extra(extra, "delay_step", 0.5e-9)
     if not 0.0 < step < span:
         raise ConfigError(f"extra.delay_step must lie in (0, max_delay = {span:g} s), "
                           f"got {step:g}")

@@ -291,6 +291,8 @@ class ExperimentConfig:
     splitting_asymmetry: float = 0.0
     record_trials: int = 0
     extra: Mapping[str, object] = field(default_factory=dict)
+    #: the anchors pulse energies convert with, when not the defaults
+    calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = None
 
     def __post_init__(self):
         _require(self.trials >= 0, "trials must be >= 0")
@@ -417,14 +419,15 @@ def scattering_probability_from_energy(
     """Pulse energy to scattering probability, linear through the origin.
 
     The per-role slope is the least-squares fit through the calibration
-    anchors (which are only approximately proportional to each other).
+    anchors (which are only approximately proportional to each other); a
+    role the anchors leave out takes the default ones.
     Values above the perturbative guard are clipped, silently but logged
     via warning.
     """
     if energy < 0:
         raise ValidationError("energy must be >= 0")
     role = role.lower()
-    table = (anchors or DEFAULT_CALIBRATION_ANCHORS)[role]
+    table = {**DEFAULT_CALIBRATION_ANCHORS, **(anchors or {})}[role]
     es = np.array([e for e, _ in table], dtype=float)
     ps = np.array([p for _, p in table], dtype=float)
     if np.any(es <= 0) or np.any(ps <= 0):
@@ -593,6 +596,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     guard = float(raw.get("perturbative_guard", DEFAULT_PERTURBATIVE_GUARD))
     anchors = raw.get("calibration_anchors")
     if anchors is not None:
+        if not set(anchors) <= set(DEFAULT_CALIBRATION_ANCHORS):
+            raise ConfigError(f"calibration_anchors: the roles are write and read, "
+                              f"got {sorted(anchors)}")
         anchors = {k: tuple((float(e), float(p)) for e, p in v) for k, v in anchors.items()}
 
     pulses = []
@@ -681,6 +687,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         splitting_asymmetry=float(raw.get("splitting_asymmetry", 0.0)),
         record_trials=_integer(raw.get("record_trials", 0), "record_trials"),
         extra=dict(raw.get("extra", {})),
+        calibration_anchors=anchors,
     )
 
 
@@ -744,6 +751,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             [_angles_out(w), _angles_out(r)] for w, r in c.phase_sweep]
     if c.extra:
         data["extra"] = dict(c.extra)
+    if c.calibration_anchors is not None:
+        data["calibration_anchors"] = {role: [list(pair) for pair in table]
+                                       for role, table in c.calibration_anchors.items()}
     return data
 
 

@@ -63,9 +63,6 @@ class CovarianceState:
         except ValueError:
             raise GaussianEngineError(f"mode {label!r} not registered") from None
 
-    def copy(self) -> "CovarianceState":
-        return CovarianceState(self.modes, self.sigma.copy())
-
     def block(self, label: str) -> np.ndarray:
         k = 2 * self.mode_index(label)
         return self.sigma[..., k:k + 2, k:k + 2]

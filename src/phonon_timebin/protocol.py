@@ -4,39 +4,45 @@ and exact-distribution or Monte Carlo execution.
 
 Circuit layout per trial (entanglement-type experiments):
 
-  write:  TMS(o_wE, m_E; p_w)  TMS(o_wL, m_L; p_w e^{i phi_w})
+  write:  TMS(o_wE, m_E; p_w)  TMS(o_wL, m_L; p_w)
           -> coupling loss -> unbalanced MZI -> write detectors
   travel: mechanical modes lose exp(-tau/T1) * retrieval_efficiency, then
           thermal top-up to the scheduled occupancy seen by each read pulse
-  read:   beam splitter sin^2 = p_r maps phonons onto o_rE / o_rL,
-          phi_r on the late read -> coupling loss -> same MZI -> read detectors
+  read:   beam splitter sin^2 = p_r maps phonons onto o_rE / o_rL
+          -> coupling loss -> same MZI, Phi on its late arm -> read detectors
 
 One circuit builder serves both engines: each method calls that engine's
 ``apply_*`` function on the current state.  The thermal top-up is a weak
 thermal loss at THERMAL_NOISE_EPSILON, the epsilon the read stage solves
 its top-up for.
 
-The MZI convention: the delay arm carries phase +phi_off (plus lock jitter),
-the Early pulse reaches the overlap window through it, so heralded
-coincidences fringe as 1 + cos(phi_w + phi_r - 2*phi_off) on the same
-detector pair and the zero crossing with negative slope sits at
-phi_w = phi_0 = 2*phi_off + pi/2.
+The MZI convention: the delay arm carries phase +phi_off plus the stage's
+lock jitter j, and the Early pulse reaches the overlap window through it.  So
+the overlap windows see the phases, the offset and the jitters only through
+one relative phase between the two time bins,
+
+  Phi = phi_w + phi_r - 2*phi_off - j_w - j_r,
+
+heralded coincidences fringe as 1 + cos(Phi) on the same detector pair, and
+the zero crossing with negative slope sits at phi_w = phi_0 = 2*phi_off + pi/2.
 
 Imperfect first-order visibility V is a mode mismatch: the delayed pulse
 passes a beam splitter of transmissivity V^2 whose reflected (orthogonal)
 part still reaches both detectors but does not interfere, which scales the
 interfering coherence by exactly V per pass.
 
-All statistics of the overlap windows depend on the two lock-jitter samples
-only through their sum, so exact jitter averaging is a 1-D Gauss-Hermite
-quadrature.  They depend on the phases only through phi_w + phi_r too: the
-squeezer conserves n_o - n_m on a diagonal thermal input, so a phase on
-o_wL is that phase on m_L; loss, top-up and the occupancy read are phase
-covariant; and the readout splitter, o_rL in vacuum, hands it on to o_rL
-(o_wE to o_rE alike).  So both engines build the write stage at zero phase
-and jitter and the read stage up to its interferometer once per config
-(``_prefix``), and run only the read interferometer and the click read-out
-at the summed phase and jitter.
+Why one Phi: the squeezer conserves n_o - n_m on a diagonal thermal input,
+so a phase on o_wE or o_wL is that phase on m_E or m_L; loss, top-up and the
+occupancy read are phase covariant; the readout splitter hands it on to o_rE
+or o_rL; and every stage keeps the write photons minus the phonons minus the
+read photons, so one phase on both read modes acts only on modes that are
+counted or traced: a phase on o_rE is minus that phase on o_rL.  So jitter
+averaging is a 1-D Gauss-Hermite quadrature over j_w + j_r, and both engines
+build the write stage at relative phase 0 and the read stage up to its
+interferometer once per config (``_prefix``), then run only the read
+interferometer, Phi on its late arm, and the click read-out.  The open
+interferometer of the cross-correlation kind applies no phase: its clicks
+see none.
 """
 
 from __future__ import annotations
@@ -84,18 +90,6 @@ FOCK_BATCH_ENTRIES = 1 << 10
 
 class ProtocolError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class InterferometerModel:
-    phi_off: float
-    visibility: float
-    splitting_asymmetry: float = 0.0
-
-    @property
-    def bs2_transmissivity(self) -> float:
-        # port-ratio difference equals splitting_asymmetry
-        return 0.5 * (1.0 + self.splitting_asymmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -183,39 +177,39 @@ def apply_interferometer(
     which: str,
     early_mode: str,
     late_mode: str,
-    phi_late: float,
-    interferometer: InterferometerModel,
-    jitter: float = 0.0,
+    phi: float | np.ndarray,
+    visibility: float,
+    splitting_asymmetry: float = 0.0,
 ) -> dict[str, list[str]]:
-    """Send the early/late pulse pair through the unbalanced MZI.
+    """Send the early/late pulse pair through the unbalanced MZI at relative
+    phase phi, which the late arm carries.
 
     Returns the mapping from the overlap-window detector channels to engine
     modes.  The light headed for the non-overlap time slots is traced out
     (a plain loss), which leaves every overlap-window statistic untouched.
     """
     pre = "w" if which == "write" else "r"
-    circuit.phase(late_mode, phi_late)
+    circuit.phase(late_mode, phi)
     circuit.loss(early_mode, 0.5)
     circuit.loss(late_mode, 0.5)
-    circuit.phase(early_mode, interferometer.phi_off + jitter)
     mis = f"{pre}:mis"
     circuit.add_mode(mis)
-    v = interferometer.visibility
-    circuit.beam_splitter(early_mode, mis, v * v)
-    circuit.beam_splitter(early_mode, late_mode, interferometer.bs2_transmissivity)
+    circuit.beam_splitter(early_mode, mis, visibility * visibility)
+    # port-ratio difference equals splitting_asymmetry
+    circuit.beam_splitter(early_mode, late_mode, 0.5 * (1.0 + splitting_asymmetry))
     mis2 = f"{pre}:mis2"
     circuit.add_mode(mis2)
     circuit.beam_splitter(mis, mis2, 0.5)
     return {f"{which}-overlap:1": [early_mode, mis], f"{which}-overlap:2": [late_mode, mis2]}
 
 
-def apply_open_interferometer(circuit, which: str, early_mode: str, late_mode: str,
-                              phi_late: float) -> dict[str, list[str]]:
+def apply_open_interferometer(circuit, which: str, early_mode: str,
+                              late_mode: str) -> dict[str, list[str]]:
     """Delay arm disconnected: each pulse loses its delayed half and the
-    direct half splits over the two detectors without interference.  The
-    early bin occupies the direct slot and the late bin the overlap slot."""
+    direct half splits over the two detectors without interference, so no
+    phase reaches a click.  The early bin occupies the direct slot and the
+    late bin the overlap slot."""
     pre = "w" if which == "write" else "r"
-    circuit.phase(late_mode, phi_late)
     groups: dict[str, list[str]] = {}
     for slot, mode in ((f"{which}-early-direct", early_mode),
                        (f"{which}-overlap", late_mode)):
@@ -228,23 +222,10 @@ def apply_open_interferometer(circuit, which: str, early_mode: str, late_mode: s
     return groups
 
 
-def _interferometer(config: ExperimentConfig) -> InterferometerModel:
-    """The one MZI both stages pass through."""
-    return InterferometerModel(
-        phi_off=config.phases.phi_off,
-        visibility=config.noise.interferometer_visibility,
-        splitting_asymmetry=config.splitting_asymmetry,
-    )
-
-
-def run_write_stage(
-    circuit,
-    config: ExperimentConfig,
-    phi_w: float,
-    jitter: float = 0.0,
-) -> dict[str, list[str]]:
+def run_write_stage(circuit, config: ExperimentConfig, phi: float = 0.0) -> dict[str, list[str]]:
     """Two write pulses: pair creation on each time bin, then the write
-    photons through coupling loss and the interferometer."""
+    photons through coupling loss and the interferometer at relative phase
+    phi."""
     noise = config.noise
     circuit.add_mode("o_wE")
     circuit.add_mode("o_wL")
@@ -256,18 +237,19 @@ def run_write_stage(
     circuit.squeeze("o_wL", "m_L", p_wL, 0.0)
     circuit.loss("o_wE", noise.coupling_efficiency)
     circuit.loss("o_wL", noise.coupling_efficiency)
-    return _stage_interferometer(circuit, config, "write", phi_w, jitter)
+    return _stage_interferometer(circuit, config, "write", phi)
 
 
-def _stage_interferometer(circuit, config: ExperimentConfig, which: str, phi_late,
-                          jitter) -> dict[str, list[str]]:
-    """A stage's photons through the MZI, or through the open one of the
-    cross-correlation kind."""
+def _stage_interferometer(circuit, config: ExperimentConfig, which: str,
+                          phi) -> dict[str, list[str]]:
+    """A stage's photons through the MZI at relative phase phi, or through
+    the open one of the cross-correlation kind, which takes none."""
     early, late = ("o_wE", "o_wL") if which == "write" else ("o_rE", "o_rL")
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        return apply_open_interferometer(circuit, which, early, late, phi_late)
-    return apply_interferometer(circuit, which, early, late, phi_late,
-                                _interferometer(config), jitter)
+        return apply_open_interferometer(circuit, which, early, late)
+    return apply_interferometer(circuit, which, early, late, phi,
+                                config.noise.interferometer_visibility,
+                                config.splitting_asymmetry)
 
 
 def _read_prefix(circuit, config: ExperimentConfig) -> None:
@@ -330,19 +312,28 @@ def exact_joint_distribution(
     phase setting and one jitter sample.  The phases and jitters may be (B,)
     arrays: either engine then gives one (B, 2**n) distribution, and
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
-    Either engine runs only the read interferometer, at phi_w + phi_r and
-    jitter_w + jitter_r, on ``_prefix(config)``, then the click read-out."""
+    Either engine runs only the read interferometer, at the one relative
+    phase Phi (module docstring), on ``_prefix(config)``, then the click
+    read-out; the open interferometer takes no phase, so one element serves
+    the whole batch."""
     noise = config.noise
-    phi, jitter = np.add(phi_w, phi_r), np.add(jitter_w, jitter_r)
+    phi = np.add(phi_w, phi_r) - 2.0 * config.phases.phi_off - np.add(jitter_w, jitter_r)
+    shape, open_arms = np.shape(phi), config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION
+    if open_arms:
+        phi = 0.0
     if config.engine.name == "fock":
-        dist = _fock_joint_distribution(config, phi, jitter)
+        dist = _fock_joint_distribution(config, phi)
     else:
         circuit = _GaussianCircuit()
         circuit.state, w_groups = _prefix(config)
-        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi, jitter)}
+        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi)}
         ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
         dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
-    return detect(dist, noise)
+    dist = detect(dist, noise)
+    if open_arms:
+        dist = OutcomeDistribution(dist.labels, np.tile(dist.probabilities, shape + (1,)),
+                                   dist.truncation)
+    return dist
 
 
 #: (key, prefix) of the last config, replaced whole; its arrays are read-only
@@ -364,7 +355,7 @@ def _prefix(config: ExperimentConfig):
     engine = config.engine
     circuit = (_FockCircuit(engine.truncation, engine.total_cap or FOCK_PROTOCOL_CAP)
                if engine.name == "fock" else _GaussianCircuit())
-    w_groups = run_write_stage(circuit, config, 0.0)
+    w_groups = run_write_stage(circuit, config)
     if engine.name != "fock":
         _read_prefix(circuit, config)
         circuit.state.sigma.flags.writeable = False
@@ -389,14 +380,13 @@ def _prefix(config: ExperimentConfig):
     return prefix
 
 
-def _fock_joint_distribution(config, phi, jitter) -> OutcomeDistribution:
+def _fock_joint_distribution(config, phi) -> OutcomeDistribution:
     """The Fock read passes: per heralded branch of ``_prefix(config)``, the
-    read interferometer and the click read-out of each summed phase and
-    jitter, on blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries)
-    elements, each one block-diagonal Fock batch of four modes."""
+    read interferometer and the click read-out of each relative phase, on
+    blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries) elements, each
+    one block-diagonal Fock batch of four modes."""
     noise = config.noise
-    shape = np.broadcast(phi, jitter).shape
-    phi, jitter = (np.broadcast_to(a, shape).ravel() for a in (phi, jitter))
+    shape, phi = np.shape(phi), np.ravel(phi)
     # running maxima from the prefix's, so no block's state outlives its read-out
     branches, (weight, deficit) = _prefix(config)
     labels = _analysis_channels(config.kind)
@@ -410,7 +400,7 @@ def _fock_joint_distribution(config, phi, jitter) -> OutcomeDistribution:
         size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
         for block in (slice(start, start + size) for start in range(0, phi.size, size)):
             read.state = read.engine.tile(prefix, len(phi[block]))
-            r_groups = _stage_interferometer(read, config, "read", phi[block], jitter[block])
+            r_groups = _stage_interferometer(read, config, "read", phi[block])
             r_map = {ch: r_groups[ch] for ch in r_channels}
             r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
             joint[block, w_code] = w_prob * r_dist.probabilities.reshape(-1, joint.shape[-1])

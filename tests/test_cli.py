@@ -271,6 +271,27 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
 
+    def test_energy_sweep_converts_with_the_configs_anchors(self, tmp_path):
+        # anchors at twice the default probabilities: energy E converts as
+        # 2E does without them, bit for bit (doubling is exact)
+        anchors = {role: [[e, 2.0 * p] for e, p in table]
+                   for role, table in core.DEFAULT_CALIBRATION_ANCHORS.items()}
+
+        def sweep(name, energies, **overrides):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, kind="Calibration", trials=0, **overrides)
+            assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / name / "o"),
+                             "--sweep", f"pulses.energy={energies}"]) == 0
+            return (tmp_path / name / "o" / "sweep.csv").read_text()
+
+        anchored = sweep("anchored", "2e-14,4e-14", calibration_anchors=anchors)
+        assert anchored == sweep("doubled", "4e-14,8e-14")
+        assert anchored != sweep("default", "2e-14,4e-14")
+        config = load_config(tmp_path / "anchored" / "config.yaml")
+        scaled = cli.yaml_roundtrip_scale(config, "energy", 20e-15)
+        assert scaled.calibration_anchors == config.calibration_anchors
+        assert scaled.p_w == 2.0 * core.scattering_probability_from_energy(20e-15, "write")
+
     def test_unknown_variable(self, tmp_path):
         config = write_config(tmp_path)
         code = cli.main(["sweep", "--config", str(config), "--out",
@@ -438,6 +459,16 @@ class TestOther:
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
+
+    @pytest.mark.parametrize("item", ["extra.n_modes=abc", "extra.fsr_hz=abc",
+                                      "extra.envelope_sigma_hz=abc", "extra.n_modes=12.7"])
+    def test_a_bad_spectrum_extra_names_its_key_once(self, tmp_path, capsys, item):
+        key = item.split("=")[0]
+        assert cli.main(["simulate", "--config", str(CONFIGS / "thermal_g2.yaml"),
+                         "--override", item, "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        # the key leads the message, without a wrapper around it
+        assert err.startswith(f"config error: {key}") and err.count(key) == 1
 
     @pytest.mark.parametrize("field, value", [("max_delay", "abc"),
                                               ("spectrum_file", "no_such_spectrum.txt")])

@@ -254,6 +254,32 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="waveguide"):
             load_config(path)
 
+    def test_calibration_anchors_survive_save_and_load(self, tmp_path):
+        anchors = {"write": [[15e-15, 0.0026], [26e-15, 0.004]],
+                   "read": [[112e-15, 0.014], [225e-15, 0.028]]}
+        config = config_from_dict(minimal_config_dict(calibration_anchors=anchors))
+        assert config.calibration_anchors == {
+            role: tuple(tuple(pair) for pair in table) for role, table in anchors.items()}
+        save_config(config, tmp_path / "anchored.yaml")
+        loaded = load_config(tmp_path / "anchored.yaml")
+        assert loaded.calibration_anchors == config.calibration_anchors
+        assert with_overrides(loaded, {"seed": 8}).calibration_anchors == config.calibration_anchors
+        assert config_digest(loaded) == config_digest(config)
+        # written only when set, so a config without them keeps its digest
+        assert "calibration_anchors" not in config_to_dict(config_from_dict(minimal_config_dict()))
+
+    def test_a_role_without_anchors_takes_the_default_ones(self):
+        data = minimal_config_dict(calibration_anchors={"write": [[15e-15, 0.0026]]})
+        for p in data["pulses"]:
+            del p["scattering_probability"]
+            p["energy"] = 20e-15
+        config = config_from_dict(data)
+        assert config.p_w == pytest.approx(0.0026 / 15e-15 * 20e-15, rel=1e-12)
+        assert config.p_r == scattering_probability_from_energy(20e-15, "read")
+        data["calibration_anchors"] = {"Write": [[15e-15, 0.0026]]}
+        with pytest.raises(ConfigError, match="calibration_anchors"):
+            config_from_dict(data)
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("kind: [unterminated")

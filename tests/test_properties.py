@@ -1,10 +1,10 @@
 """Property tests of the dense click-distribution vector (the subset
 transform, background folding, one-draw sampling), of the record sampler's
 substream seeding against numpy, of the Gaussian engine's local gate updates
-and batch axis, of the Gaussian protocol's phase and jitter sums against
-one circuit with each on its own arm, of the sparse Fock engine against
-dense references and its block-diagonal batch against each element alone,
-and of the config dict round trip."""
+and batch axis, of the protocol's one relative phase against Gaussian
+circuits with each stage at its own and against a shifted offset, of the
+sparse Fock engine against dense references and its block-diagonal batch
+against each element alone, and of the config dict round trip."""
 
 import dataclasses
 import itertools
@@ -345,20 +345,18 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
 
 
 def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
-    """Gaussian circuits with each phase and jitter on its own arm, one per
-    element of the broadcast arguments: the write stage at phi_w and
-    jitter_w, then the whole read stage at phi_r and jitter_r, without the
-    shared prefix or the click memo."""
-    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        # the open interferometer takes no jitter, so a jitter batches nothing
-        jitter_w = jitter_r = 0.0
+    """Gaussian circuits, one per element of the broadcast arguments, with
+    each stage at its own relative phase: the write stage at phi_w - phi_off
+    - jitter_w, then the whole read stage at phi_r - phi_off - jitter_r,
+    without the shared prefix or the click memo."""
+    off = config.phases.phi_off
     args = np.broadcast_arrays(phi_w, phi_r, jitter_w, jitter_r)
     rows = []
     for pw, pr, jw, jr in zip(*(np.ravel(a) for a in args)):
         circuit = protocol._GaussianCircuit()
-        groups = protocol.run_write_stage(circuit, config, pw, jw)
+        groups = protocol.run_write_stage(circuit, config, pw - off - jw)
         protocol._read_prefix(circuit, config)
-        groups.update(protocol._stage_interferometer(circuit, config, "read", pr, jr))
+        groups.update(protocol._stage_interferometer(circuit, config, "read", pr - off - jr))
         ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
         rows.append(gaussian.click_probabilities(
             circuit.state, ordered, protocol._efficiency_map(ordered, config.noise)))
@@ -391,6 +389,22 @@ def test_gaussian_phases_and_jitters_act_through_their_sums(name, args):
     assert got.labels == want.labels
     assert got.probabilities.shape == want.probabilities.shape
     assert got.probabilities == pytest.approx(want.probabilities, abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["bell_test", "timebin_entanglement", "cross_correlation"]),
+       st.sampled_from(["gaussian", "fock"]), st.floats(-3.2, 3.2), phase_arguments())
+def test_an_offset_shift_is_a_write_phase_shift_of_minus_twice_it(name, engine, delta, args):
+    # Phi = phi_w + phi_r - 2 phi_off - j_w - j_r: phi_off + delta is phi_w - 2 delta
+    config = with_overrides(reference_config(name), {"engine.name": engine})
+    shifted = dataclasses.replace(config, phases=dataclasses.replace(
+        config.phases, phi_off=config.phases.phi_off + delta))
+    phi_w, phi_r, jitter_w, jitter_r = args
+    got = protocol.exact_joint_distribution(shifted, *args)
+    want = protocol.exact_joint_distribution(config, np.subtract(phi_w, 2.0 * delta), phi_r,
+                                             jitter_w, jitter_r)
+    assert got.probabilities.shape == want.probabilities.shape
+    assert got.probabilities == pytest.approx(want.probabilities, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,12 @@ def dense(state):
     return state.rho.toarray()
 
 
-def read_stage(circuit, config, phi_r, jitter=0.0):
+def read_stage(circuit, config, phi=0.0):
     """The whole read stage on an unbatched state: round-trip decay, thermal
     top-up, readout splitters and coupling loss, then the read photons
-    through the interferometer at phi_r and jitter."""
+    through the interferometer at relative phase phi."""
     protocol._read_prefix(circuit, config)
-    return protocol._stage_interferometer(circuit, config, "read", phi_r, jitter)
+    return protocol._stage_interferometer(circuit, config, "read", phi)
 
 
 class TestWriteStage:
@@ -186,14 +186,13 @@ class TestInterferometer:
     def test_single_photon_window_split(self):
         # one photon in the early bin: 1/4 per overlap detector (the other
         # half leaves through the early-direct slot)
-        iface = protocol.InterferometerModel(phi_off=0.0, visibility=1.0)
         circuit = protocol._FockCircuit(n_max=2, total_cap=2)
         circuit.add_mode("early")
         circuit.add_mode("late")
         rho = np.zeros((circuit.state.basis.dim, circuit.state.basis.dim), complex)
         rho[circuit.state.basis.index[(1, 0)], circuit.state.basis.index[(1, 0)]] = 1.0
         circuit.state.rho = rho
-        groups = protocol.apply_interferometer(circuit, "write", "early", "late", 0.0, iface)
+        groups = protocol.apply_interferometer(circuit, "write", "early", "late", 0.0, 1.0)
         dist = circuit.click_distribution(groups, None)
         assert dist.prob(**{"write-overlap:1": True}) == pytest.approx(0.25, abs=1e-12)
         assert dist.prob(**{"write-overlap:2": True}) == pytest.approx(0.25, abs=1e-12)
@@ -214,6 +213,21 @@ class TestInterferometer:
             dists.append(protocol.exact_joint_distribution(cfg, phi_w, phi_r))
         for dist in dists[1:]:
             assert dist.probabilities == pytest.approx(dists[0].probabilities, abs=1e-12)
+
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    def test_open_arms_see_no_phase_or_jitter(self, engine):
+        cfg = engine_config("cross_correlation", engine)
+        want = protocol.exact_joint_distribution(cfg, 0.0, 0.0)
+        assert (want.truncation is None) == (engine == "gaussian")
+        shifted = dataclasses.replace(cfg, phases=PhaseSettings(phi_off=1.3))
+        for config in (cfg, shifted):
+            got = protocol.exact_joint_distribution(
+                config, np.array([0.0, 0.7, 2.9]), -1.1, 0.25, np.array([0.0, -0.4, 0.2]))
+            alone = protocol.exact_joint_distribution(config, 1.7, 0.4, -0.3, 0.5)
+            assert got.probabilities.shape == (3, 256)
+            assert all(np.array_equal(row, want.probabilities)
+                       for row in [*got.probabilities, alone.probabilities])
+            assert got.truncation == alone.truncation == want.truncation
 
 
 class TestDetect:
@@ -488,12 +502,14 @@ class TestRecordSampler:
 
 
 def final_circuit(config, phi_w, phi_r, jitter_w):
-    """The unstaged Gaussian circuit of one setting and jitter, each phase
-    on its own arm, with its detector map and efficiencies; phi_r may be a
-    (B,) array, which the read interferometer alone takes."""
+    """The unstaged Gaussian circuit of one setting and write jitter, each
+    stage at its own relative phase (write phi_w - phi_off - jitter_w, read
+    phi_r - phi_off), with its detector map and efficiencies; phi_r may be
+    a (B,) array, which the read interferometer alone takes."""
     circuit = protocol._GaussianCircuit()
-    groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
-    groups.update(read_stage(circuit, config, phi_r))
+    off = config.phases.phi_off
+    groups = protocol.run_write_stage(circuit, config, phi_w - off - jitter_w)
+    groups.update(read_stage(circuit, config, np.subtract(phi_r, off)))
     ordered = {ch: groups[ch] for ch in protocol._analysis_channels(config.kind)}
     return circuit, ordered, protocol._efficiency_map(ordered, config.noise)
 
@@ -719,14 +735,15 @@ class TestCrossEngineProtocol:
 
 
 def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
-    """One setting through the staged Fock pipeline with each phase and
-    jitter on its own arm: the write stage at phi_w and jitter_w, its photons
-    measured, then the whole read stage at phi_r and jitter_r on each
-    conditioned mechanical state."""
+    """One setting through the staged Fock pipeline with each stage at its
+    own relative phase: the write stage at phi_w - phi_off - jitter_w, its
+    photons measured, then the whole read stage at phi_r - phi_off -
+    jitter_r on each conditioned mechanical state."""
     noise = config.noise
     n_max, cap = config.engine.truncation, config.engine.total_cap or protocol.FOCK_PROTOCOL_CAP
+    off = config.phases.phi_off
     circuit = protocol._FockCircuit(n_max, cap)
-    w_groups = protocol.run_write_stage(circuit, config, phi_w, jitter_w)
+    w_groups = protocol.run_write_stage(circuit, config, phi_w - off - jitter_w)
     channels = protocol._analysis_channels(config.kind)
     w_map = {ch: w_groups[ch] for ch in channels if ch.startswith("write")}
     r_channels = [ch for ch in channels if ch.startswith("read")]
@@ -735,7 +752,7 @@ def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
             w_map, protocol._efficiency_map(w_map, noise)):
         read = protocol._FockCircuit(n_max, cap)
         read.state = mech_state
-        r_groups = read_stage(read, config, phi_r, jitter_r)
+        r_groups = read_stage(read, config, phi_r - off - jitter_r)
         r_map = {ch: r_groups[ch] for ch in r_channels}
         joint[w_code] = w_prob * read.click_distribution(
             r_map, protocol._efficiency_map(r_map, noise)).probabilities
@@ -782,9 +799,9 @@ class TestFockScan:
         modes = []
         stage = protocol._stage_interferometer
 
-        def spy(circuit, config, which, phi_late, jitter):
+        def spy(circuit, config, which, phi):
             modes.append((which, circuit.state.modes))
-            return stage(circuit, config, which, phi_late, jitter)
+            return stage(circuit, config, which, phi)
 
         monkeypatch.setattr(protocol, "_stage_interferometer", spy)
         protocol.exact_joint_distribution(fock_config(name), np.zeros(3), 0.0)
