@@ -28,6 +28,7 @@ from .core import (
     config_digest,
     load_config,
     with_overrides,
+    write_rows,
     yaml_dump,
 )
 
@@ -142,6 +143,16 @@ def _load(args) -> ExperimentConfig:
         overrides["engine.name"] = args.engine
     if overrides:
         config = with_overrides(config, overrides)
+    return config
+
+
+def _load_pulsed(args) -> ExperimentConfig:
+    """``_load`` for a command that runs the pulse sequence, which the
+    thermal g2 kind does not have."""
+    config = _load(args)
+    if config.kind is ExperimentKind.THERMAL_G2_TAU:
+        raise ConfigError(f"{args.command} needs a pulsed experiment kind; "
+                          f"{config.kind.value} has no pulses")
     return config
 
 
@@ -348,19 +359,16 @@ def _write_records(out: Path, manifest: _Manifest, run: protocol.ExperimentResul
         for i, sr in enumerate(run.settings):
             codes, jitter_w, jitter_r = sr.records
             labels = sr.distribution.labels
-            names = [" ".join(ch.rsplit(":", 1)) for ch in labels]
+            names = np.array([" ".join(ch.rsplit(":", 1)) for ch in labels])
             # channel 0 is the leftmost bit; nonzero lists (trial, channel) row-major
             bits = 1 << np.arange(len(labels) - 1, -1, -1)
             trial, channel = np.nonzero(codes[:, None] & bits)
-            events.writelines(f"{i} {t} {names[c]}\n"
-                              for t, c in zip(trial.tolist(), channel.tolist()))
-            trials.writelines(f"{i} {t} {w:.9g} {r:.9g}\n"
-                              for t, (w, r) in enumerate(zip(jitter_w.tolist(),
-                                                             jitter_r.tolist())))
+            write_rows(events, f"{i} %d %s\n", trial, names[channel])
+            write_rows(trials, f"{i} %d %.9g %.9g\n", np.arange(len(codes)), jitter_w, jitter_r)
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
+    config = _load_pulsed(args)
     out = _out_dir(args)
     key, _, valspec = args.sweep.partition("=")
     if not _:
@@ -428,7 +436,7 @@ def cmd_calibrate(args) -> int:
     if 2 * n_points < analysis.MIN_CALIBRATION_POINTS:
         raise ConfigError(f"--points {n_points}: the fit needs "
                           f"{analysis.MIN_CALIBRATION_POINTS} sweep points (2 x points)")
-    config = _load(args)
+    config = _load_pulsed(args)
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     scan = [(phi_w, phi_r) for phi_r in (0.0, math.pi / 2.0)
@@ -475,10 +483,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_rate_budget(args) -> int:
-    config = _load(args)
-    if config.kind is ExperimentKind.THERMAL_G2_TAU:
-        raise ConfigError("rate-budget needs a pulsed experiment kind; "
-                          f"{config.kind.value} has no pulses")
+    config = _load_pulsed(args)
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     budget = protocol.rate_budget(config)

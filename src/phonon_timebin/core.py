@@ -19,6 +19,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,6 +50,18 @@ def yaml_load(text: str):
 def yaml_dump(data) -> str:
     """Block-style YAML with the keys in insertion order."""
     return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=False)
+
+
+#: rows per ``%`` format in ``write_rows``, which bounds its temporaries
+WRITE_BLOCK_LINES = 1024
+
+
+def write_rows(fh, line: str, *columns: np.ndarray) -> None:
+    """Write ``line % row`` for each row of the equal-length array columns,
+    one ``%`` format per block of WRITE_BLOCK_LINES rows."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK_LINES):
+        block = [column[start:start + WRITE_BLOCK_LINES].tolist() for column in columns]
+        fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 class ConfigError(ValueError):

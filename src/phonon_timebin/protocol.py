@@ -42,7 +42,8 @@ build the write stage at relative phase 0 and the read stage up to its
 interferometer once per config (``_prefix``), then run only the read
 interferometer, Phi on its late arm, and the click read-out.  The open
 interferometer of the cross-correlation kind applies no phase: its clicks
-see none.
+see none, so its prefix holds the finished, detected distribution, and no
+click transform keeps a memo of its own.
 """
 
 from __future__ import annotations
@@ -137,22 +138,8 @@ class _GaussianCircuit(_Circuit):
     def __init__(self):
         super().__init__(gaussian, gaussian.CovarianceState(()))
 
-    #: (input key, probabilities) of the last successful click transform,
-    #: replaced whole and never written into: a bit-identical final state
-    #: (every jitter key of the open-arm cross-correlation run) reuses it
-    #: instead of redoing the 2**n vacuum subsets
-    _memo = (None, None)
-
     def click_distribution(self, detector_map, efficiency):
-        st = self.state
-        key = (st.modes, st.sigma.shape, st.sigma.tobytes(),
-               tuple((ch, tuple(modes)) for ch, modes in detector_map.items()),
-               tuple(efficiency.items()) if isinstance(efficiency, Mapping) else efficiency)
-        cached_key, probs = _GaussianCircuit._memo
-        if cached_key != key:
-            probs = gaussian.click_probabilities(st, detector_map, efficiency).probabilities
-            _GaussianCircuit._memo = (key, probs)
-        return OutcomeDistribution(tuple(detector_map), probs.copy())
+        return gaussian.click_probabilities(self.state, detector_map, efficiency)
 
 
 class _FockCircuit(_Circuit):
@@ -314,26 +301,15 @@ def exact_joint_distribution(
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
     Either engine runs only the read interferometer, at the one relative
     phase Phi (module docstring), on ``_prefix(config)``, then the click
-    read-out; the open interferometer takes no phase, so one element serves
-    the whole batch."""
-    noise = config.noise
+    read-out; the open interferometer takes no phase, so its prefix is the
+    finished distribution, tiled to Phi's shape."""
     phi = np.add(phi_w, phi_r) - 2.0 * config.phases.phi_off - np.add(jitter_w, jitter_r)
-    shape, open_arms = np.shape(phi), config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION
-    if open_arms:
-        phi = 0.0
-    if config.engine.name == "fock":
-        dist = _fock_joint_distribution(config, phi)
-    else:
-        circuit = _GaussianCircuit()
-        circuit.state, w_groups = _prefix(config)
-        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi)}
-        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
-        dist = circuit.click_distribution(ordered, _efficiency_map(ordered, noise))
-    dist = detect(dist, noise)
-    if open_arms:
-        dist = OutcomeDistribution(dist.labels, np.tile(dist.probabilities, shape + (1,)),
-                                   dist.truncation)
-    return dist
+    prefix = _prefix(config)
+    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+        return OutcomeDistribution(prefix.labels,
+                                   np.tile(prefix.probabilities, np.shape(phi) + (1,)),
+                                   prefix.truncation)
+    return _read_out(config, prefix, phi)
 
 
 #: (key, prefix) of the last config, replaced whole; its arrays are read-only
@@ -347,7 +323,10 @@ def _prefix(config: ExperimentConfig):
     weight, |renorm deficit|)) -- per heralded write pattern its (code,
     probability, read prefix traced to o_rE and o_rL, which nothing after
     the readout splitters touches), and the maxima over every state built,
-    each prefix before its trace included.  Keeps at most six live modes."""
+    each prefix before its trace included.  No phase reaches the clicks of
+    the cross-correlation kind's open interferometer, so its prefix is the
+    whole read-out: the detected distribution.  Keeps at most six live
+    modes."""
     global _prefix_memo
     key = (config, THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP)
     if _prefix_memo[0] == key:
@@ -376,19 +355,36 @@ def _prefix(config: ExperimentConfig):
                 array.flags.writeable = False
             branches.append((w_code, w_prob, traced))
         prefix = (branches, (weight, deficit))
+    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+        prefix = _read_out(config, prefix, 0.0)
+        prefix.probabilities.flags.writeable = False
     _prefix_memo = (key, prefix)
     return prefix
 
 
-def _fock_joint_distribution(config, phi) -> OutcomeDistribution:
-    """The Fock read passes: per heralded branch of ``_prefix(config)``, the
-    read interferometer and the click read-out of each relative phase, on
-    blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries) elements, each
-    one block-diagonal Fock batch of four modes."""
+def _read_out(config, prefix, phi) -> OutcomeDistribution:
+    """The read interferometer at each relative phase phi, the click
+    read-out and detection, on a phase-free prefix of either engine."""
+    if config.engine.name == "fock":
+        dist = _fock_joint_distribution(config, prefix, phi)
+    else:
+        circuit = _GaussianCircuit()
+        circuit.state, w_groups = prefix
+        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi)}
+        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
+        dist = circuit.click_distribution(ordered, _efficiency_map(ordered, config.noise))
+    return detect(dist, config.noise)
+
+
+def _fock_joint_distribution(config, prefix, phi) -> OutcomeDistribution:
+    """The Fock read passes: per heralded branch of a (branches, figures)
+    prefix, the read interferometer and the click read-out of each relative
+    phase, on blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries)
+    elements, each one block-diagonal Fock batch of four modes."""
     noise = config.noise
     shape, phi = np.shape(phi), np.ravel(phi)
     # running maxima from the prefix's, so no block's state outlives its read-out
-    branches, (weight, deficit) = _prefix(config)
+    branches, (weight, deficit) = prefix
     labels = _analysis_channels(config.kind)
     r_channels = [ch for ch in labels if ch.startswith("read")]
     # per element, rows: write pattern codes, columns: read pattern codes;
@@ -396,10 +392,10 @@ def _fock_joint_distribution(config, phi) -> OutcomeDistribution:
     # last two axes is the joint code
     joint = np.zeros((phi.size, 1 << (len(labels) - len(r_channels)), 1 << len(r_channels)))
     read = _FockCircuit(config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP)
-    for w_code, w_prob, prefix in branches:
-        size = max(1, FOCK_BATCH_ENTRIES // prefix.rho.nnz)
+    for w_code, w_prob, traced in branches:
+        size = max(1, FOCK_BATCH_ENTRIES // traced.rho.nnz)
         for block in (slice(start, start + size) for start in range(0, phi.size, size)):
-            read.state = read.engine.tile(prefix, len(phi[block]))
+            read.state = read.engine.tile(traced, len(phi[block]))
             r_groups = _stage_interferometer(read, config, "read", phi[block])
             r_map = {ch: r_groups[ch] for ch in r_channels}
             r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
@@ -568,13 +564,14 @@ def _sample_records(config, phi_w, phi_r, setting_idx, n_trials):
     keys = (np.round((jw + jr) / (8.0 * scale) * q) / q * 8.0 * scale + 0.0 if scale > 0
             else np.zeros(n_trials))
     keys, key_idx = np.unique(keys, return_inverse=True)
+    # each key's trials in trial order: one stable sort, then a slice per key
+    trials = np.split(key_idx.argsort(kind="stable"), np.bincount(key_idx).cumsum()[:-1])
     codes = np.empty(n_trials, dtype=np.int64)
-    for k, key in enumerate(keys.tolist()):
+    for key, mine in zip(keys.tolist(), trials):
         dist = exact_joint_distribution(config, phi_w, phi_r, jitter_w=key)
         p = np.clip(dist.probabilities, 0, None)
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]
-        mine = key_idx == k
         codes[mine] = cdf.searchsorted(u[mine], side="right")
     return (codes, jw, jr), len(keys)
 

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import write_rows
+
 
 class WaveguideError(ValueError):
     pass
@@ -204,4 +206,9 @@ def load_spectrum(path: str | Path, gamma: float = 0.0) -> ModeSpectrum:
 
 def save_curve(path: str | Path, x: Sequence[float], y: Sequence[float],
                header: str = "") -> None:
-    np.savetxt(path, np.column_stack([x, y]), header=header)
+    """Two ``%.18e`` columns after a ``# `` header, the bytes of
+    ``np.savetxt(path, np.column_stack([x, y]), header=header)``."""
+    with open(path, "w") as fh:
+        if header:
+            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        write_rows(fh, "%.18e %.18e\n", *np.column_stack([x, y]).T)

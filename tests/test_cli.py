@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,6 +240,43 @@ class TestSimulate:
             np.testing.assert_allclose(mine[:, 2:], np.column_stack([jitter_w, jitter_r]),
                                        rtol=5e-9, atol=0.0)
 
+    @pytest.mark.parametrize("lines", [1, core.WRITE_BLOCK_LINES - 1, core.WRITE_BLOCK_LINES,
+                                       core.WRITE_BLOCK_LINES + 1,
+                                       2 * core.WRITE_BLOCK_LINES + 1])
+    def test_record_files_match_the_per_line_writer(self, tmp_path, lines):
+        # three settings of lines, one and lines trials; the first setting's
+        # codes click once per trial, so its events.txt lines meet the block
+        # edges too, and the jitters include values whose format is special
+        rng = np.random.default_rng(lines)
+        labels = protocol.ENTANGLEMENT_CHANNELS
+        special = [0.0, -0.0, 1e-300, -2.5e-7, 1.5e16, -123456789.123, 0.1, math.pi]
+        settings = []
+        for n in (lines, 1, lines):
+            codes = (1 << rng.integers(0, len(labels), n) if not settings
+                     else rng.integers(0, 1 << len(labels), n))
+            jitter = rng.normal(0.0, 0.3, (2, n))
+            jitter.flat[:len(special)] = special[:jitter.size]
+            settings.append(protocol.SettingResult(
+                0.0, 0.0, core.OutcomeDistribution(labels, np.full(16, 1 / 16)),
+                records=(codes.astype(np.int64), *jitter)))
+        run = protocol.ExperimentResult(settings)
+        cli._write_records(tmp_path, SimpleNamespace(add=lambda path: path), run)
+
+        # the per-line writer the block writer replaced
+        events = ["# setting trial window detector\n"]
+        trials = ["# setting trial jitter_w_rad jitter_r_rad\n"]
+        for i, sr in enumerate(run.settings):
+            codes, jitter_w, jitter_r = sr.records
+            names = [" ".join(ch.rsplit(":", 1)) for ch in labels]
+            bits = 1 << np.arange(len(labels) - 1, -1, -1)
+            trial, channel = np.nonzero(codes[:, None] & bits)
+            events += [f"{i} {t} {names[c]}\n" for t, c in zip(trial.tolist(), channel.tolist())]
+            trials += [f"{i} {t} {w:.9g} {r:.9g}\n"
+                       for t, (w, r) in enumerate(zip(jitter_w.tolist(), jitter_r.tolist()))]
+        assert len(events) > lines and len(trials) == 2 * lines + 2
+        assert (tmp_path / "events.txt").read_text() == "".join(events)
+        assert (tmp_path / "trials.txt").read_text() == "".join(trials)
+
     def test_manifest_records_in_process_argv(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "mf"
@@ -454,6 +492,12 @@ class TestOther:
         *[(["simulate", "--config", str(CONFIGS / "timebin_entanglement.yaml"),
             "--override", f"extra.witness_g2={value}"], "extra.witness_g2")
           for value in ("5", "[a,b]", "[1.2]", "[0, 5]")],
+        # the thermal g2 kind has no pulses to sweep or calibrate
+        (["sweep", "--config", str(CONFIGS / "thermal_g2.yaml"),
+          "--sweep", "pulses.energy=1e-14"], "sweep"),
+        (["sweep", "--config", str(CONFIGS / "thermal_g2.yaml"),
+          "--sweep", "phases.phi_w=0:1:3"], "sweep"),
+        (["calibrate", "--config", str(CONFIGS / "thermal_g2.yaml")], "calibrate"),
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

@@ -348,7 +348,7 @@ def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
     """Gaussian circuits, one per element of the broadcast arguments, with
     each stage at its own relative phase: the write stage at phi_w - phi_off
     - jitter_w, then the whole read stage at phi_r - phi_off - jitter_r,
-    without the shared prefix or the click memo."""
+    without the shared prefix."""
     off = config.phases.phi_off
     args = np.broadcast_arrays(phi_w, phi_r, jitter_w, jitter_r)
     rows = []

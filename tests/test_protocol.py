@@ -383,7 +383,7 @@ def reference_records(config, phi_w, phi_r, setting_idx, n_trials):
     ``sample_phase_jitter``, then every trial's pattern through
     ``Generator.choice``, with a dict cache of distributions.  Returns the
     records as (codes, jitter_w, jitter_r) arrays and the cache.  Each
-    distribution is computed fresh (the click memo emptied first), so a
+    distribution is computed fresh (the prefix memo emptied first), so a
     fault in the memo's key cannot reach both sides."""
     noise = config.noise
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -403,7 +403,7 @@ def reference_records(config, phi_w, phi_r, setting_idx, n_trials):
             key = 0.0
         dist = cache.get(key)
         if dist is None:
-            protocol._GaussianCircuit._memo = (None, None)
+            protocol._prefix_memo = (None, None)
             dist = protocol.exact_joint_distribution(config, phi_w, phi_r, jitter_w=key)
             cache[key] = dist
         pvec = np.clip(dist.probabilities, 0, None)
@@ -514,11 +514,40 @@ def final_circuit(config, phi_w, phi_r, jitter_w):
     return circuit, ordered, protocol._efficiency_map(ordered, config.noise)
 
 
+def open_arm_records(monkeypatch, engine, passes):
+    """A cross-correlation record run with many jitter keys makes one read
+    pass, one entry of ``passes`` each, and its records equal, bit for bit,
+    a run that empties the prefix memo before each key's distribution."""
+    cfg = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION, p_w=0.04, p_r=0.04,
+                      noise=noisy(math.pi / 7, math.pi / 20), seed=20220812,
+                      engine=EngineSpec(engine, truncation=2, total_cap=4))
+    got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
+    assert n_keys > 1
+    assert len(passes) == 1
+    exact = protocol.exact_joint_distribution
+
+    def fresh(*args, **kwargs):
+        protocol._prefix_memo = (None, None)
+        return exact(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "exact_joint_distribution", fresh)
+        want, want_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
+    assert want_keys == n_keys
+    assert len(passes) == 1 + n_keys
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestClickMemo:
+    """The click read-out keeps no memo of its own: the open arms' prefix
+    holds their finished distribution, and every other read-out makes its
+    own click transform."""
+
     @pytest.fixture
     def engine_calls(self, monkeypatch):
-        """Start from an empty memo and count the engine's click transforms."""
-        monkeypatch.setattr(protocol._GaussianCircuit, "_memo", (None, None))
+        """Start from an empty prefix memo and count the engine's click
+        transforms."""
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
         calls = []
         transform = gaussian.click_probabilities
 
@@ -531,34 +560,17 @@ class TestClickMemo:
         return calls
 
     def test_open_arm_records_take_one_transform(self, engine_calls, monkeypatch):
-        cfg = make_config(kind=ExperimentKind.DOUBLE_CROSS_CORRELATION, p_w=0.04, p_r=0.04,
-                          noise=noisy(math.pi / 7, math.pi / 20), seed=20220812)
-        got, n_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
-        assert n_keys > 1
-        assert len(engine_calls) == 1
-
-        cached = protocol._GaussianCircuit.click_distribution
-
-        def uncached(circuit, *args):
-            protocol._GaussianCircuit._memo = (None, None)
-            return cached(circuit, *args)
-
-        monkeypatch.setattr(protocol._GaussianCircuit, "click_distribution", uncached)
-        want, want_keys = protocol._sample_records(cfg, 0.9, 0.4, 2, 120)
-        assert len(engine_calls) == 1 + n_keys
-        assert n_keys == want_keys
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        open_arm_records(monkeypatch, "gaussian", engine_calls)
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_a_hit_is_a_fresh_copy(self, engine_calls, batch):
-        cfg = make_config(noise=noisy(math.pi / 7, 0.0))
+        cfg = engine_config("cross_correlation", "gaussian")
         phi_r = np.array([0.3, 1.1]) if batch else 0.3
-        circuit, ordered, eff = final_circuit(cfg, 0.0, phi_r, 0.0)
-        first = circuit.click_distribution(ordered, eff)
+        first = protocol.exact_joint_distribution(cfg, 0.0, phi_r)
         want = first.probabilities.copy()
-        assert want.shape == ((2, 16) if batch else (16,))
+        assert want.shape == ((2, 256) if batch else (256,))
         first.probabilities[...] = 0.0
-        again = circuit.click_distribution(ordered, eff)
+        again = protocol.exact_joint_distribution(cfg, 0.0, phi_r, 0.4)
         assert len(engine_calls) == 1
         assert np.array_equal(again.probabilities, want)
 
@@ -619,6 +631,8 @@ class TestPrefix:
     def memo_arrays():
         """Every array the memoised prefix holds."""
         prefix = protocol._prefix_memo[1]
+        if isinstance(prefix, OutcomeDistribution):
+            return [prefix.probabilities]
         if isinstance(prefix[0], gaussian.CovarianceState):
             return [prefix[0].sigma]
         return [a for _, _, state in prefix[0]
@@ -639,6 +653,14 @@ class TestPrefix:
         _, n_keys = protocol._sample_records(cfg, 0.3, 0.1, 0, 100)
         assert n_keys > 1
         assert builds == [cfg]
+
+    def test_a_fock_open_arm_record_run_makes_one_read_pass(self, builds, monkeypatch):
+        passes = []
+        read = protocol._fock_joint_distribution
+        monkeypatch.setattr(protocol, "_fock_joint_distribution",
+                            lambda *args: passes.append(args) or read(*args))
+        open_arm_records(monkeypatch, "fock", passes)
+        assert len(builds) == len(passes)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
@@ -804,6 +826,8 @@ class TestFockScan:
             return stage(circuit, config, which, phi)
 
         monkeypatch.setattr(protocol, "_stage_interferometer", spy)
+        # from an empty memo: the open arms' read stage runs in the prefix build
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
         protocol.exact_joint_distribution(fock_config(name), np.zeros(3), 0.0)
         reads = [m for which, m in modes if which == "read"]
         assert reads and set(reads) == {("o_rE", "o_rL")}

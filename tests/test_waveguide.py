@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phonon_timebin import core
 from phonon_timebin import waveguide as W
 
 
@@ -140,3 +141,15 @@ class TestIO:
         W.save_curve(path, [0.0, 1.0], [2.0, 1.0], header="dt g2")
         data = np.loadtxt(path)
         assert data.shape == (2, 2)
+
+
+@pytest.mark.parametrize("lines", [1, core.WRITE_BLOCK_LINES - 1, core.WRITE_BLOCK_LINES,
+                                   core.WRITE_BLOCK_LINES + 1, 2 * core.WRITE_BLOCK_LINES + 1])
+@pytest.mark.parametrize("header", ["delay_s g2", "", "two\nlines"])
+def test_save_curve_writes_the_bytes_of_savetxt(tmp_path, lines, header):
+    delays = np.arange(lines) * 0.5e-9
+    curve = W.g2_tau_curve(W.synthetic_spectrum(12, 7.94e6), delays)
+    curve[:3] = [-0.0, 1e-300, 2.0][:lines]
+    W.save_curve(tmp_path / "got.txt", delays, curve, header=header)
+    np.savetxt(tmp_path / "want.txt", np.column_stack([delays, curve]), header=header)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
