@@ -378,14 +378,21 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep variable {key!r}")
     if key == "phases.phi_r" and args.dual_phi_r:
         raise ConfigError("--dual-phi-r fixes phi_r, so it cannot go with a phases.phi_r sweep")
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text.strip()} is not finite")
+        return value
+
     try:
         if ":" in valspec:
             start, stop, n = valspec.split(":")
-            values = np.linspace(float(start), float(stop), int(n))
+            values = np.linspace(finite(start), finite(stop), int(n))
         else:
-            values = np.array([float(v) for v in valspec.split(",") if v.strip()])
+            values = np.array([finite(v) for v in valspec.split(",") if v.strip()])
     except ValueError as exc:
-        raise ConfigError(f"bad sweep values {valspec!r}: {exc}") from exc
+        raise ConfigError(f"{key}: bad sweep values {valspec!r}: {exc}") from exc
     if len(values) == 0:
         raise ConfigError("empty sweep list")
     manifest = _Manifest(out, config, args)

@@ -534,6 +534,14 @@ def _angles_out(value: float) -> float:
     return value / math.pi
 
 
+def _phase_in(value, key: str) -> float:
+    """A phase field in radians; NaN or an infinity is a ConfigError."""
+    phase = _angles_in(float(value))
+    if not math.isfinite(phase):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return phase
+
+
 def _as_pair(value, key: str) -> tuple[float, float]:
     if isinstance(value, (int, float)):
         return (float(value), float(value))
@@ -645,19 +653,20 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     phi_r = ph.get("phi_r", 0.0)
     if "settings" in ph:
         scan = "phases.settings"
-        sweep = tuple((_angles_in(float(w)), _angles_in(float(r))) for w, r in ph["settings"])
+        sweep = tuple((_phase_in(w, scan), _phase_in(r, scan)) for w, r in ph["settings"])
     elif isinstance(phi_w, (list, tuple)):
         scan = "phases.phi_w and phases.phi_r"
         rs = phi_r if isinstance(phi_r, (list, tuple)) else [phi_r]
-        sweep = tuple((_angles_in(float(w)), _angles_in(float(r))) for r in rs for w in phi_w)
+        sweep = tuple((_phase_in(w, "phases.phi_w"), _phase_in(r, "phases.phi_r"))
+                      for r in rs for w in phi_w)
     if sweep is not None:
         if not sweep:
             raise ConfigError(f"{scan}: a phase scan needs at least one setting")
         phi_w, phi_r = sweep[0][0] / math.pi, sweep[0][1] / math.pi
     phases = PhaseSettings(
-        phi_w=_angles_in(float(phi_w)),
-        phi_r=_angles_in(float(phi_r)),
-        phi_off=_angles_in(float(ph.get("phi_off", 0.0))),
+        phi_w=_phase_in(phi_w, "phases.phi_w"),
+        phi_r=_phase_in(phi_r, "phases.phi_r"),
+        phi_off=_phase_in(ph.get("phi_off", 0.0), "phases.phi_off"),
     )
 
     nz = dict(raw["noise"])

@@ -178,14 +178,18 @@ def apply_thermal_loss(state: CovarianceState, mode: str, survival: float,
         raise GaussianEngineError("survival must be in [0, 1]")
     if n_env < 0:
         raise GaussianEngineError("n_env must be >= 0")
-    k = 2 * state.mode_index(mode)
-    eta = math.sqrt(survival)
     sigma = state.sigma.copy()
+    _thermal_loss_in_place(sigma, 2 * state.mode_index(mode), survival, n_env)
+    return CovarianceState(state.modes, sigma)
+
+
+def _thermal_loss_in_place(sigma: np.ndarray, k: int, survival: float, n_env: float) -> None:
+    """The thermal loss on the mode whose quadratures start at row k."""
+    eta = math.sqrt(survival)
     sigma[..., k:k + 2, :] *= eta
     sigma[..., :, k:k + 2] *= eta
     sigma[..., k, k] += (1.0 - survival) * (n_env + 0.5)
     sigma[..., k + 1, k + 1] += (1.0 - survival) * (n_env + 0.5)
-    return CovarianceState(state.modes, sigma)
 
 
 def apply_loss(state: CovarianceState, mode: str, survival: float) -> CovarianceState:
@@ -202,15 +206,47 @@ def vacuum_probability(state: CovarianceState, labels: Sequence[str]):
     batch = state.sigma.shape[:-2]
     if not labels:
         return np.ones(batch) if batch else 1.0
-    sel = _quadratures(state, labels)
-    red = state.sigma[..., sel, :][..., :, sel]
+    sel = np.array(_quadratures(state, labels))
+    red = state.sigma[..., sel[:, None], sel]
+    diag = np.arange(len(sel))
+    red[..., diag, diag] += 0.5
     try:
-        chol = np.linalg.cholesky(red + 0.5 * np.eye(len(sel)))
+        chol = np.linalg.cholesky(red)
     except np.linalg.LinAlgError:
         raise GaussianEngineError(
             "non-positive-definite sigma + I/2: invalid state") from None
-    p0 = 1.0 / np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+    p0 = 1.0 / np.prod(chol[..., diag, diag], axis=-1)
     return p0 if batch else float(p0)
+
+
+def detected_modes(
+    state: CovarianceState,
+    detector_map: Mapping[str, Sequence[str]],
+    efficiency: Mapping[str, float] | float | None = None,
+) -> CovarianceState:
+    """The block of ``state`` over the modes of ``detector_map``, in order,
+    with each detector's efficiency applied in place as
+    ``apply_thermal_loss`` would apply it.  A detector that an efficiency
+    mapping leaves out has efficiency 1; a key of it that names no detector
+    raises."""
+    if isinstance(efficiency, Mapping):
+        unknown = [det for det in efficiency if det not in detector_map]
+        if unknown:
+            raise GaussianEngineError(
+                f"efficiency for no detector: {', '.join(map(repr, unknown))}")
+    modes = tuple(dict.fromkeys(m for group in detector_map.values() for m in group))
+    sel = np.array(_quadratures(state, modes), dtype=int)
+    block = CovarianceState(modes, state.sigma[..., sel[:, None], sel])
+    for det, group in detector_map.items():
+        eta = 1.0 if efficiency is None else (
+            efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
+        if not 0.0 <= eta <= 1.0:
+            raise GaussianEngineError(
+                f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
+        if eta < 1.0:
+            for m in group:
+                _thermal_loss_in_place(block.sigma, 2 * block.mode_index(m), eta, 0.0)
+    return block
 
 
 def click_probabilities(
@@ -221,26 +257,11 @@ def click_probabilities(
     """Exact threshold-click pattern probabilities from the vacuum
     probabilities of all 2**n detector subsets, combined by a superset
     Moebius transform in O(n 2**n) (exponential in detector count, which is
-    small).  A pattern total below -NEGATIVE_MASS_TOL raises; round-off
-    above it is zeroed.  A batched state gives one (B, 2**n) distribution,
-    a row per element, and any invalid element raises.  A detector that an
-    efficiency mapping leaves out has efficiency 1; a key of it that names
-    no detector raises."""
-    if isinstance(efficiency, Mapping):
-        unknown = [det for det in efficiency if det not in detector_map]
-        if unknown:
-            raise GaussianEngineError(
-                f"efficiency for no detector: {', '.join(map(repr, unknown))}")
-    work = state
-    for det, modes in detector_map.items():
-        eta = 1.0 if efficiency is None else (
-            efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
-        if not 0.0 <= eta <= 1.0:
-            raise GaussianEngineError(
-                f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
-        if eta < 1.0:
-            for m in modes:
-                work = apply_thermal_loss(work, m, eta, 0.0)
+    small), on the ``detected_modes`` block.  A pattern total below
+    -NEGATIVE_MASS_TOL raises; round-off above it is zeroed.  A batched state
+    gives one (B, 2**n) distribution, a row per element, and any invalid
+    element raises."""
+    work = detected_modes(state, detector_map, efficiency)
     detectors = tuple(detector_map)
     n = len(detectors)
     batch = work.sigma.shape[:-2]

@@ -39,11 +39,12 @@ read photons, so one phase on both read modes acts only on modes that are
 counted or traced: a phase on o_rE is minus that phase on o_rL.  So jitter
 averaging is a 1-D Gauss-Hermite quadrature over j_w + j_r, and both engines
 build the write stage at relative phase 0 and the read stage up to its
-interferometer once per config (``_prefix``), then run only the read
-interferometer, Phi on its late arm, and the click read-out.  The open
-interferometer of the cross-correlation kind applies no phase: its clicks
-see none, so its prefix holds the finished, detected distribution, and no
-click transform keeps a memo of its own.
+interferometer once per config (``_prefix``).  The Fock engine then runs
+only the read interferometer, Phi on its late arm, and the click read-out;
+the Gaussian prefix runs it at five phases, which fix the detected
+covariance at any Phi (``READ_NODES``).  The open interferometer of the cross-correlation kind applies
+no phase: its clicks see none, so its prefix holds the finished, detected
+distribution, and no click transform keeps a memo of its own.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ CROSS_CORRELATION_CHANNELS = (
 GH_NODES = 21
 THERMAL_NOISE_EPSILON = 0.01
 FOCK_PROTOCOL_CAP = 6
+#: the phases of the Gaussian prefix's read interferometer: after its one
+#: rotation all is linear and phase-free, so the detected covariance is a
+#: trigonometric polynomial of degree 2 in Phi, fixed by these five values
+READ_NODES = 2.0 * math.pi * np.arange(5) / 5
 #: stored entries of read-stage prefixes that one Fock read pass tiles: a
 #: pass over a few entries is mostly per-call overhead, which a block of
 #: elements shares, while a prefix of this size or more runs one element
@@ -299,10 +304,11 @@ def exact_joint_distribution(
     phase setting and one jitter sample.  The phases and jitters may be (B,)
     arrays: either engine then gives one (B, 2**n) distribution, and
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
-    Either engine runs only the read interferometer, at the one relative
-    phase Phi (module docstring), on ``_prefix(config)``, then the click
-    read-out; the open interferometer takes no phase, so its prefix is the
-    finished distribution, tiled to Phi's shape."""
+    Either engine reads out the one relative phase Phi (module docstring)
+    from ``_prefix(config)``: the Fock engine runs the read interferometer
+    and the click read-out, the Gaussian engine the interpolant and the
+    click transform.  The open interferometer takes no phase, so its prefix
+    is the finished distribution, tiled to Phi's shape."""
     phi = np.add(phi_w, phi_r) - 2.0 * config.phases.phi_off - np.add(jitter_w, jitter_r)
     prefix = _prefix(config)
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
@@ -319,14 +325,14 @@ _prefix_memo = (None, None)
 def _prefix(config: ExperimentConfig):
     """The phase-free part of the circuit, memoised for the last (config,
     THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP), compared with ``==``: the
-    Gaussian (state, write groups), or the Fock (branches, (truncation
-    weight, |renorm deficit|)) -- per heralded write pattern its (code,
-    probability, read prefix traced to o_rE and o_rL, which nothing after
-    the readout splitters touches), and the maxima over every state built,
-    each prefix before its trace included.  No phase reaches the clicks of
-    the cross-correlation kind's open interferometer, so its prefix is the
-    whole read-out: the detected distribution.  Keeps at most six live
-    modes."""
+    Gaussian (nodes, detector map) -- the detected modes' covariance,
+    efficiencies applied, at each phase of READ_NODES -- or the Fock
+    (branches, (truncation weight, |renorm deficit|)) -- per heralded write
+    pattern its (code, probability, read prefix traced to o_rE and o_rL,
+    which nothing after the readout splitters touches), and the maxima over
+    every state built, each prefix before its trace included.  No phase
+    reaches the clicks of the cross-correlation kind's open interferometer,
+    so its prefix is the whole read-out: the detected distribution."""
     global _prefix_memo
     key = (config, THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP)
     if _prefix_memo[0] == key:
@@ -337,8 +343,12 @@ def _prefix(config: ExperimentConfig):
     w_groups = run_write_stage(circuit, config)
     if engine.name != "fock":
         _read_prefix(circuit, config)
-        circuit.state.sigma.flags.writeable = False
-        prefix = (circuit.state, w_groups)
+        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", READ_NODES)}
+        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
+        nodes = gaussian.detected_modes(circuit.state, ordered,
+                                        _efficiency_map(ordered, config.noise))
+        nodes.sigma.flags.writeable = False
+        prefix = (nodes, ordered)
     else:
         w_map = {ch: w_groups[ch] for ch in _analysis_channels(config.kind)
                  if ch.startswith("write")}
@@ -363,16 +373,22 @@ def _prefix(config: ExperimentConfig):
 
 
 def _read_out(config, prefix, phi) -> OutcomeDistribution:
-    """The read interferometer at each relative phase phi, the click
-    read-out and detection, on a phase-free prefix of either engine."""
+    """The read-out at each relative phase phi from a phase-free prefix of
+    either engine, then detection: the Fock read passes, or the click
+    transform of the interpolant through the Gaussian nodes (no gate)."""
     if config.engine.name == "fock":
         dist = _fock_joint_distribution(config, prefix, phi)
     else:
-        circuit = _GaussianCircuit()
-        circuit.state, w_groups = prefix
-        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", phi)}
-        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
-        dist = circuit.click_distribution(ordered, _efficiency_map(ordered, config.noise))
+        nodes, detectors = prefix
+        sigma = nodes.sigma
+        if sigma.ndim == 3:  # else the open interferometer's one state
+            x = np.subtract.outer(phi, READ_NODES)
+            weights = (1.0 + 2.0 * np.cos(x) + 2.0 * np.cos(2.0 * x)) / len(READ_NODES)
+            # the excess over vacuum, so round-off scales with it, not with 1/2
+            vacuum = 0.5 * np.eye(sigma.shape[-1])
+            sigma = np.tensordot(weights, sigma - vacuum, axes=1) + vacuum
+        dist = gaussian.click_probabilities(gaussian.CovarianceState(nodes.modes, sigma),
+                                            detectors)
     return detect(dist, config.noise)
 
 
@@ -540,8 +556,8 @@ def _sample_records(config, phi_w, phi_r, setting_idx, n_trials):
     one uniform per trial; the normals are scaled afterwards as
     ``normal(0, sigma)`` scales them.  So a trial's jitters do not depend on
     the number of records, and its uniform does.  Pass 2: one exact
-    distribution per distinct quantised jitter sum, each only the read
-    interferometer and the click read-out on the config's shared prefix
+    distribution per distinct quantised jitter sum, each only the read-out
+    of its Phi from the config's shared prefix
     (``_prefix``, on either engine), and each trial's pattern is the bin of
     its uniform in that distribution's CDF -- the very draw
     ``Generator.choice(2**n, p=p)`` makes from the same uniform."""

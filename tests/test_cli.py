@@ -498,6 +498,17 @@ class TestOther:
         (["sweep", "--config", str(CONFIGS / "thermal_g2.yaml"),
           "--sweep", "phases.phi_w=0:1:3"], "sweep"),
         (["calibrate", "--config", str(CONFIGS / "thermal_g2.yaml")], "calibrate"),
+        # a non-finite phase would reach the click read-out as a NaN covariance
+        *[(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+            "--override", f"phases.{key}={value}"], f"phases.{key}")
+          for key in ("phi_w", "phi_r", "phi_off") for value in ("nan", "inf", "-inf")],
+        (["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+          "--override", "phases.settings=[[0.25, 0], [nan, 0.5]]"], "phases.settings"),
+        (["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+          "--override", "phases.phi_w=[0, .inf]"], "phases.phi_w"),
+        *[(["sweep", "--config", str(CONFIGS / "bell_test.yaml"),
+            "--sweep", f"phases.{key}={values}"], f"phases.{key}")
+          for key, values in (("phi_w", "nan,1"), ("phi_r", "0,inf"), ("phi_w", "0:inf:3"))],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

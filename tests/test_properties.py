@@ -1,10 +1,12 @@
 """Property tests of the dense click-distribution vector (the subset
 transform, background folding, one-draw sampling), of the record sampler's
-substream seeding against numpy, of the Gaussian engine's local gate updates
-and batch axis, of the protocol's one relative phase against Gaussian
-circuits with each stage at its own and against a shifted offset, of the
-sparse Fock engine against dense references and its block-diagonal batch
-against each element alone, and of the config dict round trip."""
+substream seeding against numpy, of the Gaussian engine's local gate updates,
+batch axis and block click transform against the per-mode loop, of the
+protocol's one relative phase against Gaussian circuits with each stage at
+its own and against a shifted offset, of its read interpolant against the
+gates, of the sparse Fock engine against dense references and its
+block-diagonal batch against each element alone, and of the config dict
+round trip."""
 
 import dataclasses
 import itertools
@@ -320,6 +322,94 @@ def test_one_invalid_batch_element_raises(case, scale):
         gaussian.click_probabilities(state, {"da": ["a"], "db": ["b"]})
 
 
+def looped_losses(state, detector_map, efficiency=None):
+    """The detected state as the click transform formed it before it took
+    the detected modes' block: each detector's efficiency as
+    ``apply_thermal_loss`` on each of its modes, a copy of the whole state
+    each time."""
+    if isinstance(efficiency, dict):
+        unknown = [det for det in efficiency if det not in detector_map]
+        if unknown:
+            raise gaussian.GaussianEngineError(
+                f"efficiency for no detector: {', '.join(map(repr, unknown))}")
+    for det, modes in detector_map.items():
+        eta = 1.0 if efficiency is None else (
+            efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
+        if not 0.0 <= eta <= 1.0:
+            raise gaussian.GaussianEngineError(
+                f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
+        if eta < 1.0:
+            for m in modes:
+                state = gaussian.apply_thermal_loss(state, m, eta, 0.0)
+    return state
+
+
+def looped_vacuum_probability(state, labels):
+    """P0 from a new sigma_S + 0.5 I, sigma_S taken by two selections."""
+    batch = state.sigma.shape[:-2]
+    if not labels:
+        return np.ones(batch) if batch else 1.0
+    sel = gaussian._quadratures(state, labels)
+    red = state.sigma[..., sel, :][..., :, sel]
+    try:
+        chol = np.linalg.cholesky(red + 0.5 * np.eye(len(sel)))
+    except np.linalg.LinAlgError:
+        raise gaussian.GaussianEngineError(
+            "non-positive-definite sigma + I/2: invalid state") from None
+    p0 = 1.0 / np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+    return p0 if batch else float(p0)
+
+
+def looped_clicks(state, detector_map, efficiency=None):
+    """The click transform on the looped state and vacuum probabilities."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "detected_modes", looped_losses)
+        mp.setattr(gaussian, "vacuum_probability", looped_vacuum_probability)
+        return gaussian.click_probabilities(state, detector_map, efficiency)
+
+
+@FAST
+@given(st.integers(1, 4).flatmap(lambda b: gate_sequences(batch=b)), st.data())
+def test_the_block_click_transform_is_the_looped_one(seq, data):
+    # disjoint detectors of one or two modes each, over some of the modes
+    state = run_gates(*seq)
+    rest = data.draw(st.permutations(seq[0]))
+    detector_map = {}
+    n = data.draw(st.integers(1, min(4, len(rest))))
+    for k in range(n):
+        # two modes only while every later detector still gets one
+        size = data.draw(st.integers(1, 2)) if len(rest) - 2 >= n - k - 1 else 1
+        detector_map[f"d{k}"], rest = rest[:size], rest[size:]
+    etas = data.draw(st.lists(st.floats(0.01, 0.99), min_size=n + 1, max_size=n + 1))
+    # a mapping leaves the detectors of its odd positions at efficiency 1
+    for efficiency in (None, 0, 1, etas[n], dict(list(zip(detector_map, etas))[::2])):
+        got = gaussian.click_probabilities(state, detector_map, efficiency)
+        want = looped_clicks(state, detector_map, efficiency)
+        assert got.labels == want.labels
+        assert np.array_equal(got.probabilities, want.probabilities)
+
+
+@pytest.mark.parametrize("sigma, efficiency", [
+    (-0.6 * np.eye(4), None),
+    (0.3 * np.eye(4), 0.9),
+    (np.stack([0.5 * np.eye(4), -0.6 * np.eye(4)]), {"da": 0.5}),
+    (0.5 * np.eye(4), -0.1),
+    (0.5 * np.eye(4), 1.5),
+    (0.5 * np.eye(4), math.nan),
+    (0.5 * np.eye(4), {"db": 2.0}),
+    (0.5 * np.eye(4), {"da": 0.5, "dc": 0.5}),
+], ids=["cholesky", "negative-mass", "batch-element", "below-0", "above-1", "nan",
+        "mapping", "no-detector"])
+def test_the_block_click_transform_raises_as_the_looped_one(sigma, efficiency):
+    state = gaussian.CovarianceState(["a", "b"], sigma)
+    detectors = {"da": ["a"], "db": ["b"]}
+    with pytest.raises(gaussian.GaussianEngineError) as want:
+        looped_clicks(state, detectors, efficiency)
+    with pytest.raises(gaussian.GaussianEngineError) as got:
+        gaussian.click_probabilities(state, detectors, efficiency)
+    assert str(got.value) == str(want.value)
+
+
 def reference_config(name):
     return load_config(str(files("phonon_timebin") / "configs" / f"{name}.yaml"))
 
@@ -362,6 +452,42 @@ def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
             circuit.state, ordered, protocol._efficiency_map(ordered, config.noise)))
     probs = np.reshape([row.probabilities for row in rows], args[0].shape + (-1,))
     return protocol.detect(OutcomeDistribution(rows[0].labels, probs), config.noise)
+
+
+#: the read prefix as the package defines it, for tests that patch it
+read_prefix = protocol._read_prefix
+
+
+def squeezed_read_prefix(circuit, config):
+    """The read prefix, then a squeezer and a balanced splitter on the read
+    photons: two single-mode squeezed states, so the late read photon's own
+    block is not rotation invariant and its covariance has the second
+    harmonic in Phi that the reference configs lack."""
+    read_prefix(circuit, config)
+    circuit.squeeze("o_rE", "o_rL", 0.05)
+    circuit.beam_splitter("o_rE", "o_rL", 0.5)
+
+
+@pytest.mark.parametrize("overrides, prefix", [
+    ({}, read_prefix),
+    ({"noise.interferometer_visibility": 0.0}, read_prefix),
+    ({}, squeezed_read_prefix),
+], ids=["bell_test", "visibility-0", "squeezed-read-photons"])
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_the_read_interpolant_matches_the_gates(monkeypatch, overrides, prefix, batched):
+    # at the five nodes, between them and far outside one period; with no
+    # offset the read interferometer of the reference runs at Phi itself
+    monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
+    monkeypatch.setattr(protocol, "_read_prefix", prefix)
+    config = with_overrides(reference_config("bell_test"), {"phases.phi_off": 0.0, **overrides})
+    phis = np.concatenate([protocol.READ_NODES, [0.3, 2.9, 40.0, -40.0]])
+    if batched:
+        got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
+    else:
+        got = np.array([protocol.exact_joint_distribution(config, 0.0, float(phi)).probabilities
+                        for phi in phis])
+    want = unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 @st.composite

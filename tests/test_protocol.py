@@ -648,6 +648,24 @@ class TestPrefix:
         assert builds == [cfg]
         assert not any(a.flags.writeable for a in self.memo_arrays())
 
+    def test_a_gaussian_scan_runs_the_read_interferometer_once(self, builds, monkeypatch):
+        # in the prefix, at the interpolant's nodes: no quadrature node runs a gate
+        phases = []
+        stage = protocol._stage_interferometer
+
+        def spy(circuit, config, which, phi):
+            if which == "read":
+                phases.append(phi)
+            return stage(circuit, config, which, phi)
+
+        monkeypatch.setattr(protocol, "_stage_interferometer", spy)
+        cfg = engine_config("bell_test", "gaussian")
+        phi_w, phi_r = (np.array(v) for v in zip(*cfg.phases.chsh_settings()))
+        protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
+        assert builds == [cfg]
+        assert len(phases) == 1
+        assert np.array_equal(phases[0], 2.0 * np.pi * np.arange(5) / 5)
+
     def test_a_fock_record_run_builds_one_prefix(self, builds):
         cfg = engine_config("bell_test", "fock")
         _, n_keys = protocol._sample_records(cfg, 0.3, 0.1, 0, 100)
