@@ -33,6 +33,14 @@ GOLDEN = {
                               {"counts.csv": "b8b53fc0d04417da",
                                "events.txt": "244cdf9cb5ee1e44",
                                "trials.txt": "f14f442705fde05e"}),
+    # the Fock engine's record path: its herald branches, their read passes
+    # and the pattern draw (149 click lines; 500 records per setting)
+    "bell_test_fock_dark_counts": ("bell_test", ["--engine", "fock", "--override",
+                                                 "noise.dark_count_prob=0.02",
+                                                 "--override", "record_trials=500"],
+                                   {"counts.csv": "6ecc6d5127ab27fe",
+                                    "events.txt": "be662256a2284cc4",
+                                    "trials.txt": "6f5de1cd730f8797"}),
 }
 
 
