@@ -212,6 +212,11 @@ class NoiseModel:
     follows sees the previous entry, and the first write sees the ground
     state.  Detector/dark-count figures are assumptions, not measured values,
     and are flagged as such in run manifests.
+
+    Each phase-jitter FWHM is finite and within [0, 1e6] rad.  A few radians
+    already average the fringe away; up to the bound every quadrature phase
+    (under 5 FWHM) keeps 1e-9 rad, while far larger FWHMs round the phases
+    away (about 1e16 rad) and then overflow them (about 1e307 rad).
     """
 
     thermal_schedule: tuple[tuple[PulseRole, float], ...] = (
@@ -240,8 +245,10 @@ class NoiseModel:
             probs.extend(val)
         for v in probs:
             _require(0.0 <= v <= 1.0, "probability/occupancy out of range: %r" % (v,))
-        _require(self.write_phase_jitter_fwhm >= 0, "write_phase_jitter_fwhm must be >= 0")
-        _require(self.read_phase_jitter_fwhm >= 0, "read_phase_jitter_fwhm must be >= 0")
+        for name in ("write_phase_jitter_fwhm", "read_phase_jitter_fwhm"):
+            fwhm = getattr(self, name)
+            _require(0.0 <= fwhm <= 1e6, f"noise.{name} must be finite and in [0, 1e6] rad, "
+                                         f"got {fwhm!r}")
         occ = [v for _, v in self.thermal_schedule]
         for v in occ:
             _require(v >= 0, "probability/occupancy out of range: thermal occupancy %r" % (v,))

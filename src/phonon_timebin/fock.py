@@ -23,8 +23,10 @@ the shift tables tile across the blocks and every gate, phase, channel and
 click read-out acts on all elements in one pass, each exactly as it would
 act on that element alone.  A phase may differ per element; click
 distributions come out as (B, 2**n) and the health figures report the worst
-element.  A batch of one is an ordinary state.  Conditioning and partial
-traces take single states only.
+element.  A batch of one is an ordinary state.  A threshold measurement
+takes one state and returns its click branches as such a batch, which
+partial traces, loss channels of one survival per element and ``tile`` carry
+on, each element alone.
 
 Two-mode unitaries (beam splitter, two-mode squeeze) are built per conserved
 ladder -- a+b for the beam splitter, a-b for the squeezer -- by exponentiating
@@ -262,10 +264,6 @@ class FockState:
         as that element alone would sum it."""
         return values.reshape(self.basis.batch, -1).sum(axis=1)
 
-    def _single(self, what: str) -> None:
-        if self.basis.batch != 1:
-            raise FockEngineError(f"{what} takes one state, not a batch of {self.basis.batch}")
-
     def trace(self) -> float | np.ndarray:
         """The trace; a (B,) array of them for a batch."""
         traces = np.real(self._element_sums(self.rho.diagonal()))
@@ -368,28 +366,29 @@ def add_vacuum_mode(state: FockState, label: str) -> FockState:
 
 
 def tile(state: FockState, batch: int) -> FockState:
-    """``batch`` copies of one state as a block-diagonal batch; a batch of
-    one is the state itself."""
-    state._single("tile")
+    """``batch`` copies of a state, or of a batch of B, as one
+    block-diagonal batch: copy c of element b is element c*B + b.  One copy
+    is the state itself."""
     if batch == 1:
         return state
     rho = state.rho
     shift = rho.dim * np.arange(batch)[:, None]
     blocks = Entries((rho.rows + shift).ravel(), (rho.cols + shift).ravel(),
                      np.tile(rho.vals, batch), batch * rho.dim)
-    return FockState(state.modes, replace(state.basis, batch=batch), blocks)
+    return FockState(state.modes, replace(state.basis, batch=batch * state.basis.batch), blocks)
 
 
 def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
     """Sum the entries whose traced-out occupations agree onto the basis of
-    the kept modes."""
-    state._single("partial_trace")
+    the kept modes, each element of a batch in its own block."""
     keep = list(keep)
     keep_pos = [state.mode_index(m) for m in keep]
     drop_pos = [i for i in range(len(state.modes)) if i not in keep_pos]
-    new_basis = FockBasis(len(keep), state.n_max, state.basis.total_max)
+    batch = state.basis.batch
+    new_basis = FockBasis(len(keep), state.n_max, state.basis.total_max, batch)
     occs = state.basis.occs
-    rem_idx = new_basis.rank(occs[:, keep_pos])
+    rem_idx = new_basis.rank(occs[:, keep_pos]) + np.repeat(
+        np.arange(batch) * (new_basis.dim // batch), len(occs) // batch)
     drop_code = occs[:, drop_pos] @ _radix(len(drop_pos), state.n_max)
     rho = state.rho
     same = drop_code[rho.rows] == drop_code[rho.cols]
@@ -646,27 +645,38 @@ def _thermal_kernels(n_max: int, survival: float, n_env: float) -> dict[int, np.
     return {int(d): k for d, k in zip(shifts.ravel(), kernels)}
 
 
-def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.ndarray]) -> FockState:
+def _apply_shift_kernels(state: FockState, mode: str,
+                         kernels: Sequence[Mapping[int, np.ndarray]]) -> FockState:
+    """The channel of shift kernels W_d on ``mode``: one mapping of them for
+    every element, or one per element of a batch, whose entries each take
+    their own element's weights."""
     m = state.mode_index(mode)
     basis = state.basis
+    n = state.n_max + 1
     occ = basis.occs[:, m]
+    # each basis state's row of its element's kernel in the (B*n, n) stack
+    # of the elements' kernels; its occupation if all share one
+    slot = occ if len(kernels) == 1 else occ + n * np.repeat(
+        np.arange(basis.batch), basis.dim // basis.batch)
     rho = state.rho
     r, c = rho.rows, rho.cols
     rows, cols, vals = [], [], []
     # population weight each source actually transfers; gain transitions whose
     # destination falls outside the capped basis are treated as no-ops below
     applied = np.zeros(basis.dim)
-    for d, W in kernels.items():
+    zero = np.zeros((n, n))
+    for d in sorted(set().union(*kernels)):
+        W = kernels[0][d] if len(kernels) == 1 else np.stack([k.get(d, zero) for k in kernels])
         if not np.any(W):
             continue
         src = basis.shifted(m, d)
         valid = src >= 0
-        applied[src[valid]] += W.diagonal()[occ[valid]]
+        applied[src[valid]] += np.diagonal(W, 0, -2, -1).ravel()[slot[valid]]
         # entry (r, c) moves to the states that shifted(m, d) maps onto r, c
         dest = basis.shifted(m, -d)
         a, b = dest[r], dest[c]
         ok = np.flatnonzero((a >= 0) & (b >= 0))
-        w = W[occ[a[ok]], occ[b[ok]]]
+        w = W.reshape(-1, n)[slot[a[ok]], occ[b[ok]]]
         ok, w = ok[w != 0.0], w[w != 0.0]
         rows.append(a[ok])
         cols.append(b[ok])
@@ -681,20 +691,33 @@ def _apply_shift_kernels(state: FockState, mode: str, kernels: Mapping[int, np.n
                                                  np.concatenate(vals), basis.dim))
 
 
-def apply_loss(state: FockState, mode: str, survival: float) -> FockState:
+def apply_loss(state: FockState, mode: str, survival: float | np.ndarray) -> FockState:
     """Beam splitter to a vacuum ancilla plus trace: the standard CPTP loss."""
     return apply_thermal_loss(state, mode, survival, 0.0)
 
 
-def apply_thermal_loss(state: FockState, mode: str, survival: float, n_env: float) -> FockState:
-    """Attenuation towards a thermal environment with occupation n_env."""
-    if not 0.0 <= survival <= 1.0:
+def apply_thermal_loss(state: FockState, mode: str, survival: float | np.ndarray,
+                       n_env: float | np.ndarray) -> FockState:
+    """Attenuation towards a thermal environment with occupation n_env.
+    Either may be a (B,) array, one value per element of a batch, as
+    ``apply_phase`` takes one phase per element; an element at survival 1
+    comes out exactly as it went in.  Only the protocol's read-stage top-up
+    passes arrays: it reads each herald branch's own conditioned occupation
+    (a known defect; the unconditioned one is the target), so the branches
+    of one batch differ."""
+    survival, n_env = np.ravel(survival).tolist(), np.ravel(n_env).tolist()
+    if len(n_env) == 1:
+        n_env *= len(survival)
+    if len(survival) not in (1, state.basis.batch) or len(n_env) != len(survival):
+        raise FockEngineError(f"{len(survival)} survivals for a batch of {state.basis.batch}")
+    if not all(0.0 <= s <= 1.0 for s in survival):
         raise FockEngineError("survival must be in [0, 1]")
-    if n_env < 0:
+    if any(nt < 0 for nt in n_env):
         raise FockEngineError("n_env must be >= 0")
-    if survival == 1.0:
+    if all(s == 1.0 for s in survival):
         return state.copy()
-    return _apply_shift_kernels(state, mode, _thermal_kernels(state.n_max, survival, n_env))
+    return _apply_shift_kernels(state, mode, [_thermal_kernels(state.n_max, s, nt if s < 1.0 else 0.0)
+                                              for s, nt in zip(survival, n_env)])
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +772,16 @@ def measure_threshold(
     state: FockState,
     detector_map: Mapping[str, Sequence[str]],
     efficiency: Mapping[str, float] | float | None = None,
-) -> list[tuple[int, float, FockState]]:
-    """Threshold-measure the mapped modes and return, per click-pattern code
-    with nonzero probability, that probability and the conditioned state on
-    the remaining modes: the entries whose measured occupations agree
-    between row and column (the others vanish in the trace over the measured
-    modes), each weighted by its pattern's POVM weight, traced over the
-    measured modes."""
-    state._single("measure_threshold")
+) -> tuple[np.ndarray, np.ndarray, FockState]:
+    """Threshold-measure the mapped modes of one state.  Returns the codes
+    of the click patterns with nonzero probability, ascending, their
+    probabilities, and the states they condition on the remaining modes as
+    one batch, element b for code b: the entries whose measured occupations
+    agree between row and column (the others vanish in the trace over the
+    measured modes), each weighted by its pattern's POVM weight, traced over
+    the measured modes, all in one pass."""
+    if state.basis.batch != 1:
+        raise FockEngineError(f"measure_threshold takes one state, not a batch of {state.basis.batch}")
     measured = sorted({m for modes in detector_map.values() for m in modes},
                       key=state.modes.index)
     keep = [m for m in state.modes if m not in measured]
@@ -770,18 +795,20 @@ def measure_threshold(
     weights = _pattern_weights(state, detector_map, efficiency)
     on_diag = r == c
     probs = np.real(data[on_diag]) @ weights[r[on_diag]]
-    reduced = FockBasis(len(keep), state.n_max, state.basis.total_max)
+    codes = np.flatnonzero(probs > 0.0)
+    # dividing by a subnormal probability overflows, and its underflowed
+    # entries are no valid state to rescale anyway
+    tiny = codes[probs[codes] < np.finfo(float).tiny]
+    if tiny.size:
+        raise FockEngineError(f"click pattern {tiny[0]} has subnormal probability "
+                              f"{probs[tiny[0]]:.3g}: its conditioned state underflows")
+    reduced = FockBasis(len(keep), state.n_max, state.basis.total_max, len(codes))
+    size = reduced.dim // len(codes)
     rem = reduced.rank(occs[:, [state.mode_index(m) for m in keep]])
-    branches = []
-    for code in np.flatnonzero(probs > 0.0):
-        # dividing by a subnormal probability overflows, and its underflowed
-        # entries are no valid state to rescale anyway
-        if probs[code] < np.finfo(float).tiny:
-            raise FockEngineError(f"click pattern {code} has subnormal probability "
-                                  f"{probs[code]:.3g}: its conditioned state underflows")
-        w = weights[r, code]
-        sel = np.flatnonzero(w)
-        sums = _summed(rem[r[sel]], rem[c[sel]], w[sel] * data[sel], reduced.dim)
-        branches.append((int(code), float(probs[code]),
-                         FockState(keep, reduced, replace(sums, vals=sums.vals / probs[code]))))
-    return branches
+    # element b keeps, in entry order, the entries that code b weighs
+    element, sel = np.nonzero(weights[:, codes][r].T)
+    sums = _summed(element * size + rem[r[sel]], element * size + rem[c[sel]],
+                   weights[r[sel], codes[element]] * data[sel], reduced.dim)
+    probs = probs[codes]
+    return codes, probs, FockState(keep, reduced,
+                                   replace(sums, vals=sums.vals / probs[sums.rows // size]))

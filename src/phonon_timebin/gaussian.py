@@ -6,7 +6,7 @@ update by its small symplectic matrix.
 
 Conventions: hbar = 1, quadrature ordering (x1, p1, x2, p2, ...), vacuum
 covariance = I/2.  Means are identically zero here -- the vocabulary has no
-displacement -- and that is asserted, which keeps the vacuum-probability
+displacement, so no state stores one -- which keeps the vacuum-probability
 formula P0(S) = 1/sqrt(det(sigma_S + I/2)) displacement-free.
 
 A state may carry a leading batch axis: ``sigma`` of shape (B, 2N, 2N)

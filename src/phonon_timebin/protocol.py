@@ -39,10 +39,13 @@ read photons, so one phase on both read modes acts only on modes that are
 counted or traced: a phase on o_rE is minus that phase on o_rL.  So jitter
 averaging is a 1-D Gauss-Hermite quadrature over j_w + j_r, and both engines
 build the write stage at relative phase 0 and the read stage up to its
-interferometer once per config (``_prefix``).  The Fock engine then runs
-only the read interferometer, Phi on its late arm, and the click read-out;
-the Gaussian prefix runs it at five phases, which fix the detected
-covariance at any Phi (``READ_NODES``).  The open interferometer of the cross-correlation kind applies
+interferometer once per config (``_prefix``).  The Fock prefix measures the
+write photons once and carries the heralded branches as one batch through
+the read prefix and its trace; each read-out then runs the read
+interferometer, Phi on its late arm, and the click read-out once on that
+batch per block of phases.  The Gaussian prefix runs the read
+interferometer at five phases, which fix the detected covariance at any Phi
+(``READ_NODES``).  The open interferometer of the cross-correlation kind applies
 no phase: its clicks see none, so its prefix holds the finished, detected
 distribution, and no click transform keeps a memo of its own.
 """
@@ -87,10 +90,10 @@ FOCK_PROTOCOL_CAP = 6
 #: rotation all is linear and phase-free, so the detected covariance is a
 #: trigonometric polynomial of degree 2 in Phi, fixed by these five values
 READ_NODES = 2.0 * math.pi * np.arange(5) / 5
-#: stored entries of read-stage prefixes that one Fock read pass tiles: a
-#: pass over a few entries is mostly per-call overhead, which a block of
-#: elements shares, while a prefix of this size or more runs one element
-#: per block, so a large state is never held many times over
+#: stored entries of the traced batch of herald branches that one Fock read
+#: pass tiles: a pass over a few entries is mostly per-call overhead, which
+#: a block of phases shares, while a batch of this size or more runs one
+#: phase per block, so a large state is never held many times over
 FOCK_BATCH_ENTRIES = 1 << 10
 
 
@@ -132,8 +135,12 @@ class _Circuit:
     def thermal_noise(self, m, delta_n):
         """Add delta_n of occupancy through a weak thermal loss: survival
         1 - THERMAL_NOISE_EPSILON against an environment at
-        delta_n / THERMAL_NOISE_EPSILON."""
-        self.thermal_loss(m, 1.0 - THERMAL_NOISE_EPSILON, delta_n / THERMAL_NOISE_EPSILON)
+        delta_n / THERMAL_NOISE_EPSILON.  A (B,) delta_n, one per element of
+        a Fock batch, leaves the elements at 0 as they are (survival 1)."""
+        survival = 1.0 - THERMAL_NOISE_EPSILON
+        if np.ndim(delta_n):
+            survival = np.where(delta_n > 0.0, survival, 1.0)
+        self.thermal_loss(m, survival, delta_n / THERMAL_NOISE_EPSILON)
 
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)
@@ -246,21 +253,24 @@ def _stage_interferometer(circuit, config: ExperimentConfig, which: str,
 
 def _read_prefix(circuit, config: ExperimentConfig) -> None:
     """The read stage up to its interferometer: round-trip decay and thermal
-    top-up of the mechanical bins, readout beam splitters, coupling loss."""
+    top-up of the mechanical bins, readout beam splitters, coupling loss.
+    On a Fock batch of herald branches each element reads its own
+    occupation, and only the elements short of their target get a top-up."""
     noise = config.noise
     survival = config.waveguide.round_trip_survival
     for mech, read_role in (("m_E", PulseRole.READ_EARLY), ("m_L", PulseRole.READ_LATE)):
         circuit.loss(mech, survival)
         target = noise.occupancy_seen_by(read_role)
-        occupation = float(circuit.mean_occupation(mech))
+        occupation = circuit.mean_occupation(mech)
         # a NaN would make the top-up test below false, skipping it
-        if not math.isfinite(occupation):
+        if not np.isfinite(occupation).all():
             raise ProtocolError(f"occupancy of {mech} is not finite: {occupation}")
         # the injection channel itself attenuates by (1 - epsilon) before
         # adding delta, so solve for the delta that lands on the target
         delta = target - (1.0 - THERMAL_NOISE_EPSILON) * occupation
-        if delta > 1e-12:
-            circuit.thermal_noise(mech, delta)
+        top = delta > 1e-12
+        if np.any(top):
+            circuit.thermal_noise(mech, np.where(top, delta, 0.0))
     p_rE = config.pulse(PulseRole.READ_EARLY).scattering_probability
     p_rL = config.pulse(PulseRole.READ_LATE).scattering_probability
     circuit.add_mode("o_rE")
@@ -327,10 +337,13 @@ def _prefix(config: ExperimentConfig):
     THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP), compared with ``==``: the
     Gaussian (nodes, detector map) -- the detected modes' covariance,
     efficiencies applied, at each phase of READ_NODES -- or the Fock
-    (branches, (truncation weight, |renorm deficit|)) -- per heralded write
-    pattern its (code, probability, read prefix traced to o_rE and o_rL,
-    which nothing after the readout splitters touches), and the maxima over
-    every state built, each prefix before its trace included.  No phase
+    ((codes, probabilities, read prefixes), (truncation weight, |renorm
+    deficit|)) -- the heralded write patterns' codes and probabilities, and
+    their read prefixes as one batch, element b for code b, traced to o_rE
+    and o_rL, which nothing after the readout splitters touches; and the
+    maxima over every state built, the batch before its trace included.  The
+    write stage is measured once, and the read prefix and the trace run
+    once on the batch.  No phase
     reaches the clicks of the cross-correlation kind's open interferometer,
     so its prefix is the whole read-out: the detected distribution."""
     global _prefix_memo
@@ -352,19 +365,15 @@ def _prefix(config: ExperimentConfig):
     else:
         w_map = {ch: w_groups[ch] for ch in _analysis_channels(config.kind)
                  if ch.startswith("write")}
-        heralds = circuit.measure(w_map, _efficiency_map(w_map, config.noise))
         weight, deficit = circuit.state.truncation_weight(), abs(circuit.state.renorm_deficit)
-        branches = []
-        for w_code, w_prob, mech_state in heralds:
-            circuit.state = mech_state
-            _read_prefix(circuit, config)
-            weight = max(weight, circuit.state.truncation_weight())
-            deficit = max(deficit, abs(circuit.state.renorm_deficit))
-            traced = circuit.engine.partial_trace(circuit.state, ["o_rE", "o_rL"])
-            for array in (traced.rho.rows, traced.rho.cols, traced.rho.vals):
-                array.flags.writeable = False
-            branches.append((w_code, w_prob, traced))
-        prefix = (branches, (weight, deficit))
+        codes, probs, circuit.state = circuit.measure(w_map, _efficiency_map(w_map, config.noise))
+        _read_prefix(circuit, config)
+        weight = max(weight, circuit.state.truncation_weight())
+        deficit = max(deficit, abs(circuit.state.renorm_deficit))
+        traced = circuit.engine.partial_trace(circuit.state, ["o_rE", "o_rL"])
+        for array in (codes, probs, traced.rho.rows, traced.rho.cols, traced.rho.vals):
+            array.flags.writeable = False
+        prefix = ((codes, probs, traced), (weight, deficit))
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         prefix = _read_out(config, prefix, 0.0)
         prefix.probabilities.flags.writeable = False
@@ -393,14 +402,15 @@ def _read_out(config, prefix, phi) -> OutcomeDistribution:
 
 
 def _fock_joint_distribution(config, prefix, phi) -> OutcomeDistribution:
-    """The Fock read passes: per heralded branch of a (branches, figures)
-    prefix, the read interferometer and the click read-out of each relative
-    phase, on blocks of max(1, FOCK_BATCH_ENTRIES // prefix entries)
-    elements, each one block-diagonal Fock batch of four modes."""
+    """The Fock read passes of a ((codes, probabilities, branches),
+    figures) prefix: on blocks of max(1, FOCK_BATCH_ENTRIES // the branch
+    batch's entries) relative phases, one tile of the batch per phase, one
+    read interferometer at each phase repeated per branch and one click
+    read-out, each block one block-diagonal Fock batch of four modes."""
     noise = config.noise
     shape, phi = np.shape(phi), np.ravel(phi)
     # running maxima from the prefix's, so no block's state outlives its read-out
-    branches, (weight, deficit) = prefix
+    (codes, probs, branches), (weight, deficit) = prefix
     labels = _analysis_channels(config.kind)
     r_channels = [ch for ch in labels if ch.startswith("read")]
     # per element, rows: write pattern codes, columns: read pattern codes;
@@ -408,16 +418,17 @@ def _fock_joint_distribution(config, prefix, phi) -> OutcomeDistribution:
     # last two axes is the joint code
     joint = np.zeros((phi.size, 1 << (len(labels) - len(r_channels)), 1 << len(r_channels)))
     read = _FockCircuit(config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP)
-    for w_code, w_prob, traced in branches:
-        size = max(1, FOCK_BATCH_ENTRIES // traced.rho.nnz)
-        for block in (slice(start, start + size) for start in range(0, phi.size, size)):
-            read.state = read.engine.tile(traced, len(phi[block]))
-            r_groups = _stage_interferometer(read, config, "read", phi[block])
-            r_map = {ch: r_groups[ch] for ch in r_channels}
-            r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
-            joint[block, w_code] = w_prob * r_dist.probabilities.reshape(-1, joint.shape[-1])
-            weight = max(weight, read.state.truncation_weight())
-            deficit = max(deficit, abs(read.state.renorm_deficit))
+    size = max(1, FOCK_BATCH_ENTRIES // branches.rho.nnz)
+    for block in (slice(start, start + size) for start in range(0, phi.size, size)):
+        # element c * len(codes) + b: phase c of the block, branch b
+        read.state = read.engine.tile(branches, len(phi[block]))
+        r_groups = _stage_interferometer(read, config, "read", np.repeat(phi[block], len(codes)))
+        r_map = {ch: r_groups[ch] for ch in r_channels}
+        r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
+        joint[block, codes] = probs[:, None] * r_dist.probabilities.reshape(
+            -1, len(codes), joint.shape[-1])
+        weight = max(weight, read.state.truncation_weight())
+        deficit = max(deficit, abs(read.state.renorm_deficit))
     joint = joint.reshape(shape + (-1,))
     return OutcomeDistribution(labels, joint / joint.sum(axis=-1, keepdims=True),
                                (weight, deficit))

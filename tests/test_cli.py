@@ -509,6 +509,11 @@ class TestOther:
         *[(["sweep", "--config", str(CONFIGS / "bell_test.yaml"),
             "--sweep", f"phases.{key}={values}"], f"phases.{key}")
           for key, values in (("phi_w", "nan,1"), ("phi_r", "0,inf"), ("phi_w", "0:inf:3"))],
+        # a FWHM past 1e6 rad rounds the quadrature phases away, then overflows them
+        *[(["simulate", "--config", str(CONFIGS / "bell_test.yaml"), *engine,
+            "--override", f"noise.{key}={value}"], f"noise.{key}")
+          for key in ("write_phase_jitter_fwhm", "read_phase_jitter_fwhm")
+          for value in ("inf", "nan", "1e308", "2e6") for engine in ([], ["--engine", "fock"])],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

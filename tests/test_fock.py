@@ -400,16 +400,15 @@ class TestDetection:
     def test_measure_threshold_branches(self):
         st = F.init_vacuum(["o", "m"], 4)
         st = F.apply_two_mode_squeeze(st, "o", "m", 0.01, 0.0)
-        branches = F.measure_threshold(st, {"d": ["o"]})
-        patterns = {code: (p, red) for code, p, red in branches}
-        assert set(patterns) == {0, 1}
-        p_click, heralded = patterns[1]
-        assert p_click == pytest.approx(0.01, rel=1e-2)
+        codes, probs, heralded = F.measure_threshold(st, {"d": ["o"]})
+        # one batch, element b for code b
+        assert codes.tolist() == [0, 1]
+        assert heralded.basis.batch == 2 and heralded.modes == ("m",)
+        assert probs[1] == pytest.approx(0.01, rel=1e-2)
         # heralding on the Stokes photon leaves (at least) one phonon
-        assert heralded.mean_occupation("m") > 0.99
-        assert heralded.trace() == pytest.approx(1.0, abs=1e-10)
-        total = sum(p for _, p, _ in branches)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        assert heralded.mean_occupation("m")[1] > 0.99
+        assert heralded.trace() == pytest.approx([1.0, 1.0], abs=1e-10)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_subnormal_branch_raises_without_overflow(self):
         # the click branch's probability ~ 2.2e-308 * 0.11 is subnormal, so
@@ -499,12 +498,50 @@ class TestBatch:
 
     @pytest.mark.parametrize("op", [
         lambda st: F.measure_threshold(st, {"d": ["a"]}),
-        lambda st: F.partial_trace(st, ["a"]),
-        lambda st: F.tile(st, 2),
-    ], ids=["measure_threshold", "partial_trace", "tile"])
+    ], ids=["measure_threshold"])
     def test_single_state_operations_reject_a_batch(self, op):
         with pytest.raises(F.FockEngineError, match="batch of 3"):
             op(self.batch())
+
+    @staticmethod
+    def element(state, b):
+        """Element b of a batch as a state of its own, its entries in batch
+        order (a sum of repeated entries runs in that order)."""
+        size = state.basis.dim // state.basis.batch
+        rho = state.rho
+        mine = rho.rows // size == b
+        return F.FockState(state.modes, F.FockBasis(len(state.modes), 3, 6),
+                           F.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
+                                     rho.vals[mine], size))
+
+    @pytest.mark.parametrize("op, copies", [
+        (lambda st: F.partial_trace(st, ["b"]), 1),
+        (lambda st: F.tile(st, 2), 2),
+    ], ids=["partial_trace", "tile"])
+    def test_a_batch_operation_acts_on_each_element_alone(self, op, copies):
+        # three elements that differ, then the operation on the batch and on
+        # each element alone; a tile's copy c of element b is element c*3 + b
+        batch = F.apply_beam_splitter(F.apply_phase(self.batch(), "a", np.array([0.0, 0.4, 2.1])),
+                                      "a", "b", 0.3)
+        got = op(batch)
+        assert got.basis.batch == 3 * copies
+        for b in range(3):
+            single = self.element(batch, b)
+            want = (F.partial_trace(single, ["b"]) if copies == 1 else single).rho.toarray()
+            for c in range(copies):
+                assert np.array_equal(self.element(got, c * 3 + b).rho.toarray(), want)
+
+    def test_a_survival_per_element(self):
+        batch = self.batch()
+        got = F.apply_thermal_loss(batch, "a", np.array([0.5, 1.0, 0.9]), np.array([0.1, 0.3, 0.0]))
+        for b, (survival, n_env) in enumerate([(0.5, 0.1), (1.0, 0.3), (0.9, 0.0)]):
+            want = F.apply_thermal_loss(self.element(batch, b), "a", survival, n_env)
+            assert np.array_equal(self.element(got, b).rho.toarray(), want.rho.toarray())
+        # survival 1 leaves its element exactly as it was
+        assert np.array_equal(self.element(got, 1).rho.toarray(),
+                              self.element(batch, 1).rho.toarray())
+        with pytest.raises(F.FockEngineError, match="2 survivals for a batch of 3"):
+            F.apply_loss(batch, "a", np.array([0.5, 0.9]))
 
     def test_phases_must_match_the_batch(self):
         with pytest.raises(F.FockEngineError, match="2 phases for a batch of 3"):

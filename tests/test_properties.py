@@ -579,6 +579,17 @@ def check_output(out, ref, trace=1.0):
     assert out.trace() == pytest.approx(trace, abs=1e-12)
 
 
+def element(state, b):
+    """Element b of a Fock batch as a state of its own, its entries in batch
+    order (a sum of repeated entries runs in that order)."""
+    size = state.basis.dim // state.basis.batch
+    rho = state.rho
+    mine = rho.rows // size == b
+    return fock.FockState(state.modes, dataclasses.replace(state.basis, batch=1),
+                          fock.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
+                                       rho.vals[mine], size))
+
+
 def shifted_index(basis, occ, mode, delta):
     occ = list(occ)
     occ[mode] += delta
@@ -782,11 +793,11 @@ def test_sparse_measure_threshold_matches_dense(case, data):
         p = np.trace(proj).real
         if p > 0.0:
             expected.append((code, p, dense_partial_trace(state, proj, keep_pos) / p))
-    branches = fock.measure_threshold(state, detector_map, efficiency)
-    assert [b[0] for b in branches] == [e[0] for e in expected]
-    for (_, p, reduced), (_, p_ref, ref) in zip(branches, expected):
-        assert p == pytest.approx(p_ref, abs=1e-12)
-        check_output(reduced, ref)
+    codes, probs, reduced = fock.measure_threshold(state, detector_map, efficiency)
+    assert codes.tolist() == [e[0] for e in expected]
+    for b, (_, p_ref, ref) in enumerate(expected):
+        assert probs[b] == pytest.approx(p_ref, abs=1e-12)
+        check_output(element(reduced, b), ref)
 
 
 def draw_detectors(data, state, max_measured, efficiencies):
@@ -849,15 +860,92 @@ def test_measure_threshold_matches_the_loss_channel_route(case, data):
     probs = np.bincount(codes, weights=np.real(lossy.rho.diagonal()),
                         minlength=1 << len(detector_map))
     rho = dense(lossy)
-    branches = fock.measure_threshold(state, detector_map, efficiency)
-    assert [code for code, _, _ in branches] == np.flatnonzero(probs > 0.0).tolist()
-    for code, p, reduced in branches:
+    got_codes, got_probs, reduced = fock.measure_threshold(state, detector_map, efficiency)
+    assert got_codes.tolist() == np.flatnonzero(probs > 0.0).tolist()
+    assert reduced.modes == tuple(keep)
+    for b, (code, p) in enumerate(zip(got_codes, got_probs)):
         assert abs(p - probs[code]) <= 1e-14
         sel = codes == code
         inside = fock.FockState(state.modes, state.basis, rho * np.outer(sel, sel))
         want = dense(fock.partial_trace(inside, keep)) / probs[code]
-        assert reduced.modes == tuple(keep)
-        assert np.abs(dense(reduced) - want).max() <= 1e-14
+        assert np.abs(dense(element(reduced, b)) - want).max() <= 1e-14
+
+
+def branches_alone(state, detector_map, efficiency):
+    """Every click pattern's probability, and a function building one
+    pattern's conditioned state alone: the entries its weight keeps, summed
+    onto the kept modes, then divided by its probability."""
+    measured = [m for m in state.modes if any(m in ms for ms in detector_map.values())]
+    keep = [m for m in state.modes if m not in measured]
+    occs = state.basis.occs
+    seen = occs[:, [state.modes.index(m) for m in measured]] @ fock._radix(len(measured),
+                                                                           state.n_max)
+    rho = state.rho
+    same = np.flatnonzero(seen[rho.rows] == seen[rho.cols])
+    r, c, data = rho.rows[same], rho.cols[same], rho.vals[same]
+    weights = fock._pattern_weights(state, detector_map, efficiency)
+    probs = np.real(data[r == c]) @ weights[r[r == c]]
+    reduced = fock.FockBasis(len(keep), state.n_max, state.basis.total_max)
+    rem = reduced.rank(occs[:, [state.modes.index(m) for m in keep]])
+
+    def branch(code):
+        w = weights[r, code]
+        sel = np.flatnonzero(w)
+        sums = fock._summed(rem[r[sel]], rem[c[sel]], w[sel] * data[sel], reduced.dim)
+        return fock.FockState(keep, reduced, dataclasses.replace(sums, vals=sums.vals / probs[code]))
+
+    return probs, branch
+
+
+def same_entries(got, want):
+    return all(np.array_equal(x, y) for x, y in zip(canonical(got.rho), canonical(want.rho)))
+
+
+@FAST
+@given(fock_states(), st.data(), st.integers(1, 4))
+def test_fock_batch_operations_are_each_element_alone(case, data, batch):
+    # bit for bit: measure_threshold's batch against each pattern conditioned
+    # alone, and partial_trace, tile and a thermal loss of one survival per
+    # element (some at 1) on a batch whose elements differ against each
+    # element alone
+    state, _ = case
+    efficiencies = st.sampled_from([0.0, 1.0, 2.2e-308]) | st.floats(0.01, 1.0)
+    detector_map, efficiency = draw_detectors(data, state, len(state.modes) - 1, efficiencies)
+    want_probs, branch = branches_alone(state, detector_map, efficiency)
+    subnormal = np.flatnonzero((want_probs > 0.0) & (want_probs < np.finfo(float).tiny))
+    if subnormal.size:
+        with pytest.raises(fock.FockEngineError,
+                           match=f"click pattern {subnormal[0]} has subnormal probability"):
+            fock.measure_threshold(state, detector_map, efficiency)
+    else:
+        codes, probs, branches = fock.measure_threshold(state, detector_map, efficiency)
+        assert codes.tolist() == np.flatnonzero(want_probs > 0.0).tolist()
+        assert np.array_equal(probs, want_probs[codes])
+        for b, code in enumerate(codes):
+            assert same_entries(element(branches, b), branch(code))
+
+    i, j = two_modes(data, state)
+    a, b = state.modes[i], state.modes[j]
+    phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch, max_size=batch)))
+    many = fock.apply_beam_splitter(fock.apply_phase(fock.tile(state, batch), a, phis), a, b, 0.6)
+    keep = data.draw(st.permutations(state.modes))[:data.draw(st.integers(1, len(state.modes)))]
+    survival = np.array(data.draw(st.lists(st.just(1.0) | st.floats(0.0, 0.999),
+                                           min_size=batch, max_size=batch)))
+    n_env = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3]),
+                                        min_size=batch, max_size=batch)))
+    traced = fock.partial_trace(many, keep)
+    tiled = fock.tile(many, 2)
+    lossy = fock.apply_thermal_loss(many, a, survival, n_env)
+    assert (traced.basis.batch, tiled.basis.batch, lossy.basis.batch) == (batch, 2 * batch, batch)
+    for k in range(batch):
+        alone = element(many, k)
+        assert same_entries(element(traced, k), fock.partial_trace(alone, keep))
+        assert same_entries(element(tiled, k), alone)
+        assert same_entries(element(tiled, batch + k), alone)
+        assert same_entries(element(lossy, k), fock.apply_thermal_loss(alone, a, survival[k],
+                                                                       n_env[k]))
+        if survival[k] == 1.0:
+            assert same_entries(element(lossy, k), alone)
 
 
 @FAST

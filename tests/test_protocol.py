@@ -63,6 +63,17 @@ def dense(state):
     return state.rho.toarray()
 
 
+def element(state, b):
+    """Element b of a Fock batch as a state of its own, its entries in batch
+    order."""
+    size = state.basis.dim // state.basis.batch
+    rho = state.rho
+    mine = rho.rows // size == b
+    return fock.FockState(state.modes, dataclasses.replace(state.basis, batch=1),
+                          fock.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
+                                       rho.vals[mine], size))
+
+
 def read_stage(circuit, config, phi=0.0):
     """The whole read stage on an unbatched state: round-trip decay, thermal
     top-up, readout splitters and coupling loss, then the read photons
@@ -99,8 +110,8 @@ class TestWriteStage:
             groups = protocol.run_write_stage(circuit, cfg, 0.0)
             w_map = {ch: groups[ch] for ch in
                      ("write-overlap:1", "write-overlap:2")}
-            branches = circuit.measure(w_map, None)
-            heralded = {code: st for code, p, st in branches}[0b10]
+            codes, _, branches = circuit.measure(w_map, None)
+            heralded = element(branches, codes.tolist().index(0b10))
             i = heralded.basis.index[(1, 0)]
             j = heralded.basis.index[(0, 1)]
             assert abs(dense(heralded)[i, j]) == pytest.approx(v_int / 2.0, abs=2e-3)
@@ -169,8 +180,10 @@ class TestReadStage:
                 + circuit.mean_occupation("o_rL") + circuit.mean_occupation("r:mis2"))
         assert flux == pytest.approx(0.007 * 0.066, rel=1e-9)
 
-    # NumPy 0-d values, as an unbatched state's occupancy is one
-    @pytest.mark.parametrize("occupation", [np.array(v) for v in (math.nan, math.inf, -math.inf)])
+    # NumPy 0-d values, as an unbatched state's occupancy is one; then one
+    # per herald branch of a Fock batch, one of them not finite
+    @pytest.mark.parametrize("occupation", [np.array(v) for v in (math.nan, math.inf, -math.inf)]
+                             + [np.array([0.1, math.nan, 0.2]), np.array([0.1, 0.2, math.inf])])
     def test_occupancy_not_one_finite_value_raises(self, monkeypatch, occupation):
         # a NaN occupancy makes the top-up condition false, so unless caught
         # it would skip the thermal top-up without a word
@@ -635,8 +648,8 @@ class TestPrefix:
             return [prefix.probabilities]
         if isinstance(prefix[0], gaussian.CovarianceState):
             return [prefix[0].sigma]
-        return [a for _, _, state in prefix[0]
-                for a in (state.rho.rows, state.rho.cols, state.rho.vals)]
+        codes, probs, state = prefix[0]
+        return [codes, probs, state.rho.rows, state.rho.cols, state.rho.vals]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_scan_builds_one_prefix(self, builds, engine):
@@ -665,6 +678,27 @@ class TestPrefix:
         assert builds == [cfg]
         assert len(phases) == 1
         assert np.array_equal(phases[0], 2.0 * np.pi * np.arange(5) / 5)
+
+    def test_a_fock_scan_runs_the_read_stage_once_per_block(self, builds, monkeypatch):
+        # the herald branches are one batch: one read prefix on all four, and
+        # one read interferometer for the scan's one block of phases
+        prefixes, reads = [], []
+        read_prefix, stage = protocol._read_prefix, protocol._stage_interferometer
+        monkeypatch.setattr(protocol, "_read_prefix", lambda circuit, config: prefixes.append(
+            circuit.state.basis.batch) or read_prefix(circuit, config))
+
+        def spy(circuit, config, which, phi):
+            if which == "read":
+                reads.append(np.size(phi))
+            return stage(circuit, config, which, phi)
+
+        monkeypatch.setattr(protocol, "_stage_interferometer", spy)
+        cfg, settings = bell_scan()
+        phi_w, phi_r = (np.array(v) for v in zip(*settings))
+        protocol.exact_joint_distribution(cfg, phi_w, phi_r)
+        assert builds == [cfg]
+        assert prefixes == [4]
+        assert reads == [4 * 4]
 
     def test_a_fock_record_run_builds_one_prefix(self, builds):
         cfg = engine_config("bell_test", "fock")
@@ -778,7 +812,7 @@ def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
     """One setting through the staged Fock pipeline with each stage at its
     own relative phase: the write stage at phi_w - phi_off - jitter_w, its
     photons measured, then the whole read stage at phi_r - phi_off -
-    jitter_r on each conditioned mechanical state."""
+    jitter_r on each conditioned mechanical state alone."""
     noise = config.noise
     n_max, cap = config.engine.truncation, config.engine.total_cap or protocol.FOCK_PROTOCOL_CAP
     off = config.phases.phi_off
@@ -788,10 +822,10 @@ def staged_fock_reference(config, phi_w, phi_r, jitter_w, jitter_r):
     w_map = {ch: w_groups[ch] for ch in channels if ch.startswith("write")}
     r_channels = [ch for ch in channels if ch.startswith("read")]
     joint = np.zeros((1 << len(w_map), 1 << len(r_channels)))
-    for w_code, w_prob, mech_state in circuit.measure(
-            w_map, protocol._efficiency_map(w_map, noise)):
+    codes, probs, branches = circuit.measure(w_map, protocol._efficiency_map(w_map, noise))
+    for b, (w_code, w_prob) in enumerate(zip(codes, probs)):
         read = protocol._FockCircuit(n_max, cap)
-        read.state = mech_state
+        read.state = element(branches, b)
         r_groups = read_stage(read, config, phi_r - off - jitter_r)
         r_map = {ch: r_groups[ch] for ch in r_channels}
         joint[w_code] = w_prob * read.click_distribution(
@@ -805,8 +839,9 @@ def fock_config(name):
 
 
 class TestFockScan:
-    """A Fock scan runs the write stage once and the read prefix once per
-    herald; the phases and jitters act through their sums on the read arm."""
+    """A Fock scan runs the write stage once and the read prefix once, on
+    the batch of herald branches; the phases and jitters act through their
+    sums on the read arm."""
 
     @pytest.mark.parametrize("config, settings, jitters", [
         # the CHSH settings without jitter, then one with a write jitter
@@ -865,7 +900,8 @@ def fringe_scan():
 
 class TestFockBlocks:
     """A Fock scan's read stages run in block-diagonal batches of
-    max(1, FOCK_BATCH_ENTRIES // prefix entries) elements."""
+    max(1, FOCK_BATCH_ENTRIES // the branch batch's entries) phases, each
+    phase one tile of every herald branch."""
 
     def blocks(self, monkeypatch, scan, entries=None):
         if entries is not None:
@@ -879,14 +915,14 @@ class TestFockBlocks:
         return protocol.exact_joint_distribution(cfg, phi_w, phi_r), sizes
 
     @pytest.mark.parametrize("scan, sizes", [
-        # traced to the two read photons, the Bell step's prefixes hold tens
-        # of entries and the fringe prefixes a few: each scan in one block
+        # traced to the two read photons, the Bell step's four branches hold
+        # about two hundred entries together and the fringe oracle's three a
+        # dozen: each scan in one block, one tile for all its heralds
         (bell_scan, [4]), (fringe_scan, [25]),
     ], ids=["bell_test", "fringe"])
     def test_blocks_follow_the_prefix_entries(self, monkeypatch, scan, sizes):
         _, got = self.blocks(monkeypatch, scan)
-        heralds = len(got) // len(sizes)
-        assert got == sizes * heralds
+        assert got == sizes
 
     @pytest.mark.parametrize("scan", [bell_scan, fringe_scan], ids=["bell_test", "fringe"])
     @pytest.mark.parametrize("entries", [1, 1 << 30], ids=["per_element", "one_block"])
