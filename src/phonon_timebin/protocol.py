@@ -137,10 +137,8 @@ class _Circuit:
         1 - THERMAL_NOISE_EPSILON against an environment at
         delta_n / THERMAL_NOISE_EPSILON.  A (B,) delta_n, one per element of
         a Fock batch, leaves the elements at 0 as they are (survival 1)."""
-        survival = 1.0 - THERMAL_NOISE_EPSILON
-        if np.ndim(delta_n):
-            survival = np.where(delta_n > 0.0, survival, 1.0)
-        self.thermal_loss(m, survival, delta_n / THERMAL_NOISE_EPSILON)
+        self.thermal_loss(m, np.where(delta_n > 0.0, 1.0 - THERMAL_NOISE_EPSILON, 1.0),
+                          delta_n / THERMAL_NOISE_EPSILON)
 
     def mean_occupation(self, m):
         return self.state.mean_occupation(m)

@@ -531,17 +531,9 @@ class TestBatch:
             for c in range(copies):
                 assert np.array_equal(self.element(got, c * 3 + b).rho.toarray(), want)
 
-    def test_a_survival_per_element(self):
-        batch = self.batch()
-        got = F.apply_thermal_loss(batch, "a", np.array([0.5, 1.0, 0.9]), np.array([0.1, 0.3, 0.0]))
-        for b, (survival, n_env) in enumerate([(0.5, 0.1), (1.0, 0.3), (0.9, 0.0)]):
-            want = F.apply_thermal_loss(self.element(batch, b), "a", survival, n_env)
-            assert np.array_equal(self.element(got, b).rho.toarray(), want.rho.toarray())
-        # survival 1 leaves its element exactly as it was
-        assert np.array_equal(self.element(got, 1).rho.toarray(),
-                              self.element(batch, 1).rho.toarray())
+    def test_survivals_must_match_the_batch(self):
         with pytest.raises(F.FockEngineError, match="2 survivals for a batch of 3"):
-            F.apply_loss(batch, "a", np.array([0.5, 0.9]))
+            F.apply_loss(self.batch(), "a", np.array([0.5, 0.9]))
 
     def test_phases_must_match_the_batch(self):
         with pytest.raises(F.FockEngineError, match="2 phases for a batch of 3"):
