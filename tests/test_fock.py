@@ -510,7 +510,8 @@ class TestBatch:
         size = state.basis.dim // state.basis.batch
         rho = state.rho
         mine = rho.rows // size == b
-        return F.FockState(state.modes, F.FockBasis(len(state.modes), 3, 6),
+        return F.FockState(state.modes, F.FockBasis(state.basis.n_modes, state.n_max,
+                                                    state.basis.total_max),
                            F.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
                                      rho.vals[mine], size))
 
