@@ -367,6 +367,15 @@ def _write_records(out: Path, manifest: _Manifest, run: protocol.ExperimentResul
             write_rows(trials, f"{i} %d %.9g %.9g\n", np.arange(len(codes)), jitter_w, jitter_r)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then one line per row of its values in %.9g, comma
+    separated."""
+    columns = [np.asarray(column) for column in zip(*rows)]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        write_rows(fh, ",".join(["%.9g"] * len(columns)) + "\n", *columns)
+
+
 def cmd_sweep(args) -> int:
     config = _load_pulsed(args)
     out = _out_dir(args)
@@ -415,10 +424,7 @@ def cmd_sweep(args) -> int:
     rows = [(w, r, e.value, e.sigma, table.total_coincidences)
             for (w, r), (e, table) in zip(scan, results)]
     path = manifest.add(out / "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("phi_w_rad,phi_r_rad,E,sigma_E,coincidences\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+    _write_csv(path, "phi_w_rad,phi_r_rad,E,sigma_E,coincidences", rows)
     manifest.write()
     print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
@@ -452,10 +458,7 @@ def cmd_calibrate(args) -> int:
             for (phi_w, phi_r), (e, _) in zip(scan, settings_E(config, scan, manifest=manifest))]
     points = [analysis.SweepPoint(*row) for row in rows]
     sweep_path = manifest.add(out / "calibration_sweep.csv")
-    with open(sweep_path, "w") as fh:
-        fh.write("phi_w_rad,phi_r_rad,E,sigma_E\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+    _write_csv(sweep_path, "phi_w_rad,phi_r_rad,E,sigma_E", rows)
     cal = analysis.fit_sinusoid_and_choose_phases(points)
     settings_path = manifest.add(out / "chsh_settings.yaml")
     payload = {

@@ -216,7 +216,10 @@ class NoiseModel:
     Each phase-jitter FWHM is finite and within [0, 1e6] rad.  A few radians
     already average the fringe away; up to the bound every quadrature phase
     (under 5 FWHM) keeps 1e-9 rad, while far larger FWHMs round the phases
-    away (about 1e16 rad) and then overflow them (about 1e307 rad).
+    away (about 1e16 rad) and then overflow them (about 1e307 rad).  The
+    bound does not keep the jitter average exact: the 21-node Gauss-Hermite
+    rule's error on the fringe's damping e^{-sigma^2/2} is 3e-16 at a summed
+    jitter sigma of 2.5 rad, 4.4e-13 at 3, 1.4e-8 at 4 and 0.46 at 8.
     """
 
     thermal_schedule: tuple[tuple[PulseRole, float], ...] = (

@@ -160,10 +160,8 @@ def extract_round_trip(delays: Sequence[float], g2: Sequence[float],
     fwhm = 2.0 * half_width
 
     # first local maximum after the curve has left the central peak
-    outside = np.flatnonzero(excess < half)
-    start = outside[0]
     best = None
-    for j in range(start + 1, len(y) - 1):
+    for j in range(i + 1, len(y) - 1):
         if y[j] >= y[j - 1] and y[j] > y[j + 1] and y[j] >= min_peak:
             best = j
             break

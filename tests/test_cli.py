@@ -342,6 +342,20 @@ class TestSweep:
                          str(tmp_path / "x"), "--sweep", "phases.phi_w="])
         assert code == 2
 
+    @pytest.mark.parametrize("n", [1, 25, 1025])
+    def test_csv_matches_the_per_row_writer(self, tmp_path, n):
+        # sweep.csv's columns: four floats, one of them NaN and one -0.0,
+        # then an integer count; 1,025 rows span two write blocks
+        rng = np.random.default_rng(n)
+        rows = [(float(w), float(r), float(e), float(s), int(c)) for w, r, e, s, c in zip(
+            rng.uniform(0.0, 2.0 * math.pi, n), rng.choice([0.0, math.pi / 2.0], n),
+            rng.uniform(-1.0, 1.0, n), rng.exponential(1e-3, n), rng.integers(0, 10**12, n))]
+        rows[-1] = (-0.0, 1e-300, math.nan, math.inf, 0)
+        header = "phi_w_rad,phi_r_rad,E,sigma_E,coincidences"
+        cli._write_csv(tmp_path / "sweep.csv", header, rows)
+        want = header + "\n" + "".join(",".join(f"{x:.9g}" for x in row) + "\n" for row in rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == want.encode()
+
 
 class TestCalibrate:
     def test_workflow_outputs_settings(self, tmp_path):

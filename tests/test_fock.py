@@ -7,21 +7,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense_fock import dense, element, entries, index
 from phonon_timebin import fock as F
 from phonon_timebin import protocol
-
-
-def dense(state):
-    """The state's density matrix as a dense array."""
-    return state.rho.toarray()
 
 
 def pure_state(modes, n_max, occupation, total_max=None):
     st = F.init_vacuum(modes, n_max, total_max)
     rho = np.zeros((st.basis.dim, st.basis.dim), complex)
-    i = st.basis.index[tuple(occupation)]
+    i = index(st.basis)[tuple(occupation)]
     rho[i, i] = 1.0
-    st.rho = rho
+    st.rho = entries(rho)
     return st
 
 
@@ -60,12 +56,12 @@ class TestTwoModeSqueeze:
     def test_identity_at_zero(self):
         st = F.init_vacuum(["a", "b"], 4)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.0, 0.7)
-        assert np.allclose(out.rho.toarray(), st.rho.toarray())
+        assert np.allclose(dense(out), dense(st))
 
     def test_pair_probability(self):
         st = F.init_vacuum(["a", "b"], 6)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.04, 0.0)
-        i = out.basis.index[(1, 1)]
+        i = index(out.basis)[(1, 1)]
         assert np.real(dense(out)[i, i]) == pytest.approx(0.96 * 0.04, abs=1e-9)
 
     def test_vacuum_series_amplitudes(self):
@@ -73,11 +69,11 @@ class TestTwoModeSqueeze:
         st = F.init_vacuum(["a", "b"], 7)
         out = F.apply_two_mode_squeeze(st, "a", "b", p, phi)
         for n in range(3):
-            i = out.basis.index[(n, n)]
+            i = index(out.basis)[(n, n)]
             amp2 = (1 - p) * p**n
             assert np.real(dense(out)[i, i]) == pytest.approx(amp2, rel=1e-6)
             if n:
-                coh = dense(out)[i, out.basis.index[(0, 0)]]
+                coh = dense(out)[i, index(out.basis)[(0, 0)]]
                 expected = (1 - p) * p ** (n / 2) * np.exp(1j * n * phi)
                 assert coh == pytest.approx(expected, abs=1e-9)
 
@@ -85,7 +81,7 @@ class TestTwoModeSqueeze:
         # joint pair amplitude matches the sqrt(p) branch to O(p)
         st = F.init_vacuum(["a", "b"], 5)
         out = F.apply_two_mode_squeeze(st, "a", "b", 0.002, 0.0)
-        i, j = out.basis.index[(1, 1)], out.basis.index[(0, 0)]
+        i, j = index(out.basis)[(1, 1)], index(out.basis)[(0, 0)]
         assert abs(dense(out)[i, j]) == pytest.approx(math.sqrt(0.002), rel=3e-3)
 
     def test_unregistered_mode(self):
@@ -98,13 +94,13 @@ class TestBeamSplitter:
     def test_identity(self):
         st = F.init_thermal(["a", "b"], 4, {"a": 0.3})
         out = F.apply_beam_splitter(st, "a", "b", 1.0)
-        assert np.allclose(out.rho.toarray(), st.rho.toarray())
+        assert np.allclose(dense(out), dense(st))
 
     def test_balanced_on_single_photon(self):
         st = pure_state(["a", "b"], 4, (1, 0))
         out = F.apply_beam_splitter(st, "a", "b", 0.5)
-        p10 = np.real(dense(out)[out.basis.index[(1, 0)], out.basis.index[(1, 0)]])
-        p01 = np.real(dense(out)[out.basis.index[(0, 1)], out.basis.index[(0, 1)]])
+        p10 = np.real(dense(out)[index(out.basis)[(1, 0)], index(out.basis)[(1, 0)]])
+        p01 = np.real(dense(out)[index(out.basis)[(0, 1)], index(out.basis)[(0, 1)]])
         assert p10 == pytest.approx(0.5, abs=1e-12)
         assert p01 == pytest.approx(0.5, abs=1e-12)
 
@@ -153,30 +149,31 @@ class TestLadderUnitaries:
         assert len(set(np.count_nonzero(root, axis=1))) > 1
         theta, phi = 0.9, 0.4
         g = np.zeros((basis.dim, basis.dim), complex)
-        for (a, b, c), i in basis.index.items():
+        where = index(basis)
+        for (a, b, c), i in where.items():
             dst = (a + 1, b - 1, c) if kind == "bs" else (a + 1, b + 1, c)
             amp = (a + 1) * (b if kind == "bs" else b + 1)
-            if dst in basis.index:
-                g[basis.index[dst], i] = theta * math.sqrt(amp) * np.exp(1j * phi)
+            if dst in where:
+                g[where[dst], i] = theta * math.sqrt(amp) * np.exp(1j * phi)
         u = expm(g - g.conj().T)
         rng = np.random.default_rng(3)
         m = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim,) * 2)
-        st.rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        st.rho = entries(m @ m.conj().T / np.trace(m @ m.conj().T))
         got = F._apply_two_mode(st, "a", "b", kind, theta, phi)
-        assert np.abs(got.rho.toarray() - u @ st.rho.toarray() @ u.conj().T).max() < 1e-12
+        assert np.abs(dense(got) - u @ dense(st) @ u.conj().T).max() < 1e-12
 
 
 class TestPhase:
     def test_identity_and_periodicity(self):
         st = F.init_thermal(["a"], 5, 0.4)
-        assert np.allclose(F.apply_phase(st, "a", 0.0).rho.toarray(), st.rho.toarray())
+        assert np.allclose(dense(F.apply_phase(st, "a", 0.0)), dense(st))
         assert np.abs(dense(F.apply_phase(st, "a", 2 * math.pi)) - dense(st)).max() < 1e-12
 
     def test_pi_flips_coherence(self):
         st = F.init_vacuum(["a"], 3)
         rho = np.zeros((st.basis.dim, st.basis.dim), complex)
         rho[:2, :2] = 0.5
-        st.rho = rho
+        st.rho = entries(rho)
         out = F.apply_phase(st, "a", math.pi)
         assert dense(out)[0, 1] == pytest.approx(-0.5, abs=1e-14)
         assert dense(out)[1, 1] == pytest.approx(0.5, abs=1e-14)
@@ -185,7 +182,7 @@ class TestPhase:
 class TestChannels:
     def test_loss_identity(self):
         st = F.init_thermal(["a"], 5, 0.3)
-        assert np.allclose(F.apply_loss(st, "a", 1.0).rho.toarray(), st.rho.toarray())
+        assert np.allclose(dense(F.apply_loss(st, "a", 1.0)), dense(st))
 
     def test_loss_linearity(self):
         st = F.init_thermal(["a"], 12, 1.0)
@@ -343,9 +340,9 @@ class TestUnitarityAndPositivity:
                 else:
                     st = F.apply_thermal_loss(st, a, rng.uniform(0.9, 1),
                                               rng.uniform(0, 0.2))
-            dense = st.rho.toarray()
-            assert np.abs(dense - dense.conj().T).max() <= 1e-12
-            assert np.linalg.eigvalsh((dense + dense.conj().T) / 2.0).min() > -1e-9
+            rho = dense(st)
+            assert np.abs(rho - rho.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() > -1e-9
             assert st.trace() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -455,7 +452,6 @@ class TestBasis:
                     if sum(o) <= total_max]
             basis = F.FockBasis(n_modes, n_max, total_max)
             assert basis.occs.tolist() == [list(o) for o in want]
-            assert basis.index == {o: i for i, o in enumerate(want)}
             assert basis.rank(np.array(want)).tolist() == list(range(len(want)))
 
     def test_a_batch_tiles_one_element(self):
@@ -492,7 +488,7 @@ class TestBatch:
         st = F.apply_beam_splitter(F.init_thermal(["a", "b"], 3, {"a": 0.2}), "a", "b", 0.6, 0.3)
         tiled = F.tile(st, 3)
         assert tiled.basis.batch == 3
-        assert np.array_equal(tiled.rho.toarray(), np.kron(np.eye(3), st.rho.toarray()))
+        assert np.array_equal(dense(tiled), np.kron(np.eye(3), dense(st)))
         assert F.tile(st, 1) is st
         assert tiled.trace() == pytest.approx([1.0] * 3, abs=1e-14)
 
@@ -502,18 +498,6 @@ class TestBatch:
     def test_single_state_operations_reject_a_batch(self, op):
         with pytest.raises(F.FockEngineError, match="batch of 3"):
             op(self.batch())
-
-    @staticmethod
-    def element(state, b):
-        """Element b of a batch as a state of its own, its entries in batch
-        order (a sum of repeated entries runs in that order)."""
-        size = state.basis.dim // state.basis.batch
-        rho = state.rho
-        mine = rho.rows // size == b
-        return F.FockState(state.modes, F.FockBasis(state.basis.n_modes, state.n_max,
-                                                    state.basis.total_max),
-                           F.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
-                                     rho.vals[mine], size))
 
     @pytest.mark.parametrize("op, copies", [
         (lambda st: F.partial_trace(st, ["b"]), 1),
@@ -527,10 +511,10 @@ class TestBatch:
         got = op(batch)
         assert got.basis.batch == 3 * copies
         for b in range(3):
-            single = self.element(batch, b)
-            want = (F.partial_trace(single, ["b"]) if copies == 1 else single).rho.toarray()
+            single = element(batch, b)
+            want = dense(F.partial_trace(single, ["b"]) if copies == 1 else single)
             for c in range(copies):
-                assert np.array_equal(self.element(got, c * 3 + b).rho.toarray(), want)
+                assert np.array_equal(dense(element(got, c * 3 + b)), want)
 
     def test_survivals_must_match_the_batch(self):
         with pytest.raises(F.FockEngineError, match="2 survivals for a batch of 3"):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from dense_fock import dense, element, entries, index
 from phonon_timebin import fock, gaussian, protocol
 from phonon_timebin.core import (
     ExperimentKind,
@@ -559,13 +560,8 @@ def fock_states(draw):
         psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
         rho += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     rho /= np.trace(rho).real
-    state.rho = rho
+    state.rho = entries(rho)
     return state, rho
-
-
-def dense(state):
-    """The state's density matrix as a dense array."""
-    return state.rho.toarray()
 
 
 def assert_hermitian(state):
@@ -579,21 +575,10 @@ def check_output(out, ref, trace=1.0):
     assert out.trace() == pytest.approx(trace, abs=1e-12)
 
 
-def element(state, b):
-    """Element b of a Fock batch as a state of its own, its entries in batch
-    order (a sum of repeated entries runs in that order)."""
-    size = state.basis.dim // state.basis.batch
-    rho = state.rho
-    mine = rho.rows // size == b
-    return fock.FockState(state.modes, dataclasses.replace(state.basis, batch=1),
-                          fock.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
-                                       rho.vals[mine], size))
-
-
 def shifted_index(basis, occ, mode, delta):
     occ = list(occ)
     occ[mode] += delta
-    return basis.index.get(tuple(occ))  # None outside the (capped) basis
+    return index(basis).get(tuple(occ))  # None outside the (capped) basis
 
 
 def dense_two_mode(state, rho, i, j, kind, amp, phi):
@@ -610,8 +595,8 @@ def dense_two_mode(state, rho, i, j, kind, amp, phi):
         for a in range(basis.n_max + 1):
             o = list(occ)
             o[i], o[j] = a, (inv - a if kind == "bs" else a - inv)
-            if tuple(o) in basis.index:
-                ladder.append((a, basis.index[tuple(o)]))
+            if tuple(o) in index(basis):
+                ladder.append((a, index(basis)[tuple(o)]))
         g = np.zeros((len(ladder), len(ladder)), complex)
         for k, (a, _) in enumerate(ladder[:-1]):
             c = amp * math.sqrt((a + 1) * (inv - a) if kind == "bs" else (a + 1) * (a - inv + 1))
@@ -656,8 +641,8 @@ def dense_partial_trace(state, rho, keep_pos):
     for a in range(state.basis.dim):
         for b in range(state.basis.dim):
             if all(occs[a][k] == occs[b][k] for k in drop_pos):
-                out[new.index[tuple(occs[a][keep_pos])],
-                    new.index[tuple(occs[b][keep_pos])]] += rho[a, b]
+                out[index(new)[tuple(occs[a][keep_pos])],
+                    index(new)[tuple(occs[b][keep_pos])]] += rho[a, b]
     return out
 
 
@@ -742,7 +727,7 @@ def test_sparse_add_vacuum_mode_matches_dense(case):
     state, rho = case
     grown = fock.add_vacuum_mode(state, "new")
     ref = np.zeros((grown.basis.dim, grown.basis.dim), complex)
-    old = [grown.basis.index[tuple(o) + (0,)] for o in state.basis.occs]
+    old = [index(grown.basis)[tuple(o) + (0,)] for o in state.basis.occs]
     for a, ia in enumerate(old):
         for b, ib in enumerate(old):
             ref[ia, ib] = rho[a, b]
@@ -779,7 +764,7 @@ def test_sparse_measure_threshold_matches_dense(case, data):
     for det, modes in detector_map.items():
         for m in modes:
             lossy = fock.apply_loss(lossy, m, efficiency[det])
-    rho = lossy.rho.toarray()
+    rho = dense(lossy)
     codes = np.zeros(state.basis.dim, dtype=int)
     for k, det in enumerate(detector_map.values()):
         for a, occ in enumerate(state.basis.occs):
@@ -866,7 +851,7 @@ def test_measure_threshold_matches_the_loss_channel_route(case, data):
     for b, (code, p) in enumerate(zip(got_codes, got_probs)):
         assert abs(p - probs[code]) <= 1e-14
         sel = codes == code
-        inside = fock.FockState(state.modes, state.basis, rho * np.outer(sel, sel))
+        inside = fock.FockState(state.modes, state.basis, entries(rho * np.outer(sel, sel)))
         want = dense(fock.partial_trace(inside, keep)) / probs[code]
         assert np.abs(dense(element(reduced, b)) - want).max() <= 1e-14
 
