@@ -139,7 +139,8 @@ class WaveguideParams:
     retrieval_efficiency: float = 1.0
 
     def __post_init__(self):
-        _require(self.round_trip_time > 0, "waveguide.round_trip_time must be > 0")
+        for name in ("round_trip_time", "group_velocity", "length"):
+            _require(0.0 < getattr(self, name) < math.inf, f"waveguide.{name} must be finite and > 0")
         _require(self.T1 > self.round_trip_time, "waveguide.T1 must exceed the round-trip time")
         _require(0.0 <= self.retrieval_efficiency <= 1.0,
                  "waveguide.retrieval_efficiency must be in [0, 1]")
@@ -214,12 +215,11 @@ class NoiseModel:
     and are flagged as such in run manifests.
 
     Each phase-jitter FWHM is finite and within [0, 1e6] rad.  A few radians
-    already average the fringe away; up to the bound every quadrature phase
-    (under 5 FWHM) keeps 1e-9 rad, while far larger FWHMs round the phases
-    away (about 1e16 rad) and then overflow them (about 1e307 rad).  The
-    bound does not keep the jitter average exact: the 21-node Gauss-Hermite
-    rule's error on the fringe's damping e^{-sigma^2/2} is 3e-16 at a summed
-    jitter sigma of 2.5 rad, 4.4e-13 at 3, 1.4e-8 at 4 and 0.46 at 8.
+    already average the fringe away; up to the bound every jitter phase the
+    record sampler draws (under 5 FWHM) keeps 1e-9 rad, while far larger
+    FWHMs round the phases away (about 1e16 rad) and then overflow them
+    (about 1e307 rad).  The jitter average forms no jitter phase: it damps
+    the harmonics of the fringe, so it holds at any FWHM.
     """
 
     thermal_schedule: tuple[tuple[PulseRole, float], ...] = (
@@ -318,9 +318,11 @@ class ExperimentConfig:
     calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = None
 
     def __post_init__(self):
-        _require(self.trials >= 0, "trials must be >= 0")
+        # the multinomial draw takes a signed 64-bit count
+        _require(0 <= self.trials < 2**63, "trials must be in [0, 2**63)")
         _require(self.record_trials >= 0, "record_trials must be >= 0")
         _require(0 <= self.seed < 2**64, "seed must be an unsigned 64-bit integer")
+        _require(0.0 < self.repetition_period < math.inf, "repetition_period must be finite and > 0")
         _require(0.0 <= self.splitting_asymmetry <= 0.005,
                  "splitting_asymmetry must be within 0.5% relative")
         if self.pulses:

@@ -36,11 +36,13 @@ so a phase on o_wE or o_wL is that phase on m_E or m_L; loss, top-up and the
 occupancy read are phase covariant; the readout splitter hands it on to o_rE
 or o_rL; and every stage keeps the write photons minus the phonons minus the
 read photons, so one phase on both read modes acts only on modes that are
-counted or traced: a phase on o_rE is minus that phase on o_rL.  So jitter
-averaging is a 1-D Gauss-Hermite quadrature over j_w + j_r, and both engines
-build the write stage at relative phase 0 and the read stage up to its
-interferometer once per config (``_prefix``).  The Fock prefix measures the
-write photons once and carries the heralded branches as one batch through
+counted or traced: a phase on o_rE is minus that phase on o_rL.  So every
+read-out samples one periodic p(Phi); a Gaussian jitter j_w + j_r of width
+sigma scales its harmonic k by exp(-sigma^2 k^2 / 2), and the jitter average
+is that damped series, read off p at equispaced Phi (``_periodic_weights``).
+Both engines build the write stage at relative phase 0 and the read stage up
+to its interferometer once per config (``_prefix``).  The Fock prefix
+measures the write photons once and carries the heralded branches as one batch through
 the read prefix and its trace; each read-out then runs the read
 interferometer, Phi on its late arm, and the click read-out once on that
 batch per block of phases.  The Gaussian prefix runs the read
@@ -58,7 +60,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from numpy.random import SeedSequence, default_rng
 
 from . import gaussian
@@ -83,7 +84,9 @@ CROSS_CORRELATION_CHANNELS = (
     "read-overlap:1", "read-overlap:2",
 )
 
-GH_NODES = 21
+#: equispaced phases the jitter average reads p(Phi) at: harmonics up to 10,
+#: all that the Gaussian engine's p has above round-off
+JITTER_NODES = 21
 THERMAL_NOISE_EPSILON = 0.01
 FOCK_PROTOCOL_CAP = 6
 #: the phases of the Gaussian prefix's read interferometer: after its one
@@ -389,8 +392,7 @@ def _read_out(config, prefix, phi) -> OutcomeDistribution:
         nodes, detectors = prefix
         sigma = nodes.sigma
         if sigma.ndim == 3:  # else the open interferometer's one state
-            x = np.subtract.outer(phi, READ_NODES)
-            weights = (1.0 + 2.0 * np.cos(x) + 2.0 * np.cos(2.0 * x)) / len(READ_NODES)
+            weights = _periodic_weights(phi, READ_NODES, (1.0, 1.0))
             # the excess over vacuum, so round-off scales with it, not with 1/2
             vacuum = 0.5 * np.eye(sigma.shape[-1])
             sigma = np.tensordot(weights, sigma - vacuum, axes=1) + vacuum
@@ -437,8 +439,19 @@ def _jitter_scale(noise: NoiseModel) -> float:
                       fwhm_to_sigma(noise.read_phase_jitter_fwhm))
 
 
+def _periodic_weights(phi, nodes: np.ndarray, damping) -> np.ndarray:
+    """The (phi.shape + (N,)) weights that take a periodic function's values
+    at the N equispaced phases ``nodes`` = 2 pi j / N to its value at each
+    phi, with harmonic k scaled by damping[k - 1]: exact while no harmonic
+    above len(damping) <= (N - 1) / 2 is present, and the trigonometric
+    interpolant at unit damping."""
+    x = np.subtract.outer(phi, nodes)
+    return sum((2.0 * d * np.cos(k * x) for k, d in enumerate(damping, 1)), 1.0) / len(nodes)
+
+
 def _mix(weights, dists: Sequence[OutcomeDistribution]) -> OutcomeDistribution:
-    mix = sum(wi * dist.probabilities for wi, dist in zip(weights, dists))
+    """The (..., N) weights applied to N distributions, normalised."""
+    mix = weights @ np.array([dist.probabilities for dist in dists])
     figures = [dist.truncation for dist in dists if dist.truncation is not None]
     truncation = tuple(map(float, np.max(figures, axis=0))) if figures else None
     return OutcomeDistribution(dists[0].labels, mix / mix.sum(axis=-1, keepdims=True),
@@ -451,18 +464,24 @@ def jitter_averaged_distribution(
     phi_r: float | np.ndarray,
 ) -> OutcomeDistribution:
     """Exact average over the lock-phase jitter.  Overlap statistics depend
-    on the write and read jitters only through their sum, so a 1-D
-    Gauss-Hermite rule of GH_NODES nodes is exact up to quadrature order.
-    The phases may be (S,) arrays of settings: each node is then one call
-    batched over the settings, which shares the config's phase-free prefix,
-    and the result one (S, 2**n) distribution."""
+    on the write and read jitters only through their sum, a Gaussian of
+    width sigma, which scales harmonic k of p(Phi) by exp(-sigma^2 k^2 / 2).
+    So p is read out once at each of N equispaced phases, and every setting
+    is the damped series through them (``_periodic_weights``).  N is
+    JITTER_NODES; a Fock p, of degree K = min(truncation, total cap) in Phi,
+    reads 2K + 1 when that is more, so the average is exact on that engine.
+    The phases may be (S,) arrays of settings, and the result is then one
+    (S, 2**n) distribution from the same N read-outs."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r)
-    x, w = hermegauss(GH_NODES)
-    w = w / math.sqrt(2.0 * math.pi)
-    return _mix(w, [exact_joint_distribution(config, phi_w, phi_r, jitter_w=sigma * xi)
-                    for xi in x])
+    engine, size = config.engine, JITTER_NODES
+    if engine.name == "fock":
+        size = max(size, 2 * min(engine.truncation, engine.total_cap or FOCK_PROTOCOL_CAP) + 1)
+    nodes = 2.0 * math.pi * np.arange(size) / size
+    damping = np.exp(-0.5 * (sigma * np.arange(1, size // 2 + 1)) ** 2)
+    return _mix(_periodic_weights(np.add(phi_w, phi_r), nodes, damping),
+                [exact_joint_distribution(config, node, 0.0) for node in nodes.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +550,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def run_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float]],
                  first_idx: int = 0) -> list[SettingResult]:
     """A scan of (phi_w, phi_r) settings: the jitter-averaged exact
-    distributions (every quadrature node is one call batched over the
-    scan) plus, when config.trials > 0, the counts of setting i, one
-    multinomial draw from the (seed, first_idx + i) substream."""
+    distributions (the same jitter nodes serve the whole scan) plus, when
+    config.trials > 0, the counts of setting i, one multinomial draw from
+    the (seed, first_idx + i) substream."""
     phi_w, phi_r = (np.array(v, dtype=float) for v in zip(*settings))
     scan = jitter_averaged_distribution(config, phi_w, phi_r)
     # the one place a batch splits: each setting keeps its own 1-D vector
@@ -620,9 +639,7 @@ def rate_budget(config: ExperimentConfig) -> dict:
         "interferometer_overlap_fraction": overlap_fraction,
         "mean_filter_and_detector_efficiency": det_avg,
     }
-    p_herald = 1.0
-    for v in herald_factors.values():
-        p_herald *= v
+    p_herald = math.prod(herald_factors.values())
     survival = config.waveguide.round_trip_survival
     read_factors = {
         "read_scattering": p_r,
@@ -632,9 +649,7 @@ def rate_budget(config: ExperimentConfig) -> dict:
         "interferometer_overlap_fraction": overlap_fraction,
         "mean_filter_and_detector_efficiency": det_avg,
     }
-    p_read = 1.0
-    for v in read_factors.values():
-        p_read *= v
+    p_read = math.prod(read_factors.values())
     heralds_per_hour = 3600.0 * rep_rate * p_herald
     coincidences_per_hour = heralds_per_hour * p_read
     return {

@@ -392,7 +392,9 @@ class TestCalibrate:
         # the settings are chosen in closed form and the Fock engine keeps
         # its density matrices as NumPy arrays, so neither the package
         # import nor a Gaussian calibration or simulation nor a Fock
-        # simulation, each in its own interpreter, loads any of SciPy
+        # simulation, each in its own interpreter, loads any of SciPy; and
+        # the jitter average, a damped Fourier series, loads no
+        # numpy.polynomial
         calibration = write_config(tmp_path, kind="Calibration", trials=0)
         (tmp_path / "bell").mkdir()
         bell = write_config(tmp_path / "bell")
@@ -415,12 +417,12 @@ class TestCalibrate:
                 f"for argv in {argvs!r}:\n"
                 "    assert cli.main(argv) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')),\n"
-                "      'phonon_timebin.fock' in sys.modules)\n")
+                "      'phonon_timebin.fock' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                   text=True, env=env, check=True)
             loaded[engine] = proc.stdout.strip().splitlines()[-1]
         # and the Gaussian runs never load the Fock engine
-        assert loaded == {"gaussian": "[] False", "fock": "[] True"}
+        assert loaded == {"gaussian": "[] False False", "fock": "[] True False"}
         # the manifest names SciPy's version only when the run loaded it
         for out in ("g", "f"):
             manifest = json.loads((tmp_path / out / "manifest.json").read_text())
@@ -523,11 +525,20 @@ class TestOther:
         *[(["sweep", "--config", str(CONFIGS / "bell_test.yaml"),
             "--sweep", f"phases.{key}={values}"], f"phases.{key}")
           for key, values in (("phi_w", "nan,1"), ("phi_r", "0,inf"), ("phi_w", "0:inf:3"))],
-        # a FWHM past 1e6 rad rounds the quadrature phases away, then overflows them
+        # a FWHM past 1e6 rad rounds the record sampler's jitter phases away,
+        # then overflows them
         *[(["simulate", "--config", str(CONFIGS / "bell_test.yaml"), *engine,
             "--override", f"noise.{key}={value}"], f"noise.{key}")
           for key in ("write_phase_jitter_fwhm", "read_phase_jitter_fwhm")
           for value in ("inf", "nan", "1e308", "2e6") for engine in ([], ["--engine", "fock"])],
+        # a period or geometry that divides by zero or gives a meaningless rate
+        *[(["rate-budget", "--config", str(CONFIGS / "bell_test.yaml"),
+            "--override", f"{key}={value}"], key)
+          for key in ("repetition_period", "waveguide.group_velocity", "waveguide.length")
+          for value in ("0", "-1", "nan", "inf")],
+        # a count the multinomial draw cannot take
+        *[(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+            "--override", f"trials={value}"], "trials") for value in ("1e20", str(2**63))],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

@@ -419,8 +419,8 @@ def reference_config(name):
 @given(st.sampled_from(["bell_test", "calibration"]),
        st.lists(st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)), min_size=1, max_size=4))
 def test_batched_jitter_average_matches_per_node_sum(name, scan):
-    # one call per node, batched over the scan, against each setting's
-    # nodes run one at a time
+    # the damped series against each setting's own 21-node Gauss-Hermite
+    # rule, run one node at a time
     config = reference_config(name)
     phi_w, phi_r = (np.array(v) for v in zip(*scan))
     averaged = protocol.jitter_averaged_distribution(config, phi_w, phi_r)
@@ -428,7 +428,7 @@ def test_batched_jitter_average_matches_per_node_sum(name, scan):
     assert averaged.probabilities.shape == (len(scan), 16)
     sigma = math.hypot(fwhm_to_sigma(config.noise.write_phase_jitter_fwhm),
                        fwhm_to_sigma(config.noise.read_phase_jitter_fwhm))
-    x, w = np.polynomial.hermite_e.hermegauss(protocol.GH_NODES)
+    x, w = np.polynomial.hermite_e.hermegauss(21)
     for (pw, pr), avg in zip(scan, averaged.probabilities):
         mix = sum(wi * protocol.exact_joint_distribution(
             config, pw, pr, jitter_w=sigma * xi).probabilities for xi, wi in zip(x, w))

@@ -951,24 +951,42 @@ class TestJitterAveraging:
         sigma = (math.pi / 3) / 2.3548
         assert e1 == pytest.approx(e0 * math.exp(-sigma**2 / 2.0), rel=2e-3)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the 21-node Gauss-Hermite rule misses e^(-sigma^2 k^2 / 2) at large sigma "
-        "(0.46 off at 8 rad); ROADMAP item 13's damped Fourier series in Phi is exact"))
-    def test_large_jitter_gives_the_uniform_phase_average(self):
-        # a 6 pi FWHM write jitter (sigma about 8 rad) damps every harmonic
-        # of p(Phi) by e^(-sigma^2 / 2) or more, about 1e-14, so the average
-        # is the uniform-Phi mean, which 16 equispaced offsets give exactly
-        # for the few harmonics either engine has
-        config = with_overrides(load_config(str(CONFIGS / "bell_test.yaml")),
-                                {"trials": 0, "noise.write_phase_jitter_fwhm": 6.0})
-        phi_w, phi_r = np.array(protocol._phase_settings(config)).T
-        for engine in ("gaussian", "fock"):
-            cfg = with_overrides(config, {"engine.name": engine})
-            got = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
-            want = np.mean([protocol.exact_joint_distribution(
-                cfg, phi_w, phi_r, jitter_w=2.0 * math.pi * k / 16).probabilities
-                for k in range(16)], axis=0)
-            assert np.abs(got - want).max() <= 1e-12, engine
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    def test_jitter_average_is_the_wrapped_normal_average(self, engine, sigma):
+        # the jitter sum of width sigma, wrapped onto one period as a sum
+        # over images, weights p at 64 equispaced offsets: the trapezoid
+        # rule, exact for the few harmonics either engine has; at 8 rad the
+        # average is the uniform-Phi mean
+        fwhm = sigma * 2.0 * math.sqrt(2.0 * math.log(2.0)) / math.pi
+        cfg = with_overrides(load_config(str(CONFIGS / "bell_test.yaml")),
+                             {"trials": 0, "engine.name": engine,
+                              "noise.write_phase_jitter_fwhm": fwhm,
+                              "noise.read_phase_jitter_fwhm": 0.0})
+        phi_w, phi_r = np.array(protocol._phase_settings(cfg)).T
+        got = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
+        s = fwhm_to_sigma(cfg.noise.write_phase_jitter_fwhm)
+        offsets = 2.0 * math.pi * np.arange(64) / 64
+        images = offsets[:, None] + 2.0 * math.pi * np.arange(-20, 21)
+        density = np.exp(-0.5 * (images / s) ** 2).sum(axis=1) / (s * math.sqrt(2.0 * math.pi))
+        want = sum(2.0 * math.pi / 64 * rho * protocol.exact_joint_distribution(
+            cfg, phi_w, phi_r, jitter_w=t).probabilities for t, rho in zip(offsets, density))
+        want /= want.sum(axis=-1, keepdims=True)
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_fock_average_reads_2k_plus_1_nodes(self, monkeypatch):
+        # p(Phi) on the Fock engine has degree K = min(truncation, total cap)
+        # = 2, so 3 base nodes still read 2K + 1 = 5 and give the series
+        # through the 21 nodes; 2K - 1 = 3 nodes alias harmonic 2, about
+        # 1e-13 at the calibration point's scattering probabilities
+        cfg = with_overrides(load_config(str(CONFIGS / "calibration.yaml")),
+                             {"trials": 0, "engine.name": "fock", "engine.truncation": 2,
+                              "noise.write_phase_jitter_fwhm": 0.5})
+        phi_w, phi_r = np.array(protocol._phase_settings(cfg)).T
+        want = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
+        monkeypatch.setattr(protocol, "JITTER_NODES", 3)
+        got = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestWitnessClassicalBound:
