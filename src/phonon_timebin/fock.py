@@ -707,7 +707,12 @@ def _pattern_weights(state: FockState, detector_map: Mapping[str, Sequence[str]]
     quanta stays quiet with weight (1-eta)**N and clicks with the rest,
     -expm1(N log1p(-eta)), which keeps the click weight of a tiny eta.  A
     detector that a mapping leaves out has eta 1; a key of it that names no
-    detector raises."""
+    detector raises, and so does a mode listed twice, whose quanta would
+    count twice."""
+    modes = [m for group in detector_map.values() for m in group]
+    repeated = [m for k, m in enumerate(modes) if m in modes[:k]]
+    if repeated:
+        raise FockEngineError(f"mode {repeated[0]!r} is listed twice in the detector map")
     if isinstance(efficiency, Mapping):
         unknown = [det for det in efficiency if det not in detector_map]
         if unknown:

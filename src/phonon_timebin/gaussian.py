@@ -13,11 +13,18 @@ A state may carry a leading batch axis: ``sigma`` of shape (B, 2N, 2N)
 holds B states over the same modes, and a gate given a (B,) array of
 phase angles turns a single state into a batch.  Every gate rewrites only
 the rows and columns of the modes it acts on.
+
+The read-out plan is cached: the quadrature rows that a read-out selects
+for each (state mode order, labels) pair, and the labels of all 2**n
+detector subsets for each tuple of detector groups.  ``click_probabilities``
+still makes one ``vacuum_probability`` call per subset through the module's
+global name on purpose: ``perfbench/tests`` pins those calls (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -200,22 +207,56 @@ def apply_loss(state: CovarianceState, mode: str, survival: float) -> Covariance
 # threshold detection
 
 
+@lru_cache(maxsize=32)
+def _selection(modes: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
+    """``_quadratures`` of ``labels`` in a state over ``modes`` as a
+    read-only array, which every read-out over these modes shares."""
+    index = {m: 2 * k for k, m in enumerate(modes)}
+    unknown = [m for m in labels if m not in index]
+    if unknown:
+        raise GaussianEngineError(f"mode {unknown[0]!r} not registered")
+    sel = np.array([q for m in labels for q in (index[m], index[m] + 1)], dtype=int)
+    sel.flags.writeable = False
+    return sel
+
+
+@lru_cache(maxsize=16)
+def _subsets(groups: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
+    """The modes of each subset q of the detector ``groups``, group k in it
+    when bit n-1-k of q is set (group 0 the most significant bit, as in
+    OutcomeDistribution), so the last subset is every detected mode in
+    order.  A mode listed twice raises: it would enter a determinant twice."""
+    modes = [m for group in groups for m in group]
+    repeated = [m for k, m in enumerate(modes) if m in modes[:k]]
+    if repeated:
+        raise GaussianEngineError(f"mode {repeated[0]!r} is listed twice in the detector map")
+    n = len(groups)
+    return tuple(tuple(m for k, group in enumerate(groups) if q >> (n - 1 - k) & 1
+                       for m in group) for q in range(1 << n))
+
+
+@lru_cache(maxsize=16)
+def _half_identity(size: int) -> np.ndarray:
+    half = 0.5 * np.eye(size)
+    half.flags.writeable = False
+    return half
+
+
 def vacuum_probability(state: CovarianceState, labels: Sequence[str]):
     """P(no click on the given modes) = 1/sqrt(det(sigma_S + I/2)): a float,
     or a (B,) array from one stacked Cholesky factorisation for a batch."""
     batch = state.sigma.shape[:-2]
     if not labels:
         return np.ones(batch) if batch else 1.0
-    sel = np.array(_quadratures(state, labels))
+    sel = _selection(state.modes, tuple(labels))
     red = state.sigma[..., sel[:, None], sel]
-    diag = np.arange(len(sel))
-    red[..., diag, diag] += 0.5
+    red += _half_identity(len(sel))
     try:
         chol = np.linalg.cholesky(red)
     except np.linalg.LinAlgError:
         raise GaussianEngineError(
             "non-positive-definite sigma + I/2: invalid state") from None
-    p0 = 1.0 / np.prod(chol[..., diag, diag], axis=-1)
+    p0 = 1.0 / chol.diagonal(0, -2, -1).prod(-1)
     return p0 if batch else float(p0)
 
 
@@ -228,24 +269,27 @@ def detected_modes(
     with each detector's efficiency applied in place as
     ``apply_thermal_loss`` would apply it.  A detector that an efficiency
     mapping leaves out has efficiency 1; a key of it that names no detector
-    raises."""
+    raises, and so does a mode listed twice."""
     if isinstance(efficiency, Mapping):
         unknown = [det for det in efficiency if det not in detector_map]
         if unknown:
             raise GaussianEngineError(
                 f"efficiency for no detector: {', '.join(map(repr, unknown))}")
-    modes = tuple(dict.fromkeys(m for group in detector_map.values() for m in group))
-    sel = np.array(_quadratures(state, modes), dtype=int)
+    groups = tuple(map(tuple, detector_map.values()))
+    modes = _subsets(groups)[-1]
+    sel = _selection(state.modes, modes)
     block = CovarianceState(modes, state.sigma[..., sel[:, None], sel])
-    for det, group in detector_map.items():
+    start = 0  # the block's first row of the detector's modes
+    for det, group in zip(detector_map, groups):
         eta = 1.0 if efficiency is None else (
             efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
         if not 0.0 <= eta <= 1.0:
             raise GaussianEngineError(
                 f"efficiency of detector {det!r} must be in [0, 1], got {eta!r}")
         if eta < 1.0:
-            for m in group:
-                _thermal_loss_in_place(block.sigma, 2 * block.mode_index(m), eta, 0.0)
+            for k in range(start, start + 2 * len(group), 2):
+                _thermal_loss_in_place(block.sigma, k, eta, 0.0)
+        start += 2 * len(group)
     return block
 
 
@@ -269,9 +313,7 @@ def click_probabilities(
     # unconstrained); detector 0 is the most significant bit, as in
     # OutcomeDistribution
     quiet = np.empty(batch + (1 << n,))
-    for q in range(1 << n):
-        labels = [m for k, det in enumerate(detectors) if q >> (n - 1 - k) & 1
-                  for m in detector_map[det]]
+    for q, labels in enumerate(_subsets(tuple(map(tuple, detector_map.values())))):
         quiet[..., q] = vacuum_probability(work, labels)
     # superset Moebius inversion: quiet[q] becomes P(exactly the set q is quiet)
     for k in range(n):

@@ -388,6 +388,16 @@ class TestDetection:
         with pytest.raises(F.FockEngineError, match="efficiency for no detector: 'd_1'"):
             read(st, {"d1": ["a"]}, {"d_1": 0.5})
 
+    @pytest.mark.parametrize("detectors", [{"d1": ["a", "a"]}, {"d1": ["a"], "d2": ["a"]}],
+                             ids=["in-one-group", "across-groups"])
+    @pytest.mark.parametrize("read", [F.click_distribution, F.measure_threshold])
+    def test_a_mode_listed_twice_raises(self, read, detectors):
+        # its quanta would count twice: 0.727 for the right 0.8 at eta 0.5
+        st = F.init_thermal(["a", "b"], 10, 0.5)
+        for efficiency in (None, 0.5):
+            with pytest.raises(F.FockEngineError, match="mode 'a' is listed twice"):
+                read(st, detectors, efficiency)
+
     def test_distribution_normalized(self):
         st = F.init_thermal(["a", "b", "c"], 4, {"a": 0.2, "c": 0.1}, total_max=8)
         st = F.apply_beam_splitter(st, "a", "b", 0.6, 0.3)

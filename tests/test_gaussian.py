@@ -153,6 +153,41 @@ class TestClicks:
         assert d.prob(d=False) == pytest.approx(1.0 / 1.2**2, abs=1e-12)
 
 
+    @pytest.mark.parametrize("detectors", [{"d1": ["a", "a"]}, {"d1": ["a"], "d2": ["a"]}],
+                             ids=["in-one-group", "across-groups"])
+    @pytest.mark.parametrize("read", [G.click_probabilities, G.detected_modes])
+    def test_a_mode_listed_twice_raises(self, read, detectors):
+        # it would enter each determinant twice: [0.8, 0.2] for the right
+        # [2/3, 1/3] at efficiency 1, and a negative pattern at 0.5
+        st = G.thermal_state(["a", "b"], 0.5)
+        for efficiency in (None, 0.5):
+            with pytest.raises(G.GaussianEngineError, match="mode 'a' is listed twice"):
+                read(st, detectors, efficiency)
+
+    def test_the_same_labels_in_two_mode_orders(self):
+        # the cached selection is keyed on the state's mode order too
+        occupations = {"a": 0.25, "b": 1.0}
+        for modes in (["a", "b"], ["b", "a"]):
+            st = G.thermal_state(modes, occupations)
+            assert G.vacuum_probability(st, ["a"]) == pytest.approx(0.8, abs=1e-15)
+            assert G.vacuum_probability(st, ("b",)) == pytest.approx(0.5, abs=1e-15)
+            d = G.click_probabilities(st, {"da": ["a"], "db": ["b"]})
+            assert d.probabilities == pytest.approx([0.4, 0.4, 0.1, 0.1], abs=1e-15)
+
+    def test_list_and_tuple_labels_agree(self):
+        st = G.apply_two_mode_squeeze(G.thermal_state(["a", "b"], 0.2), "a", "b", 0.1, 0.3)
+        assert G.vacuum_probability(st, ["b", "a"]) == G.vacuum_probability(st, ("b", "a"))
+        lists = G.click_probabilities(st, {"da": ["a"], "db": ["b"]}, 0.7)
+        tuples = G.click_probabilities(st, {"da": ("a",), "db": ("b",)}, 0.7)
+        assert np.array_equal(lists.probabilities, tuples.probabilities)
+
+    def test_an_unknown_label_raises_naming_it(self):
+        st = G.thermal_state(["a"], 0.5)
+        with pytest.raises(G.GaussianEngineError, match="mode 'zz' not registered"):
+            G.vacuum_probability(st, ["a", "zz"])
+        with pytest.raises(G.GaussianEngineError, match="mode 'zz' not registered"):
+            G.click_probabilities(st, {"d1": ["a"], "d2": ["zz"]})
+
 class TestModeRegistry:
     def test_add_and_drop(self):
         st = G.thermal_state(["a"], 0.5)

@@ -390,6 +390,82 @@ def test_the_block_click_transform_is_the_looped_one(seq, data):
         assert np.array_equal(got.probabilities, want.probabilities)
 
 
+def direct_vacuum_probability(state, labels):
+    """P0 with the selection looked up and I/2 added to the diagonal on
+    every call: the uncached reference."""
+    batch = state.sigma.shape[:-2]
+    if not labels:
+        return np.ones(batch) if batch else 1.0
+    sel = np.array(gaussian._quadratures(state, labels))
+    red = state.sigma[..., sel[:, None], sel]
+    diag = np.arange(len(sel))
+    red[..., diag, diag] += 0.5
+    try:
+        chol = np.linalg.cholesky(red)
+    except np.linalg.LinAlgError:
+        raise gaussian.GaussianEngineError(
+            "non-positive-definite sigma + I/2: invalid state") from None
+    p0 = 1.0 / np.prod(chol[..., diag, diag], axis=-1)
+    return p0 if batch else float(p0)
+
+
+def direct_clicks(state, detector_map, efficiency=None):
+    """The click transform with the detected block and each subset's
+    labels built anew on every call: the uncached reference."""
+    modes = tuple(dict.fromkeys(m for group in detector_map.values() for m in group))
+    sel = np.array(gaussian._quadratures(state, modes), dtype=int)
+    work = gaussian.CovarianceState(modes, state.sigma[..., sel[:, None], sel])
+    for det, group in detector_map.items():
+        eta = 1.0 if efficiency is None else (
+            efficiency if isinstance(efficiency, (int, float)) else efficiency.get(det, 1.0))
+        if eta < 1.0:
+            for m in group:
+                gaussian._thermal_loss_in_place(work.sigma, 2 * work.mode_index(m), eta, 0.0)
+    detectors = tuple(detector_map)
+    n = len(detectors)
+    batch = work.sigma.shape[:-2]
+    quiet = np.empty(batch + (1 << n,))
+    for q in range(1 << n):
+        labels = [m for k, det in enumerate(detectors) if q >> (n - 1 - k) & 1
+                  for m in detector_map[det]]
+        quiet[..., q] = direct_vacuum_probability(work, labels)
+    for k in range(n):
+        v = quiet.reshape(batch + (1 << k, 2, -1))
+        v[..., 0, :] -= v[..., 1, :]
+    probs = np.maximum(quiet[..., ::-1], 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def reordered(state, order):
+    """The same state with its modes registered in ``order``."""
+    sel = np.array(gaussian._quadratures(state, order))
+    return gaussian.CovarianceState(order, state.sigma[..., sel[:, None], sel])
+
+
+@FAST
+@given(st.one_of(gate_sequences(), st.integers(1, 3).flatmap(lambda b: gate_sequences(batch=b))),
+       st.data())
+def test_cached_click_plans_are_the_direct_code(seq, data):
+    # the same labels meet states of other mode orders across examples, so a
+    # selection cached on the labels alone would read the wrong rows
+    state = reordered(run_gates(*seq), tuple(data.draw(st.permutations(seq[0]))))
+    rest = data.draw(st.permutations(seq[0]))
+    detector_map = {}
+    for k in range(data.draw(st.integers(1, 4))):
+        size = data.draw(st.integers(0, min(2, len(rest))))
+        group, rest = rest[:size], rest[size:]
+        detector_map[f"d{k}"] = data.draw(st.sampled_from([group, tuple(group)]))
+    etas = data.draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2))
+    for efficiency in (None, etas[0], {"d0": etas[1]}):
+        got = gaussian.click_probabilities(state, detector_map, efficiency)
+        assert got.labels == tuple(detector_map)
+        assert np.array_equal(got.probabilities, direct_clicks(state, detector_map, efficiency))
+    labels = data.draw(st.permutations(seq[0]))[:data.draw(st.integers(0, len(seq[0])))]
+    for form in (list, tuple):
+        assert np.array_equal(gaussian.vacuum_probability(state, form(labels)),
+                              direct_vacuum_probability(state, labels))
+
+
 @pytest.mark.parametrize("sigma, efficiency", [
     (-0.6 * np.eye(4), None),
     (0.3 * np.eye(4), 0.9),
