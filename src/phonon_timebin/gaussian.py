@@ -19,6 +19,9 @@ for each (state mode order, labels) pair, and the labels of all 2**n
 detector subsets for each tuple of detector groups.  ``click_probabilities``
 still makes one ``vacuum_probability`` call per subset through the module's
 global name on purpose: ``perfbench/tests`` pins those calls (ROADMAP item 2).
+The protocol runs one batched transform per config, over the equispaced
+phases of its series in Phi, so a read-out at a phase runs none;
+``checked_probabilities`` holds both to the same negative-mass rule.
 """
 
 from __future__ import annotations
@@ -319,7 +322,14 @@ def click_probabilities(
     for k in range(n):
         v = quiet.reshape(batch + (1 << k, 2, -1))
         v[..., 0, :] -= v[..., 1, :]
-    probs = quiet[..., ::-1]  # a click pattern's quiet set is its complement
+    # a click pattern's quiet set is its complement
+    return OutcomeDistribution(detectors, checked_probabilities(quiet[..., ::-1]))
+
+
+def checked_probabilities(probs: np.ndarray) -> np.ndarray:
+    """(..., 2**n) pattern probabilities with round-off negatives zeroed and
+    each row renormalised.  An entry below -NEGATIVE_MASS_TOL, or a row
+    total more than 1e-9 off 1, raises."""
     if probs.min() < -NEGATIVE_MASS_TOL:
         raise GaussianEngineError(
             f"negative click-pattern probability {probs.min():.3g}: invalid state")
@@ -328,4 +338,4 @@ def click_probabilities(
     off = np.abs(norm - 1.0) > 1e-9
     if off.any():
         raise GaussianEngineError(f"pattern probabilities sum to {norm[off][0]!r}")
-    return OutcomeDistribution(detectors, probs / norm)
+    return probs / norm

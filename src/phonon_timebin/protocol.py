@@ -47,9 +47,14 @@ the read prefix and its trace; each read-out then runs the read
 interferometer, Phi on its late arm, and the click read-out once on that
 batch per block of phases.  The Gaussian prefix runs the read
 interferometer at five phases, which fix the detected covariance at any Phi
-(``READ_NODES``).  The open interferometer of the cross-correlation kind applies
-no phase: its clicks see none, so its prefix holds the finished, detected
-distribution, and no click transform keeps a memo of its own.
+(``READ_NODES``), and through them reads p out at N equispaced phases with
+one batched click transform and one background fold, N raised until the
+top harmonic they hold is at round-off (``_gaussian_series``); each
+Gaussian read-out is then the trigonometric interpolant of p at its Phi,
+with no gate and no click transform.  The open interferometer of the
+cross-correlation kind applies no phase: its clicks see none, so its prefix
+holds the finished, detected distribution, and no click transform keeps a
+memo of its own.
 """
 
 from __future__ import annotations
@@ -93,6 +98,12 @@ FOCK_PROTOCOL_CAP = 6
 #: rotation all is linear and phase-free, so the detected covariance is a
 #: trigonometric polynomial of degree 2 in Phi, fixed by these five values
 READ_NODES = 2.0 * math.pi * np.arange(5) / 5
+#: the Gaussian prefix reads p(Phi) at N equispaced phases: SERIES_NODES
+#: first, then 2N - 1 while the top harmonic they hold is above SERIES_TOL,
+#: at most SERIES_MAX_NODES; every reference config reads SERIES_NODES
+SERIES_NODES = 9
+SERIES_MAX_NODES = 257
+SERIES_TOL = 1e-14
 #: stored entries of the traced batch of herald branches that one Fock read
 #: pass tiles: a pass over a few entries is mostly per-call overhead, which
 #: a block of phases shares, while a batch of this size or more runs one
@@ -317,9 +328,9 @@ def exact_joint_distribution(
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
     Either engine reads out the one relative phase Phi (module docstring)
     from ``_prefix(config)``: the Fock engine runs the read interferometer
-    and the click read-out, the Gaussian engine the interpolant and the
-    click transform.  The open interferometer takes no phase, so its prefix
-    is the finished distribution, tiled to Phi's shape."""
+    and the click read-out, the Gaussian engine sums the series in Phi that
+    its prefix holds.  The open interferometer takes no phase, so its
+    prefix is the finished distribution, tiled to Phi's shape."""
     phi = np.add(phi_w, phi_r) - 2.0 * config.phases.phi_off - np.add(jitter_w, jitter_r)
     prefix = _prefix(config)
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
@@ -336,17 +347,17 @@ _prefix_memo = (None, None)
 def _prefix(config: ExperimentConfig):
     """The phase-free part of the circuit, memoised for the last (config,
     THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP), compared with ``==``: the
-    Gaussian (nodes, detector map) -- the detected modes' covariance,
-    efficiencies applied, at each phase of READ_NODES -- or the Fock
-    ((codes, probabilities, read prefixes), (truncation weight, |renorm
-    deficit|)) -- the heralded write patterns' codes and probabilities, and
-    their read prefixes as one batch, element b for code b, traced to o_rE
-    and o_rL, which nothing after the readout splitters touches; and the
-    maxima over every state built, the batch before its trace included.  The
-    write stage is measured once, and the read prefix and the trace run
-    once on the batch.  No phase
-    reaches the clicks of the cross-correlation kind's open interferometer,
-    so its prefix is the whole read-out: the detected distribution."""
+    Gaussian detected distribution at the N equispaced phases of its series
+    in Phi (``_gaussian_series``), one (N, 2**n) ``OutcomeDistribution``, or
+    the Fock ((codes, probabilities, read prefixes), (truncation weight,
+    |renorm deficit|)) -- the heralded write patterns' codes and
+    probabilities, and their read prefixes as one batch, element b for code
+    b, traced to o_rE and o_rL, which nothing after the readout splitters
+    touches; and the maxima over every state built, the batch before its
+    trace included.  The write stage is measured once, and the read prefix
+    and the trace run once on the batch.  No phase reaches the clicks of
+    the cross-correlation kind's open interferometer, so its prefix is the
+    whole read-out: the one detected distribution."""
     global _prefix_memo
     key = (config, THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP)
     if _prefix_memo[0] == key:
@@ -359,10 +370,8 @@ def _prefix(config: ExperimentConfig):
         _read_prefix(circuit, config)
         groups = {**w_groups, **_stage_interferometer(circuit, config, "read", READ_NODES)}
         ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
-        nodes = gaussian.detected_modes(circuit.state, ordered,
-                                        _efficiency_map(ordered, config.noise))
-        nodes.sigma.flags.writeable = False
-        prefix = (nodes, ordered)
+        prefix = _gaussian_series(config, gaussian.detected_modes(
+            circuit.state, ordered, _efficiency_map(ordered, config.noise)), ordered)
     else:
         w_map = {ch: w_groups[ch] for ch in _analysis_channels(config.kind)
                  if ch.startswith("write")}
@@ -375,30 +384,60 @@ def _prefix(config: ExperimentConfig):
         for array in (codes, probs, traced.rho.rows, traced.rho.cols, traced.rho.vals):
             array.flags.writeable = False
         prefix = ((codes, probs, traced), (weight, deficit))
-    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-        prefix = _read_out(config, prefix, 0.0)
+        if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+            prefix = _read_out(config, prefix, 0.0)
+    if isinstance(prefix, OutcomeDistribution):
         prefix.probabilities.flags.writeable = False
     _prefix_memo = (key, prefix)
     return prefix
 
 
+def _gaussian_series(config, nodes: gaussian.CovarianceState,
+                     detectors) -> OutcomeDistribution:
+    """The detected distribution at N equispaced phases 2 pi j / N, from the
+    detected modes' covariance ``nodes`` at READ_NODES: sigma at each phase
+    is the interpolant through them (on sigma - I/2, so its round-off
+    scales with the excess over vacuum), and one batched click transform
+    and one ``detect`` read all N out.  N starts at SERIES_NODES and goes
+    to 2N - 1 while the top harmonic the N phases hold, max |c_K| at
+    K = (N - 1) / 2, is above SERIES_TOL; past SERIES_MAX_NODES it raises.
+    The open interferometer's one state gives its one distribution."""
+    if nodes.sigma.ndim == 2:
+        return detect(gaussian.click_probabilities(nodes, detectors), config.noise)
+    vacuum = 0.5 * np.eye(nodes.sigma.shape[-1])
+    excess = nodes.sigma - vacuum
+    size = SERIES_NODES
+    while size <= SERIES_MAX_NODES:
+        phases = 2.0 * math.pi * np.arange(size) / size
+        sigma = np.tensordot(_periodic_weights(phases, READ_NODES, (1.0, 1.0)), excess,
+                             axes=1) + vacuum
+        dist = detect(gaussian.click_probabilities(
+            gaussian.CovarianceState(nodes.modes, sigma), detectors), config.noise)
+        # |c_K| in real arithmetic: the cos and sin sums over the phases
+        top = (size // 2) * phases
+        tail = np.hypot(np.cos(top) @ dist.probabilities,
+                        np.sin(top) @ dist.probabilities).max() / size
+        if tail <= SERIES_TOL:
+            return dist
+        size = 2 * size - 1
+    raise ProtocolError(f"p(Phi) keeps a top harmonic of {tail:.3g} at SERIES_MAX_NODES "
+                        f"= {SERIES_MAX_NODES} phases")
+
+
 def _read_out(config, prefix, phi) -> OutcomeDistribution:
     """The read-out at each relative phase phi from a phase-free prefix of
-    either engine, then detection: the Fock read passes, or the click
-    transform of the interpolant through the Gaussian nodes (no gate)."""
+    either engine: the Fock read passes, then detection, or the Gaussian
+    series, the trigonometric interpolant through the prefix's N detected
+    distributions, with round-off negatives zeroed and each row
+    renormalised as the click transform does (no gate, no click transform,
+    no background fold)."""
     if config.engine.name == "fock":
-        dist = _fock_joint_distribution(config, prefix, phi)
-    else:
-        nodes, detectors = prefix
-        sigma = nodes.sigma
-        if sigma.ndim == 3:  # else the open interferometer's one state
-            weights = _periodic_weights(phi, READ_NODES, (1.0, 1.0))
-            # the excess over vacuum, so round-off scales with it, not with 1/2
-            vacuum = 0.5 * np.eye(sigma.shape[-1])
-            sigma = np.tensordot(weights, sigma - vacuum, axes=1) + vacuum
-        dist = gaussian.click_probabilities(gaussian.CovarianceState(nodes.modes, sigma),
-                                            detectors)
-    return detect(dist, config.noise)
+        return detect(_fock_joint_distribution(config, prefix, phi), config.noise)
+    size = len(prefix.probabilities)
+    weights = _periodic_weights(phi, 2.0 * math.pi * np.arange(size) / size,
+                                np.ones(size // 2))
+    return OutcomeDistribution(prefix.labels,
+                               gaussian.checked_probabilities(weights @ prefix.probabilities))
 
 
 def _fock_joint_distribution(config, prefix, phi) -> OutcomeDistribution:
@@ -445,7 +484,8 @@ def _periodic_weights(phi, nodes: np.ndarray, damping) -> np.ndarray:
     phi, with harmonic k scaled by damping[k - 1]: exact while no harmonic
     above len(damping) <= (N - 1) / 2 is present, and the trigonometric
     interpolant at unit damping."""
-    x = np.subtract.outer(phi, nodes)
+    # phi wrapped to one period first, so x keeps the digits of a phase near 0
+    x = np.subtract.outer(np.remainder(phi, 2.0 * math.pi), nodes)
     return sum((2.0 * d * np.cos(k * x) for k, d in enumerate(damping, 1)), 1.0) / len(nodes)
 
 

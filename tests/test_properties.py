@@ -9,6 +9,7 @@ block-diagonal batch against each element alone, and of the config dict
 round trip."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from importlib.resources import files
@@ -535,13 +536,14 @@ def unstaged_reference(config, phi_w, phi_r, jitter_w, jitter_r):
 read_prefix = protocol._read_prefix
 
 
-def squeezed_read_prefix(circuit, config):
-    """The read prefix, then a squeezer and a balanced splitter on the read
-    photons: two single-mode squeezed states, so the late read photon's own
-    block is not rotation invariant and its covariance has the second
-    harmonic in Phi that the reference configs lack."""
+def squeezed_read_prefix(circuit, config, p=0.05):
+    """The read prefix, then a squeezer of scattering probability p and a
+    balanced splitter on the read photons: two single-mode squeezed states,
+    so the late read photon's own block is not rotation invariant and its
+    covariance has the second harmonic in Phi that the reference configs
+    lack."""
     read_prefix(circuit, config)
-    circuit.squeeze("o_rE", "o_rL", 0.05)
+    circuit.squeeze("o_rE", "o_rL", p)
     circuit.beam_splitter("o_rE", "o_rL", 0.5)
 
 
@@ -565,6 +567,45 @@ def test_the_read_interpolant_matches_the_gates(monkeypatch, overrides, prefix, 
                         for phi in phis])
     want = unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bell_test", "timebin_entanglement", "calibration"])
+def test_the_series_read_out_matches_the_gates(name):
+    # 200 phases over a dozen periods, each against its own circuit; the
+    # harmonics of the reference configs' p(Phi) that 9 phases cannot hold
+    # are at round-off, so their prefix reads no more
+    config = reference_config(name)
+    phis = np.random.default_rng(29).uniform(-40.0, 40.0, 200)
+    got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
+    assert len(protocol._prefix(config).probabilities) == protocol.SERIES_NODES == 9
+    assert got.min() >= 0.0
+    assert got == pytest.approx(unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities,
+                                abs=1e-14)
+
+
+def test_a_squeezed_read_takes_more_series_phases(monkeypatch):
+    monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
+    monkeypatch.setattr(protocol, "_read_prefix", squeezed_read_prefix)
+    # the squeezer is not phase covariant, so the reference reads Phi itself
+    config = with_overrides(reference_config("bell_test"), {"phases.phi_off": 0.0})
+    phis = np.random.default_rng(30).uniform(-40.0, 40.0, 200)
+    got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
+    assert len(protocol._prefix(config).probabilities) > protocol.SERIES_NODES
+    assert got.min() >= 0.0
+    assert got == pytest.approx(unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities,
+                                abs=1e-14)
+
+
+def test_a_much_stronger_squeeze_exhausts_the_series(monkeypatch):
+    # a perfect interferometer and a squeezer at p = 0.999 leave a harmonic
+    # of about 4e-8 at the largest number of phases
+    monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
+    monkeypatch.setattr(protocol, "_read_prefix",
+                        functools.partial(squeezed_read_prefix, p=0.999))
+    config = with_overrides(reference_config("bell_test"),
+                            {"noise.interferometer_visibility": 1.0})
+    with pytest.raises(protocol.ProtocolError, match="SERIES_MAX_NODES"):
+        protocol.exact_joint_distribution(config, 0.0, 0.3)
 
 
 @st.composite

@@ -633,8 +633,6 @@ class TestPrefix:
         prefix = protocol._prefix_memo[1]
         if isinstance(prefix, OutcomeDistribution):
             return [prefix.probabilities]
-        if isinstance(prefix[0], gaussian.CovarianceState):
-            return [prefix[0].sigma]
         codes, probs, state = prefix[0]
         return [codes, probs, state.rho.rows, state.rho.cols, state.rho.vals]
 
@@ -987,6 +985,45 @@ class TestJitterAveraging:
         monkeypatch.setattr(protocol, "JITTER_NODES", 3)
         got = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
         assert np.abs(got - want).max() <= 1e-15
+
+
+class TestSeriesReadOut:
+    """The Gaussian read-out is the trigonometric interpolant through the
+    prefix's detected distributions at equispaced phases."""
+
+    @pytest.mark.parametrize("size", [5, 9])
+    def test_the_weights_are_a_partition_of_unity_at_any_phase(self, size):
+        # the interpolant of a constant is that constant, damped or not; a
+        # phase a few periods out keeps it only if wrapped before the
+        # differences to the nodes are taken
+        nodes = 2.0 * math.pi * np.arange(size) / size
+        phis = np.random.default_rng(29).uniform(-40.0, 40.0, 200)
+        harmonics = np.arange(1, size // 2 + 1)
+        for damping in (np.ones(size // 2), np.exp(-0.5 * (0.3 * harmonics) ** 2)):
+            weights = protocol._periodic_weights(phis, nodes, damping)
+            assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 2e-15
+
+    @staticmethod
+    def read_out(amplitude, phi):
+        """The read-out of a two-channel prefix whose pattern 01 fringes as
+        amplitude * cos(Phi) about 0: negative near Phi = pi."""
+        nodes = 2.0 * math.pi * np.arange(9) / 9
+        fringe = amplitude * np.cos(nodes)
+        rows = np.stack([0.5 - fringe, fringe, np.full(9, 0.5), np.zeros(9)], axis=-1)
+        prefix = OutcomeDistribution(("a", "b"), rows)
+        return protocol._read_out(engine_config("bell_test", "gaussian"), prefix, phi)
+
+    def test_round_off_negatives_are_zeroed_and_rows_renormalised(self):
+        got = self.read_out(1e-12, np.array([0.0, math.pi])).probabilities
+        assert got[0, 1] == pytest.approx(1e-12, rel=1e-9)
+        assert got[1, 1] == 0.0
+        assert got.min() >= 0.0
+        assert got.sum(axis=-1) == pytest.approx(1.0, abs=1e-15)
+        assert got[1, 0] == pytest.approx((0.5 + 1e-12) / (1.0 + 1e-12), abs=1e-15)
+
+    def test_a_negative_entry_beyond_round_off_raises(self):
+        with pytest.raises(gaussian.GaussianEngineError, match="negative"):
+            self.read_out(1e-6, math.pi)
 
 
 class TestWitnessClassicalBound:
