@@ -68,6 +68,13 @@ basis state gets a weight per click pattern, click distributions are the
 diagonal times that weight matrix, and a conditioned state keeps the
 entries whose measured occupations agree, each weighted by its pattern,
 traced over the measured modes.  An efficiency outside [0, 1] raises.
+
+Only the diagonal reaches a click, and each gate conserves a charge of
+both row and column: a beam splitter n_a + n_b, a squeezer n_a - n_b, and
+loss, thermal loss and phases every mode's own n.  So ``prune_coherences``
+drops the entries whose row and column differ in a charge that the
+two-mode gates still to run conserve; those entries never feed the
+diagonal, and the kept ones evolve bit for bit as they would unpruned.
 """
 
 from __future__ import annotations
@@ -693,6 +700,60 @@ def apply_thermal_loss(state: FockState, mode: str, survival: float | np.ndarray
         return state.copy()
     return _apply_shift_kernels(state, mode, [_thermal_kernels(state.n_max, s, nt if s < 1.0 else 0.0)
                                               for s, nt in zip(survival, n_env)])
+
+
+# ---------------------------------------------------------------------------
+# coherences no read-out can see
+
+
+def prune_coherences(state: FockState, gates: Sequence[tuple[str, str, str]]) -> FockState:
+    """The state without the entries that ``gates``, the two-mode gates
+    still to run as (kind, mode_a, mode_b) with kind "bs" or "tms", cannot
+    bring onto the diagonal.  In the graph of the gates a "bs" edge asks
+    equal signs and a "tms" edge opposite ones; each component whose modes
+    take consistent signs s_k conserves sum_k s_k n_k (an untouched mode
+    its own n_k), and an entry stays when its row and column agree in
+    every such charge.  A component without consistent signs conserves
+    nothing."""
+    n = len(state.modes)
+    links = [[] for _ in range(n)]
+    for kind, a, b in gates:
+        i, j = state.mode_index(a), state.mode_index(b)
+        sign = 1 if kind == "bs" else -1
+        links[i].append((j, sign))
+        links[j].append((i, sign))
+    signs = np.zeros(n, dtype=np.int64)
+    charges = []
+    for root in range(n):
+        if signs[root]:
+            continue
+        signs[root] = 1
+        component, balanced = [root], True
+        for k in component:  # grows while it is walked
+            for m, sign in links[k]:
+                if not signs[m]:
+                    signs[m] = sign * signs[k]
+                    component.append(m)
+                balanced &= signs[m] == sign * signs[k]
+        if balanced:
+            charge = np.zeros(n, dtype=np.int64)
+            charge[component] = signs[component]
+            charges.append(charge)
+    if not charges:
+        return state
+    # a charge over p modes of sign + and q of sign - takes (p + q) n_max + 1
+    # values from -q n_max up, at most (n_max + 1)**(p + q), so one
+    # mixed-radix code of all charges stays below the basis codes' bound
+    charges = np.array(charges)
+    low = state.n_max * (charges < 0).sum(axis=1)
+    place = np.cumprod(np.r_[1, state.n_max * np.abs(charges[:-1]).sum(axis=1) + 1])
+    code = (state.basis.occs @ charges.T + low) @ place
+    rho = state.rho
+    keep = np.flatnonzero(code[rho.rows] == code[rho.cols])
+    if len(keep) == rho.nnz:
+        return state
+    return FockState(state.modes, state.basis,
+                     Entries(rho.rows[keep], rho.cols[keep], rho.vals[keep], rho.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,18 @@ class TestSharedVocabulary:
                 "ops": ops, "detectors": {"d1": ["o"], "d2": ["v"], "d3": ["m"]},
                 "efficiency": {"d1": 0.85, "d2": 0.85, "d3": 0.9},
                 "total_cap": 10}
-        assert oracles.cross_engine_deviation(desc, n_max=5) < 1e-7
+        assert oracles.cross_engine_deviation(desc, n_max=5)[0] < 1e-7
 
     def test_random_suite_smoke(self):
-        worst, worst_idx = oracles.cross_engine_suite(20, seed=20260809, n_max=5)
+        worst, worst_idx, peak = oracles.cross_engine_suite(20, seed=20260809, n_max=5)
         assert worst < 1e-6
         # pinned, so a kernel that loses accuracy but stays under the gate
         # still fails
         assert worst == pytest.approx(3.728391894823385e-08, abs=1e-15)
         assert worst_idx == 10
+        # the Fock states keep only the coherences the read-out can see
+        # (262,449 entries without pruning)
+        assert peak == 26_398
 
     def test_mutated_convention_fails_fringe_oracle(self):
         # flipping the interferometer phase sign must trip the branch test

@@ -533,3 +533,64 @@ class TestBatch:
     def test_phases_must_match_the_batch(self):
         with pytest.raises(F.FockEngineError, match="2 phases for a batch of 3"):
             F.apply_phase(self.batch(), "a", np.array([0.1, 0.2]))
+
+
+def coherence_state(modes, pairs, n_max=3):
+    """A state storing one entry at each (row occupations, column
+    occupations) pair; pruning reads where entries sit, not their values."""
+    st = F.init_vacuum(modes, n_max)
+    rows = st.basis.rank(np.array([r for r, _ in pairs]))
+    cols = st.basis.rank(np.array([c for _, c in pairs]))
+    st.rho = F.Entries(rows, cols, np.ones(len(pairs), complex), st.basis.dim)
+    return st
+
+
+def kept_pairs(st, gates):
+    rho = F.prune_coherences(st, gates).rho
+    occs = st.basis.occs.tolist()
+    return {(tuple(occs[r]), tuple(occs[c])) for r, c in zip(rho.rows, rho.cols)}
+
+
+class TestPruneCoherences:
+    def test_a_beam_splitter_component_keeps_its_summed_coherence(self):
+        # bs(a, b) and bs(b, c) conserve n_a + n_b + n_c on either side
+        keep = [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((2, 0, 1), (0, 3, 0))]
+        drop = [((1, 1, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 1))]
+        st = coherence_state(["a", "b", "c"], keep + drop)
+        assert kept_pairs(st, [("bs", "a", "b"), ("bs", "b", "c")]) == set(keep)
+
+    def test_a_squeezer_conserves_the_difference(self):
+        # tms(a, b) conserves n_a - n_b, so |1,1><0,0| can reach the
+        # diagonal and |1,0><0,1| cannot; with bs(b, c) the charge is
+        # n_c + n_b - n_a
+        st = coherence_state(["a", "b"], [((1, 1), (0, 0)), ((2, 1), (1, 0)),
+                                          ((1, 0), (0, 1)), ((1, 0), (0, 0))])
+        assert kept_pairs(st, [("tms", "a", "b")]) == {((1, 1), (0, 0)), ((2, 1), (1, 0))}
+        keep = [((1, 1, 0), (0, 0, 0)), ((1, 0, 1), (0, 0, 0)), ((0, 1, 0), (0, 0, 1))]
+        drop = [((1, 0, 0), (0, 1, 0)), ((0, 1, 1), (0, 0, 0))]
+        st = coherence_state(["a", "b", "c"], keep + drop)
+        assert kept_pairs(st, [("tms", "a", "b"), ("bs", "b", "c")]) == set(keep)
+
+    @pytest.mark.parametrize("gates", [
+        [("bs", "a", "b"), ("tms", "a", "b")],
+        [("bs", "a", "b"), ("bs", "b", "c"), ("tms", "c", "a")],
+    ], ids=["two-cycle", "triangle"])
+    def test_an_unbalanced_cycle_keeps_everything(self, gates):
+        # no signs satisfy the cycle, so its modes conserve nothing
+        occs = F.FockBasis(3, 2, 6).occs
+        pairs = [(r, c) for r in occs for c in occs if r[2] == c[2]]
+        st = coherence_state(["a", "b", "c"], pairs, n_max=2)
+        assert F.prune_coherences(st, gates) is st
+
+    def test_an_untouched_mode_needs_no_coherence(self):
+        keep = [((1, 0, 2), (0, 1, 2)), ((0, 0, 1), (0, 0, 1))]
+        drop = [((0, 0, 1), (0, 0, 0)), ((1, 0, 0), (0, 1, 1))]
+        st = coherence_state(["a", "b", "c"], keep + drop)
+        assert kept_pairs(st, [("bs", "a", "b")]) == set(keep)
+        # with no gate left only the diagonal reaches a click
+        full = F.apply_beam_splitter(F.apply_two_mode_squeeze(
+            F.init_thermal(["a", "b", "c"], 3, {"c": 0.2}), "a", "b", 0.2, 0.4), "b", "c", 0.5, 1.1)
+        pruned = F.prune_coherences(full, []).rho
+        assert np.array_equal(pruned.rows, pruned.cols)
+        assert np.array_equal(pruned.diagonal(), full.rho.diagonal())
+        assert pruned.nnz < full.rho.nnz

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dense_fock import dense, element, entries, index
-from phonon_timebin import fock, gaussian, protocol
+from phonon_timebin import fock, gaussian, oracles, protocol
 from phonon_timebin.core import (
     ExperimentKind,
     OutcomeDistribution,
@@ -971,6 +971,49 @@ def test_measure_threshold_matches_the_loss_channel_route(case, data):
         inside = fock.FockState(state.modes, state.basis, entries(rho * np.outer(sel, sel)))
         want = dense(fock.partial_trace(inside, keep)) / probs[code]
         assert np.abs(dense(element(reduced, b)) - want).max() <= 1e-14
+
+
+def draw_ops(data, state):
+    """1-8 builder ops on the state's modes: beam splitters, squeezers,
+    phases, losses and thermal losses."""
+    angle = st.floats(-6.3, 6.3)
+    ops = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        a, b = (state.modes[k] for k in two_modes(data, state))
+        kind = data.draw(st.sampled_from(["beam_splitter", "squeeze", "phase", "loss",
+                                          "thermal_loss"]))
+        if kind == "beam_splitter":
+            ops.append((kind, a, b, data.draw(unit), data.draw(angle)))
+        elif kind == "squeeze":
+            ops.append((kind, a, b, data.draw(st.floats(0.0, 0.3)), data.draw(angle)))
+        elif kind == "phase":
+            ops.append((kind, a, data.draw(angle)))
+        elif kind == "loss":
+            ops.append((kind, a, data.draw(unit)))
+        else:
+            ops.append((kind, a, data.draw(unit), data.draw(st.floats(0.0, 0.3))))
+    return ops
+
+
+@FAST
+@given(fock_states(), st.data())
+def test_pruned_coherences_give_the_same_clicks(case, data):
+    # dropping, before every op, the entries that the gates still to run
+    # cannot bring onto the diagonal leaves the read-out bit for bit as it
+    # was, and the pruned run never stores more entries
+    state, _ = case
+    ops = draw_ops(data, state)
+    detector_map, efficiency = draw_detectors(data, state, len(state.modes), unit)
+    circuit = protocol._FockCircuit(state.n_max, state.basis.total_max)
+    circuit.state = state
+    peak = state.rho.nnz
+    for kind, *args in ops:
+        getattr(circuit, kind)(*args)
+        peak = max(peak, circuit.state.rho.nnz)
+    want = circuit.click_distribution(detector_map, efficiency).probabilities
+    got, pruned_peak = oracles.fock_clicks(state, ops, detector_map, efficiency)
+    assert np.array_equal(got.probabilities, want)
+    assert pruned_peak <= peak
 
 
 def branches_alone(state, detector_map, efficiency):
