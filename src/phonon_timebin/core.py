@@ -358,6 +358,11 @@ class ExperimentConfig:
         return self.pulse(PulseRole.READ_EARLY).scattering_probability
 
 
+#: the largest round-off negative a pattern probability may carry; an entry
+#: below minus this is no probability
+NEGATIVE_MASS_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact probabilities over threshold-detector click patterns.
@@ -373,7 +378,8 @@ class OutcomeDistribution:
     Sampled counts are int vectors in the same order.
     ``truncation`` is set by the Fock engine only: the largest truncation
     weight and the largest |1 - trace| among the states it detected to
-    produce the distribution.
+    produce the distribution.  An entry below -NEGATIVE_MASS_TOL, or a row
+    total more than 1e-8 off 1, raises.
     """
 
     labels: tuple[str, ...]
@@ -389,6 +395,8 @@ class OutcomeDistribution:
         off = ~(np.abs(totals - 1.0) <= 1e-8)  # NaN totals too
         if off.any():
             raise ValueError(f"pattern probabilities sum to {float(totals[off][0])!r}, not 1")
+        if p.min() < -NEGATIVE_MASS_TOL:
+            raise ValueError(f"negative pattern probability {p.min():.3g}")
         object.__setattr__(self, "probabilities", p)
 
     def _vector(self) -> np.ndarray:

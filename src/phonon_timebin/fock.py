@@ -347,16 +347,19 @@ def add_vacuum_mode(state: FockState, label: str) -> FockState:
                      Entries(mapping[rho.rows], mapping[rho.cols], rho.vals, basis.dim))
 
 
-def tile(state: FockState, batch: int) -> FockState:
+def tile(state: FockState, batch: int, copy: np.ndarray | None = None) -> FockState:
     """``batch`` copies of a state, or of a batch of B, as one
     block-diagonal batch: copy c of element b is element c*B + b.  One copy
-    is the state itself."""
-    if batch == 1:
-        return state
+    is the state itself.  ``copy``, one copy number per stored entry, puts
+    each entry in that copy alone, so the copies split the entries."""
     rho = state.rho
-    shift = rho.dim * np.arange(batch)[:, None]
-    blocks = Entries((rho.rows + shift).ravel(), (rho.cols + shift).ravel(),
-                     np.tile(rho.vals, batch), batch * rho.dim)
+    if copy is None:
+        if batch == 1:
+            return state
+        copy = np.repeat(np.arange(batch), rho.nnz)
+        rho = Entries(*(np.tile(a, batch) for a in (rho.rows, rho.cols, rho.vals)), rho.dim)
+    shift = rho.dim * copy
+    blocks = Entries(rho.rows + shift, rho.cols + shift, rho.vals, batch * rho.dim)
     return FockState(state.modes, replace(state.basis, batch=batch * state.basis.batch), blocks)
 
 

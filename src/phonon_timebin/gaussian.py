@@ -32,10 +32,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import OutcomeDistribution
+from .core import NEGATIVE_MASS_TOL, OutcomeDistribution
 
 SYMMETRY_TOL = 1e-12
-NEGATIVE_MASS_TOL = 1e-9
 
 
 class GaussianEngineError(ValueError):

@@ -40,28 +40,25 @@ counted or traced: a phase on o_rE is minus that phase on o_rL.  So every
 read-out samples one periodic p(Phi); a Gaussian jitter j_w + j_r of width
 sigma scales its harmonic k by exp(-sigma^2 k^2 / 2), and the jitter average
 is that damped series, read off p at equispaced Phi (``_periodic_weights``).
-Both engines build the write stage at relative phase 0 and the read stage up
-to its interferometer once per config (``_prefix``).  The Fock prefix
-measures the write photons once and carries the heralded branches as one batch through
-the read prefix and its trace; each read-out then runs the read
-interferometer, Phi on its late arm, and the click read-out once on that
-batch per block of phases.  The Gaussian prefix runs the read
-interferometer at five phases, which fix the detected covariance at any Phi
-(``READ_NODES``), and through them reads p out at N equispaced phases with
-one batched click transform and one background fold, N raised until the
-top harmonic they hold is at round-off (``_gaussian_series``); each
-Gaussian read-out is then the trigonometric interpolant of p at its Phi,
-with no gate and no click transform.  The open interferometer of the
-cross-correlation kind applies no phase: its clicks see none, so its prefix
-holds the finished, detected distribution, and no click transform keeps a
-memo of its own.
+Both engines build the circuit up to the read interferometer once per
+config and keep p at N equispaced phases (``_prefix``); every read-out is
+then the trigonometric interpolant of p at its Phi, with no gate and no
+click transform.  The Gaussian prefix runs the read interferometer at the
+five phases that fix the detected covariance (``READ_NODES``), and raises
+N until the top harmonic is at round-off (``_gaussian_series``).  The Fock
+prefix measures the write photons once, and runs the read prefix and one
+read interferometer, at Phi = 0, on the herald branches' coherence blocks;
+every gate before the read phase is real, so p is a cosine series of
+degree K and N = 2K + 1 (``_fock_series``).  The open interferometer of
+the cross-correlation kind takes no phase: its prefix is the one detected
+distribution.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,11 +101,6 @@ READ_NODES = 2.0 * math.pi * np.arange(5) / 5
 SERIES_NODES = 9
 SERIES_MAX_NODES = 257
 SERIES_TOL = 1e-14
-#: stored entries of the traced batch of herald branches that one Fock read
-#: pass tiles: a pass over a few entries is mostly per-call overhead, which
-#: a block of phases shares, while a batch of this size or more runs one
-#: phase per block, so a large state is never held many times over
-FOCK_BATCH_ENTRIES = 1 << 10
 
 
 class ProtocolError(RuntimeError):
@@ -327,10 +319,9 @@ def exact_joint_distribution(
     arrays: either engine then gives one (B, 2**n) distribution, and
     scalars are its batch-of-one case.  ``config.engine`` picks the engine.
     Either engine reads out the one relative phase Phi (module docstring)
-    from ``_prefix(config)``: the Fock engine runs the read interferometer
-    and the click read-out, the Gaussian engine sums the series in Phi that
-    its prefix holds.  The open interferometer takes no phase, so its
-    prefix is the finished distribution, tiled to Phi's shape."""
+    as the series in Phi that ``_prefix(config)`` holds.  The open
+    interferometer takes no phase, so its prefix is the finished
+    distribution, tiled to Phi's shape."""
     phi = np.add(phi_w, phi_r) - 2.0 * config.phases.phi_off - np.add(jitter_w, jitter_r)
     prefix = _prefix(config)
     if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
@@ -340,24 +331,20 @@ def exact_joint_distribution(
     return _read_out(config, prefix, phi)
 
 
-#: (key, prefix) of the last config, replaced whole; its arrays are read-only
+#: (key, prefix) of the last config, replaced whole; its array is read-only
 _prefix_memo = (None, None)
 
 
-def _prefix(config: ExperimentConfig):
+def _prefix(config: ExperimentConfig) -> OutcomeDistribution:
     """The phase-free part of the circuit, memoised for the last (config,
     THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP), compared with ``==``: the
-    Gaussian detected distribution at the N equispaced phases of its series
-    in Phi (``_gaussian_series``), one (N, 2**n) ``OutcomeDistribution``, or
-    the Fock ((codes, probabilities, read prefixes), (truncation weight,
-    |renorm deficit|)) -- the heralded write patterns' codes and
-    probabilities, and their read prefixes as one batch, element b for code
-    b, traced to o_rE and o_rL, which nothing after the readout splitters
-    touches; and the maxima over every state built, the batch before its
-    trace included.  The write stage is measured once, and the read prefix
-    and the trace run once on the batch.  No phase reaches the clicks of
-    the cross-correlation kind's open interferometer, so its prefix is the
-    whole read-out: the one detected distribution."""
+    detected distribution at the N equispaced phases of its series in Phi,
+    one (N, 2**n) ``OutcomeDistribution`` (``_gaussian_series``,
+    ``_fock_series``).  The Fock write stage is measured once, and the read
+    prefix and its trace to o_rE and o_rL, which nothing after the readout
+    splitters touches, run once on the batch of herald branches.  No phase
+    reaches the clicks of the cross-correlation kind's open interferometer,
+    so its prefix is the whole read-out: the one detected distribution."""
     global _prefix_memo
     key = (config, THERMAL_NOISE_EPSILON, FOCK_PROTOCOL_CAP)
     if _prefix_memo[0] == key:
@@ -380,14 +367,9 @@ def _prefix(config: ExperimentConfig):
         _read_prefix(circuit, config)
         weight = max(weight, circuit.state.truncation_weight())
         deficit = max(deficit, abs(circuit.state.renorm_deficit))
-        traced = circuit.engine.partial_trace(circuit.state, ["o_rE", "o_rL"])
-        for array in (codes, probs, traced.rho.rows, traced.rho.cols, traced.rho.vals):
-            array.flags.writeable = False
-        prefix = ((codes, probs, traced), (weight, deficit))
-        if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
-            prefix = _read_out(config, prefix, 0.0)
-    if isinstance(prefix, OutcomeDistribution):
-        prefix.probabilities.flags.writeable = False
+        prefix = _fock_series(config, codes, probs, circuit.engine.partial_trace(
+            circuit.state, ["o_rE", "o_rL"]), weight, deficit)
+    prefix.probabilities.flags.writeable = False
     _prefix_memo = (key, prefix)
     return prefix
 
@@ -424,53 +406,61 @@ def _gaussian_series(config, nodes: gaussian.CovarianceState,
                         f"= {SERIES_MAX_NODES} phases")
 
 
+def _fock_series(config, codes, probs, branches, weight, deficit) -> OutcomeDistribution:
+    """The detected distribution at the 2K + 1 phases 2 pi j / (2K + 1),
+    from the write patterns ``codes`` of probabilities ``probs`` and their
+    read prefixes, the batch ``branches`` traced to o_rE and o_rL.  Phi
+    scales an entry by exp(i Phi delta), delta = n_rL(row) - n_rL(col), and
+    all after it is linear and real; so for a real prefix the diagonal the
+    clicks read at Phi is sum_k cos(k Phi) times that of block k, the
+    entries with |delta| = k, and K is the largest.  All blocks run one
+    read interferometer, at Phi = 0, as one batch (``fock.tile``).  The
+    figures are the maxima of ``weight``, ``deficit`` and the read states'.
+    The open interferometer takes no phase: one block, one distribution."""
+    rho = branches.rho
+    if np.any(rho.vals.imag):
+        raise ProtocolError("the Fock read prefix is not real: p(Phi) is no cosine series")
+    closed = config.kind is not ExperimentKind.DOUBLE_CROSS_CORRELATION
+    n_rL = branches.basis.occs[:, branches.mode_index("o_rL")]
+    block = np.abs(n_rL[rho.rows] - n_rL[rho.cols]) * closed
+    top = int(block.max())
+    size = 2 * top + 1
+    read = _FockCircuit(config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP)
+    read.state = read.engine.tile(branches, top + 1, block)
+    labels = _analysis_channels(config.kind)
+    r_channels = [ch for ch in labels if ch.startswith("read")]
+    r_groups = _stage_interferometer(read, config, "read", 0.0)
+    r_map = {ch: r_groups[ch] for ch in r_channels}
+    # element j * len(codes) + b: the diagonal of branch b at phase j
+    cosines = np.cos(np.outer(2.0 * math.pi * np.arange(size) / size, np.arange(top + 1)))
+    read.state = read.engine._diagonal_state(
+        read.state.modes, replace(read.state.basis, batch=size * len(codes)),
+        (cosines @ np.real(read.state.rho.diagonal()).reshape(top + 1, -1)).ravel())
+    r_dist = read.click_distribution(r_map, _efficiency_map(r_map, config.noise))
+    weight = max(weight, read.state.truncation_weight())
+    deficit = max(deficit, abs(read.state.renorm_deficit))
+    # rows: write pattern codes, columns: read pattern codes; the write
+    # channels come first in the labels, so the row-major ravel is the code
+    joint = np.zeros((size, 1 << (len(labels) - len(r_channels)), 1 << len(r_channels)))
+    joint[:, codes] = probs[:, None] * r_dist.probabilities.reshape(size, len(codes), -1)
+    joint = joint.reshape(size, -1)
+    joint /= joint.sum(axis=-1, keepdims=True)
+    return detect(OutcomeDistribution(labels, joint if closed else joint[0], (weight, deficit)),
+                  config.noise)
+
+
 def _read_out(config, prefix, phi) -> OutcomeDistribution:
     """The read-out at each relative phase phi from a phase-free prefix of
-    either engine: the Fock read passes, then detection, or the Gaussian
-    series, the trigonometric interpolant through the prefix's N detected
-    distributions, with round-off negatives zeroed and each row
+    either engine: the trigonometric interpolant through the prefix's N
+    detected distributions, with round-off negatives zeroed and each row
     renormalised as the click transform does (no gate, no click transform,
     no background fold)."""
-    if config.engine.name == "fock":
-        return detect(_fock_joint_distribution(config, prefix, phi), config.noise)
     size = len(prefix.probabilities)
     weights = _periodic_weights(phi, 2.0 * math.pi * np.arange(size) / size,
                                 np.ones(size // 2))
     return OutcomeDistribution(prefix.labels,
-                               gaussian.checked_probabilities(weights @ prefix.probabilities))
-
-
-def _fock_joint_distribution(config, prefix, phi) -> OutcomeDistribution:
-    """The Fock read passes of a ((codes, probabilities, branches),
-    figures) prefix: on blocks of max(1, FOCK_BATCH_ENTRIES // the branch
-    batch's entries) relative phases, one tile of the batch per phase, one
-    read interferometer at each phase repeated per branch and one click
-    read-out, each block one block-diagonal Fock batch of four modes."""
-    noise = config.noise
-    shape, phi = np.shape(phi), np.ravel(phi)
-    # running maxima from the prefix's, so no block's state outlives its read-out
-    (codes, probs, branches), (weight, deficit) = prefix
-    labels = _analysis_channels(config.kind)
-    r_channels = [ch for ch in labels if ch.startswith("read")]
-    # per element, rows: write pattern codes, columns: read pattern codes;
-    # write channels come first in the labels, so the row-major ravel of the
-    # last two axes is the joint code
-    joint = np.zeros((phi.size, 1 << (len(labels) - len(r_channels)), 1 << len(r_channels)))
-    read = _FockCircuit(config.engine.truncation, config.engine.total_cap or FOCK_PROTOCOL_CAP)
-    size = max(1, FOCK_BATCH_ENTRIES // branches.rho.nnz)
-    for block in (slice(start, start + size) for start in range(0, phi.size, size)):
-        # element c * len(codes) + b: phase c of the block, branch b
-        read.state = read.engine.tile(branches, len(phi[block]))
-        r_groups = _stage_interferometer(read, config, "read", np.repeat(phi[block], len(codes)))
-        r_map = {ch: r_groups[ch] for ch in r_channels}
-        r_dist = read.click_distribution(r_map, _efficiency_map(r_map, noise))
-        joint[block, codes] = probs[:, None] * r_dist.probabilities.reshape(
-            -1, len(codes), joint.shape[-1])
-        weight = max(weight, read.state.truncation_weight())
-        deficit = max(deficit, abs(read.state.renorm_deficit))
-    joint = joint.reshape(shape + (-1,))
-    return OutcomeDistribution(labels, joint / joint.sum(axis=-1, keepdims=True),
-                               (weight, deficit))
+                               gaussian.checked_probabilities(weights @ prefix.probabilities),
+                               prefix.truncation)
 
 
 def _jitter_scale(noise: NoiseModel) -> float:
@@ -489,15 +479,6 @@ def _periodic_weights(phi, nodes: np.ndarray, damping) -> np.ndarray:
     return sum((2.0 * d * np.cos(k * x) for k, d in enumerate(damping, 1)), 1.0) / len(nodes)
 
 
-def _mix(weights, dists: Sequence[OutcomeDistribution]) -> OutcomeDistribution:
-    """The (..., N) weights applied to N distributions, normalised."""
-    mix = weights @ np.array([dist.probabilities for dist in dists])
-    figures = [dist.truncation for dist in dists if dist.truncation is not None]
-    truncation = tuple(map(float, np.max(figures, axis=0))) if figures else None
-    return OutcomeDistribution(dists[0].labels, mix / mix.sum(axis=-1, keepdims=True),
-                               truncation)
-
-
 def jitter_averaged_distribution(
     config: ExperimentConfig,
     phi_w: float | np.ndarray,
@@ -508,20 +489,21 @@ def jitter_averaged_distribution(
     width sigma, which scales harmonic k of p(Phi) by exp(-sigma^2 k^2 / 2).
     So p is read out once at each of N equispaced phases, and every setting
     is the damped series through them (``_periodic_weights``).  N is
-    JITTER_NODES; a Fock p, of degree K = min(truncation, total cap) in Phi,
-    reads 2K + 1 when that is more, so the average is exact on that engine.
-    The phases may be (S,) arrays of settings, and the result is then one
-    (S, 2**n) distribution from the same N read-outs."""
+    JITTER_NODES, or the prefix's number of phases when that is more, so
+    every harmonic the prefix holds is read.  The phases may be (S,) arrays
+    of settings, and the result is then one (S, 2**n) distribution from the
+    same N read-outs, with the prefix's truncation figures."""
     sigma = _jitter_scale(config.noise)
     if sigma == 0.0 or config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
         return exact_joint_distribution(config, phi_w, phi_r)
-    engine, size = config.engine, JITTER_NODES
-    if engine.name == "fock":
-        size = max(size, 2 * min(engine.truncation, engine.total_cap or FOCK_PROTOCOL_CAP) + 1)
+    prefix = _prefix(config)
+    size = max(JITTER_NODES, len(prefix.probabilities))
     nodes = 2.0 * math.pi * np.arange(size) / size
     damping = np.exp(-0.5 * (sigma * np.arange(1, size // 2 + 1)) ** 2)
-    return _mix(_periodic_weights(np.add(phi_w, phi_r), nodes, damping),
-                [exact_joint_distribution(config, node, 0.0) for node in nodes.tolist()])
+    mix = _periodic_weights(np.add(phi_w, phi_r), nodes, damping) @ np.array(
+        [exact_joint_distribution(config, node, 0.0).probabilities for node in nodes.tolist()])
+    return OutcomeDistribution(prefix.labels, mix / mix.sum(axis=-1, keepdims=True),
+                               prefix.truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -394,3 +394,19 @@ def test_an_absolute_spectrum_file_stays_as_written(tmp_path):
     path = tmp_path / "sub" / "g2.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert load_config(path).extra["spectrum_file"] == spectrum
+
+
+class TestOutcomeDistribution:
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_an_entry_below_minus_the_negative_mass_tolerance_raises(self, batch):
+        # rows that sum to 1: only the negative entry is wrong
+        labels = ("a", "b")
+        for low, ok in ((-0.5 * core.NEGATIVE_MASS_TOL, True),
+                        (-2.0 * core.NEGATIVE_MASS_TOL, False), (-1e-6, False)):
+            p = np.array([0.5 - low, low, 0.25, 0.25])
+            p = np.stack([np.full(4, 0.25), p]) if batch else p
+            if ok:
+                assert np.array_equal(core.OutcomeDistribution(labels, p).probabilities, p)
+            else:
+                with pytest.raises(ValueError, match="negative pattern probability"):
+                    core.OutcomeDistribution(labels, p)

@@ -631,10 +631,8 @@ class TestPrefix:
     def memo_arrays():
         """Every array the memoised prefix holds."""
         prefix = protocol._prefix_memo[1]
-        if isinstance(prefix, OutcomeDistribution):
-            return [prefix.probabilities]
-        codes, probs, state = prefix[0]
-        return [codes, probs, state.rho.rows, state.rho.cols, state.rho.vals]
+        assert isinstance(prefix, OutcomeDistribution)
+        return [prefix.probabilities]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_scan_builds_one_prefix(self, builds, engine):
@@ -664,9 +662,10 @@ class TestPrefix:
         assert len(phases) == 1
         assert np.array_equal(phases[0], 2.0 * np.pi * np.arange(5) / 5)
 
-    def test_a_fock_scan_runs_the_read_stage_once_per_block(self, builds, monkeypatch):
+    @pytest.mark.parametrize("run", ["scan", "jitter_average", "records"])
+    def test_a_fock_scan_runs_the_read_interferometer_once(self, builds, monkeypatch, run):
         # the herald branches are one batch: one read prefix on all four, and
-        # one read interferometer for the scan's one block of phases
+        # one read interferometer, at Phi = 0, on their four coherence blocks
         prefixes, reads = [], []
         read_prefix, stage = protocol._read_prefix, protocol._stage_interferometer
         monkeypatch.setattr(protocol, "_read_prefix", lambda circuit, config: prefixes.append(
@@ -674,16 +673,24 @@ class TestPrefix:
 
         def spy(circuit, config, which, phi):
             if which == "read":
-                reads.append(np.size(phi))
+                reads.append((phi, circuit.state.basis.batch))
             return stage(circuit, config, which, phi)
 
         monkeypatch.setattr(protocol, "_stage_interferometer", spy)
         cfg, settings = bell_scan()
         phi_w, phi_r = (np.array(v) for v in zip(*settings))
-        protocol.exact_joint_distribution(cfg, phi_w, phi_r)
+        if run == "scan":
+            protocol.exact_joint_distribution(cfg, phi_w, phi_r)
+        elif run == "jitter_average":
+            cfg = fock_config("bell_test")
+            protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
+        else:
+            cfg = fock_config("bell_test")
+            _, n_keys = protocol._sample_records(cfg, 0.3, 0.1, 0, 500)
+            assert n_keys > 20
         assert builds == [cfg]
         assert prefixes == [4]
-        assert reads == [4 * 4]
+        assert reads == [(0.0, 4 * 4)]
 
     def test_a_fock_record_run_builds_one_prefix(self, builds):
         cfg = engine_config("bell_test", "fock")
@@ -693,9 +700,14 @@ class TestPrefix:
 
     def test_a_fock_open_arm_record_run_makes_one_read_pass(self, builds, monkeypatch):
         passes = []
-        read = protocol._fock_joint_distribution
-        monkeypatch.setattr(protocol, "_fock_joint_distribution",
-                            lambda *args: passes.append(args) or read(*args))
+        stage = protocol._stage_interferometer
+
+        def spy(circuit, config, which, phi):
+            if which == "read":
+                passes.append(phi)
+            return stage(circuit, config, which, phi)
+
+        monkeypatch.setattr(protocol, "_stage_interferometer", spy)
         open_arm_records(monkeypatch, "fock", passes)
         assert len(builds) == len(passes)
 
@@ -864,7 +876,7 @@ class TestFockScan:
             return stage(circuit, config, which, phi)
 
         monkeypatch.setattr(protocol, "_stage_interferometer", spy)
-        # from an empty memo: the open arms' read stage runs in the prefix build
+        # from an empty memo: the read interferometer runs in the prefix build
         monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
         protocol.exact_joint_distribution(fock_config(name), np.zeros(3), 0.0)
         reads = [m for which, m in modes if which == "read"]
@@ -884,40 +896,88 @@ def fringe_scan():
 
 
 class TestFockBlocks:
-    """A Fock scan's read stages run in block-diagonal batches of
-    max(1, FOCK_BATCH_ENTRIES // the branch batch's entries) phases, each
-    phase one tile of every herald branch."""
+    """A Fock prefix reads out its traced branch batch as coherence blocks:
+    block k holds the entries with |n_rL(row) - n_rL(col)| = k, each entry
+    once, and the blocks are one block-diagonal batch."""
 
-    def blocks(self, monkeypatch, scan, entries=None):
-        if entries is not None:
-            monkeypatch.setattr(protocol, "FOCK_BATCH_ENTRIES", entries)
-        sizes = []
+    @pytest.mark.parametrize("scan, blocks", [
+        # the Bell step's four branches reach K = 3, the fringe oracle's
+        # three, capped at two quanta, K = 1
+        (bell_scan, 4), (fringe_scan, 2),
+    ], ids=["bell_test", "fringe"])
+    def test_blocks_follow_the_prefix_entries(self, monkeypatch, scan, blocks):
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
+        tiles = []
         tile = fock.tile
-        monkeypatch.setattr(fock, "tile", lambda state, batch: sizes.append(batch)
-                            or tile(state, batch))
+        monkeypatch.setattr(fock, "tile", lambda state, batch, copy=None: tiles.append(
+            (state, batch, copy)) or tile(state, batch, copy))
         cfg, settings = scan()
         phi_w, phi_r = (np.array(v) for v in zip(*settings))
-        return protocol.exact_joint_distribution(cfg, phi_w, phi_r), sizes
+        protocol.exact_joint_distribution(cfg, phi_w, phi_r)
+        [(state, batch, copy)] = tiles
+        n_rL = state.basis.occs[:, state.mode_index("o_rL")]
+        assert np.array_equal(copy, np.abs(n_rL[state.rho.rows] - n_rL[state.rho.cols]))
+        assert batch == copy.max() + 1 == blocks
+        assert len(protocol._prefix_memo[1].probabilities) == 2 * blocks - 1
 
-    @pytest.mark.parametrize("scan, sizes", [
-        # traced to the two read photons, the Bell step's four branches hold
-        # about two hundred entries together and the fringe oracle's three a
-        # dozen: each scan in one block, one tile for all its heralds
-        (bell_scan, [4]), (fringe_scan, [25]),
-    ], ids=["bell_test", "fringe"])
-    def test_blocks_follow_the_prefix_entries(self, monkeypatch, scan, sizes):
-        _, got = self.blocks(monkeypatch, scan)
-        assert got == sizes
 
-    @pytest.mark.parametrize("scan", [bell_scan, fringe_scan], ids=["bell_test", "fringe"])
-    @pytest.mark.parametrize("entries", [1, 1 << 30], ids=["per_element", "one_block"])
-    def test_the_block_split_does_not_matter(self, monkeypatch, scan, entries):
-        want, _ = self.blocks(monkeypatch, scan)
-        got, sizes = self.blocks(monkeypatch, scan, entries)
-        n = len(scan()[1])
-        assert set(sizes) == ({1} if entries == 1 else {n})
-        assert got.probabilities == pytest.approx(want.probabilities, abs=1e-12)
-        assert got.truncation == pytest.approx(want.truncation, abs=1e-12)
+def strong_config(truncation, write_fwhm=0.0, read_fwhm=0.0):
+    """A Fock config of frequent pairs, p_w = p_r = 0.3: every harmonic of
+    p(Phi) up to K = 3 stands far above round-off, the top one near 1e-7."""
+    base = make_config(noise=noisy(write_fwhm, read_fwhm),
+                       engine=EngineSpec("fock", truncation=truncation))
+    return dataclasses.replace(base, pulses=build_pulse_sequence(
+        base.kind, base.waveguide.round_trip_time, 0.3, 0.3, guard=0.5))
+
+
+class TestFockSeries:
+    """The Fock prefix holds p at the 2K + 1 phases of its cosine series in
+    Phi, and every read-out, jitter-averaged or not, is read off it."""
+
+    @pytest.mark.parametrize("truncation", [3, 4, 5])
+    @pytest.mark.parametrize("name", ["bell_test", "timebin_entanglement", "calibration",
+                                      "strong"])
+    def test_read_outs_match_the_staged_pipeline_at_random_phases(self, name, truncation):
+        cfg = (strong_config(truncation) if name == "strong"
+               else with_overrides(fock_config(name), {"engine.truncation": truncation}))
+        rng = np.random.default_rng(31 + truncation)
+        phi_w, phi_r = rng.uniform(-40.0, 40.0, 4), rng.uniform(-1.0, 1.0, 4)
+        # two settings without jitter, two with a jitter sample
+        jitter_w = np.r_[0.0, 0.0, rng.normal(0.0, 0.5, 2)]
+        jitter_r = np.r_[0.0, 0.0, rng.normal(0.0, 0.3, 2)]
+        got = protocol.exact_joint_distribution(cfg, phi_w, phi_r, jitter_w, jitter_r)
+        for b in range(4):
+            want = staged_fock_reference(cfg, phi_w[b], phi_r[b], jitter_w[b], jitter_r[b])
+            assert np.abs(got.probabilities[b] - want.probabilities).max() <= 1e-12
+
+    @pytest.mark.parametrize("truncation", [3, 4, 5])
+    def test_the_jitter_average_damps_the_staged_harmonics(self, truncation):
+        # p(Phi) has degree K = 3, so 7 staged read-outs at 2 pi j / 7 give
+        # its harmonics c_k, and the average scales each by exp(-sigma^2 k^2 / 2)
+        cfg = strong_config(truncation, 1.0, 0.6)
+        off, sigma = cfg.phases.phi_off, protocol._jitter_scale(cfg.noise)
+        nodes = 2.0 * math.pi * np.arange(7) / 7
+        staged = np.array([staged_fock_reference(cfg, node + 2.0 * off, 0.0, 0.0, 0.0)
+                           .probabilities for node in nodes])
+        harmonics = np.fft.rfft(staged, axis=0) / 7
+        rng = np.random.default_rng(16)
+        phi_w, phi_r = rng.uniform(-40.0, 40.0, 5), rng.uniform(-1.0, 1.0, 5)
+        k = np.arange(4)
+        terms = np.exp(1j * np.outer(phi_w + phi_r - 2.0 * off, k) - 0.5 * (sigma * k) ** 2)
+        want = (terms * np.where(k > 0, 2.0, 1.0)) @ harmonics
+        want = want.real / want.real.sum(axis=-1, keepdims=True)
+        got = protocol.jitter_averaged_distribution(cfg, phi_w, phi_r).probabilities
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_a_prefix_that_is_not_real_raises(self, monkeypatch):
+        # a write-stage phase reaches the herald branches' coherences, so
+        # p(Phi) would take sine terms the series does not hold
+        monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
+        write_stage = protocol.run_write_stage
+        monkeypatch.setattr(protocol, "run_write_stage",
+                            lambda circuit, config: write_stage(circuit, config, 0.7))
+        with pytest.raises(protocol.ProtocolError, match="not real"):
+            protocol.exact_joint_distribution(fock_config("bell_test"), 0.3, 0.4)
 
 
 class TestJitterAveraging:
@@ -972,11 +1032,11 @@ class TestJitterAveraging:
         want /= want.sum(axis=-1, keepdims=True)
         assert np.abs(got - want).max() <= 1e-14
 
-    def test_fock_average_reads_2k_plus_1_nodes(self, monkeypatch):
-        # p(Phi) on the Fock engine has degree K = min(truncation, total cap)
-        # = 2, so 3 base nodes still read 2K + 1 = 5 and give the series
-        # through the 21 nodes; 2K - 1 = 3 nodes alias harmonic 2, about
-        # 1e-13 at the calibration point's scattering probabilities
+    def test_the_average_reads_every_phase_of_the_prefix(self, monkeypatch):
+        # at truncation 2 the Fock prefix holds p at 2K + 1 = 5 phases, so
+        # 3 base nodes still read 5 and give the series through the 21
+        # nodes; 3 nodes would alias harmonic 2, about 1e-13 at the
+        # calibration point's scattering probabilities
         cfg = with_overrides(load_config(str(CONFIGS / "calibration.yaml")),
                              {"trials": 0, "engine.name": "fock", "engine.truncation": 2,
                               "noise.write_phase_jitter_fwhm": 0.5})
@@ -1003,18 +1063,19 @@ class TestSeriesReadOut:
             weights = protocol._periodic_weights(phis, nodes, damping)
             assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 2e-15
 
-    @staticmethod
-    def read_out(amplitude, phi):
-        """The read-out of a two-channel prefix whose pattern 01 fringes as
-        amplitude * cos(Phi) about 0: negative near Phi = pi."""
-        nodes = 2.0 * math.pi * np.arange(9) / 9
-        fringe = amplitude * np.cos(nodes)
+    NODES = 2.0 * math.pi * np.arange(9) / 9
+
+    @classmethod
+    def read_out(cls, fringe, phi):
+        """The read-out of a two-channel prefix whose pattern 01 takes the
+        values ``fringe`` at the prefix's 9 phases."""
         rows = np.stack([0.5 - fringe, fringe, np.full(9, 0.5), np.zeros(9)], axis=-1)
         prefix = OutcomeDistribution(("a", "b"), rows)
         return protocol._read_out(engine_config("bell_test", "gaussian"), prefix, phi)
 
     def test_round_off_negatives_are_zeroed_and_rows_renormalised(self):
-        got = self.read_out(1e-12, np.array([0.0, math.pi])).probabilities
+        # a fringe of 1e-12 * cos(Phi) about 0: negative near Phi = pi
+        got = self.read_out(1e-12 * np.cos(self.NODES), np.array([0.0, math.pi])).probabilities
         assert got[0, 1] == pytest.approx(1e-12, rel=1e-9)
         assert got[1, 1] == 0.0
         assert got.min() >= 0.0
@@ -1022,8 +1083,11 @@ class TestSeriesReadOut:
         assert got[1, 0] == pytest.approx((0.5 + 1e-12) / (1.0 + 1e-12), abs=1e-15)
 
     def test_a_negative_entry_beyond_round_off_raises(self):
+        # non-negative samples, one spike of 1e-6: its interpolant, the
+        # Dirichlet kernel, reads -2.2e-7 at Phi = pi / 3
+        spike = np.where(self.NODES == 0.0, 1e-6, 0.0)
         with pytest.raises(gaussian.GaussianEngineError, match="negative"):
-            self.read_out(1e-6, math.pi)
+            self.read_out(spike, math.pi / 3)
 
 
 class TestWitnessClassicalBound:
