@@ -24,10 +24,11 @@ from .core import (
     ConfigError,
     ExperimentConfig,
     ExperimentKind,
-    _integer,
     config_digest,
+    key_at,
     load_config,
     with_overrides,
+    with_pulse_field,
     write_rows,
     yaml_dump,
 )
@@ -219,13 +220,13 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     t0 = time.time()
-    results: dict = {"kind": config.kind.value, "config_digest": config_digest(config),
+    results: dict = {"kind": config.kind.value, "config_digest": manifest.data["config_digest"],
                      "seed": config.seed, "engine": config.engine.name}
 
     if config.kind is ExperimentKind.THERMAL_G2_TAU:
         _thermal_g2_run(config, out, manifest, results)
     else:
-        witness_g2 = _witness_g2(config.extra)
+        witness_g2 = config.extra_value("witness_g2")
         run = protocol.run_experiment(config)
         manifest.note_truncation(sr.distribution for sr in run.settings)
         if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
@@ -272,55 +273,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _witness_g2(extra) -> tuple[float, float] | None:
-    """extra.witness_g2, the (g2_EE, g2_LL) pair the witness R takes: two
-    finite positive numbers, or None when the key is absent."""
-    if "witness_g2" not in extra:
-        return None
-    value = extra["witness_g2"]
-    try:
-        pair = tuple(float(g) for g in value) if isinstance(value, (list, tuple)) else ()
-    except (TypeError, ValueError):
-        pair = ()
-    if len(pair) != 2 or not all(math.isfinite(g) and g > 0.0 for g in pair):
-        raise ConfigError(f"extra.witness_g2 must be two finite positive numbers, got {value!r}")
-    return pair
-
-
-def _extra(extra, key: str, default, read=float):
-    """extra.<key> through ``read``: a value it cannot read is a ConfigError
-    that names the key once."""
-    try:
-        return read(extra.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"extra.{key}: {exc}") from exc
-
-
 def _thermal_g2_run(config, out, manifest, results):
-    extra = dict(config.extra)
+    value = config.extra_value
     gamma = 1.0 / config.waveguide.T1
-    if "spectrum_file" in extra:
+    if "spectrum_file" in config.extra:
         try:
-            spectrum = waveguide.load_spectrum(extra["spectrum_file"], gamma=gamma)
+            spectrum = waveguide.load_spectrum(config.extra["spectrum_file"], gamma=gamma)
         except (OSError, ValueError) as exc:  # missing, unreadable or malformed
             raise ConfigError(f"extra.spectrum_file: {exc}") from exc
     else:
         try:
             spectrum = waveguide.synthetic_spectrum(
-                n_modes=_extra(extra, "n_modes", 12, lambda v: _integer(v, "value")),
-                fsr_hz=_extra(extra, "fsr_hz", 7.94e6),
-                gamma=gamma,
-                envelope=_extra(extra, "envelope", "gaussian", str),
-                envelope_sigma_hz=_extra(extra, "envelope_sigma_hz", 9.0e6),
-            )
-        except waveguide.WaveguideError as exc:  # a value out of range, its field named
+                n_modes=value("n_modes"), fsr_hz=value("fsr_hz"), gamma=gamma,
+                envelope=value("envelope"), envelope_sigma_hz=value("envelope_sigma_hz"))
+        except waveguide.WaveguideError as exc:  # every mode's weight underflows
             raise ConfigError(f"extra: {exc}") from exc
-    span = _extra(extra, "max_delay", 5.5 * config.waveguide.round_trip_time)
-    step = _extra(extra, "delay_step", 0.5e-9)
-    if not 0.0 < step < span:
-        raise ConfigError(f"extra.delay_step must lie in (0, max_delay = {span:g} s), "
-                          f"got {step:g}")
-    delays = np.arange(0.0, span, step)
+    delays = np.arange(0.0, value("max_delay"), value("delay_step"))
     curve = waveguide.g2_tau_curve(spectrum, delays)
     path = manifest.add(out / "g2_tau.txt")
     waveguide.save_curve(path, delays, curve, header="delay_s g2")
@@ -388,18 +356,13 @@ def cmd_sweep(args) -> int:
     if key == "phases.phi_r" and args.dual_phi_r:
         raise ConfigError("--dual-phi-r fixes phi_r, so it cannot go with a phases.phi_r sweep")
 
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{text.strip()} is not finite")
-        return value
-
+    read = key_at(key).parse  # as the key of a file reads: a phase into radians
     try:
         if ":" in valspec:
             start, stop, n = valspec.split(":")
-            values = np.linspace(finite(start), finite(stop), int(n))
+            values = np.linspace(read(start, key), read(stop, key), int(n))
         else:
-            values = np.array([finite(v) for v in valspec.split(",") if v.strip()])
+            values = [read(v, key) for v in valspec.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key}: bad sweep values {valspec!r}: {exc}") from exc
     if len(values) == 0:
@@ -407,11 +370,11 @@ def cmd_sweep(args) -> int:
     manifest = _Manifest(out, config, args)
     phi_w = config.phases.phi_w
     phi_rs = [0.0, math.pi / 2.0] if args.dual_phi_r else [config.phases.phi_r]
-    grid = [(phi_r, float(v)) for phi_r in phi_rs for v in values]
+    grid = [(phi_r, v) for phi_r in phi_rs for v in values]
     if key == "phases.phi_w":
-        scan = [(v * math.pi, phi_r) for phi_r, v in grid]
+        scan = [(v, phi_r) for phi_r, v in grid]
     elif key == "phases.phi_r":
-        scan = [(phi_w, v * math.pi) for _, v in grid]
+        scan = [(phi_w, v) for _, v in grid]
     else:
         scan = [(phi_w, phi_r) for phi_r, _ in grid]
     if key.startswith("phases."):
@@ -419,7 +382,7 @@ def cmd_sweep(args) -> int:
     else:
         # each energy or scattering probability is a config of its own
         field = key.partition(".")[2]
-        results = [setting_E(yaml_roundtrip_scale(config, field, v), w, r, idx, manifest)
+        results = [setting_E(with_pulse_field(config, field, v), w, r, idx, manifest)
                    for idx, ((w, r), (_, v)) in enumerate(zip(scan, grid))]
     rows = [(w, r, e.value, e.sigma, table.total_coincidences)
             for (w, r), (e, table) in zip(scan, results)]
@@ -428,16 +391,6 @@ def cmd_sweep(args) -> int:
     manifest.write()
     print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
-
-
-def yaml_roundtrip_scale(config: ExperimentConfig, field: str, value: float) -> ExperimentConfig:
-    from .core import config_from_dict, config_to_dict
-    data = config_to_dict(config)
-    for p in data["pulses"]:
-        if field == "energy":
-            p.pop("scattering_probability", None)
-        p[field] = value
-    return config_from_dict(data)
 
 
 def cmd_calibrate(args) -> int:

@@ -1,8 +1,12 @@
 """Domain types, validation and config ingestion shared by all modules.
 
-Everything here is a plain immutable value object.  Validation happens once,
-in ``__post_init__`` or in :func:`load_config`; after that the objects can be
-shared freely between trial workers.
+Everything here is a plain immutable value object.  Each config key is
+declared once, on its dataclass field (see Key), and ``__post_init__``
+checks its domain and the rules across keys, so the objects can be shared
+freely between trial workers.  Every number is finite but waveguide.T1 (inf
+means no decay); counts, Fock cutoffs, phases (1e6 rad) and the extra keys
+the CLI reads are bounded.  An override reads as the file with that key
+edited.
 
 Units: strictly SI inside the process (seconds, Hz, joules, radians).  The
 on-disk config format uses SI as well, except angles, which are written in
@@ -17,8 +21,9 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -104,20 +109,174 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+# ---------------------------------------------------------------------------
+# config keys: config_from_dict, config_to_dict and with_overrides walk them
+
+
+class _Radians(float):
+    """An angle of with_overrides' dict form, which holds radians: an angle
+    no override sets comes back bit-exact (x / pi * pi is not always x)."""
+
+
+def _angles(value, f):
+    """``f`` of an angle, or of each angle of a list or of its rows."""
+    return [_angles(v, f) for v in value] if isinstance(value, (list, tuple)) else f(value)
+
+
+def _in_radians(value) -> float:
+    return value if type(value) is _Radians else float(value) * math.pi
+
+
+def _integer(value) -> int:
+    """An integer: ints, integral floats and numeric strings (PyYAML reads
+    4.0e10 as a string); a fractional value is an error, never truncated."""
+    if isinstance(value, str):
+        value = int(value) if value.strip().lstrip("+-").isdigit() else float(value)
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+def _two(value) -> tuple[float, float]:
+    a, b = value
+    return float(a), float(b)
+
+
+def _pair(value) -> tuple[float, float]:
+    """One number for both detectors, or a [detector 1, detector 2] pair."""
+    return (float(value),) * 2 if isinstance(value, (int, float)) else _two(value)
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    return tuple(map(_two, value))
+
+
+def _bound(end: str):
+    base, _, power = end.strip().partition("**")
+    return int(base) ** int(power) if power else float(base)
+
+
+class Key:
+    """One config key.  ``read`` turns its file value into the field's (a
+    TypeError or ValueError names the key); without it, a dataclass default
+    makes the key a section.  ``domain`` is an interval, such as "(0, inf)"
+    or "[0, 2**63)", holding each number of the value: NaN lies in none, an
+    infinity only in an end "inf]".  ``choices`` lists a text key's values;
+    an ``angle`` is written in units of pi; ``keys`` declares a mapping's
+    keys and ``open`` lets it hold others; ``at`` is the file path of a
+    field written outside its section.  A key without a default is required."""
+
+    def __init__(self, read=None, domain=None, *, default=MISSING, required=False,
+                 angle=False, choices=None, keys=None, open=False, at=None):
+        self.section = type(default) if read is None and is_dataclass(default) else None
+        self.reader = read or (float if domain else lambda value: value)
+        self.domain, self.default, self.angle, self.at = domain, default, angle, at
+        self.required, self.choices, self.keys, self.open = \
+            required or default is MISSING, choices, keys, open
+        if domain:
+            self.bounds = *(_bound(end) for end in domain[1:-1].split(",")), domain[0] + domain[-1]
+
+    def within(self, v) -> bool:
+        low, high, ends = self.bounds
+        return (low < v or ends[0] == "[" and v == low) and (v < high or ends[1] == "]" and v == high)
+
+    def read(self, value, path: str):
+        """The field value of file value ``value`` at dotted ``path``."""
+        try:
+            value = self.reader(_angles(value, _in_radians) if self.angle else value)
+            if self.section:
+                return self.section(**_kwargs(self.section, value, path))
+            if self.keys is None:
+                return value
+            # null reads as left out, and a key left out as the default's
+            return {**(self.default or {}), **{
+                k: self.keys[k].read(v, f"{path}.{k}") if k in self.keys else v
+                for k, v in dict(value).items() if v is not None}}
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+    def check(self, value, path: str) -> None:
+        """Raise ValidationError unless ``value``, or each number of its
+        tuples, lies in the key's domain."""
+        if isinstance(value, (list, tuple)):
+            for v in value:
+                self.check(v, path)
+        elif self.domain and not (value is None or isinstance(value, Enum) or self.within(value)):
+            raise ValidationError(f"{path} out of range: {value:g} not in "
+                                  f"{self.domain}{' rad' * self.angle}")
+        for name, v in (value or {}).items() if self.keys is not None else ():
+            if name not in self.keys and not self.open:
+                raise ValidationError(f"{path}: unknown key {name!r}, not one of "
+                                      f"{', '.join(self.keys)}")
+            if name in self.keys:
+                self.keys[name].check(v, f"{path}.{name}")
+        if self.choices and value not in self.choices:
+            raise ValidationError(f"{path} must be one of {', '.join(self.choices)}, "
+                                  f"got {value!r}")
+
+    def parse(self, value, path: str):
+        """``value`` read and checked, for a value that no dataclass checks."""
+        value = self.read(value, path)
+        self.check(value, path)
+        return value
+
+
+def _key(default=MISSING, domain=None, read=None, **kw):
+    """A dataclass field that declares its config key."""
+    spec = Key(read, domain, default=default, **kw)
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata={"key": spec})
+    return field(default=default, metadata={"key": spec})
+
+
+@cache
+def _keys(cls, in_file: bool = False) -> dict[str, Key]:
+    """The declared keys of a dataclass's fields, in field order; with
+    ``in_file``, those its section of the file holds."""
+    return {f.name: f.metadata["key"] for f in fields(cls)
+            if "key" in f.metadata and not (in_file and f.metadata["key"].at)}
+
+
+def _check(obj, prefix: str = "") -> None:
+    """Check each declared field of ``obj`` against its key's domain."""
+    for name, spec in _keys(type(obj)).items():
+        value = getattr(obj, name)
+        if type(value) is not float or not spec.domain or not spec.within(value):
+            spec.check(value, spec.at or prefix + name)
+
+
+def _kwargs(cls, raw, path: str, complete: bool = True) -> dict:
+    """The fields of ``cls`` that its file mapping ``raw`` at dotted ``path``
+    sets, each read through its key; null reads as left out.  A required
+    key may be left out of a mapping that is not ``complete``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'a config'} must be a mapping, got {raw!r}")
+    keys, prefix = _keys(cls, True), path + "." if path else ""
+    if not raw.keys() <= keys.keys():
+        raise ConfigError(f"unknown keys in {path or 'the config'}: {list(raw.keys() - keys)}")
+    for name, spec in keys.items():
+        if spec.required and raw.get(name) is None and (complete or name in raw):
+            raise ConfigError(f"missing required key {prefix + name!r}")
+    return {name: spec.read(raw[name], prefix + name)
+            for name, spec in keys.items() if raw.get(name) is not None}
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Optomechanical cavity figures; only metadata plus the energy calibration
     depend on them, there is no intracavity field dynamics in this artifact."""
 
-    wavelength: float = 1556.06e-9
-    kappa: float = 1.05e9
-    kappa_i: float = 250e6
-    g0: float = 380e3
-    mech_frequency: float = 5.154e9
+    wavelength: float = _key(1556.06e-9, "(0, inf)")
+    kappa: float = _key(1.05e9, "(0, inf)")
+    kappa_i: float = _key(250e6, "(0, inf)")
+    g0: float = _key(380e3, "(0, inf)")
+    mech_frequency: float = _key(5.154e9, "(0, inf)")
 
     def __post_init__(self):
-        for name in ("wavelength", "kappa", "kappa_i", "g0", "mech_frequency"):
-            _require(getattr(self, name) > 0, f"cavity.{name} must be > 0")
+        _check(self, "cavity.")
         _require(self.kappa_i <= self.kappa, "cavity.kappa_i must not exceed cavity.kappa")
 
 
@@ -129,21 +288,21 @@ class WaveguideParams:
     ``retrieval_efficiency`` multiplies the round-trip energy survival on top
     of exp(-tau/T1).  How much of the observed readout inefficiency is
     dispersion rather than T1 is not independently known, so the split is a
-    free config knob rather than a derived quantity.
+    free config knob rather than a derived quantity.  T1 = inf means no
+    decay; a length left out is round_trip_time * group_velocity / 2.
     """
 
-    round_trip_time: float = 126e-9
-    group_velocity: float = 2000.0
-    length: float = 126e-9 * 2000.0 / 2.0
-    T1: float = 2.2e-6
-    retrieval_efficiency: float = 1.0
+    round_trip_time: float = _key(126e-9, "(0, inf)")
+    group_velocity: float = _key(2000.0, "(0, inf)")
+    length: float | None = _key(None, "(0, inf)")
+    T1: float = _key(2.2e-6, "(0, inf]")
+    retrieval_efficiency: float = _key(1.0, "[0, 1]")
 
     def __post_init__(self):
-        for name in ("round_trip_time", "group_velocity", "length"):
-            _require(0.0 < getattr(self, name) < math.inf, f"waveguide.{name} must be finite and > 0")
+        if self.length is None:
+            object.__setattr__(self, "length", self.round_trip_time * self.group_velocity / 2.0)
+        _check(self, "waveguide.")
         _require(self.T1 > self.round_trip_time, "waveguide.T1 must exceed the round-trip time")
-        _require(0.0 <= self.retrieval_efficiency <= 1.0,
-                 "waveguide.retrieval_efficiency must be in [0, 1]")
         expected = 2.0 * self.length / self.group_velocity
         if not (0.8 * expected <= self.round_trip_time <= 1.2 * expected):
             warnings.warn(
@@ -160,17 +319,18 @@ class WaveguideParams:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    role: PulseRole
-    center_time: float
-    duration_fwhm: float = 30e-9
-    energy: float | None = None
-    scattering_probability: float = 0.0
-    perturbative_guard: float = DEFAULT_PERTURBATIVE_GUARD
+    """One control pulse; the file holds its perturbative_guard once, at the top level."""
+
+    role: PulseRole = _key(read=PulseRole)
+    center_time: float = _key(domain="(-inf, inf)")
+    duration_fwhm: float = _key(30e-9, "(0, inf)")
+    energy: float | None = _key(None, "[0, inf)")
+    scattering_probability: float = _key(0.0, "[0, 1)")
+    perturbative_guard: float = _key(DEFAULT_PERTURBATIVE_GUARD, "(0, 1]",
+                                     at="perturbative_guard")
 
     def __post_init__(self):
-        _require(self.duration_fwhm > 0, "pulse.duration_fwhm must be > 0")
-        _require(0.0 <= self.scattering_probability < 1.0,
-                 "pulse.scattering_probability must be in [0, 1)")
+        _check(self, "pulses.")
         if self.scattering_probability >= self.perturbative_guard:
             raise ValidationError(
                 "pulse.scattering_probability %.4g breaks the perturbative guard %.4g "
@@ -181,16 +341,20 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class PhaseSettings:
-    """Phases of the late pulses and the interferometer offset.
+    """Phases of the late pulses and the interferometer offset, each within
+    [-1e6, 1e6] rad for the reason NoiseModel gives for its jitter FWHMs.
 
     ``phi_0`` is always derived: it is the write phase at which the
     correlation coefficient crosses zero with negative slope,
     phi_0 = 2*phi_off + pi/2 (mod 2pi).
     """
 
-    phi_w: float = 0.0
-    phi_r: float = 0.0
-    phi_off: float = 0.0
+    phi_w: float = _key(0.0, "[-1e6, 1e6]", angle=True)
+    phi_r: float = _key(0.0, "[-1e6, 1e6]", angle=True)
+    phi_off: float = _key(0.0, "[-1e6, 1e6]", angle=True)
+
+    def __post_init__(self):
+        _check(self, "phases.")
 
     @property
     def phi_0(self) -> float:
@@ -222,39 +386,26 @@ class NoiseModel:
     the harmonics of the fringe, so it holds at any FWHM.
     """
 
-    thermal_schedule: tuple[tuple[PulseRole, float], ...] = (
+    thermal_schedule: tuple[tuple[PulseRole, float], ...] = _key((
         (PulseRole.WRITE_EARLY, 0.022),
         (PulseRole.WRITE_LATE, 0.040),
         (PulseRole.READ_EARLY, 0.066),
         (PulseRole.READ_LATE, 0.095),
-    )
-    interferometer_visibility: float = 0.94
-    write_phase_jitter_fwhm: float = math.pi / 7.0
-    read_phase_jitter_fwhm: float = math.pi / 20.0
-    detector_efficiency: tuple[float, float] = (0.85, 0.85)
-    dark_count_prob: float = 1e-6
-    leakage_prob: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: {"write": (2e-7, 4e-7), "read": (1.4e-6, 2.6e-6)}
-    )
-    coupling_efficiency: float = 0.5
-    filter_pulse_efficiency: tuple[float, float] = (0.39, 0.65)
+    ), "[0, inf)", lambda rows: tuple((PulseRole(r), float(n)) for r, n in rows))
+    interferometer_visibility: float = _key(0.94, "[0, 1]")
+    write_phase_jitter_fwhm: float = _key(math.pi / 7.0, "[0, 1e6]", angle=True)
+    read_phase_jitter_fwhm: float = _key(math.pi / 20.0, "[0, 1e6]", angle=True)
+    detector_efficiency: tuple[float, float] = _key((0.85, 0.85), "[0, 1]", _pair)
+    dark_count_prob: float = _key(1e-6, "[0, 1]")
+    leakage_prob: Mapping[str, tuple[float, float]] = _key(
+        {"write": (2e-7, 4e-7), "read": (1.4e-6, 2.6e-6)},
+        keys={role: Key(_pair, "[0, 1]") for role in ("write", "read")})
+    coupling_efficiency: float = _key(0.5, "[0, 1]")
+    filter_pulse_efficiency: tuple[float, float] = _key((0.39, 0.65), "[0, 1]", _pair)
 
     def __post_init__(self):
-        probs = [self.interferometer_visibility, self.dark_count_prob,
-                 self.coupling_efficiency, *self.detector_efficiency,
-                 *self.filter_pulse_efficiency]
-        for role, val in self.leakage_prob.items():
-            _require(role in ("write", "read"), f"leakage_prob key {role!r} not write/read")
-            probs.extend(val)
-        for v in probs:
-            _require(0.0 <= v <= 1.0, "probability/occupancy out of range: %r" % (v,))
-        for name in ("write_phase_jitter_fwhm", "read_phase_jitter_fwhm"):
-            fwhm = getattr(self, name)
-            _require(0.0 <= fwhm <= 1e6, f"noise.{name} must be finite and in [0, 1e6] rad, "
-                                         f"got {fwhm!r}")
+        _check(self, "noise.")
         occ = [v for _, v in self.thermal_schedule]
-        for v in occ:
-            _require(v >= 0, "probability/occupancy out of range: thermal occupancy %r" % (v,))
         if any(b < a for a, b in zip(occ, occ[1:])):
             warnings.warn("thermal_schedule is not non-decreasing across the four pulses",
                           stacklevel=2)
@@ -288,43 +439,78 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    name: str = "gaussian"
-    truncation: int = 4
-    total_cap: int | None = None
+    """The engine; the Fock engine's per-mode truncation and cap on the total
+    quanta stop at 20, far above any run's need, before a vast basis."""
+
+    name: str = _key("gaussian", choices=("fock", "gaussian"))
+    truncation: int = _key(4, "[1, 20]", _integer)
+    total_cap: int | None = _key(None, "[1, 20]", _integer)
 
     def __post_init__(self):
-        _require(self.name in ("fock", "gaussian"), f"unknown engine {self.name!r}")
-        _require(self.truncation >= 1, "fock truncation must be >= 1")
-        _require(self.total_cap is None or self.total_cap >= 1, "fock total_cap must be >= 1")
+        _check(self, "engine.")
+
+
+def _phases(value) -> tuple[PhaseSettings, tuple | None]:
+    """The phases section: its PhaseSettings and its scan.  The scan is
+    ``settings``, else every phi_w of a phi_w list at each phi_r (one or a
+    list); a phi_w or phi_r left out, or a list, is the scan's first."""
+    ph = dict(value)
+    scan, where = ph.pop("settings", None), "phases.settings"
+    if scan is None and isinstance(ph.get("phi_w"), (list, tuple)):
+        rs = ph.get("phi_r", 0.0)
+        scan, where = [(w, r) for r in (rs if isinstance(rs, (list, tuple)) else [rs])
+                       for w in ph["phi_w"]], "phases.phi_w"
+    sweep = None if scan is None else _keys(ExperimentConfig)["phase_sweep"].parse(scan, where)
+    if sweep is not None:
+        if not sweep:
+            raise ConfigError(f"{where}: a phase scan needs at least one setting")
+        for name, first in zip(("phi_w", "phi_r"), sweep[0]):
+            if ph.get(name) is None or isinstance(ph[name], (list, tuple)):
+                ph[name] = _Radians(first)
+    return PhaseSettings(**_kwargs(PhaseSettings, ph, "phases")), sweep
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: ExperimentKind
-    cavity: CavityParams = CavityParams()
-    waveguide: WaveguideParams = WaveguideParams()
-    pulses: tuple[PulseSpec, ...] = ()
-    phases: PhaseSettings = PhaseSettings()
-    phase_sweep: tuple[tuple[float, float], ...] | None = None
-    noise: NoiseModel = NoiseModel()
-    trials: int = 1_000_000
-    seed: int = 0
-    engine: EngineSpec = EngineSpec()
-    repetition_period: float = 15e-6
-    splitting_asymmetry: float = 0.0
-    record_trials: int = 0
-    extra: Mapping[str, object] = field(default_factory=dict)
+    """One experiment, its fields in the key order of its file; trial counts
+    are bounded by the multinomial draw's signed 64-bit count."""
+
+    kind: ExperimentKind = _key(read=ExperimentKind)
+    engine: EngineSpec = _key(EngineSpec(), required=True, read=lambda v: EngineSpec(  # or a name
+        **_kwargs(EngineSpec, {"name": v} if isinstance(v, str) else v, "engine")))
+    trials: int = _key(1_000_000, "[0, 2**63)", _integer, required=True)
+    seed: int = _key(0, "[0, 2**64)", _integer, required=True)
+    repetition_period: float = _key(15e-6, "(0, inf)")
+    splitting_asymmetry: float = _key(0.0, "[0, 0.005]")
+    record_trials: int = _key(0, "[0, 2**63)", _integer)
+    cavity: CavityParams = _key(CavityParams(), required=True)
+    waveguide: WaveguideParams = _key(WaveguideParams(), required=True)
+    #: read by config_from_dict, which converts pulse energies
+    pulses: tuple[PulseSpec, ...] = _key((), read=list, required=True)
+    #: with phase_sweep, which the file holds as phases.settings
+    phases: PhaseSettings = _key(PhaseSettings(), read=_phases, required=True)
+    phase_sweep: tuple[tuple[float, float], ...] | None = _key(
+        None, "[-1e6, 1e6]", _pairs, angle=True, at="phases.settings")
+    noise: NoiseModel = _key(NoiseModel(), required=True)
+    #: open to any key; those the thermal g2 run and the witness R read are
+    #: declared with their defaults (see extra_value)
+    extra: Mapping[str, object] = _key({}, open=True, keys={
+        "witness_g2": Key(_two, "(0, inf)", default=None),
+        "n_modes": Key(_integer, "[2, 1000]", default=12),
+        "fsr_hz": Key(domain="(0, inf)", default=7.94e6),
+        "envelope": Key(choices=("equal", "gaussian"), default="gaussian"),
+        # 1 THz, far above a phononic spectrum, keeps the envelope's square finite
+        "envelope_sigma_hz": Key(domain="(0, 1e12]", default=9.0e6),
+        "max_delay": Key(domain="(0, inf)",
+                         default=lambda config: 5.5 * config.waveguide.round_trip_time),
+        "delay_step": Key(domain="(0, inf)", default=0.5e-9),
+    })
     #: the anchors pulse energies convert with, when not the defaults
-    calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = None
+    calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = _key(
+        None, keys={role: Key(_pairs, "(0, inf)") for role in ("write", "read")})
 
     def __post_init__(self):
-        # the multinomial draw takes a signed 64-bit count
-        _require(0 <= self.trials < 2**63, "trials must be in [0, 2**63)")
-        _require(self.record_trials >= 0, "record_trials must be >= 0")
-        _require(0 <= self.seed < 2**64, "seed must be an unsigned 64-bit integer")
-        _require(0.0 < self.repetition_period < math.inf, "repetition_period must be finite and > 0")
-        _require(0.0 <= self.splitting_asymmetry <= 0.005,
-                 "splitting_asymmetry must be within 0.5% relative")
+        _check(self)
         if self.pulses:
             tau = self.waveguide.round_trip_time
             by_role = {p.role: p for p in self.pulses}
@@ -334,6 +520,15 @@ class ExperimentConfig:
                     dt = by_role[late].center_time - by_role[early].center_time
                     _require(abs(dt - tau / 2.0) <= 1e-12,
                              f"{late.value} must follow {early.value} by tau/2 exactly")
+        if self.kind is ExperimentKind.THERMAL_G2_TAU:
+            # the g2 run's delay grid: at most 1e6 delays, with the synthetic
+            # spectrum's first revival, at 1/fsr_hz, inside it
+            step, span = self.extra_value("delay_step"), self.extra_value("max_delay")
+            _require(span / 1e6 <= step < span, f"extra.delay_step must lie in "
+                     f"[max_delay / 1e6, max_delay) = [{span / 1e6:g}, {span:g}) s, got {step:g}")
+            revival = 1.0 / self.extra_value("fsr_hz")
+            _require("spectrum_file" in self.extra or step < revival < span, f"extra.fsr_hz: "
+                     f"1/fsr_hz = {revival:g} s must lie in (delay_step, max_delay)")
         # ~7 lifetimes between trials keeps them independent; the reference
         # spacing (15 us at T1 = 2.2 us) sits right at that margin.  Only
         # sampled trials can depend on each other; stacklevel 3 skips the
@@ -342,6 +537,11 @@ class ExperimentConfig:
         if sampled and self.repetition_period < 6.8 * self.waveguide.T1:
             warnings.warn("repetition_period below ~7*T1; trials may not be independent",
                           stacklevel=3)
+
+    def extra_value(self, name: str):
+        """extra.<name>, or its declared default when the config leaves it out."""
+        default = _keys(ExperimentConfig)["extra"].keys[name].default
+        return self.extra.get(name, default(self) if callable(default) else default)
 
     def pulse(self, role: PulseRole) -> PulseSpec:
         for p in self.pulses:
@@ -535,56 +735,6 @@ def sample_phase_jitter(rng: np.random.Generator, fwhm: float, size: int | None 
 # The file format is YAML with SI units everywhere except angles, which are
 # in units of pi.  See configs/ for commented reference files.
 
-#: the radian fields of a config, by part, with the override paths that set
-#: each (phi_w and phi_r follow the first explicit setting when there is one)
-_ANGLE_PATHS = {
-    "phases": {"phi_w": ("phases.phi_w", "phases.settings"),
-               "phi_r": ("phases.phi_r", "phases.settings"),
-               "phi_off": ("phases.phi_off",)},
-    "noise": {"write_phase_jitter_fwhm": ("noise.write_phase_jitter_fwhm",),
-              "read_phase_jitter_fwhm": ("noise.read_phase_jitter_fwhm",)},
-}
-
-
-def _angles_in(data: float) -> float:
-    return data * math.pi
-
-
-def _angles_out(value: float) -> float:
-    return value / math.pi
-
-
-def _phase_in(value, key: str) -> float:
-    """A phase field in radians; NaN or an infinity is a ConfigError."""
-    phase = _angles_in(float(value))
-    if not math.isfinite(phase):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return phase
-
-
-def _as_pair(value, key: str) -> tuple[float, float]:
-    if isinstance(value, (int, float)):
-        return (float(value), float(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
-    raise ConfigError(f"{key} must be a scalar or a pair")
-
-
-def _integer(value, key: str) -> int:
-    """An integer field: ints, integral floats and numeric strings (PyYAML
-    reads 4.0e10 as a string); a fractional value is a ConfigError, never
-    truncated."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            value = float(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
-
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.  A relative
@@ -610,193 +760,93 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    for key in ("kind", "engine", "trials", "seed", "cavity", "waveguide",
-                "pulses", "phases", "noise"):
-        if key not in raw:
-            raise ConfigError(f"missing required top-level key {key!r}")
+    """The config of a file's mapping, each key read as its field declares."""
+    return _read_config(dict(raw))
 
-    kind = ExperimentKind(raw["kind"])
-    # PyYAML reads exponent notation without a sign (1.05e9) as a string
-    cavity = CavityParams(**{k: float(v) for k, v in raw["cavity"].items()})
 
-    wg = {k: float(v) for k, v in raw["waveguide"].items()}
-    if "length" not in wg:
-        wg["length"] = wg["round_trip_time"] * wg.get("group_velocity", 2000.0) / 2.0
-    waveguide = WaveguideParams(**wg)
-
-    engine_raw = raw["engine"]
-    if isinstance(engine_raw, str):
-        engine = EngineSpec(name=engine_raw)
-    else:
-        engine_raw = dict(engine_raw)
-        for key in ("truncation", "total_cap"):
-            if engine_raw.get(key) is not None:
-                engine_raw[key] = _integer(engine_raw[key], f"engine.{key}")
-        engine = EngineSpec(**engine_raw)
-
-    guard = float(raw.get("perturbative_guard", DEFAULT_PERTURBATIVE_GUARD))
-    anchors = raw.get("calibration_anchors")
-    if anchors is not None:
-        if not set(anchors) <= set(DEFAULT_CALIBRATION_ANCHORS):
-            raise ConfigError(f"calibration_anchors: the roles are write and read, "
-                              f"got {sorted(anchors)}")
-        anchors = {k: tuple((float(e), float(p)) for e, p in v) for k, v in anchors.items()}
-
-    pulses = []
-    for p in raw["pulses"]:
-        role = PulseRole(p["role"])
-        prob = p.get("scattering_probability")
-        energy = p.get("energy")
-        if prob is None:
-            if energy is None:
-                raise ConfigError(f"pulse {role.value}: needs scattering_probability or energy")
-            prob = scattering_probability_from_energy(
-                float(energy), "write" if role.is_write else "read",
-                anchors=anchors, guard=guard)
-        pulses.append(PulseSpec(
-            role=role,
-            center_time=float(p["center_time"]),
-            duration_fwhm=float(p.get("duration_fwhm", 30e-9)),
-            energy=None if energy is None else float(energy),
-            scattering_probability=float(prob),
-            perturbative_guard=guard,
-        ))
+def _read_config(raw: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """config_from_dict; with ``base``, a top-level key ``raw`` leaves out keeps base's."""
+    guard = _keys(PulseSpec)["perturbative_guard"].parse(
+        raw.pop("perturbative_guard", DEFAULT_PERTURBATIVE_GUARD), "perturbative_guard")
+    kw = _kwargs(ExperimentConfig, raw, "", complete=base is None)
+    if "phases" in kw:
+        kw["phases"], kw["phase_sweep"] = kw["phases"]
+    if "pulses" in kw:
+        anchors = kw.get("calibration_anchors")
+        _keys(ExperimentConfig)["calibration_anchors"].check(anchors, "calibration_anchors")
+        kw["pulses"] = tuple(_pulse(p, anchors, guard) for p in kw["pulses"])
+    config = ExperimentConfig(**kw) if base is None else replace(base, **kw)
     # only the continuous-pump kind runs without pulses
-    missing = [r.value for r in PULSE_ORDER if r not in {p.role for p in pulses}]
-    if kind is not ExperimentKind.THERMAL_G2_TAU and missing:
-        raise ConfigError(f"pulses: {kind.value} needs one pulse per role, "
+    missing = [r.value for r in PULSE_ORDER if r not in {p.role for p in config.pulses}]
+    if config.kind is not ExperimentKind.THERMAL_G2_TAU and missing:
+        raise ConfigError(f"pulses: {config.kind.value} needs one pulse per role, "
                           f"missing {', '.join(missing)}")
-
-    ph = raw["phases"]
-    sweep = None
-    phi_w = ph.get("phi_w", 0.0)
-    phi_r = ph.get("phi_r", 0.0)
-    if "settings" in ph:
-        scan = "phases.settings"
-        sweep = tuple((_phase_in(w, scan), _phase_in(r, scan)) for w, r in ph["settings"])
-    elif isinstance(phi_w, (list, tuple)):
-        scan = "phases.phi_w and phases.phi_r"
-        rs = phi_r if isinstance(phi_r, (list, tuple)) else [phi_r]
-        sweep = tuple((_phase_in(w, "phases.phi_w"), _phase_in(r, "phases.phi_r"))
-                      for r in rs for w in phi_w)
-    if sweep is not None:
-        if not sweep:
-            raise ConfigError(f"{scan}: a phase scan needs at least one setting")
-        phi_w, phi_r = sweep[0][0] / math.pi, sweep[0][1] / math.pi
-    phases = PhaseSettings(
-        phi_w=_phase_in(phi_w, "phases.phi_w"),
-        phi_r=_phase_in(phi_r, "phases.phi_r"),
-        phi_off=_phase_in(ph.get("phi_off", 0.0), "phases.phi_off"),
-    )
-
-    nz = dict(raw["noise"])
-    schedule = nz.pop("thermal_schedule", None)
-    kwargs = {}
-    if schedule is not None:
-        kwargs["thermal_schedule"] = tuple(
-            (PulseRole(role), float(v)) for role, v in schedule)
-    for key in ("interferometer_visibility", "dark_count_prob", "coupling_efficiency"):
-        if key in nz:
-            kwargs[key] = float(nz.pop(key))
-    for key in ("write_phase_jitter_fwhm", "read_phase_jitter_fwhm"):
-        if key in nz:
-            kwargs[key] = _angles_in(float(nz.pop(key)))
-    for key in ("detector_efficiency", "filter_pulse_efficiency"):
-        if key in nz:
-            kwargs[key] = _as_pair(nz.pop(key), key)
-    if "leakage_prob" in nz:
-        kwargs["leakage_prob"] = {
-            role: _as_pair(v, f"leakage_prob.{role}") for role, v in nz.pop("leakage_prob").items()}
-    if nz:
-        raise ConfigError(f"unknown noise keys: {sorted(nz)}")
-    noise = NoiseModel(**kwargs)
-    missing = [r.value for r in PULSE_ORDER if r not in dict(noise.thermal_schedule)]
+    missing = [r.value for r in PULSE_ORDER if r not in dict(config.noise.thermal_schedule)]
     if missing:
         raise ConfigError(f"noise.thermal_schedule: missing {', '.join(missing)}")
+    return config
 
-    return ExperimentConfig(
-        kind=kind,
-        cavity=cavity,
-        waveguide=waveguide,
-        pulses=tuple(pulses),
-        phases=phases,
-        phase_sweep=sweep,
-        noise=noise,
-        trials=_integer(raw["trials"], "trials"),
-        seed=_integer(raw["seed"], "seed"),
-        engine=engine,
-        repetition_period=float(raw.get("repetition_period", 15e-6)),
-        splitting_asymmetry=float(raw.get("splitting_asymmetry", 0.0)),
-        record_trials=_integer(raw.get("record_trials", 0), "record_trials"),
-        extra=dict(raw.get("extra", {})),
-        calibration_anchors=anchors,
-    )
+
+def _pulse(raw, anchors, guard: float) -> PulseSpec:
+    """One pulse of the file; without a scattering probability it takes the
+    one its energy converts to."""
+    kw = _kwargs(PulseSpec, raw, "pulses")
+    if "scattering_probability" not in kw:
+        if "energy" not in kw:
+            raise ConfigError(f"pulse {kw['role'].value}: needs scattering_probability or energy")
+        kw["scattering_probability"] = scattering_probability_from_energy(
+            kw["energy"], "write" if kw["role"].is_write else "read", anchors=anchors, guard=guard)
+    return PulseSpec(**kw, perturbative_guard=guard)
+
+
+def _per_pi(angle: float) -> float:
+    return angle / math.pi
+
+
+def _dict(obj, radians: bool, names=None) -> dict:
+    """The file mapping of a dataclass, or of its keys in ``names``, angles
+    in units of pi or, with ``radians``, as _Radians.  The file leaves out a
+    key without a value; with ``radians`` every key is there, for an
+    override to set."""
+    angle = _Radians if radians else _per_pi
+    return {name: _angles(value, angle) if spec.angle and value is not None
+            else _plain(value, radians) for name, spec in _keys(type(obj), True).items()
+            if (names is None or name in names)
+            and ((value := getattr(obj, name)) is not None and value != {} or radians)}
+
+
+def _plain(value, radians: bool):
+    """A field value in the file's terms: sections as mappings, tuples as
+    lists, enums as their values."""
+    if type(value) in (float, int, str):
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, radians) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v, radians) for k, v in value.items()}
+    return _dict(value, radians) if is_dataclass(value) else value
+
+
+def _config_dict(config: ExperimentConfig, radians: bool, names=None) -> dict:
+    data = _dict(config, radians, names)
+    if "phases" in data and (radians or config.phase_sweep is not None):
+        data["phases"]["settings"] = None if config.phase_sweep is None else _angles(
+            config.phase_sweep, _Radians if radians else _per_pi)
+    guard = config.pulses[0].perturbative_guard if config.pulses else DEFAULT_PERTURBATIVE_GUARD
+    if (names is None or "perturbative_guard" in names) and (
+            radians or guard != DEFAULT_PERTURBATIVE_GUARD):
+        # after noise, before extra and calibration_anchors
+        tail = {k: data.pop(k) for k in ("extra", "calibration_anchors") if k in data}
+        data["perturbative_guard"] = guard
+        data.update(tail)
+    return data
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    c = config
-    data: dict = {
-        "kind": c.kind.value,
-        "engine": {"name": c.engine.name, "truncation": c.engine.truncation},
-        "trials": c.trials,
-        "seed": c.seed,
-        "repetition_period": c.repetition_period,
-        "splitting_asymmetry": c.splitting_asymmetry,
-        "record_trials": c.record_trials,
-        "cavity": {
-            "wavelength": c.cavity.wavelength,
-            "kappa": c.cavity.kappa,
-            "kappa_i": c.cavity.kappa_i,
-            "g0": c.cavity.g0,
-            "mech_frequency": c.cavity.mech_frequency,
-        },
-        "waveguide": {
-            "round_trip_time": c.waveguide.round_trip_time,
-            "group_velocity": c.waveguide.group_velocity,
-            "length": c.waveguide.length,
-            "T1": c.waveguide.T1,
-            "retrieval_efficiency": c.waveguide.retrieval_efficiency,
-        },
-        "pulses": [
-            {
-                "role": p.role.value,
-                "center_time": p.center_time,
-                "duration_fwhm": p.duration_fwhm,
-                **({"energy": p.energy} if p.energy is not None else {}),
-                "scattering_probability": p.scattering_probability,
-            }
-            for p in c.pulses
-        ],
-        "phases": {
-            "phi_w": _angles_out(c.phases.phi_w),
-            "phi_r": _angles_out(c.phases.phi_r),
-            "phi_off": _angles_out(c.phases.phi_off),
-        },
-        "noise": {
-            "thermal_schedule": [[r.value, v] for r, v in c.noise.thermal_schedule],
-            "interferometer_visibility": c.noise.interferometer_visibility,
-            "write_phase_jitter_fwhm": _angles_out(c.noise.write_phase_jitter_fwhm),
-            "read_phase_jitter_fwhm": _angles_out(c.noise.read_phase_jitter_fwhm),
-            "detector_efficiency": list(c.noise.detector_efficiency),
-            "dark_count_prob": c.noise.dark_count_prob,
-            "leakage_prob": {k: list(v) for k, v in c.noise.leakage_prob.items()},
-            "coupling_efficiency": c.noise.coupling_efficiency,
-            "filter_pulse_efficiency": list(c.noise.filter_pulse_efficiency),
-        },
-    }
-    if c.engine.total_cap is not None:
-        data["engine"]["total_cap"] = c.engine.total_cap
-    if c.pulses and c.pulses[0].perturbative_guard != DEFAULT_PERTURBATIVE_GUARD:
-        data["perturbative_guard"] = c.pulses[0].perturbative_guard
-    if c.phase_sweep is not None:
-        data["phases"]["settings"] = [
-            [_angles_out(w), _angles_out(r)] for w, r in c.phase_sweep]
-    if c.extra:
-        data["extra"] = dict(c.extra)
-    if c.calibration_anchors is not None:
-        data["calibration_anchors"] = {role: [list(pair) for pair in table]
-                                       for role, table in c.calibration_anchors.items()}
-    return data
+    """The config as its file's mapping, which config_from_dict reads back."""
+    return _config_dict(config, radians=False)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -809,51 +859,46 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-#: config keys that the dict form carries only when they are set, so an
-#: override may add them
-_OPTIONAL_PATHS = ("phases.settings", "engine.total_cap", "perturbative_guard")
-
-
 def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) -> ExperimentConfig:
-    """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``) by
-    round-tripping through the dict form so all validation re-runs."""
-    data = config_to_dict(config)
+    """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``): the
+    config its file with those keys edited reads as, text read as YAML.  Only
+    the top-level keys reached (pulses with the guard and anchors they read
+    with) are written out and read back; the rest would read back the same."""
+    tops = {dotted.partition(".")[0] for dotted in overrides}
+    pulsed = {"pulses", "perturbative_guard", "calibration_anchors"}
+    data = _config_dict(config, True, tops | pulsed if tops & pulsed else tops)
     # a scan, the config's own or an overridden one, takes precedence over
     # phi_w and phi_r, which would be ignored
-    if "settings" in data["phases"] or "phases.settings" in overrides:
+    if config.phase_sweep is not None or "phases.settings" in overrides:
         for dotted in ("phases.phi_w", "phases.phi_r"):
             if dotted in overrides:
                 raise ConfigError(f"{dotted}: a phase scan (phases.settings) takes "
                                   "precedence; set the phases in phases.settings instead")
     try:
         for dotted, value in overrides.items():
+            *parents, leaf = dotted.split(".")
             node = data
-            parts = dotted.split(".")
-            for part in parts[:-1]:
+            for part in parents:
                 node = node[part]
-            leaf = parts[-1]
-            if leaf not in node and dotted not in _OPTIONAL_PATHS:
+            if leaf not in node and parents != ["extra"]:  # extra is open to any key
                 raise ConfigError(f"unknown override target {dotted!r}")
-            node[leaf] = yaml_load(str(value)) if isinstance(value, str) else value
-        return _keep_angles(config, config_from_dict(data), overrides)
+            node[leaf] = yaml_load(value) if isinstance(value, str) else value
+        return _read_config(data, config)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad override {', '.join(overrides)}: {exc!r}") from exc
 
 
-def _keep_angles(old: ExperimentConfig, new: ExperimentConfig,
-                 overrides: Mapping[str, object]) -> ExperimentConfig:
-    """Put back every radian field of ``old`` that no override sets: the
-    dict form holds angles in units of pi, and x / pi * pi is not always x."""
-    def untouched(paths):
-        return not any(key == path or path.startswith(key + ".")
-                       for key in overrides for path in paths)
+def with_pulse_field(config: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
+    """``config`` with ``name`` set to ``value`` on every pulse, as a sweep of
+    pulses.<name> runs it; an energy replaces the scattering probability."""
+    drop = {"scattering_probability": None} if name == "energy" else {}  # null: left out
+    pulses = [{**_dict(p, radians=True), name: value, **drop} for p in config.pulses]
+    return with_overrides(config, {"pulses": pulses})
 
-    parts = {part: replace(getattr(new, part),
-                           **{name: getattr(getattr(old, part), name)
-                              for name, paths in fields.items() if untouched(paths)})
-             for part, fields in _ANGLE_PATHS.items()}
-    if untouched(("phases.settings",)):
-        parts["phase_sweep"] = old.phase_sweep
-    return replace(new, **parts)
+
+def key_at(path: str) -> Key:
+    """The declared key of a phase or pulse field, e.g. phases.phi_w."""
+    section, name = path.split(".")
+    return _keys({"phases": PhaseSettings, "pulses": PulseSpec}[section])[name]

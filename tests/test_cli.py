@@ -326,7 +326,7 @@ class TestSweep:
         assert anchored == sweep("doubled", "4e-14,8e-14")
         assert anchored != sweep("default", "2e-14,4e-14")
         config = load_config(tmp_path / "anchored" / "config.yaml")
-        scaled = cli.yaml_roundtrip_scale(config, "energy", 20e-15)
+        scaled = core.with_pulse_field(config, "energy", 20e-15)
         assert scaled.calibration_anchors == config.calibration_anchors
         assert scaled.p_w == 2.0 * core.scattering_probability_from_energy(20e-15, "write")
 
