@@ -138,6 +138,12 @@ def _integer(value) -> int:
     raise ValueError(f"must be an integer, got {value!r}")
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be text, got {value!r}")
+    return value
+
+
 def _two(value) -> tuple[float, float]:
     a, b = value
     return float(a), float(b)
@@ -289,7 +295,8 @@ class WaveguideParams:
     of exp(-tau/T1).  How much of the observed readout inefficiency is
     dispersion rather than T1 is not independently known, so the split is a
     free config knob rather than a derived quantity.  T1 = inf means no
-    decay; a length left out is round_trip_time * group_velocity / 2.
+    decay; a length left out stays unset, and only a stated one is checked
+    against 2 * length / group_velocity = round_trip_time.
     """
 
     round_trip_time: float = _key(126e-9, "(0, inf)")
@@ -299,10 +306,10 @@ class WaveguideParams:
     retrieval_efficiency: float = _key(1.0, "[0, 1]")
 
     def __post_init__(self):
-        if self.length is None:
-            object.__setattr__(self, "length", self.round_trip_time * self.group_velocity / 2.0)
         _check(self, "waveguide.")
         _require(self.T1 > self.round_trip_time, "waveguide.T1 must exceed the round-trip time")
+        if self.length is None:
+            return
         expected = 2.0 * self.length / self.group_velocity
         if not (0.8 * expected <= self.round_trip_time <= 1.2 * expected):
             warnings.warn(
@@ -504,6 +511,7 @@ class ExperimentConfig:
         "max_delay": Key(domain="(0, inf)",
                          default=lambda config: 5.5 * config.waveguide.round_trip_time),
         "delay_step": Key(domain="(0, inf)", default=0.5e-9),
+        "spectrum_file": Key(_text, default=None),
     })
     #: the anchors pulse energies convert with, when not the defaults
     calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = _key(

@@ -14,14 +14,11 @@ holds B states over the same modes, and a gate given a (B,) array of
 phase angles turns a single state into a batch.  Every gate rewrites only
 the rows and columns of the modes it acts on.
 
-The read-out plan is cached: the quadrature rows that a read-out selects
-for each (state mode order, labels) pair, and the labels of all 2**n
-detector subsets for each tuple of detector groups.  ``click_probabilities``
-still makes one ``vacuum_probability`` call per subset through the module's
-global name on purpose: ``perfbench/tests`` pins those calls (ROADMAP item 2).
-The protocol runs one batched transform per config, over the equispaced
-phases of its series in Phi, so a read-out at a phase runs none;
-``checked_probabilities`` holds both to the same negative-mass rule.
+The labels of all 2**n detector subsets are cached per tuple of detector
+groups.  ``click_probabilities`` makes one ``vacuum_probability`` call per
+subset through the module's global name on purpose: ``perfbench/tests``
+pins those calls (ROADMAP item 2).  The protocol runs one batched
+transform per config, over the phases of its series in Phi.
 """
 
 from __future__ import annotations
@@ -209,19 +206,6 @@ def apply_loss(state: CovarianceState, mode: str, survival: float) -> Covariance
 # threshold detection
 
 
-@lru_cache(maxsize=32)
-def _selection(modes: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
-    """``_quadratures`` of ``labels`` in a state over ``modes`` as a
-    read-only array, which every read-out over these modes shares."""
-    index = {m: 2 * k for k, m in enumerate(modes)}
-    unknown = [m for m in labels if m not in index]
-    if unknown:
-        raise GaussianEngineError(f"mode {unknown[0]!r} not registered")
-    sel = np.array([q for m in labels for q in (index[m], index[m] + 1)], dtype=int)
-    sel.flags.writeable = False
-    return sel
-
-
 @lru_cache(maxsize=16)
 def _subsets(groups: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
     """The modes of each subset q of the detector ``groups``, group k in it
@@ -250,7 +234,7 @@ def vacuum_probability(state: CovarianceState, labels: Sequence[str]):
     batch = state.sigma.shape[:-2]
     if not labels:
         return np.ones(batch) if batch else 1.0
-    sel = _selection(state.modes, tuple(labels))
+    sel = np.array(_quadratures(state, labels), dtype=int)
     red = state.sigma[..., sel[:, None], sel]
     red += _half_identity(len(sel))
     try:
@@ -279,7 +263,7 @@ def detected_modes(
                 f"efficiency for no detector: {', '.join(map(repr, unknown))}")
     groups = tuple(map(tuple, detector_map.values()))
     modes = _subsets(groups)[-1]
-    sel = _selection(state.modes, modes)
+    sel = np.array(_quadratures(state, modes), dtype=int)
     block = CovarianceState(modes, state.sigma[..., sel[:, None], sel])
     start = 0  # the block's first row of the detector's modes
     for det, group in zip(detector_map, groups):

@@ -44,14 +44,13 @@ Both engines build the circuit up to the read interferometer once per
 config and keep p at N equispaced phases (``_prefix``); every read-out is
 then the trigonometric interpolant of p at its Phi, with no gate and no
 click transform.  The Gaussian prefix runs the read interferometer at the
-five phases that fix the detected covariance (``READ_NODES``), and raises
-N until the top harmonic is at round-off (``_gaussian_series``).  The Fock
-prefix measures the write photons once, and runs the read prefix and one
-read interferometer, at Phi = 0, on the herald branches' coherence blocks;
-every gate before the read phase is real, so p is a cosine series of
-degree K and N = 2K + 1 (``_fock_series``).  The open interferometer of
-the cross-correlation kind takes no phase: its prefix is the one detected
-distribution.
+N phases as one batch, and raises N until the top harmonic is at round-off
+(``_gaussian_series``).  The Fock prefix measures the write photons once,
+and runs the read prefix and one read interferometer, at Phi = 0, on the
+herald branches' coherence blocks; every gate before the read phase is
+real, so p is a cosine series of degree K and N = 2K + 1
+(``_fock_series``).  The open interferometer of the cross-correlation kind
+takes no phase: its prefix is the one detected distribution.
 """
 
 from __future__ import annotations
@@ -91,10 +90,6 @@ CROSS_CORRELATION_CHANNELS = (
 JITTER_NODES = 21
 THERMAL_NOISE_EPSILON = 0.01
 FOCK_PROTOCOL_CAP = 6
-#: the phases of the Gaussian prefix's read interferometer: after its one
-#: rotation all is linear and phase-free, so the detected covariance is a
-#: trigonometric polynomial of degree 2 in Phi, fixed by these five values
-READ_NODES = 2.0 * math.pi * np.arange(5) / 5
 #: the Gaussian prefix reads p(Phi) at N equispaced phases: SERIES_NODES
 #: first, then 2N - 1 while the top harmonic they hold is above SERIES_TOL,
 #: at most SERIES_MAX_NODES; every reference config reads SERIES_NODES
@@ -328,7 +323,7 @@ def exact_joint_distribution(
         return OutcomeDistribution(prefix.labels,
                                    np.tile(prefix.probabilities, np.shape(phi) + (1,)),
                                    prefix.truncation)
-    return _read_out(config, prefix, phi)
+    return _read_out(prefix, phi)
 
 
 #: (key, prefix) of the last config, replaced whole; its array is read-only
@@ -355,10 +350,7 @@ def _prefix(config: ExperimentConfig) -> OutcomeDistribution:
     w_groups = run_write_stage(circuit, config)
     if engine.name != "fock":
         _read_prefix(circuit, config)
-        groups = {**w_groups, **_stage_interferometer(circuit, config, "read", READ_NODES)}
-        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
-        prefix = _gaussian_series(config, gaussian.detected_modes(
-            circuit.state, ordered, _efficiency_map(ordered, config.noise)), ordered)
+        prefix = _gaussian_series(config, circuit.state, w_groups)
     else:
         w_map = {ch: w_groups[ch] for ch in _analysis_channels(config.kind)
                  if ch.startswith("write")}
@@ -374,27 +366,26 @@ def _prefix(config: ExperimentConfig) -> OutcomeDistribution:
     return prefix
 
 
-def _gaussian_series(config, nodes: gaussian.CovarianceState,
-                     detectors) -> OutcomeDistribution:
-    """The detected distribution at N equispaced phases 2 pi j / N, from the
-    detected modes' covariance ``nodes`` at READ_NODES: sigma at each phase
-    is the interpolant through them (on sigma - I/2, so its round-off
-    scales with the excess over vacuum), and one batched click transform
-    and one ``detect`` read all N out.  N starts at SERIES_NODES and goes
-    to 2N - 1 while the top harmonic the N phases hold, max |c_K| at
-    K = (N - 1) / 2, is above SERIES_TOL; past SERIES_MAX_NODES it raises.
-    The open interferometer's one state gives its one distribution."""
-    if nodes.sigma.ndim == 2:
-        return detect(gaussian.click_probabilities(nodes, detectors), config.noise)
-    vacuum = 0.5 * np.eye(nodes.sigma.shape[-1])
-    excess = nodes.sigma - vacuum
+def _gaussian_series(config, state: gaussian.CovarianceState,
+                     w_groups) -> OutcomeDistribution:
+    """The detected distribution at N equispaced phases 2 pi j / N: the read
+    interferometer runs on the read prefix ``state`` at all N as one batch,
+    and one click transform and one ``detect`` read them out.  N starts at
+    SERIES_NODES and goes to 2N - 1, from ``state`` again, while the top
+    harmonic the N phases hold, max |c_K| at K = (N - 1) / 2, is above
+    SERIES_TOL; past SERIES_MAX_NODES it raises.  The open interferometer
+    takes no phase: one state, one distribution."""
     size = SERIES_NODES
     while size <= SERIES_MAX_NODES:
         phases = 2.0 * math.pi * np.arange(size) / size
-        sigma = np.tensordot(_periodic_weights(phases, READ_NODES, (1.0, 1.0)), excess,
-                             axes=1) + vacuum
-        dist = detect(gaussian.click_probabilities(
-            gaussian.CovarianceState(nodes.modes, sigma), detectors), config.noise)
+        read = _GaussianCircuit()
+        read.state = state
+        groups = {**w_groups, **_stage_interferometer(read, config, "read", phases)}
+        ordered = {ch: groups[ch] for ch in _analysis_channels(config.kind)}
+        dist = detect(read.click_distribution(ordered, _efficiency_map(ordered, config.noise)),
+                      config.noise)
+        if dist.probabilities.ndim == 1:
+            return dist
         # |c_K| in real arithmetic: the cos and sin sums over the phases
         top = (size // 2) * phases
         tail = np.hypot(np.cos(top) @ dist.probabilities,
@@ -449,18 +440,21 @@ def _fock_series(config, codes, probs, branches, weight, deficit) -> OutcomeDist
                   config.noise)
 
 
-def _read_out(config, prefix, phi) -> OutcomeDistribution:
+def _read_out(prefix, phi) -> OutcomeDistribution:
     """The read-out at each relative phase phi from a phase-free prefix of
     either engine: the trigonometric interpolant through the prefix's N
     detected distributions, with round-off negatives zeroed and each row
     renormalised as the click transform does (no gate, no click transform,
-    no background fold)."""
+    no background fold); what the click transform would raise for raises
+    ProtocolError."""
     size = len(prefix.probabilities)
     weights = _periodic_weights(phi, 2.0 * math.pi * np.arange(size) / size,
                                 np.ones(size // 2))
-    return OutcomeDistribution(prefix.labels,
-                               gaussian.checked_probabilities(weights @ prefix.probabilities),
-                               prefix.truncation)
+    try:
+        probs = gaussian.checked_probabilities(weights @ prefix.probabilities)
+    except gaussian.GaussianEngineError as exc:
+        raise ProtocolError(f"read-out of p(Phi): {exc}") from None
+    return OutcomeDistribution(prefix.labels, probs, prefix.truncation)
 
 
 def _jitter_scale(noise: NoiseModel) -> float:

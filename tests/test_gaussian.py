@@ -165,7 +165,7 @@ class TestClicks:
                 read(st, detectors, efficiency)
 
     def test_the_same_labels_in_two_mode_orders(self):
-        # the cached selection is keyed on the state's mode order too
+        # the quadrature rows a label selects follow the state's mode order
         occupations = {"a": 0.25, "b": 1.0}
         for modes in (["a", "b"], ["b", "a"]):
             st = G.thermal_state(modes, occupations)

@@ -33,6 +33,7 @@ from phonon_timebin.core import (
     fwhm_to_sigma,
     load_config,
     with_overrides,
+    with_pulse_field,
 )
 
 FAST = settings(max_examples=30, deadline=None)
@@ -447,8 +448,8 @@ def reordered(state, order):
 @given(st.one_of(gate_sequences(), st.integers(1, 3).flatmap(lambda b: gate_sequences(batch=b))),
        st.data())
 def test_cached_click_plans_are_the_direct_code(seq, data):
-    # the same labels meet states of other mode orders across examples, so a
-    # selection cached on the labels alone would read the wrong rows
+    # the same labels meet states of other mode orders across examples, and
+    # only the subsets' labels are cached, so each state selects its own rows
     state = reordered(run_gates(*seq), tuple(data.draw(st.permutations(seq[0]))))
     rest = data.draw(st.permutations(seq[0]))
     detector_map = {}
@@ -554,12 +555,12 @@ def squeezed_read_prefix(circuit, config, p=0.05):
 ], ids=["bell_test", "visibility-0", "squeezed-read-photons"])
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
 def test_the_read_interpolant_matches_the_gates(monkeypatch, overrides, prefix, batched):
-    # at the five nodes, between them and far outside one period; with no
-    # offset the read interferometer of the reference runs at Phi itself
+    # at five equispaced phases, between them and far outside one period;
+    # with no offset the read interferometer of the reference runs at Phi itself
     monkeypatch.setattr(protocol, "_prefix_memo", (None, None))
     monkeypatch.setattr(protocol, "_read_prefix", prefix)
     config = with_overrides(reference_config("bell_test"), {"phases.phi_off": 0.0, **overrides})
-    phis = np.concatenate([protocol.READ_NODES, [0.3, 2.9, 40.0, -40.0]])
+    phis = np.concatenate([2.0 * np.pi * np.arange(5) / 5, [0.3, 2.9, 40.0, -40.0]])
     if batched:
         got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
     else:
@@ -592,6 +593,21 @@ def test_a_squeezed_read_takes_more_series_phases(monkeypatch):
     got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
     assert len(protocol._prefix(config).probabilities) > protocol.SERIES_NODES
     assert got.min() >= 0.0
+    assert got == pytest.approx(unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities,
+                                abs=1e-14)
+
+
+@pytest.mark.parametrize("p, size", [(0.3, 17), (0.9, 33)])
+def test_strong_scattering_grows_the_series(p, size):
+    # bell_test's own circuit, no prefix patched: pulses this strong give
+    # p(Phi) harmonics that 9 phases cannot hold, so the series doubles and
+    # each size reruns the read interferometer at its own phases
+    config = with_pulse_field(with_overrides(reference_config("bell_test"), {
+        "perturbative_guard": 0.99, "noise.interferometer_visibility": 1.0,
+        "phases.phi_off": 0.0}), "scattering_probability", p)
+    phis = np.random.default_rng(33).uniform(-40.0, 40.0, 200)
+    got = protocol.exact_joint_distribution(config, 0.0, phis).probabilities
+    assert len(protocol._prefix(config).probabilities) == size
     assert got == pytest.approx(unstaged_reference(config, 0.0, phis, 0.0, 0.0).probabilities,
                                 abs=1e-14)
 

@@ -645,7 +645,8 @@ class TestPrefix:
         assert not any(a.flags.writeable for a in self.memo_arrays())
 
     def test_a_gaussian_scan_runs_the_read_interferometer_once(self, builds, monkeypatch):
-        # in the prefix, at the interpolant's nodes: no quadrature node runs a gate
+        # in the prefix, at the series' 9 phases as one batch: no quadrature
+        # node runs a gate
         phases = []
         stage = protocol._stage_interferometer
 
@@ -660,7 +661,7 @@ class TestPrefix:
         protocol.jitter_averaged_distribution(cfg, phi_w, phi_r)
         assert builds == [cfg]
         assert len(phases) == 1
-        assert np.array_equal(phases[0], 2.0 * np.pi * np.arange(5) / 5)
+        assert np.array_equal(phases[0], 2.0 * np.pi * np.arange(9) / 9)
 
     @pytest.mark.parametrize("run", ["scan", "jitter_average", "records"])
     def test_a_fock_scan_runs_the_read_interferometer_once(self, builds, monkeypatch, run):
@@ -1071,7 +1072,7 @@ class TestSeriesReadOut:
         values ``fringe`` at the prefix's 9 phases."""
         rows = np.stack([0.5 - fringe, fringe, np.full(9, 0.5), np.zeros(9)], axis=-1)
         prefix = OutcomeDistribution(("a", "b"), rows)
-        return protocol._read_out(engine_config("bell_test", "gaussian"), prefix, phi)
+        return protocol._read_out(prefix, phi)
 
     def test_round_off_negatives_are_zeroed_and_rows_renormalised(self):
         # a fringe of 1e-12 * cos(Phi) about 0: negative near Phi = pi
@@ -1086,7 +1087,7 @@ class TestSeriesReadOut:
         # non-negative samples, one spike of 1e-6: its interpolant, the
         # Dirichlet kernel, reads -2.2e-7 at Phi = pi / 3
         spike = np.where(self.NODES == 0.0, 1e-6, 0.0)
-        with pytest.raises(gaussian.GaussianEngineError, match="negative"):
+        with pytest.raises(protocol.ProtocolError, match="negative"):
             self.read_out(spike, math.pi / 3)
 
 
