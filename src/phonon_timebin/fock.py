@@ -54,9 +54,12 @@ chunks of whole column ladders (``GATE_CHUNK_ENTRIES`` input entries each),
 whose outputs are disjoint, which bounds its temporaries.
 
 Loss and thermal channels are phase covariant, so they act as a set of
-index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d]; each stored
-entry moves to the shifted indices with its kernel weight and duplicates are
-summed.  The thermal kernel is extracted once per parameter set from an
+index-shift kernels rho[a,b] <- sum_d W_d[a,b] rho[a+d,b+d].  One pass over
+all nonzero shifts moves every stored entry to its shifted indices with its
+kernel weight, shift by shift in ascending order, and duplicates are
+summed.  Each (basis, mode) has one cached table of every basis state's
+shifted index at every shift in [-n_max, n_max], from one ``searchsorted``.
+The thermal kernel is extracted once per parameter set from an
 exact beam-splitter coupling to a high-cutoff thermal ancilla.  A phase
 rescales the entries, and adding a vacuum mode or tracing modes out remaps
 their indices.
@@ -75,6 +78,9 @@ loss, thermal loss and phases every mode's own n.  So ``prune_coherences``
 drops the entries whose row and column differ in a charge that the
 two-mode gates still to run conserve; those entries never feed the
 diagonal, and the kept ones evolve bit for bit as they would unpruned.
+Channels and phases keep every mode's row-column difference, so a prune
+after one drops nothing: only a two-mode gate, once it has run, changes
+what can go.
 """
 
 from __future__ import annotations
@@ -120,20 +126,6 @@ def _radix(n_modes: int, n_max: int) -> np.ndarray:
     return (n_max + 1) ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
 
 
-@lru_cache(maxsize=4096)
-def _shift_table(n_modes: int, n_max: int, total_max: int, batch: int,
-                 mode: int, delta: int) -> np.ndarray:
-    occs, codes = _basis_arrays(n_modes, n_max, total_max, batch)
-    out = np.full(len(occs), -1, dtype=np.int64)
-    target = occs[:, mode] + delta
-    ok = (target >= 0) & (target <= n_max)
-    if delta > 0:
-        ok &= occs.sum(axis=1) + delta <= total_max
-    out[ok] = np.searchsorted(codes, codes[ok] + delta * _radix(n_modes, n_max)[mode])
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """The capped occupation basis of ``n_modes`` modes, ``batch`` times
@@ -160,7 +152,26 @@ class FockBasis:
 
     def shifted(self, mode: int, delta: int) -> np.ndarray:
         """Index of each basis state with n_mode += delta; -1 where invalid."""
-        return _shift_table(self.n_modes, self.n_max, self.total_max, self.batch, mode, delta)
+        if abs(delta) > self.n_max:
+            return np.full(self.dim, -1, dtype=np.int64)
+        return _shift_tables(self, mode)[self.n_max + delta]
+
+
+@lru_cache(maxsize=256)
+def _shift_tables(basis: FockBasis, mode: int) -> np.ndarray:
+    """(2 n_max + 1, dim): row n_max + delta is ``basis.shifted(mode,
+    delta)``, all rows from one ``searchsorted``."""
+    occs, codes = _basis_arrays(basis.n_modes, basis.n_max, basis.total_max, basis.batch)
+    delta = np.arange(-basis.n_max, basis.n_max + 1)[:, None]
+    target = occs[:, mode] + delta
+    # a gain must stay under the total cap too
+    ok = (target >= 0) & (target <= basis.n_max) & (
+        occs.sum(axis=1) + np.maximum(delta, 0) <= basis.total_max)
+    out = np.full(ok.shape, -1, dtype=np.int64)
+    shifted = codes + delta * _radix(basis.n_modes, basis.n_max)[mode]
+    out[ok] = np.searchsorted(codes, shifted[ok])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,17 +358,12 @@ def add_vacuum_mode(state: FockState, label: str) -> FockState:
                      Entries(mapping[rho.rows], mapping[rho.cols], rho.vals, basis.dim))
 
 
-def tile(state: FockState, batch: int, copy: np.ndarray | None = None) -> FockState:
+def tile(state: FockState, batch: int, copy: np.ndarray) -> FockState:
     """``batch`` copies of a state, or of a batch of B, as one
-    block-diagonal batch: copy c of element b is element c*B + b.  One copy
-    is the state itself.  ``copy``, one copy number per stored entry, puts
-    each entry in that copy alone, so the copies split the entries."""
+    block-diagonal batch, copy c of element b being element c*B + b, that
+    split its entries: ``copy``, one copy number per stored entry, puts each
+    entry in that copy alone."""
     rho = state.rho
-    if copy is None:
-        if batch == 1:
-            return state
-        copy = np.repeat(np.arange(batch), rho.nnz)
-        rho = Entries(*(np.tile(a, batch) for a in (rho.rows, rho.cols, rho.vals)), rho.dim)
     shift = rho.dim * copy
     blocks = Entries(rho.rows + shift, rho.cols + shift, rho.vals, batch * rho.dim)
     return FockState(state.modes, replace(state.basis, batch=batch * state.basis.batch), blocks)
@@ -440,7 +446,8 @@ def _ladder_layout(basis: FockBasis, i: int, j: int, kind: str):
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
     ladder = number[ladder]
-    start = np.r_[0, np.cumsum(lengths[order])]
+    start = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(lengths[order], out=start[1:])
     members = np.empty(basis.dim, dtype=np.int64)
     members[start[ladder] + pos] = np.arange(basis.dim)
     n_long = len(first) - (not long.all())
@@ -643,37 +650,38 @@ def _apply_shift_kernels(state: FockState, mode: str,
     # of the elements' kernels; its occupation if all share one
     slot = occ if len(kernels) == 1 else occ + n * np.repeat(
         np.arange(basis.batch), basis.dim // basis.batch)
-    rho = state.rho
-    r, c = rho.rows, rho.cols
-    rows, cols, vals = [], [], []
-    # population weight each source actually transfers; gain transitions whose
-    # destination falls outside the capped basis are treated as no-ops below
-    applied = np.zeros(basis.dim)
+    # all nonzero shifts d in one pass, ascending: their (S, B*n, n) kernel
+    # stack, and row s of ``dest`` the state each basis state moves to by
+    # shift s (n_mode -= d), or -1
     zero = np.zeros((n, n))
-    for d in sorted(set().union(*kernels)):
-        W = kernels[0][d] if len(kernels) == 1 else np.stack([k.get(d, zero) for k in kernels])
-        if not np.any(W):
-            continue
-        src = basis.shifted(m, d)
-        valid = src >= 0
-        applied[src[valid]] += np.diagonal(W, 0, -2, -1).ravel()[slot[valid]]
-        # entry (r, c) moves to the states that shifted(m, d) maps onto r, c
-        dest = basis.shifted(m, -d)
-        a, b = dest[r], dest[c]
-        ok = np.flatnonzero((a >= 0) & (b >= 0))
-        w = W.reshape(-1, n)[slot[a[ok]], occ[b[ok]]]
-        ok, w = ok[w != 0.0], w[w != 0.0]
-        rows.append(a[ok])
-        cols.append(b[ok])
-        vals.append(w * rho.vals[ok])
+    shifts = sorted(set().union(*kernels))
+    W = np.array([[k.get(d, zero) for k in kernels] for d in shifts])
+    nonzero = W.reshape(len(shifts), -1).any(axis=1)
+    W, delta = W[nonzero], np.array(shifts)[nonzero]
+    weight = np.diagonal(W, 0, -2, -1).reshape(len(delta), -1)
+    W = W.reshape(len(delta), -1, n)
+    dest = _shift_tables(basis, m)[basis.n_max - delta]
+    # population weight each source actually transfers, summed shift by
+    # shift in ascending order; gain transitions whose destination falls
+    # outside the capped basis are treated as no-ops below
+    gain = np.where(dest >= 0, weight[np.arange(len(delta))[:, None], slot[dest]], 0.0)
+    applied = np.zeros(basis.dim)
+    for row in gain:
+        applied += row
+    # entry (r, c) moves by shift s to (dest[s, r], dest[s, c]) with its
+    # kernel weight: all moved entries, shift-major, then in entry order
+    rho = state.rho
+    a, b = dest[:, rho.rows], dest[:, rho.cols]
+    s, e = np.nonzero((a >= 0) & (b >= 0))
+    a, b = a[s, e], b[s, e]
+    w = W[s, slot[a], occ[b]]
+    ok = np.flatnonzero(w)
     clipped = 1.0 - applied
     diag = rho.diagonal()
     idx = np.flatnonzero((clipped > 1e-15) & (diag != 0.0))
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(clipped[idx] * np.real(diag[idx]))
-    return FockState(state.modes, basis, _summed(np.concatenate(rows), np.concatenate(cols),
-                                                 np.concatenate(vals), basis.dim))
+    return FockState(state.modes, basis, _summed(
+        np.concatenate([a[ok], idx]), np.concatenate([b[ok], idx]),
+        np.concatenate([w[ok] * rho.vals[e[ok]], clipped[idx] * np.real(diag[idx])]), basis.dim))
 
 
 def apply_loss(state: FockState, mode: str, survival: float | np.ndarray) -> FockState:
@@ -697,8 +705,9 @@ def apply_thermal_loss(state: FockState, mode: str, survival: float | np.ndarray
         raise FockEngineError(f"{len(survival)} survivals for a batch of {state.basis.batch}")
     if not all(0.0 <= s <= 1.0 for s in survival):
         raise FockEngineError("survival must be in [0, 1]")
-    if any(nt < 0 for nt in n_env):
-        raise FockEngineError("n_env must be >= 0")
+    bad = [nt for nt in n_env if not 0.0 <= nt < math.inf]
+    if bad:
+        raise FockEngineError(f"n_env must be finite and >= 0, got {bad[0]!r}")
     if all(s == 1.0 for s in survival):
         return state.copy()
     return _apply_shift_kernels(state, mode, [_thermal_kernels(state.n_max, s, nt if s < 1.0 else 0.0)
@@ -749,7 +758,8 @@ def prune_coherences(state: FockState, gates: Sequence[tuple[str, str, str]]) ->
     # mixed-radix code of all charges stays below the basis codes' bound
     charges = np.array(charges)
     low = state.n_max * (charges < 0).sum(axis=1)
-    place = np.cumprod(np.r_[1, state.n_max * np.abs(charges[:-1]).sum(axis=1) + 1])
+    place = np.ones(len(charges), dtype=np.int64)
+    np.cumprod(state.n_max * np.abs(charges[:-1]).sum(axis=1) + 1, out=place[1:])
     code = (state.basis.occs @ charges.T + low) @ place
     rho = state.rho
     keep = np.flatnonzero(code[rho.rows] == code[rho.cols])
@@ -764,15 +774,16 @@ def prune_coherences(state: FockState, gates: Sequence[tuple[str, str, str]]) ->
 
 
 def _pattern_weights(state: FockState, detector_map: Mapping[str, Sequence[str]],
-                     efficiency: Mapping[str, float] | float | None) -> np.ndarray:
-    """(dim of one element, 2**n) weight of every click pattern on every
-    basis state, detector 0 the most significant bit (the
-    OutcomeDistribution order).  A detector of efficiency eta holding N
-    quanta stays quiet with weight (1-eta)**N and clicks with the rest,
-    -expm1(N log1p(-eta)), which keeps the click weight of a tiny eta.  A
-    detector that a mapping leaves out has eta 1; a key of it that names no
-    detector raises, and so does a mode listed twice, whose quanta would
-    count twice."""
+                     efficiency: Mapping[str, float] | float | None,
+                     rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """(states, 2**n) weight of every click pattern on the basis states
+    ``rows`` of one element (all of them by default), detector 0 the most
+    significant bit (the OutcomeDistribution order).  A detector of
+    efficiency eta holding N quanta stays quiet with weight (1-eta)**N and
+    clicks with the rest, -expm1(N log1p(-eta)), which keeps the click
+    weight of a tiny eta.  A detector that a mapping leaves out has eta 1;
+    a key of it that names no detector raises, and so does a mode listed
+    twice, whose quanta would count twice."""
     modes = [m for group in detector_map.values() for m in group]
     repeated = [m for k, m in enumerate(modes) if m in modes[:k]]
     if repeated:
@@ -781,7 +792,7 @@ def _pattern_weights(state: FockState, detector_map: Mapping[str, Sequence[str]]
         unknown = [det for det in efficiency if det not in detector_map]
         if unknown:
             raise FockEngineError(f"efficiency for no detector: {', '.join(map(repr, unknown))}")
-    occs = state.basis.occs[:state.basis.dim // state.basis.batch]
+    occs = state.basis.occs[:state.basis.dim // state.basis.batch][rows]
     weights = np.ones((len(occs), 1))
     for det, modes in detector_map.items():
         eta = 1.0 if efficiency is None else (
@@ -806,9 +817,14 @@ def click_distribution(
     on any of its modes.
 
     The threshold POVM with efficiency is diagonal, so this is each
-    element's populations times the pattern weights of its basis states."""
-    weights = _pattern_weights(state, detector_map, efficiency)
-    probs = np.real(state.rho.diagonal()).reshape(state.basis.batch, -1) @ weights
+    element's populations times the pattern weights of its basis states,
+    computed only for the states some element populates (the others' rows
+    stay zero)."""
+    diag = np.real(state.rho.diagonal()).reshape(state.basis.batch, -1)
+    populated = np.flatnonzero(diag.any(axis=0))
+    weights = np.zeros((diag.shape[1], 1 << len(detector_map)))
+    weights[populated] = _pattern_weights(state, detector_map, efficiency, populated)
+    probs = diag @ weights
     return OutcomeDistribution(tuple(detector_map), probs[0] if state.basis.batch == 1 else probs)
 
 

@@ -182,8 +182,8 @@ def apply_thermal_loss(state: CovarianceState, mode: str, survival: float,
     scaled by sqrt(eta)."""
     if not 0.0 <= survival <= 1.0:
         raise GaussianEngineError("survival must be in [0, 1]")
-    if n_env < 0:
-        raise GaussianEngineError("n_env must be >= 0")
+    if not 0.0 <= n_env < math.inf:
+        raise GaussianEngineError(f"n_env must be finite and >= 0, got {n_env!r}")
     sigma = state.sigma.copy()
     _thermal_loss_in_place(sigma, 2 * state.mode_index(mode), survival, n_env)
     return CovarianceState(state.modes, sigma)

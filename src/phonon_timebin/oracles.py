@@ -26,12 +26,12 @@ Elsewhere loss survivals are drawn in [0.5, 1], the protocol's physical
 range.
 
 The Fock side of each circuit (``fock_clicks``) keeps only the coherences
-its click read-out can still see: before each op, and before the read-out,
-``fock.prune_coherences`` drops every entry that the two-mode gates still
-to run cannot bring onto the diagonal.  The distributions are those of the
-unpruned run, bit for bit, and the smoke suite's largest state holds
-26,398 entries instead of 262,449.  The Gaussian side runs every op as it
-stands.
+its click read-out can still see: at the start and after each two-mode
+gate, ``fock.prune_coherences`` drops every entry that the two-mode gates
+still to run cannot bring onto the diagonal.  The distributions are those
+of the unpruned run, bit for bit, and the smoke suite's largest state
+holds 26,398 entries instead of 262,449.  The Gaussian side runs every op
+as it stands.
 """
 
 from __future__ import annotations
@@ -162,21 +162,21 @@ def fock_clicks(state: fock.FockState, ops, detectors, efficiency
                 ) -> tuple[OutcomeDistribution, int]:
     """The Fock engine's click distribution after ``ops`` (builder method
     name, *its arguments) from ``state``, and the most entries the state
-    held.  Before each op, and before the read-out, the state keeps only
-    the entries that the two-mode gates still to run, this op's included,
-    can bring onto the diagonal (``fock.prune_coherences``): no other entry
-    ever reaches a click."""
+    held.  At the start, and after each two-mode gate, the state keeps
+    only the entries that the two-mode gates still to run can bring onto
+    the diagonal (``fock.prune_coherences``): no other entry ever reaches a
+    click.  A channel or a phase keeps every mode's row-column difference,
+    so no prune is needed after one."""
     circuit = protocol._FockCircuit(state.n_max, state.basis.total_max)
-    circuit.state = state
     remaining = [(_LADDER_KIND[kind], *args[:2]) for kind, *args in ops if kind in _LADDER_KIND]
+    circuit.state = fock.prune_coherences(state, remaining)
     peak = state.rho.nnz
     for kind, *args in ops:
-        circuit.state = fock.prune_coherences(circuit.state, remaining)
         getattr(circuit, kind)(*args)
+        peak = max(peak, circuit.state.rho.nnz)
         if kind in _LADDER_KIND:
             remaining = remaining[1:]
-        peak = max(peak, circuit.state.rho.nnz)
-    circuit.state = fock.prune_coherences(circuit.state, remaining)
+            circuit.state = fock.prune_coherences(circuit.state, remaining)
     return circuit.click_distribution(detectors, efficiency), peak
 
 

@@ -40,3 +40,13 @@ def element(state, b):
     return fock.FockState(state.modes, dataclasses.replace(state.basis, batch=1),
                           fock.Entries(rho.rows[mine] - b * size, rho.cols[mine] - b * size,
                                        rho.vals[mine], size))
+
+
+def tiled(state, batch):
+    """``batch`` whole copies of a state, or of a batch of B, as one batch
+    (``fock.tile`` with every entry in every copy): copy c of element b is
+    element c*B + b."""
+    rho = state.rho
+    whole = fock.Entries(*(np.tile(a, batch) for a in (rho.rows, rho.cols, rho.vals)), rho.dim)
+    return fock.tile(fock.FockState(state.modes, state.basis, whole), batch,
+                     np.repeat(np.arange(batch), rho.nnz))

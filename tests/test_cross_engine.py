@@ -68,6 +68,29 @@ class TestSharedVocabulary:
         assert fringe_ok < 1e-9 and cross_ok < 1e-9 and flip_ok < 1e-9
 
 
+BS = ("beam_splitter", "a", "b", 0.6, 0.3)
+TMS = ("squeeze", "b", "c", 0.02, 1.1)
+
+
+@pytest.mark.parametrize("ops, pruned_for", [
+    ([BS, ("loss", "a", 0.8), ("phase", "b", 0.4), TMS, ("thermal_loss", "c", 0.9, 0.05)],
+     [[("bs", "a", "b"), ("tms", "b", "c")], [("tms", "b", "c")], []]),
+    ([("loss", "a", 0.8), ("phase", "b", 0.4)], [[]]),
+    ([TMS, BS], [[("tms", "b", "c"), ("bs", "a", "b")], [("bs", "a", "b")], []]),
+], ids=["mixed", "no-gate", "gates-last"])
+def test_the_oracle_prunes_only_at_the_start_and_after_two_mode_gates(monkeypatch, ops,
+                                                                      pruned_for):
+    # a channel or a phase keeps every mode's row-column difference, so a
+    # prune after one would drop nothing
+    calls = []
+    prune = fock.prune_coherences
+    monkeypatch.setattr(fock, "prune_coherences", lambda state, gates: calls.append(
+        list(gates)) or prune(state, gates))
+    state = fock.init_thermal(["a", "b", "c"], 4, {"a": 0.1, "c": 0.05})
+    oracles.fock_clicks(state, ops, {"d1": ["a"], "d2": ["b", "c"]}, 0.9)
+    assert calls == pruned_for
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the Fock engine runs the read stage's thermal top-up on each "
     "herald-conditioned mechanical state, so click branches get no added noise"))

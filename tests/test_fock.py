@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dense_fock import dense, element, entries, index
+from dense_fock import dense, element, entries, index, tiled
 from phonon_timebin import fock as F
 from phonon_timebin import protocol
 
@@ -227,6 +227,17 @@ class TestChannels:
         out = F.apply_thermal_loss(st, "a", 0.93, 0.15)
         assert out.mean_occupation("a") == pytest.approx(
             0.93 * 0.08 + 0.07 * 0.15, abs=1e-8)
+
+    @pytest.mark.parametrize("n_env", [math.nan, math.inf])
+    def test_a_non_finite_environment_raises(self, n_env):
+        # math.ceil in the thermal kernels would raise a bare ValueError
+        # for nan; survival 1 names it too, and so does one batch element
+        st = F.init_thermal(["a", "b"], 4, 0.1)
+        for state, survival, env in ((st, 0.9, n_env), (st, 1.0, n_env),
+                                     (tiled(st, 2), np.array([0.9, 0.9]), np.array([0.1, n_env]))):
+            with pytest.raises(F.FockEngineError,
+                               match=f"n_env must be finite and >= 0, got {n_env}"):
+                F.apply_thermal_loss(state, "a", survival, env)
 
     def test_channel_trace_preservation(self):
         rng = np.random.default_rng(5)
@@ -469,7 +480,10 @@ class TestBasis:
         basis = F.FockBasis(3, 2, 4, batch=3)
         assert basis.dim == 3 * one.dim
         assert np.array_equal(basis.occs, np.tile(one.occs, (3, 1)))
-        for delta in (-1, 1):
+        # a shift past the cutoff reaches no state
+        assert np.array_equal(one.shifted(1, 3), np.full(one.dim, -1))
+        assert np.array_equal(one.shifted(1, -3), np.full(one.dim, -1))
+        for delta in (-2, -1, 1, 2):
             single = one.shifted(1, delta)
             want = [np.where(single >= 0, single + b * one.dim, -1) for b in range(3)]
             assert np.array_equal(basis.shifted(1, delta), np.concatenate(want))
@@ -492,15 +506,22 @@ class TestSortedGroups:
 class TestBatch:
     def batch(self):
         st = F.init_thermal(["a", "b"], 3, {"a": 0.2})
-        return F.tile(F.apply_beam_splitter(st, "a", "b", 0.6, 0.3), 3)
+        return tiled(F.apply_beam_splitter(st, "a", "b", 0.6, 0.3), 3)
 
     def test_tile_is_block_diagonal(self):
         st = F.apply_beam_splitter(F.init_thermal(["a", "b"], 3, {"a": 0.2}), "a", "b", 0.6, 0.3)
-        tiled = F.tile(st, 3)
-        assert tiled.basis.batch == 3
-        assert np.array_equal(dense(tiled), np.kron(np.eye(3), dense(st)))
-        assert F.tile(st, 1) is st
-        assert tiled.trace() == pytest.approx([1.0] * 3, abs=1e-14)
+        whole = tiled(st, 3)
+        assert whole.basis.batch == 3
+        assert np.array_equal(dense(whole), np.kron(np.eye(3), dense(st)))
+        assert whole.trace() == pytest.approx([1.0] * 3, abs=1e-14)
+        # one copy number per entry puts each entry in that copy alone
+        copy = np.arange(st.rho.nnz) % 3
+        split = F.tile(st, 3, copy)
+        assert split.basis.batch == 3
+        for c in range(3):
+            alone = F.FockState(st.modes, st.basis, F.Entries(
+                st.rho.rows[copy == c], st.rho.cols[copy == c], st.rho.vals[copy == c], st.rho.dim))
+            assert np.array_equal(dense(element(split, c)), dense(alone))
 
     @pytest.mark.parametrize("op", [
         lambda st: F.measure_threshold(st, {"d": ["a"]}),
@@ -511,7 +532,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("op, copies", [
         (lambda st: F.partial_trace(st, ["b"]), 1),
-        (lambda st: F.tile(st, 2), 2),
+        (lambda st: tiled(st, 2), 2),
     ], ids=["partial_trace", "tile"])
     def test_a_batch_operation_acts_on_each_element_alone(self, op, copies):
         # three elements that differ, then the operation on the batch and on

@@ -95,6 +95,15 @@ class TestThermalLoss:
         out = G.apply_thermal_loss(st, "a", 0.99, 2.2)
         assert out.mean_occupation("a") == pytest.approx(0.022, abs=1e-12)
 
+    @pytest.mark.parametrize("n_env", [math.nan, math.inf])
+    def test_a_non_finite_environment_raises(self, n_env):
+        # it would leave a nan or inf covariance, even at survival 1
+        st = G.thermal_state(["a"], 0.3)
+        for survival in (0.9, 1.0):
+            with pytest.raises(G.GaussianEngineError,
+                               match=f"n_env must be finite and >= 0, got {n_env}"):
+                G.apply_thermal_loss(st, "a", survival, n_env)
+
     def test_cross_blocks_scaled(self):
         st = G.vacuum_state(["a", "b"])
         st = G.apply_two_mode_squeeze(st, "a", "b", 0.04, 0.0)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dense_fock import dense, element, entries, index
+from dense_fock import dense, element, entries, index, tiled
 from phonon_timebin import fock, gaussian, oracles, protocol
 from phonon_timebin.core import (
     ExperimentKind,
@@ -822,7 +822,7 @@ def test_gate_chunks_give_the_same_entries(case, data, batch, kind, strength, ph
     if batch > 1:
         phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch,
                                            max_size=batch)))
-        state = fock.apply_phase(fock.tile(state, batch), a, phis)
+        state = fock.apply_phase(tiled(state, batch), a, phis)
     assert state.rho.nnz <= fock.GATE_CHUNK_ENTRIES  # one chunk at the default size
     whole = fock._apply_two_mode(state, a, b, kind, strength, phi)
     with pytest.MonkeyPatch.context() as patch:
@@ -852,6 +852,95 @@ def test_sparse_loss_channels_match_dense(case, data, survival, n_env):
     thermal = fock.apply_thermal_loss(state, state.modes[m], survival, n_env)
     kernels = fock._thermal_kernels(state.n_max, survival, n_env)
     check_output(thermal, dense_shift_kernels(state, rho, m, kernels))
+
+
+def shift_table(basis, mode, delta):
+    """Index of each basis state with n_mode += delta, -1 where invalid,
+    from a ``searchsorted`` of its own."""
+    occs, codes = fock._basis_arrays(basis.n_modes, basis.n_max, basis.total_max, basis.batch)
+    out = np.full(len(occs), -1, dtype=np.int64)
+    target = occs[:, mode] + delta
+    ok = (target >= 0) & (target <= basis.n_max)
+    if delta > 0:
+        ok &= occs.sum(axis=1) + delta <= basis.total_max
+    out[ok] = np.searchsorted(codes, codes[ok] + delta * fock._radix(basis.n_modes,
+                                                                     basis.n_max)[mode])
+    return out
+
+
+def looped_shift_kernels(state, m, kernels):
+    """The shift-kernel channel one shift at a time, ascending, each with
+    its own shift tables: the moved entries shift by shift, and the
+    transferred population summed in that order."""
+    basis, n = state.basis, state.n_max + 1
+    occ = basis.occs[:, m]
+    slot = occ if len(kernels) == 1 else occ + n * np.repeat(
+        np.arange(basis.batch), basis.dim // basis.batch)
+    rho = state.rho
+    rows, cols, vals = [], [], []
+    applied = np.zeros(basis.dim)
+    zero = np.zeros((n, n))
+    for d in sorted(set().union(*kernels)):
+        W = kernels[0][d] if len(kernels) == 1 else np.stack([k.get(d, zero) for k in kernels])
+        if not np.any(W):
+            continue
+        src = shift_table(basis, m, d)
+        valid = src >= 0
+        applied[src[valid]] += np.diagonal(W, 0, -2, -1).ravel()[slot[valid]]
+        dest = shift_table(basis, m, -d)
+        a, b = dest[rho.rows], dest[rho.cols]
+        ok = np.flatnonzero((a >= 0) & (b >= 0))
+        w = W.reshape(-1, n)[slot[a[ok]], occ[b[ok]]]
+        ok, w = ok[w != 0.0], w[w != 0.0]
+        rows.append(a[ok])
+        cols.append(b[ok])
+        vals.append(w * rho.vals[ok])
+    clipped = 1.0 - applied
+    diag = rho.diagonal()
+    idx = np.flatnonzero((clipped > 1e-15) & (diag != 0.0))
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(clipped[idx] * np.real(diag[idx]))
+    return fock._summed(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                        basis.dim)
+
+
+@FAST
+@given(fock_states(), st.data(), st.integers(1, 3))
+def test_the_one_pass_channel_is_the_per_shift_loop(case, data, batch):
+    # the shift tables, then loss and thermal loss on a state and thermal
+    # loss of one survival and environment occupation per element on a
+    # batch whose elements differ: the entries of the per-shift loop, bit
+    # for bit
+    state, _ = case
+    m = data.draw(st.integers(0, len(state.modes) - 1))
+    for d in range(-state.n_max - 1, state.n_max + 2):
+        assert np.array_equal(state.basis.shifted(m, d), shift_table(state.basis, m, d))
+    survival = data.draw(st.floats(0.0, 0.999))
+    n_env = data.draw(st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 2.0))
+    runs = [(fock.apply_loss(state, state.modes[m], survival), state,
+             [fock._thermal_kernels(state.n_max, survival, 0.0)]),
+            (fock.apply_thermal_loss(state, state.modes[m], survival, n_env), state,
+             [fock._thermal_kernels(state.n_max, survival, n_env)])]
+    if batch > 1:
+        phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch,
+                                           max_size=batch)))
+        i, j = two_modes(data, state)
+        many = fock.apply_beam_splitter(fock.apply_phase(
+            tiled(state, batch), state.modes[i], phis), state.modes[i], state.modes[j], 0.6)
+        survivals = data.draw(st.lists(st.just(1.0) | st.floats(0.0, 0.999), min_size=batch,
+                                       max_size=batch).filter(lambda s: min(s) < 1.0))
+        n_envs = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3]), min_size=batch,
+                                    max_size=batch))
+        runs.append((fock.apply_thermal_loss(many, state.modes[m], np.array(survivals),
+                                             np.array(n_envs)), many,
+                     [fock._thermal_kernels(state.n_max, s, nt if s < 1.0 else 0.0)
+                      for s, nt in zip(survivals, n_envs)]))
+    for got, before, kernels in runs:
+        want = looped_shift_kernels(before, m, kernels)
+        assert np.array_equal(got.rho.rows, want.rows)
+        assert np.array_equal(got.rho.cols, want.cols)
+        assert np.array_equal(got.rho.vals, want.vals)
 
 
 @FAST
@@ -954,7 +1043,7 @@ def test_click_distribution_matches_the_loss_channel_route(case, data, batch):
         i, j = two_modes(data, state)
         a, b = state.modes[i], state.modes[j]
         phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch, max_size=batch)))
-        state = fock.apply_beam_splitter(fock.apply_phase(fock.tile(state, batch), a, phis),
+        state = fock.apply_beam_splitter(fock.apply_phase(tiled(state, batch), a, phis),
                                          a, b, 0.6)
     detector_map, efficiency = draw_detectors(data, state, len(state.modes), unit)
     lossy, codes = loss_channel_readout(state, detector_map, efficiency)
@@ -1088,21 +1177,21 @@ def test_fock_batch_operations_are_each_element_alone(case, data, batch):
     i, j = two_modes(data, state)
     a, b = state.modes[i], state.modes[j]
     phis = np.array(data.draw(st.lists(st.floats(-6.3, 6.3), min_size=batch, max_size=batch)))
-    many = fock.apply_beam_splitter(fock.apply_phase(fock.tile(state, batch), a, phis), a, b, 0.6)
+    many = fock.apply_beam_splitter(fock.apply_phase(tiled(state, batch), a, phis), a, b, 0.6)
     keep = data.draw(st.permutations(state.modes))[:data.draw(st.integers(1, len(state.modes)))]
     survival = np.array(data.draw(st.lists(st.just(1.0) | st.floats(0.0, 0.999),
                                            min_size=batch, max_size=batch)))
     n_env = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3]),
                                         min_size=batch, max_size=batch)))
     traced = fock.partial_trace(many, keep)
-    tiled = fock.tile(many, 2)
+    copies = tiled(many, 2)
     lossy = fock.apply_thermal_loss(many, a, survival, n_env)
-    assert (traced.basis.batch, tiled.basis.batch, lossy.basis.batch) == (batch, 2 * batch, batch)
+    assert (traced.basis.batch, copies.basis.batch, lossy.basis.batch) == (batch, 2 * batch, batch)
     for k in range(batch):
         alone = element(many, k)
         assert same_entries(element(traced, k), fock.partial_trace(alone, keep))
-        assert same_entries(element(tiled, k), alone)
-        assert same_entries(element(tiled, batch + k), alone)
+        assert same_entries(element(copies, k), alone)
+        assert same_entries(element(copies, batch + k), alone)
         assert same_entries(element(lossy, k), fock.apply_thermal_loss(alone, a, survival[k],
                                                                        n_env[k]))
         if survival[k] == 1.0:
@@ -1130,7 +1219,7 @@ def test_a_fock_batch_matches_each_element_alone(case, data, batch):
         st_ = fock.add_vacuum_mode(st_, "new")
         return fock.apply_two_mode_squeeze(st_, b, "new", p, 0.4)
 
-    batched = run(fock.tile(state, batch), phis)
+    batched = run(tiled(state, batch), phis)
     assert_hermitian(batched)
     assert batched.trace() == pytest.approx(np.ones(batch), abs=1e-12)
     rho = dense(batched)
