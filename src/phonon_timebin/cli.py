@@ -39,6 +39,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+#: the most phase settings a sweep or calibrate run builds; a phase sweep of
+#: that many takes about a second
+MAX_SETTINGS = 10_000
+
+
+def _bounded_settings(count: int, what: str) -> None:
+    """Raise ConfigError before a run builds more than MAX_SETTINGS settings."""
+    if count > MAX_SETTINGS:
+        raise ConfigError(f"{what}: {count} settings, more than the {MAX_SETTINGS} "
+                          "a run builds")
+
 
 def _plain(obj):
     """Recursively convert numpy scalars/arrays for YAML/JSON output."""
@@ -357,19 +368,23 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--dual-phi-r fixes phi_r, so it cannot go with a phases.phi_r sweep")
 
     read = key_at(key).parse  # as the key of a file reads: a phase into radians
+    phi_rs = [0.0, math.pi / 2.0] if args.dual_phi_r else [config.phases.phi_r]
     try:
         if ":" in valspec:
             start, stop, n = valspec.split(":")
-            values = np.linspace(read(start, key), read(stop, key), int(n))
+            ends, n = (read(start, key), read(stop, key)), int(n)
         else:
             values = [read(v, key) for v in valspec.split(",") if v.strip()]
+            n = len(values)
     except ValueError as exc:
         raise ConfigError(f"{key}: bad sweep values {valspec!r}: {exc}") from exc
-    if len(values) == 0:
+    if n <= 0:
         raise ConfigError("empty sweep list")
+    _bounded_settings(n * len(phi_rs), f"--sweep {args.sweep}")
+    if ":" in valspec:
+        values = np.linspace(*ends, n)
     manifest = _Manifest(out, config, args)
     phi_w = config.phases.phi_w
-    phi_rs = [0.0, math.pi / 2.0] if args.dual_phi_r else [config.phases.phi_r]
     grid = [(phi_r, v) for phi_r in phi_rs for v in values]
     if key == "phases.phi_w":
         scan = [(v, phi_r) for phi_r, v in grid]
@@ -402,6 +417,7 @@ def cmd_calibrate(args) -> int:
     if 2 * n_points < analysis.MIN_CALIBRATION_POINTS:
         raise ConfigError(f"--points {n_points}: the fit needs "
                           f"{analysis.MIN_CALIBRATION_POINTS} sweep points (2 x points)")
+    _bounded_settings(2 * n_points, f"--points {n_points}")
     config = _load_pulsed(args)
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)

@@ -1,12 +1,15 @@
 """Domain types, validation and config ingestion shared by all modules.
 
 Everything here is a plain immutable value object.  Each config key is
-declared once, on its dataclass field (see Key), and ``__post_init__``
-checks its domain and the rules across keys, so the objects can be shared
-freely between trial workers.  Every number is finite but waveguide.T1 (inf
-means no decay); counts, Fock cutoffs, phases (1e6 rad) and the extra keys
-the CLI reads are bounded.  An override reads as the file with that key
-edited.
+declared once, on the dataclass field of the file section that holds it
+(see Key): the perturbative guard on ExperimentConfig, the phase scan on
+PhaseSettings.  ``__post_init__`` checks each domain and the rules across
+keys, so the objects can be shared freely between trial workers.  A pulse
+keeps the keys its file gives; the config converts an energy given alone
+into its scattering probability once, on construction.  Every number is
+finite but waveguide.T1 (inf means no decay); counts, Fock cutoffs, phases
+(1e6 rad) and the extra keys the CLI reads are bounded.  An override reads
+as the file with that key edited.
 
 Units: strictly SI inside the process (seconds, Hz, joules, radians).  The
 on-disk config format uses SI as well, except angles, which are written in
@@ -170,14 +173,14 @@ class Key:
     or "[0, 2**63)", holding each number of the value: NaN lies in none, an
     infinity only in an end "inf]".  ``choices`` lists a text key's values;
     an ``angle`` is written in units of pi; ``keys`` declares a mapping's
-    keys and ``open`` lets it hold others; ``at`` is the file path of a
-    field written outside its section.  A key without a default is required."""
+    keys and ``open`` lets it hold others.  Each key sits on the dataclass
+    of the file section that holds it.  A key without a default is required."""
 
     def __init__(self, read=None, domain=None, *, default=MISSING, required=False,
-                 angle=False, choices=None, keys=None, open=False, at=None):
+                 angle=False, choices=None, keys=None, open=False):
         self.section = type(default) if read is None and is_dataclass(default) else None
         self.reader = read or (float if domain else lambda value: value)
-        self.domain, self.default, self.angle, self.at = domain, default, angle, at
+        self.domain, self.default, self.angle = domain, default, angle
         self.required, self.choices, self.keys, self.open = \
             required or default is MISSING, choices, keys, open
         if domain:
@@ -239,11 +242,9 @@ def _key(default=MISSING, domain=None, read=None, **kw):
 
 
 @cache
-def _keys(cls, in_file: bool = False) -> dict[str, Key]:
-    """The declared keys of a dataclass's fields, in field order; with
-    ``in_file``, those its section of the file holds."""
-    return {f.name: f.metadata["key"] for f in fields(cls)
-            if "key" in f.metadata and not (in_file and f.metadata["key"].at)}
+def _keys(cls) -> dict[str, Key]:
+    """The declared keys of a dataclass's fields, in field order."""
+    return {f.name: f.metadata["key"] for f in fields(cls) if "key" in f.metadata}
 
 
 def _check(obj, prefix: str = "") -> None:
@@ -251,7 +252,7 @@ def _check(obj, prefix: str = "") -> None:
     for name, spec in _keys(type(obj)).items():
         value = getattr(obj, name)
         if type(value) is not float or not spec.domain or not spec.within(value):
-            spec.check(value, spec.at or prefix + name)
+            spec.check(value, prefix + name)
 
 
 def _kwargs(cls, raw, path: str, complete: bool = True) -> dict:
@@ -260,7 +261,7 @@ def _kwargs(cls, raw, path: str, complete: bool = True) -> dict:
     key may be left out of a mapping that is not ``complete``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'a config'} must be a mapping, got {raw!r}")
-    keys, prefix = _keys(cls, True), path + "." if path else ""
+    keys, prefix = _keys(cls), path + "." if path else ""
     if not raw.keys() <= keys.keys():
         raise ConfigError(f"unknown keys in {path or 'the config'}: {list(raw.keys() - keys)}")
     for name, spec in keys.items():
@@ -326,30 +327,30 @@ class WaveguideParams:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One control pulse; the file holds its perturbative_guard once, at the top level."""
+    """One control pulse as its file gives it: by scattering probability, by
+    energy, or by both, when the probability counts.  The config converts
+    the energy of a pulse given by energy alone and checks every pulse
+    against its perturbative guard; ``config.pulse(role)`` is the pulse so
+    resolved."""
 
     role: PulseRole = _key(read=PulseRole)
     center_time: float = _key(domain="(-inf, inf)")
     duration_fwhm: float = _key(30e-9, "(0, inf)")
     energy: float | None = _key(None, "[0, inf)")
-    scattering_probability: float = _key(0.0, "[0, 1)")
-    perturbative_guard: float = _key(DEFAULT_PERTURBATIVE_GUARD, "(0, 1]",
-                                     at="perturbative_guard")
+    scattering_probability: float | None = _key(None, "[0, 1)")
 
     def __post_init__(self):
         _check(self, "pulses.")
-        if self.scattering_probability >= self.perturbative_guard:
-            raise ValidationError(
-                "pulse.scattering_probability %.4g breaks the perturbative guard %.4g "
-                "(raise perturbative_guard explicitly to override)"
-                % (self.scattering_probability, self.perturbative_guard)
-            )
+        if self.scattering_probability is None and self.energy is None:
+            raise ConfigError(f"pulse {self.role.value}: needs scattering_probability or energy")
 
 
 @dataclass(frozen=True)
 class PhaseSettings:
-    """Phases of the late pulses and the interferometer offset, each within
-    [-1e6, 1e6] rad for the reason NoiseModel gives for its jitter FWHMs.
+    """Phases of the late pulses and the interferometer offset, and the
+    scan of (phi_w, phi_r) settings when the file gives one, each angle
+    within [-1e6, 1e6] rad for the reason NoiseModel gives for its jitter
+    FWHMs.  A scan takes precedence over phi_w and phi_r.
 
     ``phi_0`` is always derived: it is the write phase at which the
     correlation coefficient crosses zero with negative slope,
@@ -359,6 +360,8 @@ class PhaseSettings:
     phi_w: float = _key(0.0, "[-1e6, 1e6]", angle=True)
     phi_r: float = _key(0.0, "[-1e6, 1e6]", angle=True)
     phi_off: float = _key(0.0, "[-1e6, 1e6]", angle=True)
+    settings: tuple[tuple[float, float], ...] | None = _key(
+        None, "[-1e6, 1e6]", _pairs, angle=True)
 
     def __post_init__(self):
         _check(self, "phases.")
@@ -457,30 +460,35 @@ class EngineSpec:
         _check(self, "engine.")
 
 
-def _phases(value) -> tuple[PhaseSettings, tuple | None]:
-    """The phases section: its PhaseSettings and its scan.  The scan is
-    ``settings``, else every phi_w of a phi_w list at each phi_r (one or a
-    list); a phi_w or phi_r left out, or a list, is the scan's first."""
+def _phases(value) -> PhaseSettings:
+    """The phases section.  Its scan is ``settings``, else every phi_w of a
+    phi_w list at each phi_r (one or a list); a phi_w or phi_r left out, or
+    a list, is the scan's first."""
     ph = dict(value)
     scan, where = ph.pop("settings", None), "phases.settings"
     if scan is None and isinstance(ph.get("phi_w"), (list, tuple)):
         rs = ph.get("phi_r", 0.0)
         scan, where = [(w, r) for r in (rs if isinstance(rs, (list, tuple)) else [rs])
                        for w in ph["phi_w"]], "phases.phi_w"
-    sweep = None if scan is None else _keys(ExperimentConfig)["phase_sweep"].parse(scan, where)
-    if sweep is not None:
-        if not sweep:
+    if scan is not None:
+        scan = _keys(PhaseSettings)["settings"].parse(scan, where)
+        if not scan:
             raise ConfigError(f"{where}: a phase scan needs at least one setting")
-        for name, first in zip(("phi_w", "phi_r"), sweep[0]):
+        for name, first in zip(("phi_w", "phi_r"), scan[0]):
             if ph.get(name) is None or isinstance(ph[name], (list, tuple)):
                 ph[name] = _Radians(first)
-    return PhaseSettings(**_kwargs(PhaseSettings, ph, "phases")), sweep
+    return PhaseSettings(**_kwargs(PhaseSettings, ph, "phases"), settings=scan)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, its fields in the key order of its file; trial counts
-    are bounded by the multinomial draw's signed 64-bit count."""
+    are bounded by the multinomial draw's signed 64-bit count.
+
+    ``pulses`` are as the file gives them; ``pulse(role)`` returns each one
+    resolved, an energy given alone converted once, on construction, with
+    the config's ``calibration_anchors`` and ``perturbative_guard``, which
+    every pulse's scattering probability must stay below."""
 
     kind: ExperimentKind = _key(read=ExperimentKind)
     engine: EngineSpec = _key(EngineSpec(), required=True, read=lambda v: EngineSpec(  # or a name
@@ -492,13 +500,11 @@ class ExperimentConfig:
     record_trials: int = _key(0, "[0, 2**63)", _integer)
     cavity: CavityParams = _key(CavityParams(), required=True)
     waveguide: WaveguideParams = _key(WaveguideParams(), required=True)
-    #: read by config_from_dict, which converts pulse energies
-    pulses: tuple[PulseSpec, ...] = _key((), read=list, required=True)
-    #: with phase_sweep, which the file holds as phases.settings
+    pulses: tuple[PulseSpec, ...] = _key((), required=True, read=lambda rows: tuple(
+        PulseSpec(**_kwargs(PulseSpec, row, "pulses")) for row in rows))
     phases: PhaseSettings = _key(PhaseSettings(), read=_phases, required=True)
-    phase_sweep: tuple[tuple[float, float], ...] | None = _key(
-        None, "[-1e6, 1e6]", _pairs, angle=True, at="phases.settings")
     noise: NoiseModel = _key(NoiseModel(), required=True)
+    perturbative_guard: float = _key(DEFAULT_PERTURBATIVE_GUARD, "(0, 1]")
     #: open to any key; those the thermal g2 run and the witness R read are
     #: declared with their defaults (see extra_value)
     extra: Mapping[str, object] = _key({}, open=True, keys={
@@ -516,9 +522,22 @@ class ExperimentConfig:
     #: the anchors pulse energies convert with, when not the defaults
     calibration_anchors: Mapping[str, tuple[tuple[float, float], ...]] | None = _key(
         None, keys={role: Key(_pairs, "(0, inf)") for role in ("write", "read")})
+    _resolved: tuple[PulseSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check(self)
+        guard = self.perturbative_guard
+        object.__setattr__(self, "_resolved", tuple(
+            p if p.scattering_probability is not None else replace(
+                p, scattering_probability=scattering_probability_from_energy(
+                    p.energy, "write" if p.role.is_write else "read",
+                    self.calibration_anchors, guard))
+            for p in self.pulses))
+        for p in self._resolved:
+            _require(p.scattering_probability < guard,
+                     "pulse.scattering_probability %.4g breaks the perturbative guard %.4g "
+                     "(raise perturbative_guard explicitly to override)"
+                     % (p.scattering_probability, guard))
         if self.pulses:
             tau = self.waveguide.round_trip_time
             by_role = {p.role: p for p in self.pulses}
@@ -552,7 +571,8 @@ class ExperimentConfig:
         return self.extra.get(name, default(self) if callable(default) else default)
 
     def pulse(self, role: PulseRole) -> PulseSpec:
-        for p in self.pulses:
+        """The pulse of ``role``, its scattering probability resolved."""
+        for p in self._resolved:
             if p.role is role:
                 return p
         raise KeyError(role)
@@ -691,7 +711,6 @@ def build_pulse_sequence(
     p_r: float = 0.007,
     t0: float = 0.0,
     duration_fwhm: float = 30e-9,
-    guard: float = DEFAULT_PERTURBATIVE_GUARD,
 ) -> tuple[PulseSpec, ...]:
     """Standard four-pulse schedule: writes at t0 and t0+tau/2, reads one full
     round trip after their writes.  ThermalG2Tau uses a continuous red pump
@@ -717,7 +736,6 @@ def build_pulse_sequence(
             center_time=centers[role],
             duration_fwhm=duration_fwhm,
             scattering_probability=p_w if role.is_write else p_r,
-            perturbative_guard=guard,
         )
         for role in PULSE_ORDER
     )
@@ -774,15 +792,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
 def _read_config(raw: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """config_from_dict; with ``base``, a top-level key ``raw`` leaves out keeps base's."""
-    guard = _keys(PulseSpec)["perturbative_guard"].parse(
-        raw.pop("perturbative_guard", DEFAULT_PERTURBATIVE_GUARD), "perturbative_guard")
     kw = _kwargs(ExperimentConfig, raw, "", complete=base is None)
-    if "phases" in kw:
-        kw["phases"], kw["phase_sweep"] = kw["phases"]
-    if "pulses" in kw:
-        anchors = kw.get("calibration_anchors")
-        _keys(ExperimentConfig)["calibration_anchors"].check(anchors, "calibration_anchors")
-        kw["pulses"] = tuple(_pulse(p, anchors, guard) for p in kw["pulses"])
     config = ExperimentConfig(**kw) if base is None else replace(base, **kw)
     # only the continuous-pump kind runs without pulses
     missing = [r.value for r in PULSE_ORDER if r not in {p.role for p in config.pulses}]
@@ -793,18 +803,6 @@ def _read_config(raw: dict, base: ExperimentConfig | None = None) -> ExperimentC
     if missing:
         raise ConfigError(f"noise.thermal_schedule: missing {', '.join(missing)}")
     return config
-
-
-def _pulse(raw, anchors, guard: float) -> PulseSpec:
-    """One pulse of the file; without a scattering probability it takes the
-    one its energy converts to."""
-    kw = _kwargs(PulseSpec, raw, "pulses")
-    if "scattering_probability" not in kw:
-        if "energy" not in kw:
-            raise ConfigError(f"pulse {kw['role'].value}: needs scattering_probability or energy")
-        kw["scattering_probability"] = scattering_probability_from_energy(
-            kw["energy"], "write" if kw["role"].is_write else "read", anchors=anchors, guard=guard)
-    return PulseSpec(**kw, perturbative_guard=guard)
 
 
 def _per_pi(angle: float) -> float:
@@ -818,7 +816,7 @@ def _dict(obj, radians: bool, names=None) -> dict:
     override to set."""
     angle = _Radians if radians else _per_pi
     return {name: _angles(value, angle) if spec.angle and value is not None
-            else _plain(value, radians) for name, spec in _keys(type(obj), True).items()
+            else _plain(value, radians) for name, spec in _keys(type(obj)).items()
             if (names is None or name in names)
             and ((value := getattr(obj, name)) is not None and value != {} or radians)}
 
@@ -837,24 +835,10 @@ def _plain(value, radians: bool):
     return _dict(value, radians) if is_dataclass(value) else value
 
 
-def _config_dict(config: ExperimentConfig, radians: bool, names=None) -> dict:
-    data = _dict(config, radians, names)
-    if "phases" in data and (radians or config.phase_sweep is not None):
-        data["phases"]["settings"] = None if config.phase_sweep is None else _angles(
-            config.phase_sweep, _Radians if radians else _per_pi)
-    guard = config.pulses[0].perturbative_guard if config.pulses else DEFAULT_PERTURBATIVE_GUARD
-    if (names is None or "perturbative_guard" in names) and (
-            radians or guard != DEFAULT_PERTURBATIVE_GUARD):
-        # after noise, before extra and calibration_anchors
-        tail = {k: data.pop(k) for k in ("extra", "calibration_anchors") if k in data}
-        data["perturbative_guard"] = guard
-        data.update(tail)
-    return data
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The config as its file's mapping, which config_from_dict reads back."""
-    return _config_dict(config, radians=False)
+    """The config as its file's mapping, which config_from_dict reads back;
+    each pulse keeps the keys its file gave."""
+    return _dict(config, radians=False)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -870,14 +854,12 @@ def config_digest(config: ExperimentConfig) -> str:
 def with_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) -> ExperimentConfig:
     """Apply dotted-path overrides (e.g. ``noise.dark_count_prob=1e-7``): the
     config its file with those keys edited reads as, text read as YAML.  Only
-    the top-level keys reached (pulses with the guard and anchors they read
-    with) are written out and read back; the rest would read back the same."""
-    tops = {dotted.partition(".")[0] for dotted in overrides}
-    pulsed = {"pulses", "perturbative_guard", "calibration_anchors"}
-    data = _config_dict(config, True, tops | pulsed if tops & pulsed else tops)
+    the top-level keys reached are written out and read back; the rest would
+    read back the same."""
+    data = _dict(config, True, {dotted.partition(".")[0] for dotted in overrides})
     # a scan, the config's own or an overridden one, takes precedence over
     # phi_w and phi_r, which would be ignored
-    if config.phase_sweep is not None or "phases.settings" in overrides:
+    if config.phases.settings is not None or "phases.settings" in overrides:
         for dotted in ("phases.phi_w", "phases.phi_r"):
             if dotted in overrides:
                 raise ConfigError(f"{dotted}: a phase scan (phases.settings) takes "

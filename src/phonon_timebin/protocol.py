@@ -527,8 +527,8 @@ class ExperimentResult:
 
 
 def _phase_settings(config: ExperimentConfig) -> list[tuple[float, float]]:
-    if config.phase_sweep is not None:
-        return list(config.phase_sweep)
+    if config.phases.settings is not None:
+        return list(config.phases.settings)
     if config.kind is ExperimentKind.BELL_TEST:
         return list(config.phases.chsh_settings())
     return [(config.phases.phi_w, config.phases.phi_r)]

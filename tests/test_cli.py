@@ -539,6 +539,13 @@ class TestOther:
         # a count the multinomial draw cannot take
         *[(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
             "--override", f"trials={value}"], "trials") for value in ("1e20", str(2**63))],
+        # more settings than a run builds (cli.MAX_SETTINGS), refused before
+        # the scan is built; a run of them takes about a second
+        *[([*command, "--config", str(CONFIGS / "bell_test.yaml"), "--override", "trials=0"],
+           "more than the 10000")
+          for command in (["calibrate", "--points", "5001"],
+                          ["sweep", "--sweep", "phases.phi_w=0:2:10001"],
+                          ["sweep", "--sweep", "phases.phi_w=0:2:5001", "--dual-phi-r"])],
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

@@ -130,5 +130,33 @@ def test_an_override_reads_as_the_edited_file(name):
 @pytest.mark.parametrize("name", ["bell_test", "calibration", "cross_correlation"])
 def test_a_phi_w_list_override_is_a_scan(name):
     config = with_overrides(load_config(CONFIGS / f"{name}.yaml"), {"phases.phi_w": "[1,2,3]"})
-    assert config.phase_sweep is not None and len(config.phase_sweep) == 3
+    assert config.phases.settings is not None and len(config.phases.settings) == 3
     assert config == config_from_dict(edited(raw(name), "phases.phi_w", [1, 2, 3]))
+
+
+def energy_only(name):
+    """The file of a pulsed shipped config with each pulse given by its
+    energy alone."""
+    data = raw(name)
+    for pulse in data["pulses"]:
+        del pulse["scattering_probability"]
+    return data
+
+
+@pytest.mark.filterwarnings("ignore:scattering probability .* clipped")
+@pytest.mark.parametrize("key, value", [
+    pytest.param("calibration_anchors", "{write: [[15.0e-15, 0.003]]}", id="anchors"),
+    pytest.param("perturbative_guard", "0.001", id="guard")])
+@pytest.mark.parametrize("name", [name for name in SHIPPED if name != "thermal_g2"])
+def test_an_override_of_what_energies_convert_with_reads_as_the_edited_file(
+        tmp_path, name, key, value):
+    # the pulses convert their energies with the new anchors or guard, as
+    # the edited file's do, and so do those of the config's dict form edited
+    data = energy_only(name)
+    (tmp_path / "energies.yaml").write_text(yaml.safe_dump(data))
+    (tmp_path / "edited.yaml").write_text(
+        yaml.safe_dump(edited(data, key, yaml.safe_load(value))))
+    config, want = load_config(tmp_path / "energies.yaml"), load_config(tmp_path / "edited.yaml")
+    assert want != config
+    assert with_overrides(config, {key: value}) == want
+    assert config_from_dict(edited(config_to_dict(config), key, yaml.safe_load(value))) == want

@@ -92,12 +92,12 @@ class TestDomainTypes:
             WaveguideParams(round_trip_time=126e-9, T1=50e-9)
 
     def test_pulse_guard(self):
+        pulses = (PulseSpec(role=PulseRole.WRITE_EARLY, center_time=0.0,
+                            scattering_probability=0.06),)
         with pytest.raises(ValidationError):
-            PulseSpec(role=PulseRole.WRITE_EARLY, center_time=0.0,
-                      scattering_probability=0.06)
+            ExperimentConfig(kind=ExperimentKind.BELL_TEST, pulses=pulses)
         # guard is configurable
-        PulseSpec(role=PulseRole.WRITE_EARLY, center_time=0.0,
-                  scattering_probability=0.06, perturbative_guard=0.1)
+        ExperimentConfig(kind=ExperimentKind.BELL_TEST, pulses=pulses, perturbative_guard=0.1)
 
     def test_phi_0_always_derived(self):
         ph = PhaseSettings(phi_off=0.3)
@@ -328,7 +328,7 @@ class TestConfigIO:
         # the override sets the scan as the same key in the file would
         path = files("phonon_timebin") / "configs" / "bell_test.yaml"
         config = load_config(str(path))
-        assert config.phase_sweep is None
+        assert config.phases.settings is None
         settings = [[0.25, 0.0], [0.5, 0.25]]
         overridden = with_overrides(config, {"phases.settings": str(settings)})
         raw = yaml.safe_load(path.read_text())
@@ -337,10 +337,9 @@ class TestConfigIO:
         scanned.write_text(yaml.safe_dump(raw))
         assert overridden == load_config(scanned)
         assert config_digest(overridden) == config_digest(load_config(scanned))
-        assert overridden.phase_sweep == ((0.25 * math.pi, 0.0), (0.5 * math.pi, 0.25 * math.pi))
+        assert overridden.phases.settings == ((0.25 * math.pi, 0.0), (0.5 * math.pi, 0.25 * math.pi))
 
-    @pytest.mark.parametrize("dotted, value", [("engine.total_cap", 5),
-                                               ("perturbative_guard", 0.2)])
+    @pytest.mark.parametrize("dotted, value", [("engine.total_cap", 5)])
     def test_override_adds_an_unset_key(self, dotted, value):
         config = config_from_dict(minimal_config_dict())
         data = config_to_dict(config)

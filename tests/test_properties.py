@@ -1251,7 +1251,7 @@ def test_a_fock_batch_matches_each_element_alone(case, data, batch):
 @st.composite
 def config_dicts(draw):
     """A config in file form (angles in units of pi) inside the validated
-    ranges."""
+    ranges; a pulse gives its scattering probability, its energy or both."""
     prob = st.floats(0.0, 1.0)
     pair = st.tuples(prob, prob).map(list)
     kind = draw(st.sampled_from(list(ExperimentKind)))
@@ -1263,10 +1263,13 @@ def config_dicts(draw):
         t0 = draw(st.floats(0.0, 1e-6))
         for k, role in enumerate(PulseRole):
             pulse = {"role": role.value, "center_time": t0 + k * tau / 2.0,
-                     "duration_fwhm": draw(st.floats(1e-9, 100e-9)),
-                     "scattering_probability": draw(st.floats(0.0, 0.99 * guard))}
-            if draw(st.booleans()):
-                pulse["energy"] = draw(st.floats(0.0, 1e-12))
+                     "duration_fwhm": draw(st.floats(1e-9, 100e-9))}
+            given = draw(st.sampled_from(["probability", "energy", "both"]))
+            if given != "energy":
+                pulse["scattering_probability"] = draw(st.floats(0.0, 0.99 * guard))
+            if given != "probability":
+                # an energy alone, at most 0.1 pJ, converts below any guard drawn
+                pulse["energy"] = draw(st.floats(0.0, 1e-12 if given == "both" else 1e-13))
             pulses.append(pulse)
     angle = st.floats(-2.0, 2.0)
     phases = {"phi_w": draw(angle), "phi_r": draw(angle), "phi_off": draw(angle)}
@@ -1317,6 +1320,9 @@ def config_dicts(draw):
 @given(config_dicts())
 def test_config_round_trip_is_stable(data):
     config = config_from_dict(data)
+    # each pulse is written back with the keys its file gave
+    assert [p.keys() for p in config_to_dict(config)["pulses"]] == \
+        [p.keys() for p in data["pulses"]]
     again = config_from_dict(config_to_dict(config))
     assert again == config
     assert config_digest(again) == config_digest(config)
@@ -1332,13 +1338,13 @@ def test_unset_radian_angles_survive_overrides(raw, data):
     sweep = data.draw(st.none() | st.lists(st.tuples(radian, radian), min_size=1, max_size=4))
     config = dataclasses.replace(
         config,
-        phases=PhaseSettings(data.draw(radian), data.draw(radian), data.draw(radian)),
-        phase_sweep=None if sweep is None else tuple(sweep),
+        phases=PhaseSettings(data.draw(radian), data.draw(radian), data.draw(radian),
+                             None if sweep is None else tuple(sweep)),
         noise=dataclasses.replace(config.noise,
                                   write_phase_jitter_fwhm=data.draw(st.floats(0.0, 3.2)),
                                   read_phase_jitter_fwhm=data.draw(st.floats(0.0, 3.2))))
     assert with_overrides(config, {}) == config
     changed = with_overrides(config, {"phases.phi_off": 0.25, "seed": 3})
     assert changed.phases.phi_off == 0.25 * math.pi
-    assert (changed.phases.phi_w, changed.noise, changed.phase_sweep) == \
-        (config.phases.phi_w, config.noise, config.phase_sweep)
+    assert (changed.phases.phi_w, changed.noise, changed.phases.settings) == \
+        (config.phases.phi_w, config.noise, config.phases.settings)

@@ -847,7 +847,7 @@ class TestFockScan:
          lambda c: [*c.phases.chsh_settings(), c.phases.chsh_settings()[1]],
          [(0.0, 0.0)] * 4 + [(0.31, -0.12)]),
         (lambda: fock_config("timebin_entanglement"),
-         lambda c: c.phase_sweep[::4], [(0.0, 0.0)] * 3),
+         lambda c: c.phases.settings[::4], [(0.0, 0.0)] * 3),
         (oracles.ideal_limit_config,
          lambda c: [(0.0, 0.3), (1.9, 0.3), (0.1, 0.3), (4.4, -0.8)],
          [(0.0, 0.0), (0.0, 0.0), (0.2, 0.0), (-0.5, 0.7)]),
@@ -927,8 +927,8 @@ def strong_config(truncation, write_fwhm=0.0, read_fwhm=0.0):
     p(Phi) up to K = 3 stands far above round-off, the top one near 1e-7."""
     base = make_config(noise=noisy(write_fwhm, read_fwhm),
                        engine=EngineSpec("fock", truncation=truncation))
-    return dataclasses.replace(base, pulses=build_pulse_sequence(
-        base.kind, base.waveguide.round_trip_time, 0.3, 0.3, guard=0.5))
+    return dataclasses.replace(base, perturbative_guard=0.5, pulses=build_pulse_sequence(
+        base.kind, base.waveguide.round_trip_time, 0.3, 0.3))
 
 
 class TestFockSeries:
@@ -1152,10 +1152,9 @@ class TestRateBudget:
             p for p in build_pulse_sequence(ExperimentKind.BELL_TEST,
                                             wg.round_trip_time, 0.0, 0.0))
         from dataclasses import replace
-        pulses = tuple(replace(p, scattering_probability=0.999999,
-                               perturbative_guard=1.0) for p in pulses)
+        pulses = tuple(replace(p, scattering_probability=0.999999) for p in pulses)
         cfg = ExperimentConfig(kind=ExperimentKind.BELL_TEST, waveguide=wg,
-                               pulses=pulses, phases=PhaseSettings(),
+                               pulses=pulses, perturbative_guard=1.0, phases=PhaseSettings(),
                                noise=clean_noise(), trials=0, seed=1)
         budget = protocol.rate_budget(cfg)
         rep_per_hour = 3600.0 / cfg.repetition_period
