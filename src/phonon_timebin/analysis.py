@@ -2,6 +2,12 @@
 witness, sideband-asymmetry thermometry, lifetime and phase-calibration
 fits.  Every estimator returns an AnalysisResult carrying a one-standard-
 deviation uncertainty, a method tag and a digest of its inputs.
+
+An estimate its data leave undefined (no singles, no coincidences, no
+decay, anti-Stokes at or above Stokes) is not an error: it comes back with
+a NaN value or sigma, inf for a lifetime with no decay, and a flag naming
+why.  AnalysisError is for input an estimator cannot take: negative
+counts, too few points, a degenerate fit.
 """
 
 from __future__ import annotations
@@ -152,7 +158,8 @@ def correlation_E(table: CoincidenceTable) -> AnalysisResult:
     total = table.total_coincidences
     digest = _digest("E", sorted((f"{k}", v) for k, v in n.items()))
     if total <= 0:
-        raise AnalysisError("correlation_E: no coincidences")
+        return AnalysisResult(math.nan, math.nan, "E/multinomial", digest,
+                              flags=("no coincidences",))
     value = (n[(1, 1)] + n[(2, 2)] - n[(1, 2)] - n[(2, 1)]) / total
     sigma = math.sqrt(max(1.0 - value**2, 0.0) / total)
     return AnalysisResult(value, sigma, "E/multinomial", digest)
@@ -318,6 +325,7 @@ MIN_CALIBRATION_POINTS = 6
 def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationResult:
     """Joint sinusoidal fit E = -A sin(phi_w + phi_r - phi_0) + c over the
     sweep curves, then the CHSH settings that maximize S on the fitted model.
+    Points whose E is undefined (NaN) are left out of the fit.
 
     The fit is linear in (A sin phi_0, A cos phi_0, c), so it needs no
     iteration; phi_0 is reported as the zero crossing with negative slope.
@@ -325,8 +333,10 @@ def fit_sinusoid_and_choose_phases(points: Sequence[SweepPoint]) -> CalibrationR
     points phi_0 + pi/4 and phi_0 - pi/4 against {0, pi/2}, shifted by pi
     when c > 0.
     """
+    points = [p for p in points if not math.isnan(p.e_value)]
     if len(points) < MIN_CALIBRATION_POINTS:
-        raise AnalysisError(f"need {MIN_CALIBRATION_POINTS} sweep points per calibration")
+        raise AnalysisError(f"need {MIN_CALIBRATION_POINTS} sweep points with an E "
+                            "per calibration")
     x = np.array([p.phi_w + p.phi_r for p in points])
     y = np.array([p.e_value for p in points])
     w = np.array([1.0 / p.sigma**2 if p.sigma > 0 else 1.0 for p in points])

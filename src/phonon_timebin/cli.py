@@ -199,31 +199,19 @@ def _g2_analysis(setting: protocol.SettingResult, trials: float) -> dict:
             for name, (w_win, r_win) in WINDOW_PAIRS.items()}
 
 
-def _overlap(sr: protocol.SettingResult) -> analysis.CoincidenceTable:
-    """One setting's overlap coincidence table; one trial on an exact run."""
-    return analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
-
-
-def _setting_E(sr: protocol.SettingResult, table: analysis.CoincidenceTable):
-    return _estimate(analysis.correlation_E(table), sr)
-
-
-def settings_E(config: ExperimentConfig, settings, first_idx: int = 0,
+def settings_E(results: list[protocol.SettingResult],
                manifest: _Manifest | None = None) -> list:
-    """The E pipeline of a scan of phase settings: jitter-averaged
-    distributions, one draw of counts per setting when config.trials > 0,
-    overlap coincidence tables, E.  Returns [(E, table)] in scan order."""
-    results = protocol.run_settings(config, settings, first_idx)
+    """The one E pipeline, over a scan's SettingResults (from
+    ``protocol.run_settings`` or ``run_experiment().settings``): each
+    setting's overlap coincidence table, one trial on an exact run, and its
+    E, flagged NaN where the table has no coincidences.  Notes the scan's
+    Fock truncation on ``manifest``.  Returns [(E, table)] in scan order."""
     if manifest is not None:
         manifest.note_truncation(sr.distribution for sr in results)
-    tables = [_overlap(sr) for sr in results]
-    return [(_setting_E(sr, table), table) for sr, table in zip(results, tables)]
-
-
-def setting_E(config: ExperimentConfig, phi_w: float, phi_r: float, setting_idx: int = 0,
-              manifest: _Manifest | None = None):
-    """``settings_E`` of one setting.  Returns (E, table)."""
-    return settings_E(config, [(phi_w, phi_r)], setting_idx, manifest)[0]
+    tables = [analysis.overlap_table(sr.distribution, sr.trials or 1.0, sr.counts)
+              for sr in results]
+    return [(_estimate(analysis.correlation_E(table), sr), table)
+            for sr, table in zip(results, tables)]
 
 
 def cmd_simulate(args) -> int:
@@ -245,21 +233,14 @@ def cmd_simulate(args) -> int:
             g2s = _g2_analysis(sr, float(config.trials or 1.0))
             results["estimates"] = {k: _result_entry(v) for k, v in g2s.items()}
         else:
-            e_results = []
-            settings_out = []
-            for sr in run.settings:
-                table = _overlap(sr)
-                entry = {"phi_w": sr.phi_w, "phi_r": sr.phi_r,
-                         "coincidences": {f"n{k}{l}": table.counts[(k, l)]
-                                          for k in (1, 2) for l in (1, 2)}}
-                try:
-                    e = _setting_E(sr, table)
-                    e_results.append(e)
-                    entry["E"] = _result_entry(e)
-                except analysis.AnalysisError as exc:
-                    entry["E"] = {"value": None, "flags": [str(exc)]}
-                settings_out.append(entry)
-            results["settings"] = settings_out
+            es = settings_E(run.settings)
+            results["settings"] = [
+                {"phi_w": sr.phi_w, "phi_r": sr.phi_r,
+                 "coincidences": {f"n{k}{l}": table.counts[(k, l)]
+                                  for k in (1, 2) for l in (1, 2)},
+                 "E": _result_entry(e)}
+                for sr, (e, table) in zip(run.settings, es)]
+            e_results = [e for e, _ in es if not math.isnan(e.value)]
             results["estimates"] = {}
             if (config.kind is ExperimentKind.BELL_TEST
                     and len(e_results) == len(run.settings) == 4):
@@ -393,14 +374,14 @@ def cmd_sweep(args) -> int:
     else:
         scan = [(phi_w, phi_r) for phi_r, _ in grid]
     if key.startswith("phases."):
-        results = settings_E(config, scan, manifest=manifest)
+        results = protocol.run_settings(config, scan)
     else:
         # each energy or scattering probability is a config of its own
         field = key.partition(".")[2]
-        results = [setting_E(with_pulse_field(config, field, v), w, r, idx, manifest)
-                   for idx, ((w, r), (_, v)) in enumerate(zip(scan, grid))]
+        results = [protocol.run_settings(with_pulse_field(config, field, v), [setting], idx)[0]
+                   for idx, (setting, (_, v)) in enumerate(zip(scan, grid))]
     rows = [(w, r, e.value, e.sigma, table.total_coincidences)
-            for (w, r), (e, table) in zip(scan, results)]
+            for (w, r), (e, table) in zip(scan, settings_E(results, manifest))]
     path = manifest.add(out / "sweep.csv")
     _write_csv(path, "phi_w_rad,phi_r_rad,E,sigma_E,coincidences", rows)
     manifest.write()
@@ -419,12 +400,15 @@ def cmd_calibrate(args) -> int:
                           f"{analysis.MIN_CALIBRATION_POINTS} sweep points (2 x points)")
     _bounded_settings(2 * n_points, f"--points {n_points}")
     config = _load_pulsed(args)
+    if config.kind is ExperimentKind.DOUBLE_CROSS_CORRELATION:
+        raise ConfigError(f"calibrate needs a closed interferometer; {config.kind.value} "
+                          "keeps its delay arm open, so no phase reaches its clicks")
     out = _out_dir(args)
     manifest = _Manifest(out, config, args)
     scan = [(phi_w, phi_r) for phi_r in (0.0, math.pi / 2.0)
             for phi_w in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)]
-    rows = [(phi_w, phi_r, e.value, e.sigma)
-            for (phi_w, phi_r), (e, _) in zip(scan, settings_E(config, scan, manifest=manifest))]
+    rows = [(phi_w, phi_r, e.value, e.sigma) for (phi_w, phi_r), (e, _)
+            in zip(scan, settings_E(protocol.run_settings(config, scan), manifest))]
     points = [analysis.SweepPoint(*row) for row in rows]
     sweep_path = manifest.add(out / "calibration_sweep.csv")
     _write_csv(sweep_path, "phi_w_rad,phi_r_rad,E,sigma_E", rows)

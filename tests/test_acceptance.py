@@ -135,7 +135,7 @@ def _entanglement_visibility(trials):
     config = with_overrides(reference_config("timebin_entanglement"),
                             {"trials": trials})
     phi_max = config.phases.phi_0 - math.pi / 2.0  # Phi = 0: positive lobe
-    e, _ = cli.setting_E(config, phi_max, 0.0)
+    e, _ = cli.settings_E(protocol.run_settings(config, [(phi_max, 0.0)]))[0]
     return analysis.AnalysisResult(abs(e.value), e.sigma, e.method, e.inputs_digest)
 
 
@@ -174,7 +174,7 @@ def test_criterion_07_bell_violation():
     points = []
     for phi_r in (0.0, math.pi / 2.0):
         for phi_w in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
-            e, _ = cli.setting_E(cal_config, phi_w, phi_r)
+            e, _ = cli.settings_E(protocol.run_settings(cal_config, [(phi_w, phi_r)]))[0]
             points.append(analysis.SweepPoint(phi_w, phi_r, e.value, 0.02))
     cal = analysis.fit_sinusoid_and_choose_phases(points)
 
@@ -182,8 +182,8 @@ def test_criterion_07_bell_violation():
     bell_exact = with_overrides(bell, {"trials": 0})
     exact_es, sampled_es = [], []
     for i, (phi_w, phi_r) in enumerate(cal.chsh_settings):
-        exact_es.append(cli.setting_E(bell_exact, phi_w, phi_r)[0])
-        sampled_es.append(cli.setting_E(bell, phi_w, phi_r, setting_idx=i)[0])
+        exact_es.append(cli.settings_E(protocol.run_settings(bell_exact, [(phi_w, phi_r)]))[0][0])
+        sampled_es.append(cli.settings_E(protocol.run_settings(bell, [(phi_w, phi_r)], i))[0][0])
     s_exact = analysis.chsh_S(exact_es)
     s_sim = analysis.chsh_S(sampled_es)
 

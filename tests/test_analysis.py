@@ -63,9 +63,11 @@ class TestCorrelationE:
             res = A.correlation_E(table(*[float(x) for x in n]))
             assert -1.0 <= res.value <= 1.0
 
-    def test_no_counts_error(self):
-        with pytest.raises(A.AnalysisError):
-            A.correlation_E(table(0, 0, 0, 0))
+    def test_no_counts_is_a_flagged_nan(self):
+        res = A.correlation_E(table(0, 0, 0, 0))
+        assert math.isnan(res.value) and math.isnan(res.sigma)
+        assert res.flags == ("no coincidences",)
+        assert res.method == "E/multinomial"
 
     def test_count_invariants(self):
         with pytest.raises(A.AnalysisError, match="exceed"):
@@ -321,6 +323,21 @@ class TestSinusoidCalibration:
     def test_needs_six_points(self):
         with pytest.raises(A.AnalysisError):
             A.fit_sinusoid_and_choose_phases(self.sweep(0.5, 1.0)[:5])
+
+    def test_points_without_an_E_are_left_out(self):
+        rng = np.random.default_rng(9)
+        clean = self.sweep(0.6, 2.0, offset=0.03, noise=0.02, rng=rng)
+        undefined = [A.SweepPoint(p.phi_w + 0.1, p.phi_r, math.nan, math.nan)
+                     for p in clean[::3]]
+        mixed = clean[:8] + undefined + clean[8:]
+        assert A.fit_sinusoid_and_choose_phases(mixed) == \
+            A.fit_sinusoid_and_choose_phases(clean)
+
+    def test_needs_six_points_with_an_E(self):
+        five = self.sweep(0.5, 1.0)[:5]
+        undefined = [A.SweepPoint(0.1 * k, 0.0, math.nan, math.nan) for k in range(10)]
+        with pytest.raises(A.AnalysisError, match="with an E"):
+            A.fit_sinusoid_and_choose_phases(five + undefined)
 
 
 class TestCoincidenceExtraction:

@@ -173,6 +173,21 @@ class TestSimulate:
                          str(tmp_path / "bad"), "--override", "splitting_asymmetry=0.006"])
         assert code == 2
 
+    def test_settings_without_coincidences_write_flagged_E(self, tmp_path):
+        # bell_test gives about 2.3e-7 coincidences per trial, so none in 1e6
+        out = tmp_path / "low"
+        assert cli.main(["simulate", "--config", str(CONFIGS / "bell_test.yaml"),
+                         "--trials", "1000000", "--seed", "5", "--out", str(out)]) == 0
+        results = yaml.safe_load((out / "results.yaml").read_text())
+        assert len(results["settings"]) == 4
+        for setting in results["settings"]:
+            assert set(setting["coincidences"].values()) == {0.0}
+            e = setting["E"]
+            assert e["value"] is None and e["sigma"] is None
+            assert e["method"] == "E/multinomial" and len(e["inputs_digest"]) == 12
+            assert e["flags"] == ["no coincidences"]
+        assert results["estimates"] == {}
+
     @pytest.mark.parametrize("name", ["bell_test", "cross_correlation"])
     def test_exact_runs_report_zero_sigma(self, tmp_path, name):
         out = tmp_path / name
@@ -330,6 +345,15 @@ class TestSweep:
         assert scaled.calibration_anchors == config.calibration_anchors
         assert scaled.p_w == 2.0 * core.scattering_probability_from_energy(20e-15, "write")
 
+    def test_settings_without_coincidences_are_nan_rows(self, tmp_path):
+        out = tmp_path / "low"
+        assert cli.main(["sweep", "--config", str(CONFIGS / "bell_test.yaml"),
+                         "--trials", "1000000", "--seed", "5", "--out", str(out),
+                         "--sweep", "phases.phi_w=0:2:5"]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(row.endswith(",nan,nan,0") for row in rows)
+
     def test_unknown_variable(self, tmp_path):
         config = write_config(tmp_path)
         code = cli.main(["sweep", "--config", str(config), "--out",
@@ -439,6 +463,19 @@ class TestCalibrate:
                          "--points", points]) == 2
         assert not (out / "calibration_sweep.csv").exists()
 
+    def test_a_fit_past_undefined_E_values_fails_as_a_fit(self, tmp_path, capsys):
+        # 1e6 trials leave some settings without coincidences: their rows are
+        # written with E NaN, and the fit over the rest is too noisy to pass
+        out = tmp_path / "low"
+        assert cli.main(["calibrate", "--config", str(CONFIGS / "calibration.yaml"),
+                         "--trials", "1000000", "--out", str(out)]) == 3
+        rows = (out / "calibration_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 24
+        assert any(row.endswith(",nan,nan") for row in rows)
+        err = capsys.readouterr().err
+        assert "runtime failure: degenerate fit" in err and "coincidences" not in err
+        assert not (out / "chsh_settings.yaml").exists()
+
 
 class TestEntanglementRun:
     def test_sweep_kind_reports_visibility_and_witness(self, tmp_path):
@@ -546,6 +583,8 @@ class TestOther:
           for command in (["calibrate", "--points", "5001"],
                           ["sweep", "--sweep", "phases.phi_w=0:2:10001"],
                           ["sweep", "--sweep", "phases.phi_w=0:2:5001", "--dual-phi-r"])],
+        # no phase reaches the clicks through the open delay arm
+        (["calibrate", "--config", str(CONFIGS / "cross_correlation.yaml")], "delay arm open"),
     ])
     def test_bad_command_input_is_config_error(self, tmp_path, capsys, argv, field):
         assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 2

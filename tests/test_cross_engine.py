@@ -99,8 +99,8 @@ def test_bell_S_engines_agree_without_jitter():
         load_config(str(files("phonon_timebin") / "configs" / "bell_test.yaml")),
         {"trials": 0, "noise.write_phase_jitter_fwhm": 0, "noise.read_phase_jitter_fwhm": 0})
     settings = protocol._phase_settings(config)
-    S = {engine: analysis.chsh_S([e for e, _ in cli.settings_E(
-        with_overrides(config, {"engine.name": engine}), settings)]).value
+    S = {engine: analysis.chsh_S([e for e, _ in cli.settings_E(protocol.run_settings(
+        with_overrides(config, {"engine.name": engine}), settings))]).value
         for engine in ("gaussian", "fock")}
     assert S["fock"] == pytest.approx(S["gaussian"], abs=1e-4)
 
